@@ -12,6 +12,7 @@ import math
 from pathlib import Path
 
 from ..errors import EvalError, GtrError
+from ..sqllex import tokenize
 from ..tables import ResultSet, execute_sql
 
 _REL_TOL = 1e-6
@@ -20,41 +21,17 @@ _SET_OPS = ("union", "intersect", "except")
 
 
 def has_top_level_order_by(sql: str) -> bool:
-    """True when ORDER BY appears outside any parentheses or string."""
+    """True when ORDER BY appears outside any parentheses, quotes or comments."""
     depth = 0
-    i, n = 0, len(sql)
-    lowered = sql.lower()
-    while i < n:
-        c = sql[i]
-        if c in ("'", '"'):
-            i += 1
-            while i < n:
-                if sql[i] == c:
-                    if i + 1 < n and sql[i + 1] == c:
-                        i += 2
-                        continue
-                    break
-                i += 1
-            i += 1
-        elif c == "(":
+    prev = ""
+    for tok in tokenize(sql):
+        if tok.text == "(":
             depth += 1
-            i += 1
-        elif c == ")":
+        elif tok.text == ")":
             depth = max(depth - 1, 0)
-            i += 1
-        elif depth == 0 and lowered.startswith("order", i):
-            before_ok = i == 0 or not (sql[i - 1].isalnum() or sql[i - 1] == "_")
-            rest = lowered[i + 5 :].lstrip()
-            after_by = rest[2:3]
-            if (
-                before_ok
-                and rest.startswith("by")
-                and not (after_by.isalnum() or after_by == "_")
-            ):
-                return True
-            i += 5
-        else:
-            i += 1
+        elif depth == 0 and prev == "order" and tok.text == "by":
+            return True
+        prev = tok.text
     return False
 
 

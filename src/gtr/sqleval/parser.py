@@ -6,6 +6,8 @@ with DISTINCT, one binary arithmetic step per expression, nested subqueries
 as comparison values, and INTERSECT / UNION / EXCEPT chains. Window
 functions, CTEs, and vendor extensions are out of scope and raise
 :class:`~gtr.errors.ParseError` (byte offset plus the expected-token set).
+Tokens come from :mod:`gtr.sqllex`, so ``--`` and ``/* */`` comments are
+accepted anywhere; backtick- and bracket-quoted identifiers are rejected.
 
 Normal form produced by :func:`parse_sql`:
 
@@ -30,10 +32,10 @@ supported query.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from ..errors import ParseError
+from ..sqllex import Token, tokenize, unterminated
 
 VALUE = "VALUE"
 
@@ -118,66 +120,23 @@ class ClauseSets:
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Tokens
 # ---------------------------------------------------------------------------
 
-_NUM_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+")
-_NAME_RE = re.compile(r"[A-Za-z_]\w*")
-_TWO_CHAR = ("<=", ">=", "!=", "<>")
-_ONE_CHAR = "=<>(),.;*+-/"
 
-
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # name | num | str | sym | end
-    text: str
-    pos: int  # character offset
-
-
-def _lex(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in ("'", '"'):
-            j = i + 1
-            while j < n:
-                if text[j] == c:
-                    if j + 1 < n and text[j + 1] == c:
-                        j += 2
-                        continue
-                    break
-                j += 1
-            if j >= n:
-                raise ParseError(
-                    "unterminated string literal", _byte_offset(text, i)
-                )
-            toks.append(_Tok("str", text[i : j + 1], i))
-            i = j + 1
-            continue
-        m = _NUM_RE.match(text, i)
-        if m:
-            toks.append(_Tok("num", m.group(), i))
-            i = m.end()
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            toks.append(_Tok("name", m.group().lower(), i))
-            i = m.end()
-            continue
-        if text[i : i + 2] in _TWO_CHAR:
-            toks.append(_Tok("sym", text[i : i + 2], i))
-            i += 2
-            continue
-        if c in _ONE_CHAR:
-            toks.append(_Tok("sym", c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", _byte_offset(text, i))
-    toks.append(_Tok("end", "", n))
+def _tokens(text: str) -> list[Token]:
+    """The text's tokens plus an end marker; a token the grammar has no use
+    for fails here, before parsing starts."""
+    toks = []
+    for tok in tokenize(text):
+        if tok.kind == "str" and unterminated(tok):
+            raise ParseError("unterminated string literal", _byte_offset(text, tok.pos))
+        if tok.kind in ("qid", "other") or tok.text in ("||", "%"):
+            raise ParseError(
+                f"unexpected character {tok.text[0]!r}", _byte_offset(text, tok.pos)
+            )
+        toks.append(tok)
+    toks.append(Token("end", "", len(text)))
     return toks
 
 
@@ -206,17 +165,17 @@ class _RawQuery:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, toks: list[Token]):
         self.text = text
-        self.toks = _lex(text)
+        self.toks = toks
         self.i = 0
 
     # -- token helpers ------------------------------------------------------
 
-    def _peek(self, ahead: int = 0) -> _Tok:
+    def _peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
 
-    def _advance(self) -> _Tok:
+    def _advance(self) -> Token:
         tok = self.toks[self.i]
         if tok.kind != "end":
             self.i += 1
@@ -555,7 +514,7 @@ def parse_sql(text: str) -> ClauseSets:
         ParseError: unsupported or malformed SQL; carries the byte offset
             and the token descriptions that would have been accepted.
     """
-    return _resolve(_Parser(text).parse(), {})
+    return _resolve(_Parser(text, _tokens(text)).parse(), {})
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import EvalError, GtrError, InvalidInput, ParseError
-from .exact_match import exact_set_match
+from .exact_match import compare_clauses
 from .execution import execution_accuracy
 from .hardness import classify_hardness
 from .parser import HARDNESS_LEVELS, parse_sql
@@ -131,15 +131,19 @@ def _evaluate_one(pair: dict, db_dir: str | Path, timeout_ms: int) -> SqlEvalIte
         ex=None,
     )
     try:
-        item.hardness = classify_hardness(parse_sql(gold))
+        gold_cs = parse_sql(gold)
+        item.hardness = classify_hardness(gold_cs)
     except ParseError as e:
+        gold_cs = None
         item.error = f"gold parse error: {e}"
-
-    em = exact_set_match(pred, gold)
-    item.em = em.match
-    item.em_clauses = em.clauses
-    if em.error and item.error is None:
-        item.error = em.error
+    try:
+        pred_cs = parse_sql(pred)
+    except ParseError as e:
+        pred_cs = None
+        item.error = item.error or f"pred parse error: {e}"
+    if gold_cs is not None and pred_cs is not None:
+        item.em_clauses = compare_clauses(pred_cs, gold_cs)
+        item.em = all(item.em_clauses.values())
 
     db_path = resolve_db_path(db_dir, item.db_id)
     if db_path is None:

@@ -4,7 +4,9 @@ relevant ones for a question, prompt for SQL, and execute it read-only.
 Databases are SQLite files (the layout used by multi-database text-to-SQL
 benchmarks). Execution opens the file in read-only mode AND rejects any
 statement whose keywords include a write or DDL verb, so a run can never
-mutate the database.
+mutate the database. Keywords are the ``name`` tokens of :mod:`gtr.sqllex`,
+so words inside strings, quoted identifiers and comments are data, and
+``replace(`` is SQLite's string function rather than the REPLACE statement.
 
 SQL prompt template (bit-exact), one block per selected table in score
 order, then the question::
@@ -40,6 +42,7 @@ from .errors import (
 )
 from .llm import Completion, LlmConfig, complete
 from .pipeline import Query
+from .sqllex import tokenize
 from .store import VectorRecord, VectorStore
 
 DEFAULT_SAMPLE_LIMIT = 5
@@ -271,7 +274,8 @@ _FENCE_RE = re.compile(r"```[\w+-]*\n(.*?)```", re.DOTALL)
 def extract_sql(completion_text: str) -> str:
     """Trim a completion to its first SQL statement.
 
-    Code fences are stripped, then everything after the first ";" dropped.
+    Code fences are stripped, then everything from the first ";" outside
+    strings, quoted identifiers and comments on is dropped.
 
     Raises:
         EmptyGeneration: nothing remains.
@@ -280,7 +284,8 @@ def extract_sql(completion_text: str) -> str:
     fenced = _FENCE_RE.search(text)
     if fenced:
         text = fenced.group(1).strip()
-    statement = text.split(";", 1)[0].strip()
+    end = next((tok.pos for tok in tokenize(text) if tok.text == ";"), len(text))
+    statement = text[:end].strip()
     if not statement:
         raise EmptyGeneration("completion contained no SQL statement")
     return statement
@@ -300,52 +305,20 @@ _WRITE_KEYWORDS = frozenset(
 # unrecognized is left to the engine so typos surface as SqlError.
 _NON_SELECT_STARTERS = _WRITE_KEYWORDS | {"explain", "values"}
 
-_SQL_WORD_RE = re.compile(r"[A-Za-z_]\w*")
-
-
-def _statement_keywords(sql: str) -> list[str]:
-    """Lowercased word tokens outside string/identifier quotes and comments."""
-    words = []
-    i, n = 0, len(sql)
-    while i < n:
-        c = sql[i]
-        if c == "'" or c == '"' or c == "`":
-            quote = c
-            i += 1
-            while i < n:
-                if sql[i] == quote:
-                    if i + 1 < n and sql[i + 1] == quote:  # doubled quote escape
-                        i += 2
-                        continue
-                    break
-                i += 1
-            i += 1
-        elif c == "[":
-            end = sql.find("]", i + 1)
-            i = n if end < 0 else end + 1
-        elif sql.startswith("--", i):
-            end = sql.find("\n", i)
-            i = n if end < 0 else end + 1
-        elif sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            i = n if end < 0 else end + 2
-        else:
-            m = _SQL_WORD_RE.match(sql, i)
-            if m:
-                words.append(m.group().lower())
-                i = m.end()
-            else:
-                i += 1
-    return words
-
-
 def assert_read_only(sql: str) -> None:
     """Reject anything but a SELECT (or WITH ... SELECT) statement.
 
     The database file is additionally opened read-only, so even a statement
     that slips past this keyword screen cannot mutate anything.
     """
-    words = _statement_keywords(sql)
+    toks = list(tokenize(sql))
+    following = [tok.text for tok in toks[1:]] + [""]
+    # replace( is SQLite's string function; the REPLACE statement has INTO.
+    words = [
+        tok.text
+        for tok, nxt in zip(toks, following)
+        if tok.kind == "name" and not (tok.text == "replace" and nxt == "(")
+    ]
     if not words:
         raise NonReadStatement("statement is empty")
     if words[0] in _NON_SELECT_STARTERS:

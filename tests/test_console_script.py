@@ -1,17 +1,25 @@
-"""Smoke test of the installed console script (subprocess wiring)."""
+"""Smoke test of the command line in a subprocess (``python -m gtr``)."""
 
-import shutil
+import os
 import subprocess
+import sys
+from pathlib import Path
 
-import pytest
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-@pytest.mark.skipif(shutil.which("gtr") is None, reason="gtr not on PATH")
+def run_gtr(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "gtr", *args],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
 class TestConsoleScript:
     def test_help_exits_zero(self):
-        proc = subprocess.run(
-            ["gtr", "--help"], capture_output=True, text=True, timeout=60
-        )
+        proc = run_gtr("--help")
         assert proc.returncode == 0
         assert "ingest" in proc.stdout and "eval" in proc.stdout
 
@@ -19,26 +27,17 @@ class TestConsoleScript:
         doc = tmp_path / "doc.txt"
         doc.write_text("a single memorable chunk", encoding="utf-8")
         store = tmp_path / "s.jsonl"
-        proc = subprocess.run(
-            ["gtr", "ingest", "--input", str(doc), "--store", str(store),
-             "--dim", "32"],
-            capture_output=True, text=True, timeout=60,
-        )
+        proc = run_gtr("ingest", "--input", str(doc), "--store", str(store),
+                       "--dim", "32")
         assert proc.returncode == 0, proc.stderr
-        proc = subprocess.run(
-            ["gtr", "ask", "what is in the store?", "--store", str(store),
-             "--llm", "echo", "--dim", "32"],
-            capture_output=True, text=True, timeout=60,
-        )
+        proc = run_gtr("ask", "what is in the store?", "--store", str(store),
+                       "--llm", "echo", "--dim", "32")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "a single memorable chunk\n"
 
     def test_error_goes_to_stderr_with_exit_one(self, tmp_path):
-        proc = subprocess.run(
-            ["gtr", "ask", "q", "--store", str(tmp_path / "missing.jsonl"),
-             "--llm", "echo"],
-            capture_output=True, text=True, timeout=60,
-        )
+        proc = run_gtr("ask", "q", "--store", str(tmp_path / "missing.jsonl"),
+                       "--llm", "echo")
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error")

@@ -17,6 +17,11 @@ class TestExecutionAccuracy:
     def test_expected_verdict(self, toy_db, pred, gold, expected, label):
         assert execution_accuracy(pred, gold, toy_db) is expected, label
 
+    def test_replace_function_in_gold_is_scored(self, toy_db):
+        gold = "SELECT replace(name, 'a', 'o') FROM singer"
+        assert execution_accuracy(gold, gold, toy_db) is True
+        assert execution_accuracy("SELECT name FROM singer", gold, toy_db) is False
+
     def test_gold_failure_raises_eval_error(self, toy_db):
         with pytest.raises(EvalError):
             execution_accuracy("SELECT 1", "SELECT nope FROM nowhere", toy_db)

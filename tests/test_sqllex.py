@@ -1,0 +1,267 @@
+"""The shared SQL tokenizer against the scanners it replaced.
+
+Every consumer of ``gtr.sqllex`` (the clause-set parser, the read-only
+screen and ORDER BY detection) must give the verdicts of the old scanner in
+``sql_oracles`` on every fixture query and on seeded random fragments. The
+differences made on purpose are each asserted on their own below; the
+random comparison neutralizes exactly those constructs in the text handed
+to the oracle.
+"""
+
+import random
+
+import pytest
+
+import fixtures_sql
+import sql_oracles as oracle
+from gtr.errors import NonReadStatement, ParseError
+from gtr.sqleval import has_top_level_order_by, parse_sql
+from gtr.sqllex import Token, tokenize, unterminated
+from gtr.tables import assert_read_only
+
+
+def _fixture_queries() -> list[str]:
+    queries = set()
+    for pred, gold, *_ in (
+        fixtures_sql.EM_CASES + fixtures_sql.EX_CASES + fixtures_sql.REFORMULATION_CASES
+    ):
+        queries.update((pred, gold))
+    queries.update(sql for sql, _, _ in fixtures_sql.HARDNESS_CASES)
+    queries.update(sql for sql, _ in fixtures_sql.TABULAR_QUESTIONS.values())
+    return sorted(queries)
+
+
+FIXTURE_QUERIES = _fixture_queries()
+
+
+def _outcome(fn, sql):
+    """What a call did: its result, or the error it raised."""
+    try:
+        return ("ok", fn(sql))
+    except (NonReadStatement, ParseError) as e:
+        return (type(e).__name__, str(e))
+
+
+def _parse_outcome(parse, sql):
+    """The clause sets, or where the ParseError points and what it expected
+    there (its message quotes token text)."""
+    try:
+        return ("ok", parse(sql))
+    except ParseError as e:
+        return ("error", e.offset, e.expected)
+
+
+# ---------------------------------------------------------------------------
+# Random fragments
+# ---------------------------------------------------------------------------
+
+# (kind, texts). Comment markers occur only in comment pieces, brackets and
+# backticks only in quoted-identifier pieces, and neither kind holds a quote
+# character. So however the quotes of a fragment pair up, overwriting such a
+# piece either removes that very construct or edits the inside of a string.
+PIECES = [
+    ("kw", "select from where order by group having limit union as join on and "
+           "or not in like between is null distinct with into insert replace "
+           "update delete drop values explain pragma count max".split()),
+    ("name", ["t", "singer", "name", "age", "x1", "_tmp", "café", "Größe",
+              "naïve", "ñandú", "名前", "T1.name", "t.*"]),
+    ("num", ["1", "42", "3.5", ".5", "7."]),
+    ("exp", ["1e5", "2E-3", "7.5e+2"]),
+    ("str", ["'abc'", "'it''s'", '"a""b"', "'order by'", "'('", "')'", "';'",
+             "''", '"insert"', "'é'"]),
+    ("open", ["'oops", '"half', "'it''s"]),
+    ("qid", ["[order by]", "[a b]", "`order by`", "`a``b`", "[(]", "`)`",
+             "[insert]", "`;`"]),
+    ("comment", ["-- order by (\n", "/* ) */", "-- x\n", "/* ; insert */",
+                 "/**/", "-- \n"]),
+    ("sym", ["(", ")", ",", ";", "=", "<>", "!=", "<=", ">", "*", ".", "+",
+             "-", "/", "||", "%"]),
+    ("other", ["$", "?", "!", "@", "#", "|", "{"]),
+]
+# Constructs that run to the end of the text close a fragment.
+TAIL_PIECES = [
+    ("open_qid", ["[never closed", "`never closed"]),
+    ("comment", ["/* never closed", "-- last"]),
+]
+SEPARATORS = [" ", "  ", "\n", "\t"]
+
+
+def _random_case(rng: random.Random, word: str) -> str:
+    return rng.choice([word, word.upper(), word.capitalize()])
+
+
+def _pieces(rng: random.Random) -> list[tuple[str, str]]:
+    """A fragment as a list of (kind, text) pieces."""
+    if rng.random() < 0.5:
+        # A fixture query with pieces inserted, so that parses succeed as
+        # well as fail at every depth.
+        pieces = [("raw", w) for w in rng.choice(FIXTURE_QUERIES).split()]
+        for _ in range(rng.randint(0, 3)):
+            kind, texts = rng.choice(PIECES)
+            pieces.insert(rng.randint(0, len(pieces)), (kind, rng.choice(texts)))
+    else:
+        pieces = []
+        for _ in range(rng.randint(1, 12)):
+            kind, texts = rng.choice(PIECES)
+            pieces.append((kind, rng.choice(texts)))
+    if rng.random() < 0.15:
+        kind, texts = rng.choice(TAIL_PIECES)
+        pieces.append((kind, rng.choice(texts)))
+    return [(k, _random_case(rng, t) if k == "kw" else t) for k, t in pieces]
+
+
+def _render(pieces, seps, neutral=None) -> str:
+    """Join pieces with the given separators. ``neutral`` maps a piece kind
+    to a character that overwrites such pieces, newlines kept; spaces erase
+    a piece and underscores leave a word of the same length."""
+    neutral = neutral or {}
+    out = []
+    for (kind, text), sep in zip(pieces, seps):
+        if kind in neutral:
+            text = "".join(c if c == "\n" else neutral[kind] for c in text)
+        out.append(text + sep)
+    return "".join(out)
+
+
+def _fragments(n: int, seed: int = 20240614):
+    rng = random.Random(seed)
+    for _ in range(n):
+        pieces = _pieces(rng)
+        seps = [rng.choice(SEPARATORS) for _ in pieces]
+        yield pieces, seps
+
+
+def _mark_replace_calls(pieces):
+    """Retag ``replace`` followed by ``(`` (comments between) as a call."""
+    marked = list(pieces)
+    for i, (kind, text) in enumerate(pieces):
+        if text.lower() != "replace":
+            continue
+        rest = [p for p in pieces[i + 1 :] if p[0] != "comment"]
+        if rest and rest[0][1] == "(":
+            marked[i] = ("call", text)
+    return marked
+
+
+FRAGMENTS = list(_fragments(3000))
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("sql", FIXTURE_QUERIES)
+    def test_fixture_queries(self, sql):
+        assert _outcome(assert_read_only, sql) == _outcome(oracle.assert_read_only, sql)
+        assert has_top_level_order_by(sql) is oracle.has_top_level_order_by(sql)
+        assert _outcome(parse_sql, sql) == _outcome(oracle.parse_sql, sql)
+
+    def test_random_read_only_verdicts(self):
+        # The old screen read a number's exponent as a word and replace( as
+        # the REPLACE statement; both are neutralized for the oracle.
+        for pieces, seps in FRAGMENTS:
+            sql = _render(pieces, seps)
+            old = _render(_mark_replace_calls(pieces), seps, {"exp": " ", "call": " "})
+            assert _outcome(assert_read_only, sql) == _outcome(
+                oracle.assert_read_only, old
+            ), sql
+
+    def test_random_order_by(self):
+        # The old loop scanned comments and quoted identifiers as SQL.
+        for pieces, seps in FRAGMENTS:
+            sql = _render(pieces, seps)
+            old = _render(pieces, seps, {"comment": " ", "qid": "_", "open_qid": "_"})
+            assert has_top_level_order_by(sql) is oracle.has_top_level_order_by(old), sql
+
+    def test_random_parses(self):
+        # The old lexer read comments as symbols.
+        parsed = 0
+        for pieces, seps in FRAGMENTS:
+            sql = _render(pieces, seps)
+            new = _parse_outcome(parse_sql, sql)
+            old = _parse_outcome(oracle.parse_sql, _render(pieces, seps, {"comment": " "}))
+            assert new == old, sql
+            parsed += new[0] == "ok"
+        assert parsed > 100
+
+
+class TestDeliberateDifferences:
+    """Each place the new scanners part from the old ones on purpose."""
+
+    def test_replace_function_is_a_read(self):
+        sql = "SELECT replace(name, 'a', 'b') FROM singer"
+        assert_read_only(sql)
+        with pytest.raises(NonReadStatement):
+            oracle.assert_read_only(sql)
+
+    def test_exponent_is_not_a_keyword(self):
+        # The old screen found the word "e5" in 1e5.
+        with pytest.raises(NonReadStatement, match="empty"):
+            assert_read_only("1e5")
+        oracle.assert_read_only("1e5")
+
+    def test_parser_skips_comments(self):
+        sql = "SELECT a -- the column\nFROM t /* it's here */ WHERE b = 1"
+        assert parse_sql(sql) == parse_sql("SELECT a FROM t WHERE b = 1")
+        with pytest.raises(ParseError):
+            oracle.parse_sql(sql)
+
+    @pytest.mark.parametrize(
+        "sql,expected",
+        [
+            ("SELECT a FROM t -- (\nORDER BY a", True),
+            ("SELECT a FROM t /* order by a */", False),
+            ("SELECT a FROM t -- it's\nORDER BY a", True),
+        ],
+    )
+    def test_order_by_skips_comments(self, sql, expected):
+        assert has_top_level_order_by(sql) is expected
+        assert oracle.has_top_level_order_by(sql) is not expected
+
+    @pytest.mark.parametrize(
+        "sql", ["SELECT [order by] FROM t", "SELECT `order by` FROM t"]
+    )
+    def test_order_by_inside_quoted_identifier(self, sql):
+        assert has_top_level_order_by(sql) is False
+        assert oracle.has_top_level_order_by(sql) is True
+
+    def test_order_by_after_case_folding_text(self):
+        # "İ".lower() is two characters, which shifted the old loop's offsets.
+        sql = "SELECT 'İ' FROM t ORDER BY a"
+        assert has_top_level_order_by(sql) is True
+        assert oracle.has_top_level_order_by(sql) is False
+
+
+class TestTokenize:
+    def test_kinds(self):
+        sql = "SELECT a.B, 'it''s', \"q\", `x`, [y], 1e5, .5 <> || % $ -- c\n/* d */"
+        assert [(t.kind, t.text) for t in tokenize(sql)] == [
+            ("name", "select"), ("name", "a"), ("sym", "."), ("name", "b"),
+            ("sym", ","), ("str", "'it''s'"), ("sym", ","), ("str", '"q"'),
+            ("sym", ","), ("qid", "`x`"), ("sym", ","), ("qid", "[y]"),
+            ("sym", ","), ("num", "1e5"), ("sym", ","), ("num", ".5"),
+            ("sym", "<>"), ("sym", "||"), ("sym", "%"), ("other", "$"),
+        ]
+
+    def test_positions_are_character_offsets(self):
+        assert list(tokenize("é  x")) == [Token("other", "é", 0), Token("name", "x", 3)]
+
+    @pytest.mark.parametrize(
+        "sql,tail",
+        [
+            ("a 'b c", "'b c"),
+            ("a 'b'' c", "'b'' c"),
+            ("a '''", "'''"),
+            ("a [b c", "[b c"),
+            ("a `b`` c", "`b`` c"),
+        ],
+    )
+    def test_unterminated_runs_to_end(self, sql, tail):
+        assert [t.text for t in tokenize(sql)] == ["a", tail]
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [("'", True), ("'a", True), ("'a''", True), ("'''", True),
+         ("''", False), ("'a'", False), ("'a'''", False), ("''''", False),
+         ('"a""', True), ('"a"""', False)],
+    )
+    def test_unterminated(self, text, expected):
+        (tok,) = tokenize(text)
+        assert unterminated(tok) is expected

@@ -184,6 +184,20 @@ class TestExtractSql:
     def test_first_statement_only(self):
         assert extract_sql("SELECT a FROM t; DROP TABLE t;") == "SELECT a FROM t"
 
+    @pytest.mark.parametrize(
+        "completion",
+        [
+            "SELECT name FROM singer WHERE name = 'a;b';",
+            "```sql\nSELECT name FROM singer WHERE name = 'a;b';\n```",
+        ],
+    )
+    def test_semicolon_inside_string(self, completion):
+        assert extract_sql(completion) == "SELECT name FROM singer WHERE name = 'a;b'"
+
+    def test_semicolon_inside_identifier_or_comment(self):
+        sql = 'SELECT "a;b", [c;d] FROM t -- e;f\nWHERE x = 1 /* ; */; DROP TABLE t'
+        assert extract_sql(sql) == sql.split("; DROP")[0]
+
     def test_whitespace_only(self):
         with pytest.raises(EmptyGeneration):
             extract_sql("   ")
@@ -197,6 +211,7 @@ class TestReadOnlyGuard:
             "select name from singer where country = 'x'",
             "WITH t AS (SELECT 1 AS x) SELECT x FROM t",
             "SELECT 'insert' FROM singer",  # keyword inside a string is data
+            "SELECT replace(name, 'a', 'b') FROM singer",  # string function
         ],
     )
     def test_reads_allowed(self, sql):
@@ -210,6 +225,9 @@ class TestReadOnlyGuard:
             "UPDATE singer SET age = 1",
             "DROP TABLE singer",
             "WITH t AS (SELECT 1) INSERT INTO singer SELECT * FROM t",
+            "REPLACE INTO singer VALUES (1)",
+            "WITH t AS (SELECT 1) REPLACE INTO singer SELECT * FROM t",
+            "INSERT OR REPLACE INTO singer VALUES (1)",
             "PRAGMA journal_mode = DELETE",
             "VACUUM",
         ],
