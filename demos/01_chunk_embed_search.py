@@ -14,11 +14,12 @@ TEXT = (
 )
 
 # 1. Tokenize: a deterministic whitespace-and-punctuation split where every
-#    token remembers its byte offsets, so chunks are exact source slices.
+#    token remembers its byte offsets into the UTF-8 encoding of the text.
 tokens = tokenize(TEXT)
 print(f"{len(tokens)} tokens; first five: {[t.text for t in tokens[:5]]}")
 
-# 2. Chunk into overlapping token windows.
+# 2. Chunk into overlapping token windows; each chunk's text is the exact
+#    source slice from its first token to its last.
 doc = Document(id="intro", text=TEXT)
 chunks = chunk_text(doc, chunk_size=16, overlap=4)
 for c in chunks:

@@ -2,10 +2,14 @@
 
 The tokenizer is a deterministic whitespace-and-punctuation splitter: a token
 is either a maximal run of word characters or a single non-space punctuation
-character. Every token carries its byte offsets into the UTF-8 encoding of the
-source text, so chunk text is always an exact byte slice of the document.
-The same splitter is used everywhere token counts are reported (prompt and
-completion token accounting, ROUGE tokenization, evaluation reports).
+character. The same splitter is used everywhere token counts are reported
+(prompt and completion token accounting, ROUGE tokenization, evaluation
+reports).
+
+A chunk's text is an exact character slice of the source document, from the
+start of its first token to the end of its last; the chunker works on the
+character spans of one regex pass and never encodes the document. Byte
+offsets into the UTF-8 encoding are a contract of :func:`tokenize` alone.
 """
 
 from __future__ import annotations
@@ -104,19 +108,18 @@ def chunk_text(
             f"overlap ({overlap}) must be smaller than chunk_size ({chunk_size})"
         )
 
-    tokens = tokenize(doc.text)
-    if not tokens:
+    spans = [m.span() for m in _TOKEN_RE.finditer(doc.text)]
+    if not spans:
         return []
 
-    raw = doc.text.encode("utf-8")
     stride = chunk_size - overlap
     chunks: list[Chunk] = []
     start = 0
     while True:
-        end = min(start + chunk_size, len(tokens))
-        text = raw[tokens[start].start : tokens[end - 1].end].decode("utf-8")
+        end = min(start + chunk_size, len(spans))
+        text = doc.text[spans[start][0] : spans[end - 1][1]]
         chunks.append(Chunk(doc.id, len(chunks), text, start, end))
-        if end == len(tokens):
+        if end == len(spans):
             break
         start += stride
     return chunks

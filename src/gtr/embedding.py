@@ -6,7 +6,10 @@ dimension):
 * ``hashed_bow`` — offline reference backend. Lowercased tokens are hashed
   with 64-bit FNV-1a into ``dim`` buckets, counts accumulated, and the count
   vector L2-normalized. Fully deterministic, so retrieval behavior is
-  computable by hand in tests.
+  computable by hand in tests. Token frequencies are Zipf-like, so bucket
+  indices are memoised in a bounded LRU cache of ``BUCKET_CACHE_SIZE``
+  entries: the frequent tokens stay cached and memory stays flat however
+  large the vocabulary.
 * ``http`` — remote embedding service speaking a small JSON protocol:
   ``POST endpoint_url {"inputs": [...]}`` returning
   ``{"embeddings": [[...], ...]}``. Requests are batched, retried three
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import requests
@@ -35,6 +39,9 @@ DEFAULT_DIM = 384
 FNV_SEED = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# Fixed: holds the frequent head of a Zipf vocabulary in about half a megabyte.
+BUCKET_CACHE_SIZE = 2048
 
 
 @dataclass
@@ -72,15 +79,17 @@ def _fnv1a(data: bytes) -> int:
     return h
 
 
+@lru_cache(maxsize=BUCKET_CACHE_SIZE)
 def bucket_index(token: str, dim: int) -> int:
     """Hash bucket of one lowercased token; exposed for hand-check tests."""
     return _fnv1a(token.encode("utf-8")) % dim
 
 
 def _embed_hashed_bow(text: str, dim: int) -> np.ndarray:
-    counts = np.zeros(dim, dtype=np.float64)
-    for tok in token_texts(text):
-        counts[bucket_index(tok.lower(), dim)] += 1.0
+    # Counts are small exact integers, so the float64 vector equals the one
+    # accumulated by adding 1.0 per token.
+    buckets = [bucket_index(tok.lower(), dim) for tok in token_texts(text)]
+    counts = np.bincount(buckets, minlength=dim).astype(np.float64)
     norm = np.linalg.norm(counts)
     if norm == 0.0:
         # Unreachable for nonempty trimmed text: every non-space character

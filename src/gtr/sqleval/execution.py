@@ -17,8 +17,6 @@ from ..tables import ResultSet, execute_sql
 
 _REL_TOL = 1e-6
 
-_SET_OPS = ("union", "intersect", "except")
-
 
 def has_top_level_order_by(sql: str) -> bool:
     """True when ORDER BY appears outside any parentheses, quotes or comments."""

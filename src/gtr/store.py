@@ -5,8 +5,8 @@ double precision as a single matrix-vector product over a cached record
 matrix, ties broken by ascending record id, so results are bit-reproducible
 and equal to a naive per-record scan.
 
-File format (one store per file, UTF-8, "\\n" separators, floats in their
-shortest round-trip representation):
+File format (one store per file, UTF-8, "\\n" separators, finite floats in
+their shortest round-trip representation):
 
     line 1:  {"format":"gtr-store","version":1,"dim":N,"embedder":FINGERPRINT}
     line 2+: {"id":...,"vector":[...],"kind":...,"text":...,"metadata":{...}}
@@ -18,6 +18,7 @@ kept exactly as written (never re-normalized on load).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,6 +78,8 @@ class VectorRecord:
         self.vector = np.asarray(self.vector, dtype=np.float64)
         if self.vector.ndim != 1:
             raise InvalidInput("record vector must be 1-D")
+        if not np.isfinite(self.vector).all():
+            raise InvalidInput("record vector must be finite (no NaN or infinity)")
         # String-only metadata keeps the file format round-trip exact.
         self.metadata = {str(k): str(v) for k, v in self.metadata.items()}
 
@@ -184,28 +187,30 @@ class VectorStore:
         return [(str(self._ids[i]), float(scores[i])) for i in order[:k]]
 
     def save(self, path: str | Path) -> None:
+        """Write to a temporary file beside ``path``, then rename it over
+        ``path``: a save that fails part way leaves the old file intact."""
         path = Path(path)
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            header = {
-                "format": STORE_FORMAT,
-                "version": STORE_VERSION,
-                "dim": self.dim,
-                "embedder": self.embedder_fingerprint,
-            }
-            f.write(_dumps(header) + "\n")
-            for r in self.records:
-                f.write(
-                    _dumps(
-                        {
-                            "id": r.id,
-                            "vector": [float(x) for x in r.vector],
-                            "kind": r.kind,
-                            "text": r.text,
-                            "metadata": r.metadata,
-                        }
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+                header = {
+                    "format": STORE_FORMAT,
+                    "version": STORE_VERSION,
+                    "dim": self.dim,
+                    "embedder": self.embedder_fingerprint,
+                }
+                f.write(_dumps(header) + "\n")
+                for r in self.records:
+                    # The line _dumps of {"id", "vector", "kind", "text",
+                    # "metadata"} writes, with the vector formatted apart.
+                    rest = _dumps({"kind": r.kind, "text": r.text, "metadata": r.metadata})
+                    f.write(
+                        f'{{"id":{_dumps(r.id)},"vector":[{_vector_json(r.vector)}],{rest[1:]}\n'
                     )
-                    + "\n"
-                )
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorStore":
@@ -259,6 +264,15 @@ class VectorStore:
 
 def _dumps(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
+def _vector_json(vector: np.ndarray) -> str:
+    """``_dumps(vector.tolist())`` without its brackets, formatting each
+    distinct value once (a hashed bag-of-words vector holds a few dozen).
+    Values are told apart by their bits, so -0.0 keeps its own text."""
+    bits, where = np.unique(vector.view(np.uint64), return_inverse=True)
+    texts = [repr(x) for x in bits.view(np.float64).tolist()]
+    return ",".join([texts[i] for i in where.tolist()])
 
 
 def export_embeddings_csv(store: VectorStore, path: str | Path) -> None:

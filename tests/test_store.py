@@ -109,6 +109,11 @@ class TestInsertAndQuery:
         with pytest.raises(DuplicateId):
             store.insert(VectorRecord("a", [0.0, 1.0], "chunk", "t"))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        with pytest.raises(InvalidInput, match="finite"):
+            VectorRecord("a", [1.0, bad, 0.0], "chunk", "t")
+
     def test_query_empty_store(self):
         store = VectorStore(2, "test")
         assert store.query_top_k([1.0, 0.0], 3) == []
@@ -282,6 +287,43 @@ class TestPersistence:
             assert row[0] == record.id
             recovered = np.array([float(x) for x in row[2:]])
             assert np.array_equal(recovered, record.vector)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_vector_in_file_is_corrupt(self, tmp_path, token):
+        path = tmp_path / "s.jsonl"
+        header = '{"format":"gtr-store","version":1,"dim":2,"embedder":"fp"}'
+        good = '{"id":"a","vector":[1.0,0.0],"kind":"chunk","text":"t","metadata":{}}'
+        bad = '{"id":"b","vector":[%s,0.0],"kind":"chunk","text":"t","metadata":{}}' % token
+        path.write_text(header + "\n" + good + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(CorruptStore, match="line 3: .*finite"):
+            VectorStore.load(path)
+
+    def test_failed_save_leaves_previous_file(self, tmp_path, monkeypatch):
+        import gtr.store as store_module
+
+        store = VectorStore(2, "fp")
+        store.insert(VectorRecord("a", [1.0, 0.0], "chunk", "first"))
+        path = tmp_path / "s.jsonl"
+        store.save(path)
+        before = path.read_bytes()
+        store.insert(VectorRecord("b", [0.0, 1.0], "chunk", "second"))
+        real_dumps = store_module._dumps
+
+        def failing_dumps(obj):
+            if isinstance(obj, dict) and obj.get("text") == "second":
+                raise RuntimeError("disk full")
+            return real_dumps(obj)
+
+        monkeypatch.setattr(store_module, "_dumps", failing_dumps)
+        with pytest.raises(RuntimeError, match="disk full"):
+            store.save(path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+        monkeypatch.undo()
+        store.save(path)
+        assert len(VectorStore.load(path)) == 2
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_duplicate_id_in_file(self, tmp_path):
         path = tmp_path / "s.jsonl"
