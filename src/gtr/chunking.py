@@ -133,8 +133,9 @@ def load_documents(path: str | Path) -> list[Document]:
     stem.
 
     Raises:
-        InvalidInput: missing file, or a malformed JSONL record (the message
-            names the line number).
+        InvalidInput: missing file, or a malformed JSONL record, including
+            one whose id or text holds a lone surrogate (the message names
+            the line number).
     """
     path = Path(path)
     if not path.is_file():
@@ -153,8 +154,12 @@ def load_documents(path: str | Path) -> list[Document]:
                     raise InvalidInput(
                         f"{path}: line {lineno} must be an object with 'id' and 'text'"
                     )
-                docs.append(
-                    Document(str(record["id"]), str(record["text"]), source_path=str(path))
-                )
+                doc_id, text = str(record["id"]), str(record["text"])
+                try:
+                    doc_id.encode("utf-8"), text.encode("utf-8")
+                except UnicodeEncodeError as e:
+                    # A JSON escape such as "\ud800" decodes to a lone surrogate.
+                    raise InvalidInput(f"{path}: line {lineno}: not valid Unicode: {e.reason}") from None
+                docs.append(Document(doc_id, text, source_path=str(path)))
         return docs
     return [Document(path.stem, path.read_text(encoding="utf-8"), source_path=str(path))]

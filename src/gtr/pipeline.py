@@ -92,9 +92,12 @@ def ingest(
         chunks.extend(chunk_text(doc, chunk_size, overlap))
 
     store = VectorStore(embedder_config.dim, fingerprint(embedder_config))
-    if chunks:
-        vectors = embed_batch([c.text for c in chunks], embedder_config)
-        for chunk, vector in zip(chunks, vectors):
+    # One embedding batch at a time: insert copies each vector into the
+    # store's matrix, so the batch's own arrays are freed as the next comes.
+    size = embedder_config.batch_size
+    for start in range(0, len(chunks), size):
+        batch = chunks[start : start + size]
+        for chunk, vector in zip(batch, embed_batch([c.text for c in batch], embedder_config)):
             store.insert(
                 VectorRecord(
                     id=chunk_record_id(chunk.doc_id, chunk.index),

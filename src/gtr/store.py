@@ -1,9 +1,12 @@
 """Persistent vector store with exact cosine top-k search.
 
-Search is an exhaustive scan — no approximate index. Scores are computed in
-double precision as a single matrix-vector product over a cached record
-matrix, ties broken by ascending record id, so results are bit-reproducible
-and equal to a naive per-record scan.
+Search is an exhaustive scan — no approximate index. Every vector lives in
+one contiguous float64 matrix, one row per record, grown by doubling; a
+record's ``vector`` is a read-only view of its row. Scores are computed in
+double precision as a single matrix-vector product over the filled rows,
+ties broken by ascending record id, so results are bit-reproducible and
+equal to a naive per-record scan. An insert writes one row; the next query
+computes the norms of the rows added since the last one.
 
 File format (one store per file, UTF-8, "\\n" separators, finite floats in
 their shortest round-trip representation):
@@ -64,6 +67,9 @@ def cosine(u, v) -> float:
 
 @dataclass
 class VectorRecord:
+    """One stored item. Once inserted, ``vector`` is a read-only view of the
+    record's row in the store's matrix."""
+
     id: str
     vector: np.ndarray
     kind: str
@@ -98,9 +104,11 @@ class VectorStore:
         self.embedder_fingerprint = embedder_fingerprint
         self.records: list[VectorRecord] = []
         self._by_id: dict[str, VectorRecord] = {}
-        self._matrix: np.ndarray | None = None
-        self._norms: np.ndarray | None = None
-        self._ids: np.ndarray | None = None
+        # Rows [:len(self)] hold the vectors; the rest is spare capacity.
+        self._matrix = np.empty((0, dim), dtype=np.float64)
+        # _norms[:_normed] are the norms of the first _normed rows.
+        self._norms = np.empty(0, dtype=np.float64)
+        self._normed = 0
 
     def __len__(self) -> int:
         return len(self.records)
@@ -116,6 +124,8 @@ class VectorStore:
 
     def insert(self, record: VectorRecord) -> None:
         """Add one record; it becomes visible to get() and query_top_k().
+        Its vector is copied into the store's matrix and ``record.vector``
+        becomes a read-only view of that row.
 
         Raises:
             DuplicateId: the id is already present.
@@ -127,23 +137,28 @@ class VectorStore:
             )
         if record.id in self._by_id:
             raise DuplicateId(f"record id {record.id!r} already present")
+        row = self._next_row()
+        row[...] = record.vector  # load has already parsed the vector into this row
+        row.flags.writeable = False
+        record.vector = row
         self.records.append(record)
         self._by_id[record.id] = record
-        self._matrix = None
-        self._norms = None
-        self._ids = None
 
-    def _ensure_caches(self):
-        if self._matrix is None:
-            n = len(self.records)
-            matrix = np.empty((n, self.dim), dtype=np.float64)
-            for i, r in enumerate(self.records):
-                matrix[i] = r.vector
-            self._norms = np.linalg.norm(matrix, axis=1)
-            self._ids = np.array([r.id for r in self.records])
-            # Assigned last: a concurrent reader that sees the matrix also
-            # sees the norms and ids (multi-reader contract).
-            self._matrix = matrix
+    def _next_row(self) -> np.ndarray:
+        """The row the next record's vector goes in. A full matrix is copied
+        into one of twice the rows, and every record's view re-pointed, so
+        the old buffer is freed."""
+        n = len(self.records)
+        if n == self._matrix.shape[0]:
+            matrix = np.empty((max(16, 2 * n), self.dim), dtype=np.float64)
+            matrix[:n] = self._matrix[:n]
+            norms = np.empty(matrix.shape[0], dtype=np.float64)
+            norms[: self._normed] = self._norms[: self._normed]
+            for i, record in enumerate(self.records):
+                record.vector = matrix[i]
+                record.vector.flags.writeable = False
+            self._matrix, self._norms = matrix, norms
+        return self._matrix[n]
 
     def query_top_k(self, query, k: int) -> list[tuple[str, float]]:
         """Exact top-k by cosine score, descending; ties by ascending id.
@@ -167,15 +182,21 @@ class VectorStore:
         qnorm = np.linalg.norm(query)
         if qnorm == 0.0:
             raise ZeroVector("query vector has zero norm")
-        if not self.records:
+        n = len(self.records)
+        if n == 0:
             return []
-        self._ensure_caches()
-        dots = self._matrix @ query
-        denom = self._norms * qnorm
+        matrix = self._matrix[:n]
+        normed = self._normed
+        if normed < n:
+            # Concurrent readers may each norm the same new rows: they write
+            # equal values, and _normed moves only after the values are in.
+            self._norms[normed:n] = np.linalg.norm(matrix[normed:], axis=1)
+            self._normed = n
+        dots = matrix @ query
+        denom = self._norms[:n] * qnorm
         scores = np.divide(dots, denom, out=np.zeros_like(dots), where=denom != 0.0)
         np.clip(scores, -1.0, 1.0, out=scores)
 
-        n = scores.shape[0]
         if k >= n:
             candidates = np.arange(n)
         else:
@@ -183,8 +204,12 @@ class VectorStore:
             # so boundary ties are still broken by id, never by position.
             threshold = np.partition(scores, n - k)[n - k]
             candidates = np.flatnonzero(scores >= threshold)
-        order = candidates[np.lexsort((self._ids[candidates], -scores[candidates]))]
-        return [(str(self._ids[i]), float(scores[i])) for i in order[:k]]
+        records = self.records
+        by_id = sorted(candidates.tolist(), key=lambda i: records[i].id)
+        # A stable sort by descending score keeps id order among equal
+        # scores and puts NaN scores (from norms that overflow) last.
+        ranked = [by_id[j] for j in np.argsort(-scores[by_id], kind="stable")[:k]]
+        return [(records[i].id, float(scores[i])) for i in ranked]
 
     def save(self, path: str | Path) -> None:
         """Write to a temporary file beside ``path``, then rename it over
@@ -247,19 +272,30 @@ class VectorStore:
                 except json.JSONDecodeError as e:
                     raise CorruptStore(f"{path}: line {lineno}: malformed JSON: {e}")
                 try:
-                    record = VectorRecord(
-                        id=str(obj["id"]),
-                        vector=np.asarray(obj["vector"], dtype=np.float64),
-                        kind=str(obj["kind"]),
-                        text=str(obj["text"]),
-                        metadata={str(k): str(v) for k, v in obj.get("metadata", {}).items()},
-                    )
-                    store.insert(record)
+                    store.insert(_parse_record(obj, store._next_row()))
                 except KeyError as e:
                     raise CorruptStore(f"{path}: line {lineno}: missing field {e}")
                 except (InvalidInput, DuplicateId, DimensionMismatch, ValueError) as e:
                     raise CorruptStore(f"{path}: line {lineno}: {e}")
             return store
+
+
+def _parse_record(obj, row: np.ndarray) -> VectorRecord:
+    """The record of one store-file line, its vector parsed into ``row``.
+    The vector must hold exactly the floats ``save`` writes: a JSON ``true``
+    or ``1`` would load as 1.0 and save back as different text."""
+    if not isinstance(obj, dict):
+        raise InvalidInput("record must be a JSON object")
+    vector = obj["vector"]
+    if not isinstance(vector, list) or list(map(type, vector)).count(float) != len(vector):
+        raise InvalidInput("record vector must be a list of floats")
+    if len(vector) != row.shape[0]:
+        raise DimensionMismatch(f"record dim {len(vector)} vs store dim {row.shape[0]}")
+    row[...] = np.fromiter(vector, np.float64, len(vector))
+    metadata = obj.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise InvalidInput("record metadata must be a JSON object")
+    return VectorRecord(str(obj["id"]), row, str(obj["kind"]), str(obj["text"]), metadata)
 
 
 def _dumps(obj) -> str:

@@ -123,6 +123,19 @@ class TestLoadDocuments:
         with pytest.raises(InvalidInput, match="line 2"):
             load_documents(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            r'{"id": "a", "text": "bad \ud800 text"}',
+            r'{"id": "a\udfff", "text": "fine"}',
+        ],
+    )
+    def test_lone_surrogate_names_line(self, tmp_path, line):
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"id": "ok", "text": "x"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(InvalidInput, match="line 2: .*not valid Unicode"):
+            load_documents(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InvalidInput, match="not found"):
             load_documents(tmp_path / "absent.txt")

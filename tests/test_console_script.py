@@ -41,3 +41,12 @@ class TestConsoleScript:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error")
+
+    def test_lone_surrogate_in_document_is_an_input_error(self, tmp_path):
+        docs = tmp_path / "d.jsonl"
+        docs.write_text('{"id": "a", "text": "bad \\ud800 text"}\n', encoding="utf-8")
+        proc = run_gtr("ingest", "--input", str(docs), "--store", str(tmp_path / "s.jsonl"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error") and "line 1" in proc.stderr
+        assert not (tmp_path / "s.jsonl").exists()

@@ -187,8 +187,8 @@ class TestInsertAndQuery:
 
 class TestConcurrentReaders:
     def test_parallel_queries_agree(self):
-        # Many readers may hit a freshly loaded store at once; the first
-        # query builds the caches. All must see consistent state.
+        # Many readers may hit a freshly built store at once; the first
+        # query norms every row. All must see consistent state.
         import threading
 
         rng = np.random.default_rng(77)
@@ -209,6 +209,102 @@ class TestConcurrentReaders:
             t.join()
         expected = store.query_top_k(query, 5)
         assert all(r == expected for r in results)
+
+
+    def test_parallel_queries_after_a_batch_of_inserts_agree(self):
+        # Readers that start right after a batch of inserts race to norm the
+        # new rows; a short switch interval makes them interleave.
+        import sys
+        import threading
+
+        rng = np.random.default_rng(78)
+        store = random_store(rng, 300, 32)
+        query = rng.standard_normal(32)
+        store.query_top_k(query, 5)
+        for i in range(300, 400):
+            store.insert(VectorRecord(f"r{i:05d}", rng.standard_normal(32), "chunk", "t"))
+        results = [None] * 16
+        barrier = threading.Barrier(16, timeout=30)
+
+        def worker(slot):
+            barrier.wait()
+            results[slot] = store.query_top_k(query, 5)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        expected = store.query_top_k(query, 5)
+        assert all(r == expected for r in results)
+        naive = brute_force_top_k(store, query, 5)
+        assert [rid for rid, _ in expected] == [rid for rid, _ in naive]
+        assert all(abs(a - b) <= 1e-12 for (_, a), (_, b) in zip(expected, naive))
+
+
+class TestMatrixStorage:
+    def test_record_vector_is_a_read_only_view_after_insert(self):
+        store = VectorStore(2, "test")
+        record = VectorRecord("a", [1.0, 0.0], "chunk", "t")
+        store.insert(record)
+        with pytest.raises(ValueError):
+            record.vector[0] = 5.0
+        assert store.query_top_k([1.0, 0.0], 1) == [("a", 1.0)]
+
+    def test_insert_copies_the_callers_array(self):
+        store = VectorStore(2, "test")
+        vec = np.array([1.0, 0.0])
+        store.insert(VectorRecord("a", vec, "chunk", "t"))
+        vec[0] = -1.0
+        assert store.query_top_k([1.0, 0.0], 1) == [("a", 1.0)]
+
+    def test_growth_keeps_values_and_frees_the_old_matrix(self):
+        import gc
+        import weakref
+
+        rng = np.random.default_rng(4)
+        store = VectorStore(5, "test")
+        inserted = []
+        old_matrix = None
+        for i in range(100):
+            if len(store) == store._matrix.shape[0]:
+                old_matrix = weakref.ref(store._matrix)
+            vec = rng.standard_normal(5)
+            inserted.append(vec)
+            store.insert(VectorRecord(f"r{i}", vec.copy(), "chunk", "t"))
+        gc.collect()
+        assert old_matrix is not None and old_matrix() is None
+        for record, vec in zip(store.records, inserted):
+            assert np.shares_memory(record.vector, store._matrix)
+            assert np.array_equal(record.vector, vec)
+            with pytest.raises(ValueError):
+                record.vector[0] = 0.0
+
+    def test_loaded_record_vectors_are_read_only_views(self, tmp_path):
+        rng = np.random.default_rng(6)
+        path = tmp_path / "s.jsonl"
+        random_store(rng, 40, 3).save(path)
+        loaded = VectorStore.load(path)
+        for record in loaded.records:
+            assert np.shares_memory(record.vector, loaded._matrix)
+            with pytest.raises(ValueError):
+                record.vector[0] = 0.0
+
+    def test_id_with_trailing_nul_is_returned_whole(self):
+        # Ids are compared and returned as Python strings; a NumPy string
+        # array would drop the NUL and name the wrong record.
+        store = VectorStore(2, "test")
+        store.insert(VectorRecord("a\x00", [1.0, 0.0], "chunk", "nul"))
+        store.insert(VectorRecord("a", [0.0, 1.0], "chunk", "plain"))
+        [(rid, _)] = store.query_top_k([1.0, 0.0], 1)
+        assert rid == "a\x00"
+        assert store.get(rid).text == "nul"
 
 
 class TestPersistence:
@@ -264,6 +360,30 @@ class TestPersistence:
         header = '{"format":"gtr-store","version":1,"dim":2,"embedder":"fp"}'
         path.write_text(header + "\n{broken\n", encoding="utf-8")
         with pytest.raises(CorruptStore, match="line 2"):
+            VectorStore.load(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('["a", [1.0, 0.0], "chunk", "t"]', "JSON object"),
+            ('{"id":"a","vector":[1.0,0.0],"kind":"chunk","text":"t","metadata":[]}',
+             "metadata"),
+            ('{"id":"a","vector":[1.0,true],"kind":"chunk","text":"t","metadata":{}}',
+             "floats"),
+            ('{"id":"a","vector":[1.0,"2.0"],"kind":"chunk","text":"t","metadata":{}}',
+             "floats"),
+            ('{"id":"a","vector":[1.0,1],"kind":"chunk","text":"t","metadata":{}}',
+             "floats"),
+            ('{"id":"a","vector":[[1.0,0.0]],"kind":"chunk","text":"t","metadata":{}}',
+             "floats"),
+            ('{"id":"a","vector":1.0,"kind":"chunk","text":"t","metadata":{}}', "floats"),
+        ],
+    )
+    def test_malformed_record_is_corrupt(self, tmp_path, line, message):
+        path = tmp_path / "s.jsonl"
+        header = '{"format":"gtr-store","version":1,"dim":2,"embedder":"fp"}'
+        path.write_text(header + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(CorruptStore, match=f"line 2: .*{message}"):
             VectorStore.load(path)
 
     def test_bad_header(self, tmp_path):
