@@ -159,7 +159,9 @@ def load_documents(path: str | Path) -> list[Document]:
                     doc_id.encode("utf-8"), text.encode("utf-8")
                 except UnicodeEncodeError as e:
                     # A JSON escape such as "\ud800" decodes to a lone surrogate.
-                    raise InvalidInput(f"{path}: line {lineno}: not valid Unicode: {e.reason}") from None
+                    raise InvalidInput(
+                        f"{path}: line {lineno}: not valid Unicode: {e.reason}"
+                    ) from None
                 docs.append(Document(doc_id, text, source_path=str(path)))
         return docs
     return [Document(path.stem, path.read_text(encoding="utf-8"), source_path=str(path))]

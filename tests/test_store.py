@@ -210,7 +210,6 @@ class TestConcurrentReaders:
         expected = store.query_top_k(query, 5)
         assert all(r == expected for r in results)
 
-
     def test_parallel_queries_after_a_batch_of_inserts_agree(self):
         # Readers that start right after a batch of inserts race to norm the
         # new rows; a short switch interval makes them interleave.
