@@ -2,8 +2,14 @@
 and batch aggregation over labeled evaluation items.
 
 All ROUGE variants run over lowercased tokens from the shared tokenizer,
-without stemming or stopword removal. Semantic answer similarity (SAS) is
-the cosine of the two texts' embeddings through the configured embedder, so
+without stemming or stopword removal. A small memo keeps the last few
+texts' tokens, so ``aggregate`` tokenizes each candidate and reference once
+per item although ROUGE-1, ROUGE-2 and ROUGE-L each ask for them. ROUGE-L's
+longest common subsequence is computed bit-parallel (Allison and Dix, 1986,
+in Hyyrö's form, 2004): O(n·⌈m/w⌉) word operations on Python ints for
+sequences of n and m ≤ n tokens, where the plain dynamic program takes n·m
+interpreter steps. Semantic answer similarity (SAS) is the cosine of the
+two texts' embeddings through the configured embedder, so
 it runs offline with the hashed bag-of-words backend and approximates a
 learned scorer when an HTTP embedder is configured.
 """
@@ -11,9 +17,12 @@ learned scorer when an HTTP embedder is configured.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
+from typing import Sequence
 
 from .chunking import token_count, token_texts
 from .embedding import EmbedderConfig, embed
@@ -42,12 +51,14 @@ def _f1(p: float, r: float) -> float:
     return 2 * p * r / (p + r) if p + r > 0 else 0.0
 
 
-def _tokens(text: str) -> list[str]:
-    return [t.lower() for t in token_texts(text)]
+# An item's candidate and reference, and room for a second caller's pair.
+@lru_cache(maxsize=4)
+def _tokens(text: str) -> tuple[str, ...]:
+    return tuple(map(str.lower, token_texts(text)))
 
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngrams(tokens: Sequence[str], n: int) -> Counter:
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
@@ -58,26 +69,34 @@ def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
     ref = _ngrams(_tokens(reference), n)
     cand_total = sum(cand.values())
     ref_total = sum(ref.values())
-    overlap = sum((cand & ref).values())
+    smaller, larger = sorted((cand, ref), key=len)
+    overlap = sum((smaller & larger).values())
     precision = overlap / cand_total if cand_total else 0.0
     recall = overlap / ref_total if ref_total else 0.0
     return RougeScore(precision, recall, _f1(precision, recall))
 
 
-def lcs_length(a: list[str], b: list[str]) -> int:
-    """Longest common subsequence length by iterative dynamic programming."""
-    if not a or not b:
+def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
+    """Longest common subsequence length, bit-parallel.
+
+    Bit i of ``match[t]`` is set where the shorter sequence holds token t at
+    position i. One pass over the longer sequence updates a single int
+    ``row`` by Hyyrö's step, ``(row + (row & m)) | (row & ~m)``, and the
+    length is the number of zero bits left in the low ``len(short)`` bits.
+    Cost: O(len(long) · ⌈len(short)/w⌉) word operations, done in C, for
+    machine word size w.
+    """
+    short, long = (a, b) if len(a) <= len(b) else (b, a)
+    if not short:
         return 0
-    previous = [0] * (len(b) + 1)
-    for x in a:
-        current = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[-1]
+    match: dict[str, int] = {}
+    for i, token in enumerate(short):
+        match[token] = match.get(token, 0) | 1 << i
+    full = (1 << len(short)) - 1
+    row = full
+    for m in filter(None, map(match.get, long)):
+        row = ((row + (row & m)) | (row & ~m)) & full
+    return len(short) - row.bit_count()
 
 
 def rouge_l(candidate: str, reference: str) -> RougeScore:
@@ -196,11 +215,19 @@ def aggregate(
     return TextEvalReport(results)
 
 
+def _finite_number(value) -> bool:
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def load_items_jsonl(path: str | Path) -> list[GtrEvalItem]:
     """Read evaluation items; malformed lines are named by number.
 
     Each line: {"question", "reference", "candidate", "truthful",
-    "response_time_ms"}.
+    "response_time_ms"}, where truthful is the JSON integer 0 or 1 and
+    response_time_ms a finite JSON number.
     """
     path = Path(path)
     if not path.is_file():
@@ -215,13 +242,22 @@ def load_items_jsonl(path: str | Path) -> list[GtrEvalItem]:
             except json.JSONDecodeError as e:
                 raise InvalidInput(f"{path}: malformed JSON on line {lineno}: {e}")
             try:
+                truthful, ms = obj["truthful"], obj["response_time_ms"]
+                if type(truthful) is not int:
+                    raise InvalidInput(
+                        f"truthful must be the integer 0 or 1, got {truthful!r}"
+                    )
+                if not _finite_number(ms):
+                    raise InvalidInput(
+                        f"response_time_ms must be a finite number, got {ms!r}"
+                    )
                 items.append(
                     GtrEvalItem(
                         question=str(obj["question"]),
                         reference=str(obj["reference"]),
                         candidate=str(obj["candidate"]),
-                        truthful=int(obj["truthful"]),
-                        response_time_ms=float(obj["response_time_ms"]),
+                        truthful=truthful,
+                        response_time_ms=float(ms),
                     )
                 )
             except (KeyError, TypeError, ValueError, InvalidInput) as e:

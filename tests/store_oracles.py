@@ -3,7 +3,10 @@ oracle: every record owns its vector, and the first query after any insert
 copies them all into a cached matrix (``_ensure_caches``). Its ``save`` and
 the serialisation helpers it calls are copied with it, so
 ``tests/test_store_equivalence.py`` compares the production store against
-this one for search results and for store-file bytes.
+this one for search results and for store-file bytes. ``cosine`` is the
+function as it was before it learned to rescale vectors whose norms
+overflow or underflow; ``tests/test_store.py`` checks that every other pair
+still gets the same bits.
 """
 
 from __future__ import annotations
@@ -22,6 +25,31 @@ from gtr.errors import (
     ZeroVector,
 )
 from gtr.store import STORE_FORMAT, STORE_VERSION, VectorRecord
+
+
+def cosine(u, v) -> float:
+    """Cosine similarity of two equal-dimension nonzero vectors, in [-1, 1].
+
+    Bitwise-identical inputs short-circuit to exactly 1.0; disjoint-support
+    inputs yield exactly 0.0 because every product term is a true zero.
+
+    Raises:
+        DimensionMismatch: different lengths.
+        ZeroVector: either argument has zero norm.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.ndim != 1 or v.ndim != 1:
+        raise InvalidInput("cosine expects 1-D vectors")
+    if u.shape[0] != v.shape[0]:
+        raise DimensionMismatch(f"dim {u.shape[0]} vs {v.shape[0]}")
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        raise ZeroVector("cosine is undefined for a zero vector")
+    if np.array_equal(u, v):
+        return 1.0
+    return float(min(1.0, max(-1.0, float(u @ v) / (nu * nv))))
 
 
 class VectorStore:

@@ -187,3 +187,15 @@ class TestEval:
         code, _, err = run(capsys, "eval", "text", "--items", str(items))
         assert code == 1
         assert "line 3" in err
+
+    @pytest.mark.parametrize("field, value", [("truthful", 0.9),
+                                              ("response_time_ms", "NaN")])
+    def test_lossy_item_value_is_refused(self, capsys, tmp_path, field, value):
+        items = tmp_path / "items.jsonl"
+        row = {"question": "q", "reference": "r", "candidate": "c",
+               "truthful": 1, "response_time_ms": 1.0, field: value}
+        items.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "eval", "text", "--items", str(items))
+        assert code == 1
+        assert "line 1" in err and field in err
+        assert out == ""

@@ -207,3 +207,40 @@ class TestLoadItems:
         path.write_text('{"question": "q"}\n', encoding="utf-8")
         with pytest.raises(InvalidInput, match="line 1"):
             load_items_jsonl(path)
+
+    @pytest.mark.parametrize("field, raw", [
+        ("truthful", "0.9"),
+        ("truthful", "1.0"),
+        ("truthful", "true"),
+        ("truthful", '"1"'),
+        ("truthful", "null"),
+        ("truthful", "2"),
+        ("response_time_ms", '"NaN"'),
+        ("response_time_ms", '"12.5"'),
+        ("response_time_ms", "NaN"),
+        ("response_time_ms", "Infinity"),
+        ("response_time_ms", "-Infinity"),
+        ("response_time_ms", "1e999"),
+        ("response_time_ms", "1" + "0" * 400),
+        ("response_time_ms", "true"),
+        ("response_time_ms", "null"),
+    ], ids=lambda v: v if len(v) < 20 else f"{len(v)}-digit-int")
+    def test_lossy_value_names_file_and_line(self, tmp_path, field, raw):
+        path = tmp_path / "items.jsonl"
+        fields = {"question": '"q"', "reference": '"r"', "candidate": '"c"',
+                  "truthful": "1", "response_time_ms": "1.5", field: raw}
+        bad = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+        good = json.dumps({"question": "q", "reference": "r", "candidate": "c",
+                           "truthful": 0, "response_time_ms": 3})
+        path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(InvalidInput, match=f"{path}: bad item on line 2: .*{field}"):
+            load_items_jsonl(path)
+
+    def test_integer_response_time_loads_as_float(self, tmp_path):
+        path = tmp_path / "items.jsonl"
+        path.write_text(json.dumps({"question": "q", "reference": "r", "candidate": "c",
+                                    "truthful": 0, "response_time_ms": 3}) + "\n",
+                        encoding="utf-8")
+        [item] = load_items_jsonl(path)
+        assert item.truthful == 0
+        assert item.response_time_ms == 3.0 and type(item.response_time_ms) is float

@@ -1,0 +1,207 @@
+"""The bit-parallel ROUGE-L and the token memo against the code they replaced
+(``metrics_oracles``).
+
+LCS lengths must equal the dynamic program's on seeded random token lists
+of lengths around int digit and word boundaries, on Unicode text, and on
+empty and identical sides; ``aggregate`` must write byte-identical report files.
+``aggregate`` must also keep calling the module-level ``rouge_n``,
+``rouge_l`` and ``sas`` for every item, since per-layer tracing wraps
+exactly those names, and must tokenize each text once per item.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+
+import pytest
+
+import metrics_oracles as oracle
+from gtr import metrics
+from gtr.embedding import EmbedderConfig
+from gtr.metrics import GtrEvalItem, aggregate, lcs_length, rouge_l
+
+CONFIG = EmbedderConfig(dim=64)
+# Around the 30-bit digits CPython ints are made of, and 64-bit words.
+BOUNDARY_LENGTHS = (0, 1, 2, 29, 30, 31, 60, 61, 63, 64, 65, 127, 128, 129)
+
+UNICODE_TEXTS = [
+    "İstanbul İSTANBUL istanbul i̇stanbul",
+    "Straße STRASSE strasse straße ß ẞ",
+    "café café CAFÉ é ́",
+    "東京 は 日本 の 首都 です 東京",
+    "👍 👍🏽 👨‍👩‍👧 🇫🇷 ok 👍",
+    "MiXeD CaSe mixed case MIXED CASE",
+    "ǅemal ǆemal Ǆemal ΣΊΣΥΦΟΣ σίσυφος ς",
+]
+
+
+def _zipf_tokens(rng: random.Random, vocab: int, length: int) -> list[str]:
+    words = [f"w{i}" for i in range(vocab)]
+    weights = [1 / (i + 1) for i in range(vocab)]
+    return rng.choices(words, weights, k=length)
+
+
+def _assert_lcs_equal(a, b):
+    expected = oracle.lcs_length(a, b)
+    assert lcs_length(a, b) == expected, (len(a), len(b))
+    assert lcs_length(b, a) == expected, (len(b), len(a))
+
+
+class TestLcsLength:
+    @pytest.mark.parametrize("vocab", [2, 5, 400])
+    def test_word_boundary_lengths(self, vocab):
+        rng = random.Random(vocab)
+        for n in BOUNDARY_LENGTHS:
+            for m in BOUNDARY_LENGTHS:
+                words = [f"t{i}" for i in range(vocab)]
+                _assert_lcs_equal(rng.choices(words, k=n), rng.choices(words, k=m))
+
+    def test_seeded_random_lists(self):
+        rng = random.Random(61)
+        for _ in range(120):
+            vocab = rng.choice([2, 3, 8, 40, 400])
+            words = [f"t{i}" for i in range(vocab)]
+            a = rng.choices(words, k=rng.randint(0, 300))
+            b = rng.choices(words, k=rng.randint(0, 300))
+            _assert_lcs_equal(a, b)
+
+    @pytest.mark.parametrize("n, m, vocab", [
+        (1500, 1500, 400),
+        (1500, 64, 2),
+        (1000, 120, 400),
+        (1000, 65, 40),
+    ])
+    def test_long_lists(self, n, m, vocab):
+        rng = random.Random(n * m + vocab)
+        _assert_lcs_equal(_zipf_tokens(rng, vocab, n), _zipf_tokens(rng, vocab, m))
+
+    def test_related_lists(self):
+        """A reference cut from the candidate with edits, as answers are."""
+        rng = random.Random(67)
+        for _ in range(40):
+            cand = _zipf_tokens(rng, 300, rng.randint(50, 400))
+            ref = [t for t in cand if rng.random() < 0.3]
+            ref += _zipf_tokens(rng, 300, rng.randint(0, 20))
+            head = ref[: len(ref) // 3]
+            rng.shuffle(head)
+            ref[: len(head)] = head
+            _assert_lcs_equal(cand, ref)
+
+    def test_empty_and_identical_sides(self):
+        rng = random.Random(71)
+        for n in (0, 1, 63, 64, 65, 200):
+            a = _zipf_tokens(rng, 30, n)
+            assert lcs_length(a, a) == n
+            assert lcs_length(a, []) == 0
+            assert lcs_length([], a) == 0
+            _assert_lcs_equal(a, list(a))
+
+    def test_unicode_tokens(self):
+        texts = UNICODE_TEXTS + ["".join(UNICODE_TEXTS), " ".join(reversed(UNICODE_TEXTS))]
+        for a in texts:
+            for b in texts:
+                ta, tb = oracle._tokens(a), oracle._tokens(b)
+                assert list(metrics._tokens(a)) == ta
+                _assert_lcs_equal(ta, tb)
+                assert rouge_l(a, b) == oracle.rouge_l(a, b)
+                for n in (1, 2, 3):
+                    assert metrics.rouge_n(a, b, n) == oracle.rouge_n(a, b, n)
+
+
+def _items(seed: int) -> list[GtrEvalItem]:
+    """Answer-shaped items: long candidates that quote the reference in
+    part, short ones, n-best candidates sharing a reference, identical
+    answers, and candidates with no token in common."""
+    rng = random.Random(seed)
+    items = []
+    for i in range(36):
+        reference = " ".join(_zipf_tokens(rng, 500, rng.randint(110, 130)))
+        ref_tokens = reference.split()
+        shape = i % 6
+        if shape == 0:  # deep-sized: 1,000 tokens around pieces of the reference
+            kept = [t for t in ref_tokens if rng.random() < 0.6]
+            candidate = " ".join(_zipf_tokens(rng, 500, 1000 - len(kept)) + kept)
+        elif shape == 1:
+            candidate = reference
+        elif shape == 2:
+            candidate = " ".join(rng.choices(ref_tokens, k=rng.randint(5, 60)))
+        elif shape == 3:
+            candidate = "Zzz. " + " ".join(f"x{j}" for j in range(rng.randint(1, 40)))
+        elif shape == 4:
+            candidate = rng.choice(UNICODE_TEXTS) + " " + reference.upper()
+        else:
+            candidate = " ".join(_zipf_tokens(rng, 50, rng.randint(1, 3)))
+        items.append(GtrEvalItem(question=f"q{i} ¿qué?", reference=reference,
+                                 candidate=candidate, truthful=i % 2,
+                                 response_time_ms=rng.uniform(0.0, 5000.0)))
+        if shape == 2:  # n-best: more candidates for the same reference
+            for _ in range(2):
+                candidate = " ".join(rng.sample(ref_tokens, k=30))
+                items.append(GtrEvalItem(question=f"q{i}", reference=reference,
+                                         candidate=candidate, truthful=1,
+                                         response_time_ms=float(i)))
+    return items
+
+
+class TestAggregate:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_report_bytes_equal_oracle(self, seed, tmp_path):
+        items = _items(seed)
+        assert any(len(oracle._tokens(i.candidate)) >= 1000 for i in items)
+        report = aggregate(items, CONFIG)
+        expected = oracle.aggregate(items, CONFIG)
+        report.write_jsonl(tmp_path / "new.jsonl")
+        expected.write_jsonl(tmp_path / "old.jsonl")
+        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+        assert report.format_summary() == expected.format_summary()
+
+    def test_scorers_called_through_module_names(self, monkeypatch):
+        """Per-layer tracing replaces these module attributes, so aggregate
+        must look each up at call time, once per item."""
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(metrics, name)
+
+            def counted(candidate, reference, *rest):
+                n = rest[0] if name == "rouge_n" else None
+                calls[name, n, candidate, reference] += 1
+                return original(candidate, reference, *rest)
+
+            return counted
+
+        for name in ("rouge_n", "rouge_l", "sas"):
+            monkeypatch.setattr(metrics, name, counting(name))
+        items = _items(3)
+        aggregate(items, CONFIG)
+        pairs = Counter((i.candidate, i.reference) for i in items)
+        expected = Counter()
+        for (cand, ref), count in pairs.items():
+            expected["rouge_n", 1, cand, ref] = count
+            expected["rouge_n", 2, cand, ref] = count
+            expected["rouge_l", None, cand, ref] = count
+            expected["sas", None, cand, ref] = count
+        assert calls == expected
+
+    def test_each_text_tokenized_once_per_item(self, monkeypatch):
+        calls = Counter()
+        original = metrics.token_texts
+
+        def counted(text):
+            calls[text] += 1
+            return original(text)
+
+        monkeypatch.setattr(metrics, "token_texts", counted)
+        metrics._tokens.cache_clear()
+        items = _items(4)
+        aggregate(items, CONFIG)
+        texts = Counter()
+        for item in items:
+            texts.update({item.candidate, item.reference})
+        assert set(calls) == set(texts)
+        for text, count in calls.items():
+            assert count <= texts[text]
+        # n-best candidates come one after another with their reference
+        shared = [r for r, n in Counter(i.reference for i in items).items() if n > 1]
+        assert shared and all(calls[r] == 1 for r in shared)

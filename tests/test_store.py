@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gtr.errors import (
     ZeroVector,
 )
 from gtr.store import VectorRecord, VectorStore, cosine, export_embeddings_csv
+from store_oracles import cosine as oracle_cosine
 
 
 def fsum_cosine(u, v):
@@ -81,6 +83,67 @@ class TestCosine:
     def test_zero_vector(self):
         with pytest.raises(ZeroVector):
             cosine((0.0, 0.0), (1.0, 2.0))
+        with pytest.raises(ZeroVector):
+            cosine((), ())
+
+    @pytest.mark.parametrize("u, v, expected", [
+        ((1e200, 0.0), (1.0, 0.0), 1.0),
+        ((1e-200, 0.0), (1.0, 0.0), 1.0),
+        ((5e-324, 0.0), (0.0, -1e308), 0.0),
+        ((1e200, 1.0), (1e200, 2.0), 1.0),
+        ((-1e300, 0.0), (1e-300, 0.0), -1.0),
+        ((1e-160, 0.0), (1e-160, 1e-160), 1 / math.sqrt(2)),
+    ])
+    def test_norms_out_of_float_range(self, u, v, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cosine(u, v) == pytest.approx(expected, abs=1e-15)
+            assert cosine(v, u) == pytest.approx(expected, abs=1e-15)
+
+    def test_power_of_two_scaling_keeps_the_bits(self):
+        """Scaling by a power of two is exact, so a rescaled pair scores
+        bit for bit as the same pair at ordinary magnitude."""
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            dim = int(rng.integers(1, 400))
+            u = rng.standard_normal(dim)
+            v = rng.standard_normal(dim)
+            expected = cosine(u, v).hex()
+            for ku, kv in [(1000, 0), (-1000, 0), (1000, 1000), (-540, -540),
+                           (-1000, 1000), (600, -600)]:
+                assert cosine(np.ldexp(u, ku), np.ldexp(v, kv)).hex() == expected
+
+    def test_in_range_pairs_keep_their_bits(self):
+        """Only pairs whose norms leave the float range are rescaled; every
+        other pair scores exactly as before."""
+        rng = np.random.default_rng(19)
+        config = EmbedderConfig(dim=64)
+        words = ["alpha", "beta", "gamma", "delta", "épsilon", "中文"]
+        pairs = []
+        for _ in range(400):
+            dim = int(rng.choice([1, 2, 3, 7, 64, 384]))
+            u = rng.standard_normal(dim) * 10.0 ** rng.uniform(-150, 150)
+            v = rng.standard_normal(dim) * 10.0 ** rng.uniform(-150, 150)
+            pairs += [(u, v), (u, u.copy()), (u, -u), (u, np.zeros(dim))]
+        for _ in range(100):
+            a = " ".join(rng.choice(words, size=int(rng.integers(1, 9))))
+            b = " ".join(rng.choice(words, size=int(rng.integers(1, 9))))
+            pairs.append((embed(a, config), embed(b, config)))
+        for u, v in pairs:
+            try:
+                expected = oracle_cosine(u, v)
+            except ZeroVector:
+                with pytest.raises(ZeroVector):
+                    cosine(u, v)
+                continue
+            assert cosine(u, v).hex() == expected.hex()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry(self, bad):
+        with pytest.raises(InvalidInput, match="non-finite"):
+            cosine((bad, 1.0), (1.0, 1.0))
+        with pytest.raises(InvalidInput, match="non-finite"):
+            cosine((1.0, 1.0), (1.0, bad))
 
 
 class TestInsertAndQuery:
