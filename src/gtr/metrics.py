@@ -69,6 +69,7 @@ def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
     ref = _ngrams(_tokens(reference), n)
     cand_total = sum(cand.values())
     ref_total = sum(ref.values())
+    # Counter & walks its left operand; put the side with fewer n-grams there.
     smaller, larger = sorted((cand, ref), key=len)
     overlap = sum((smaller & larger).values())
     precision = overlap / cand_total if cand_total else 0.0
@@ -239,7 +240,7 @@ def load_items_jsonl(path: str | Path) -> list[GtrEvalItem]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # JSONDecodeError, or an over-long integer
                 raise InvalidInput(f"{path}: malformed JSON on line {lineno}: {e}")
             try:
                 truthful, ms = obj["truthful"], obj["response_time_ms"]

@@ -21,6 +21,7 @@ kept exactly as written (never re-normalized on load).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,7 +39,6 @@ from .errors import (
 STORE_FORMAT = "gtr-store"
 STORE_VERSION = 1
 RECORD_KINDS = ("chunk", "table")
-_SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
 def cosine(u, v) -> float:
@@ -46,10 +46,11 @@ def cosine(u, v) -> float:
 
     Bitwise-identical inputs short-circuit to exactly 1.0; disjoint-support
     inputs yield exactly 0.0 because every product term is a true zero.
-    When a norm, or the product of the two norms, overflows or leaves the
-    normal float range, both vectors are first scaled by powers of two
-    (exact), so huge and tiny vectors score like any others; every other
-    pair is computed unscaled.
+    Both vectors are first scaled by a power of two that brings their
+    largest entry into [0.5, 1), so no square, product or norm overflows or
+    underflows and huge and tiny vectors score like any others. The scaling
+    is exact, so a pair whose arithmetic stays in the normal float range
+    keeps the bits of the unscaled formula.
 
     Raises:
         DimensionMismatch: different lengths.
@@ -62,29 +63,24 @@ def cosine(u, v) -> float:
         raise InvalidInput("cosine expects 1-D vectors")
     if u.shape[0] != v.shape[0]:
         raise DimensionMismatch(f"dim {u.shape[0]} vs {v.shape[0]}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        nu = np.linalg.norm(u)
-        nv = np.linalg.norm(v)
-        in_range = _SMALLEST_NORMAL <= nu * nv < np.inf
-    if not in_range:
-        u, nu = _rescaled(u)
-        v, nv = _rescaled(v)
+    su, nu = _rescaled(u)
+    sv, nv = _rescaled(v)
     if nu == 0.0 or nv == 0.0:
         raise ZeroVector("cosine is undefined for a zero vector")
     if np.array_equal(u, v):
         return 1.0
-    return float(min(1.0, max(-1.0, float(u @ v) / (nu * nv))))
+    return float(min(1.0, max(-1.0, float(su @ sv) / (nu * nv))))
 
 
 def _rescaled(x: np.ndarray) -> tuple[np.ndarray, float]:
     """x times the power of two that puts its largest magnitude in
     [0.5, 1), and the norm of that; a zero vector comes back as it is."""
-    if not np.isfinite(x).all():
+    peak = float(np.abs(x).max(initial=0.0))
+    if not math.isfinite(peak):
         raise InvalidInput("cosine is undefined for a non-finite vector")
-    peak = np.max(np.abs(x), initial=0.0)
     if peak == 0.0:
         return x, 0.0
-    x = np.ldexp(x, -np.frexp(peak)[1])
+    x = np.ldexp(x, -math.frexp(peak)[1])
     return x, np.linalg.norm(x)
 
 

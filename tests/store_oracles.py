@@ -4,9 +4,9 @@ copies them all into a cached matrix (``_ensure_caches``). Its ``save`` and
 the serialisation helpers it calls are copied with it, so
 ``tests/test_store_equivalence.py`` compares the production store against
 this one for search results and for store-file bytes. ``cosine`` is the
-function as it was before it learned to rescale vectors whose norms
-overflow or underflow; ``tests/test_store.py`` checks that every other pair
-still gets the same bits.
+function as it was before it learned to scale vectors by a power of two;
+``tests/test_store.py`` checks that every pair whose arithmetic stays in
+the normal float range still gets the same bits.
 """
 
 from __future__ import annotations

@@ -236,6 +236,15 @@ class TestLoadItems:
         with pytest.raises(InvalidInput, match=f"{path}: bad item on line 2: .*{field}"):
             load_items_jsonl(path)
 
+    def test_integer_too_long_to_parse_names_file_and_line(self, tmp_path):
+        path = tmp_path / "items.jsonl"
+        good = json.dumps({"question": "q", "reference": "r", "candidate": "c",
+                           "truthful": 0, "response_time_ms": 3})
+        bad = good.replace('"response_time_ms": 3', '"response_time_ms": 1' + "0" * 4300)
+        path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(InvalidInput, match=f"{path}: malformed JSON on line 2"):
+            load_items_jsonl(path)
+
     def test_integer_response_time_loads_as_float(self, tmp_path):
         path = tmp_path / "items.jsonl"
         path.write_text(json.dumps({"question": "q", "reference": "r", "candidate": "c",

@@ -93,6 +93,7 @@ class TestCosine:
         ((1e200, 1.0), (1e200, 2.0), 1.0),
         ((-1e300, 0.0), (1e-300, 0.0), -1.0),
         ((1e-160, 0.0), (1e-160, 1e-160), 1 / math.sqrt(2)),
+        ((1e-161, 0.0), (1.0, 1.0), 1 / math.sqrt(2)),
     ])
     def test_norms_out_of_float_range(self, u, v, expected):
         with warnings.catch_warnings():
@@ -114,8 +115,8 @@ class TestCosine:
                 assert cosine(np.ldexp(u, ku), np.ldexp(v, kv)).hex() == expected
 
     def test_in_range_pairs_keep_their_bits(self):
-        """Only pairs whose norms leave the float range are rescaled; every
-        other pair scores exactly as before."""
+        """Every pair whose arithmetic stays in the normal float range
+        scores exactly as the unscaled formula does."""
         rng = np.random.default_rng(19)
         config = EmbedderConfig(dim=64)
         words = ["alpha", "beta", "gamma", "delta", "épsilon", "中文"]
