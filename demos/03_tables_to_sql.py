@@ -51,6 +51,6 @@ llm = LlmConfig(
     },
 )
 result = answer_tabular(question, db_path, store, embedder_config=config, llm_config=llm)
-print("selected tables:", result.trace.selected)
+print("selected tables:", result.trace.retrieved)
 print("generated SQL:", result.sql.text)
 print("result rows:", result.result.rows)

@@ -134,8 +134,8 @@ def load_documents(path: str | Path) -> list[Document]:
 
     Raises:
         InvalidInput: missing file, or a malformed JSONL record, including
-            one whose id or text holds a lone surrogate (the message names
-            the line number).
+            one whose id or text is not a string or holds a lone surrogate
+            (the message names the line number).
     """
     path = Path(path)
     if not path.is_file():
@@ -148,13 +148,16 @@ def load_documents(path: str | Path) -> list[Document]:
                     continue
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError as e:
+                except ValueError as e:  # JSONDecodeError, or an over-long integer
                     raise InvalidInput(f"{path}: malformed JSON on line {lineno}: {e}")
-                if not isinstance(record, dict) or "id" not in record or "text" not in record:
+                if not isinstance(record, dict) or not (
+                    type(record.get("id")) is str and type(record.get("text")) is str
+                ):
                     raise InvalidInput(
-                        f"{path}: line {lineno} must be an object with 'id' and 'text'"
+                        f"{path}: line {lineno} must be an object whose 'id' and "
+                        "'text' are strings"
                     )
-                doc_id, text = str(record["id"]), str(record["text"])
+                doc_id, text = record["id"], record["text"]
                 try:
                     doc_id.encode("utf-8"), text.encode("utf-8")
                 except UnicodeEncodeError as e:

@@ -144,8 +144,7 @@ def _cmd_tables_ask(args) -> int:
     if result.result.truncated:
         print(f"(output truncated at {args.row_limit} rows)", file=sys.stderr)
     if args.trace:
-        with open(args.trace, "a", encoding="utf-8", newline="\n") as f:
-            f.write(json.dumps(result.trace.to_dict(), ensure_ascii=False) + "\n")
+        pipeline.append_trace(result.trace, args.trace)
     return 0
 
 
@@ -240,7 +239,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except StageError as e:
-        print(f"error in stage {e.stage}: {e}", file=sys.stderr)
+        if getattr(args, "trace", None):  # the partial trace, its error set
+            pipeline.append_trace(e.trace, args.trace)
+        print(f"error in stage {e}", file=sys.stderr)  # e starts with the stage
         return 1
     except GtrError as e:
         print(f"error: {e}", file=sys.stderr)

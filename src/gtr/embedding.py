@@ -12,9 +12,9 @@ dimension):
   large the vocabulary.
 * ``http`` — remote embedding service speaking a small JSON protocol:
   ``POST endpoint_url {"inputs": [...]}`` returning
-  ``{"embeddings": [[...], ...]}``. Requests are batched, retried three
-  times with exponential backoff, and any terminal failure raises
-  :class:`~gtr.errors.BackendUnavailable`.
+  ``{"embeddings": [[...], ...]}``. Requests are batched and sent through
+  the retrying POST shared with the completion backend (:mod:`gtr._http`),
+  so a terminal failure raises :class:`~gtr.errors.BackendUnavailable`.
 
 The FNV-1a seed below is fixed so stores written by one process can be
 queried by another; it is part of the embedder fingerprint recorded in every
@@ -23,13 +23,12 @@ store file.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import requests
 
+from ._http import post_json
 from .chunking import token_texts
 from .errors import BackendUnavailable, EmptyText, InvalidConfig, ZeroVector
 
@@ -51,7 +50,6 @@ class EmbedderConfig:
     endpoint_url: str | None = None
     batch_size: int = 32
     timeout_s: float = 30.0
-    retry_backoff_s: float = 0.5
 
     def __post_init__(self):
         if self.backend not in ("hashed_bow", "http"):
@@ -98,35 +96,8 @@ def _embed_hashed_bow(text: str, dim: int) -> np.ndarray:
     return counts / norm
 
 
-def _post_with_retries(config: EmbedderConfig, payload: dict) -> dict:
-    last_error: Exception | None = None
-    for attempt in range(3):
-        if attempt:
-            time.sleep(config.retry_backoff_s * (2 ** (attempt - 1)))
-        try:
-            resp = requests.post(
-                config.endpoint_url, json=payload, timeout=config.timeout_s
-            )
-        except requests.RequestException as e:
-            last_error = e
-            continue
-        if resp.status_code != 200:
-            last_error = BackendUnavailable(
-                f"embedding backend returned HTTP {resp.status_code}"
-            )
-            continue
-        try:
-            return resp.json()
-        except ValueError as e:
-            last_error = e
-            continue
-    raise BackendUnavailable(
-        f"embedding backend unreachable after 3 attempts: {last_error}"
-    )
-
-
 def _embed_http_batch(texts: list[str], config: EmbedderConfig) -> list[np.ndarray]:
-    body = _post_with_retries(config, {"inputs": texts})
+    body = post_json(config.endpoint_url, {"inputs": texts}, config.timeout_s, "embedding")
     embeddings = body.get("embeddings") if isinstance(body, dict) else None
     if not isinstance(embeddings, list) or len(embeddings) != len(texts):
         raise BackendUnavailable(

@@ -102,7 +102,8 @@ class StageError(GtrError):
 
     Attributes:
         stage: name of the failing stage.
-        trace: the partial trace accumulated before the failure.
+        trace: the partial AnswerTrace accumulated before the failure,
+            with its ``error`` set.
     """
 
     def __init__(self, stage: str, cause: Exception, trace=None):

@@ -8,9 +8,11 @@ the OpenAI-compatible completions protocol::
     POST endpoint_url {"prompt": ..., "max_tokens": ..., "temperature": ...}
     -> {"choices": [{"text": ...}]}
 
-and measures real wall-clock latency. ``GTR_LLM_URL`` supplies the endpoint
-when the config leaves it unset; an explicitly configured URL wins so that
-command-line flags keep precedence over the environment.
+through the retrying POST it shares with the embedding backend
+(:mod:`gtr._http`); its latency covers the whole exchange, retries included.
+``GTR_LLM_URL`` supplies the endpoint when the config leaves it unset; an
+explicitly configured URL wins so that command-line flags keep precedence
+over the environment.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-import requests
-
+from ._http import post_json
 from .chunking import token_count
 from .errors import BackendUnavailable, InvalidConfig, InvalidInput, MalformedPrompt
 
@@ -90,36 +91,14 @@ def extract_question(prompt: str) -> str:
     raise MalformedPrompt("prompt has no 'Question: ' line")
 
 
-def _complete_http(prompt: str, config: LlmConfig) -> str:
-    url = config.endpoint_url or os.environ.get(ENV_LLM_URL)
-    if not url:
-        raise InvalidConfig(
-            f"http backend needs endpoint_url or the {ENV_LLM_URL} environment variable"
-        )
-    payload = {
-        "prompt": prompt,
-        "max_tokens": config.max_new_tokens,
-        "temperature": config.temperature,
-    }
-    try:
-        resp = requests.post(url, json=payload, timeout=config.timeout_s)
-    except requests.RequestException as e:
-        raise BackendUnavailable(f"llm backend unreachable: {e}")
-    if resp.status_code != 200:
-        raise BackendUnavailable(f"llm backend returned HTTP {resp.status_code}")
-    try:
-        return str(resp.json()["choices"][0]["text"])
-    except (ValueError, KeyError, IndexError, TypeError) as e:
-        raise BackendUnavailable(f"llm backend returned a malformed body: {e}")
-
-
 def complete(prompt: str, config: LlmConfig | None = None) -> Completion:
     """Run one completion; token counts use the shared tokenizer.
 
     Raises:
         InvalidInput: empty prompt.
         MalformedPrompt: a mock backend cannot find its prompt structure.
-        BackendUnavailable: http failures.
+        InvalidConfig: http backend with no endpoint configured.
+        BackendUnavailable: http failures after retries, or a malformed body.
     """
     config = config or LlmConfig()
     if not prompt:
@@ -133,9 +112,20 @@ def complete(prompt: str, config: LlmConfig | None = None) -> Completion:
     elif config.backend == "fixed":
         text, latency_ms = config.fixed_text, 0.0
     else:
+        url = config.endpoint_url or os.environ.get(ENV_LLM_URL)
+        if not url:
+            raise InvalidConfig(
+                f"http backend needs endpoint_url or the {ENV_LLM_URL} environment variable"
+            )
+        payload = {"prompt": prompt, "max_tokens": config.max_new_tokens,
+                   "temperature": config.temperature}
         started = time.perf_counter()
-        text = _complete_http(prompt, config)
+        body = post_json(url, payload, config.timeout_s, "llm")
         latency_ms = (time.perf_counter() - started) * 1000.0
+        try:
+            text = str(body["choices"][0]["text"])
+        except (KeyError, IndexError, TypeError) as e:
+            raise BackendUnavailable(f"llm backend returned a malformed body: {e}")
 
     return Completion(
         text=text,

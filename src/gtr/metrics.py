@@ -113,7 +113,10 @@ def rouge_l(candidate: str, reference: str) -> RougeScore:
 
 
 def sas(candidate: str, reference: str, config: EmbedderConfig | None = None) -> float:
-    """Embedding cosine between candidate and reference, in [-1, 1]."""
+    """Embedding cosine between candidate and reference, in [-1, 1];
+    either side without tokens scores zero, as in ROUGE."""
+    if not _tokens(candidate) or not _tokens(reference):
+        return 0.0
     config = config or EmbedderConfig()
     return cosine(embed(candidate, config), embed(reference, config))
 
@@ -227,8 +230,8 @@ def load_items_jsonl(path: str | Path) -> list[GtrEvalItem]:
     """Read evaluation items; malformed lines are named by number.
 
     Each line: {"question", "reference", "candidate", "truthful",
-    "response_time_ms"}, where truthful is the JSON integer 0 or 1 and
-    response_time_ms a finite JSON number.
+    "response_time_ms"}, where the first three are JSON strings, truthful
+    is the JSON integer 0 or 1 and response_time_ms a finite JSON number.
     """
     path = Path(path)
     if not path.is_file():
@@ -243,6 +246,10 @@ def load_items_jsonl(path: str | Path) -> list[GtrEvalItem]:
             except ValueError as e:  # JSONDecodeError, or an over-long integer
                 raise InvalidInput(f"{path}: malformed JSON on line {lineno}: {e}")
             try:
+                texts = {key: obj[key] for key in ("question", "reference", "candidate")}
+                for key, value in texts.items():
+                    if type(value) is not str:
+                        raise InvalidInput(f"{key} must be a JSON string, got {value!r}")
                 truthful, ms = obj["truthful"], obj["response_time_ms"]
                 if type(truthful) is not int:
                     raise InvalidInput(
@@ -253,13 +260,7 @@ def load_items_jsonl(path: str | Path) -> list[GtrEvalItem]:
                         f"response_time_ms must be a finite number, got {ms!r}"
                     )
                 items.append(
-                    GtrEvalItem(
-                        question=str(obj["question"]),
-                        reference=str(obj["reference"]),
-                        candidate=str(obj["candidate"]),
-                        truthful=truthful,
-                        response_time_ms=float(ms),
-                    )
+                    GtrEvalItem(**texts, truthful=truthful, response_time_ms=float(ms))
                 )
             except (KeyError, TypeError, ValueError, InvalidInput) as e:
                 raise InvalidInput(f"{path}: bad item on line {lineno}: {e}")

@@ -14,7 +14,7 @@ Traces export as JSONL, one answer per line.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -36,27 +36,17 @@ class Query:
 
 @dataclass
 class AnswerTrace:
-    query: str
-    retrieved: list[tuple[str, float]]
-    prompt: str
-    answer: str
-    completion: Completion
-    truthful: int | None = None
+    """One answer over documents or tables. For tables, ``retrieved`` holds
+    table ids and ``answer`` the SQL taken from the completion; ``error`` is
+    ``(stage, message)`` and later stages' fields stay empty."""
 
-    def to_dict(self) -> dict:
-        return {
-            "query": self.query,
-            "retrieved": [[rid, score] for rid, score in self.retrieved],
-            "prompt": self.prompt,
-            "answer": self.answer,
-            "completion": {
-                "text": self.completion.text,
-                "prompt_tokens": self.completion.prompt_tokens,
-                "completion_tokens": self.completion.completion_tokens,
-                "latency_ms": self.completion.latency_ms,
-            },
-            "truthful": self.truthful,
-        }
+    query: str
+    retrieved: list[tuple[str, float]] = field(default_factory=list)
+    prompt: str | None = None
+    answer: str | None = None
+    completion: Completion | None = None
+    truthful: int | None = None
+    error: tuple[str, str] | None = None
 
 
 def chunk_record_id(doc_id: str, index: int) -> str:
@@ -116,6 +106,22 @@ def ingest(
     return store
 
 
+def check_store(store: VectorStore, embedder_config: EmbedderConfig) -> None:
+    """Refuse to search a store that is empty or was built by another embedder.
+
+    Raises:
+        InvalidInput: empty store.
+        FingerprintMismatch: store built with a different embedder.
+    """
+    if len(store) == 0:
+        raise InvalidInput("cannot search an empty store")
+    expected = fingerprint(embedder_config)
+    if store.embedder_fingerprint != expected:
+        raise FingerprintMismatch(
+            f"store embedder {store.embedder_fingerprint!r} != configured {expected!r}"
+        )
+
+
 def compose_prompt(query: Query, chunk_texts: Sequence[str]) -> str:
     """Instantiate the prompt template; byte-identical for identical inputs."""
     if not chunk_texts:
@@ -144,14 +150,7 @@ def answer(
         FingerprintMismatch: store built with a different embedder.
     """
     embedder_config = embedder_config or EmbedderConfig()
-    if len(store) == 0:
-        raise InvalidInput("cannot answer against an empty store")
-    expected = fingerprint(embedder_config)
-    if store.embedder_fingerprint != expected:
-        raise FingerprintMismatch(
-            f"store embedder {store.embedder_fingerprint!r} != configured {expected!r}"
-        )
-
+    check_store(store, embedder_config)
     retrieved = store.query_top_k(embed(query.text, embedder_config), k)
     prompt = compose_prompt(query, [store.get(rid).text for rid, _ in retrieved])
     completion = complete(prompt, llm_config)
@@ -165,6 +164,6 @@ def answer(
 
 
 def append_trace(trace: AnswerTrace, path: str | Path) -> None:
-    """Append one trace as a JSONL line."""
+    """Append one trace, documents' or tables', as a JSONL line."""
     with open(path, "a", encoding="utf-8", newline="\n") as f:
-        f.write(json.dumps(trace.to_dict(), ensure_ascii=False) + "\n")
+        f.write(json.dumps(asdict(trace), ensure_ascii=False) + "\n")

@@ -271,7 +271,7 @@ class VectorStore:
                 raise CorruptStore(f"{path}: line 1: empty file, missing header")
             try:
                 header = json.loads(header_line)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # JSONDecodeError, or an over-long integer
                 raise CorruptStore(f"{path}: line 1: malformed header: {e}")
             if not isinstance(header, dict) or header.get("format") != STORE_FORMAT:
                 raise CorruptStore(f"{path}: line 1: not a {STORE_FORMAT} file")
@@ -288,7 +288,7 @@ class VectorStore:
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as e:
+                except ValueError as e:  # JSONDecodeError, or an over-long integer
                     raise CorruptStore(f"{path}: line {lineno}: malformed JSON: {e}")
                 try:
                     store.insert(_parse_record(obj, store._next_row()))

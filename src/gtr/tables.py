@@ -23,7 +23,7 @@ import io
 import re
 import sqlite3
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -32,7 +32,6 @@ from .errors import (
     DbUnreadable,
     EmptyGeneration,
     EmptySelection,
-    FingerprintMismatch,
     GtrError,
     InvalidInput,
     NonReadStatement,
@@ -40,8 +39,8 @@ from .errors import (
     SqlError,
     StageError,
 )
-from .llm import Completion, LlmConfig, complete
-from .pipeline import Query
+from .llm import LlmConfig, complete
+from .pipeline import AnswerTrace, Query, check_store
 from .sqllex import tokenize
 from .store import VectorRecord, VectorStore
 
@@ -79,37 +78,10 @@ class ResultSet:
 
 
 @dataclass
-class TabularTrace:
-    query: str
-    selected: list[tuple[str, float]] = field(default_factory=list)
-    prompt: str | None = None
-    completion: Completion | None = None
-    sql: str | None = None
-    error: tuple[str, str] | None = None  # (stage, message)
-
-    def to_dict(self) -> dict:
-        return {
-            "query": self.query,
-            "selected": [[tid, score] for tid, score in self.selected],
-            "prompt": self.prompt,
-            "sql": self.sql,
-            "completion": None
-            if self.completion is None
-            else {
-                "text": self.completion.text,
-                "prompt_tokens": self.completion.prompt_tokens,
-                "completion_tokens": self.completion.completion_tokens,
-                "latency_ms": self.completion.latency_ms,
-            },
-            "error": None if self.error is None else list(self.error),
-        }
-
-
-@dataclass
 class TabularAnswer:
     sql: SqlQuery
     result: ResultSet
-    trace: TabularTrace
+    trace: AnswerTrace
 
 
 def _quote_ident(name: str) -> str:
@@ -238,19 +210,13 @@ def select_tables(
 ) -> list[tuple[str, float]]:
     """Top-k table record ids with scores, by exact cosine over the store."""
     embedder_config = embedder_config or EmbedderConfig()
-    if len(store) == 0:
-        raise InvalidInput("table store is empty")
+    check_store(store, embedder_config)
     for record in store.records:
         if record.kind != "table":
             raise InvalidInput(
                 f"store contains a non-table record {record.id!r}; "
                 "index tables into their own store"
             )
-    expected = fingerprint(embedder_config)
-    if store.embedder_fingerprint != expected:
-        raise FingerprintMismatch(
-            f"store embedder {store.embedder_fingerprint!r} != configured {expected!r}"
-        )
     return store.query_top_k(embed(query.text, embedder_config), k)
 
 
@@ -390,7 +356,8 @@ def answer_tabular(
     partial trace (with trace.error set); the original error is chained.
 
     Raises:
-        InvalidInput: store not indexed from this database.
+        InvalidInput: store not indexed from this database, or indexing a
+            table the database no longer has.
         StageError: any stage failed.
     """
     db_id = Path(db_path).stem
@@ -400,23 +367,26 @@ def answer_tabular(
             raise InvalidInput(
                 f"store record {record.id!r} was not indexed from database {db_id!r}"
             )
+        if record.metadata.get("name") not in profiles:
+            raise InvalidInput(
+                f"store indexes table {record.metadata.get('name')!r}, which database "
+                f"{db_id!r} no longer has; re-run `gtr tables ingest`"
+            )
 
-    trace = TabularTrace(query=query.text)
+    trace = AnswerTrace(query=query.text)
 
     def fail(stage: str, error: GtrError):
         trace.error = (stage, str(error))
         raise StageError(stage, error, trace) from error
 
     try:
-        trace.selected = select_tables(query, store, k, embedder_config=embedder_config)
+        trace.retrieved = select_tables(query, store, k, embedder_config=embedder_config)
     except GtrError as e:
         fail("select_tables", e)
 
-    selected_profiles = []
-    for table_id, _ in trace.selected:
-        name = store.get(table_id).metadata["name"]
-        if name in profiles:
-            selected_profiles.append(profiles[name])
+    selected_profiles = [
+        profiles[store.get(table_id).metadata["name"]] for table_id, _ in trace.retrieved
+    ]
     try:
         trace.prompt = compose_sql_prompt(selected_profiles, query)
     except GtrError as e:
@@ -424,11 +394,11 @@ def answer_tabular(
 
     try:
         trace.completion = complete(trace.prompt, llm_config)
-        trace.sql = extract_sql(trace.completion.text)
+        trace.answer = extract_sql(trace.completion.text)
     except GtrError as e:
         fail("generate_sql", e)
 
-    sql = SqlQuery(trace.sql)
+    sql = SqlQuery(trace.answer)
     try:
         result = execute_sql(sql, db_path, timeout_ms=timeout_ms, row_limit=row_limit)
     except GtrError as e:

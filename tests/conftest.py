@@ -9,6 +9,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from gtr import _http
+
 TOY_SCHEMA = """
 CREATE TABLE singer (
     singer_id INTEGER PRIMARY KEY,
@@ -71,7 +73,7 @@ class _JsonHandler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length) or b"{}")
         self.server.requests.append((self.path, body))
         status, payload = self.server.responder(self.path, body)
-        data = json.dumps(payload).encode("utf-8")
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -87,7 +89,8 @@ def json_server():
     """Factory for local JSON-over-HTTP servers.
 
     start(responder) returns a server whose .url points at its root;
-    responder(path, body) -> (status, payload). The server records every
+    responder(path, body) -> (status, payload), where a bytes payload is
+    sent as it is and any other is sent as JSON. The server records every
     request in .requests.
     """
     servers = []
@@ -97,7 +100,10 @@ def json_server():
         server.requests = []
         server.responder = responder
         server.url = f"http://127.0.0.1:{server.server_address[1]}/"
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        # A short poll interval lets shutdown() return quickly.
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+        )
         thread.start()
         servers.append(server)
         return server
@@ -106,3 +112,9 @@ def json_server():
     for server in servers:
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture
+def fast_retries(monkeypatch):
+    """Shrink the HTTP retry waits so failing-backend tests run quickly."""
+    monkeypatch.setattr(_http, "BACKOFF_S", 0.01)

@@ -139,3 +139,22 @@ class TestLoadDocuments:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InvalidInput, match="not found"):
             load_documents(tmp_path / "absent.txt")
+
+    def test_integer_too_long_to_parse_names_line(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"id": "a", "text": "x"}\n{"id": "b", "text": "y", "n": 1'
+                        + "0" * 4300 + "}\n", encoding="utf-8")
+        with pytest.raises(InvalidInput, match="malformed JSON on line 2"):
+            load_documents(path)
+
+    @pytest.mark.parametrize("line", [
+        '{"id": null, "text": "x"}',
+        '{"id": 7, "text": "x"}',
+        '{"id": "a", "text": null}',
+        '{"id": "a", "text": ["x"]}',
+    ])
+    def test_id_and_text_must_be_strings(self, tmp_path, line):
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"id": "ok", "text": "x"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(InvalidInput, match="line 2 .*strings"):
+            load_documents(path)

@@ -179,6 +179,15 @@ class TestEval:
             "truthful_pct", "rouge1_p", "rouge2_p", "rougeL_p", "sas", "resp_ms", "tokens",
         ]
 
+    def test_eval_text_with_an_empty_candidate_completes(self, capsys, tmp_path):
+        items = tmp_path / "items.jsonl"
+        rows = [{"question": "q", "reference": "a b", "candidate": c,
+                 "truthful": 1, "response_time_ms": 1.0} for c in ("a b", "")]
+        items.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        code, out, err = run(capsys, "eval", "text", "--items", str(items), "--dim", "32")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split()[4] == "0.5000"
+
     def test_malformed_items_line_number_in_error(self, capsys, tmp_path):
         items = tmp_path / "items.jsonl"
         good = json.dumps({"question": "q", "reference": "r", "candidate": "c",

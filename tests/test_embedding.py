@@ -96,13 +96,13 @@ class TestConfig:
         assert len({a, b, c}) == 3
 
 
+@pytest.mark.usefixtures("fast_retries")
 class TestHttpBackend:
     def _config(self, server, **kwargs):
         return EmbedderConfig(
             backend="http",
             dim=4,
             endpoint_url=server.url + "embed",
-            retry_backoff_s=0.01,
             **kwargs,
         )
 
@@ -145,7 +145,6 @@ class TestHttpBackend:
             backend="http",
             dim=4,
             endpoint_url="http://127.0.0.1:1/embed",
-            retry_backoff_s=0.01,
             timeout_s=0.2,
         )
         with pytest.raises(BackendUnavailable):

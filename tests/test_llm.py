@@ -80,6 +80,7 @@ class TestContract:
             LlmConfig(backend="made_up")
 
 
+@pytest.mark.usefixtures("fast_retries")
 class TestHttp:
     def test_wire_protocol(self, json_server):
         def responder(path, body):

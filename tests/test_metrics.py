@@ -122,6 +122,14 @@ class TestSas:
             assert sas(a, b, CONFIG) == sas(b, a, CONFIG)
 
 
+    @pytest.mark.parametrize("candidate, reference", [
+        ("", "the answer"), ("the answer", ""), (" \n\t", "x"), ("", ""),
+    ])
+    def test_side_without_tokens_scores_zero(self, candidate, reference):
+        assert sas(candidate, reference, CONFIG) == 0.0
+        assert rouge_l(candidate, reference).f1 == 0.0
+
+
 class TestAggregate:
     def _items(self, flags):
         return [
@@ -244,6 +252,31 @@ class TestLoadItems:
         path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
         with pytest.raises(InvalidInput, match=f"{path}: malformed JSON on line 2"):
             load_items_jsonl(path)
+
+    @pytest.mark.parametrize("field", ["question", "reference", "candidate"])
+    @pytest.mark.parametrize("raw", ["null", "7", "true", '["a"]', '{"t": "a"}'])
+    def test_text_must_be_a_json_string(self, tmp_path, field, raw):
+        path = tmp_path / "items.jsonl"
+        good = json.dumps({"question": "q", "reference": "r", "candidate": "c",
+                           "truthful": 0, "response_time_ms": 3})
+        bad = good.replace(f'"{field}": "{field[0]}"', f'"{field}": {raw}')
+        path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(InvalidInput,
+                           match=f"{path}: bad item on line 2: {field} must be a JSON string"):
+            load_items_jsonl(path)
+
+    def test_empty_candidate_scores_zero_and_run_completes(self, tmp_path):
+        path = tmp_path / "items.jsonl"
+        rows = [{"question": "q1", "reference": "a b", "candidate": "a b",
+                 "truthful": 1, "response_time_ms": 1.0},
+                {"question": "q2", "reference": "a b", "candidate": "",
+                 "truthful": 0, "response_time_ms": 1.0}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        report = aggregate(load_items_jsonl(path), CONFIG)
+        empty = report.items[1]
+        assert (empty.sas, empty.rouge1.f1, empty.rougeL.f1, empty.candidate_tokens) == (
+            0.0, 0.0, 0.0, 0)
+        assert report.summary()["sas"] == 0.5
 
     def test_integer_response_time_loads_as_float(self, tmp_path):
         path = tmp_path / "items.jsonl"

@@ -13,6 +13,7 @@ from gtr.chunking import Document
 from gtr.llm import LlmConfig
 from gtr.pipeline import Query, answer, append_trace, compose_prompt, ingest
 from gtr.store import VectorStore
+from gtr.tables import index_tables, profile_tables, select_tables
 
 from test_store import brute_force_top_k
 
@@ -127,14 +128,22 @@ class TestAnswer:
 
     def test_empty_store_rejected(self, tmp_path):
         store = VectorStore(CONFIG.dim, "wrong")
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="empty store"):
             answer(Query("q"), store, embedder_config=CONFIG, llm_config=ECHO)
 
     def test_fingerprint_mismatch(self, tmp_path):
         store = self._store(tmp_path, ["C."])
         other = EmbedderConfig(dim=CONFIG.dim + 1)
-        with pytest.raises(FingerprintMismatch):
+        with pytest.raises(FingerprintMismatch, match="!= configured"):
             answer(Query("q"), store, embedder_config=other, llm_config=ECHO)
+
+    def test_tables_share_the_store_guard(self, toy_db):
+        with pytest.raises(InvalidInput, match="empty store"):
+            select_tables(Query("q"), VectorStore(CONFIG.dim, "wrong"),
+                          embedder_config=CONFIG)
+        with pytest.raises(FingerprintMismatch, match="!= configured"):
+            select_tables(Query("q"), index_tables(profile_tables(toy_db), CONFIG),
+                          embedder_config=EmbedderConfig(dim=CONFIG.dim + 1))
 
     def test_query_validation(self):
         with pytest.raises(InvalidInput):

@@ -449,6 +449,21 @@ class TestPersistence:
         with pytest.raises(CorruptStore, match=f"line 2: .*{message}"):
             VectorStore.load(path)
 
+    @pytest.mark.parametrize("where", ["header", "record"])
+    def test_integer_too_long_to_parse_names_line(self, tmp_path, where):
+        path = tmp_path / "s.jsonl"
+        header = '{"format":"gtr-store","version":1,"dim":2,"embedder":"fp"}'
+        record = '{"id":"a","vector":[1.0,0.0],"kind":"chunk","text":"t","metadata":{}}'
+        huge = "1" + "0" * 4300
+        if where == "header":
+            header = header.replace('"dim":2', f'"dim":{huge}')
+        else:
+            record = record.replace('"metadata":{}', f'"n":{huge}')
+        path.write_text(header + "\n" + record + "\n", encoding="utf-8")
+        line = 1 if where == "header" else 2
+        with pytest.raises(CorruptStore, match=f"line {line}: malformed"):
+            VectorStore.load(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text('{"format":"other"}\n', encoding="utf-8")

@@ -291,7 +291,7 @@ class TestAnswerTabular:
         assert result.sql.text == "SELECT count(*) FROM singer"
         assert result.result.rows == [(6,)]
         assert result.trace.error is None
-        assert len(result.trace.selected) == 3
+        assert len(result.trace.retrieved) == 3
 
     def test_invalid_sql_is_stage_labeled(self, toy_db):
         llm = LlmConfig(backend="fixed", fixed_text="SELEC nope FROM singer")
@@ -321,13 +321,28 @@ class TestAnswerTabular:
                                 embedder_config=CONFIG, llm_config=llm)
         # Re-run every stage by hand with the same inputs.
         selected = select_tables(Query(question), store, 3, embedder_config=CONFIG)
-        assert result.trace.selected == selected
+        assert result.trace.retrieved == selected
         profiles = {p.name: p for p in profile_tables(toy_db)}
         chosen = [profiles[store.get(tid).metadata["name"]] for tid, _ in selected]
         prompt = compose_sql_prompt(chosen, Query(question))
         assert result.trace.prompt == prompt
-        assert result.trace.sql == "SELECT max(capacity) FROM stadium"
+        assert result.trace.answer == "SELECT max(capacity) FROM stadium"
         assert result.result.rows == [(32609,)]
+
+    @pytest.mark.parametrize("change", [
+        "ALTER TABLE singer RENAME TO performer",
+        "DROP TABLE singer",
+    ])
+    def test_stale_index_names_the_missing_table(self, toy_db, change):
+        store = self._store(toy_db)
+        conn = sqlite3.connect(toy_db)
+        conn.execute(change)
+        conn.commit()
+        conn.close()
+        llm = LlmConfig(backend="template_sql")
+        with pytest.raises(InvalidInput, match="'singer'.*re-run `gtr tables ingest`"):
+            answer_tabular(Query("how many singers?"), toy_db, store,
+                           embedder_config=CONFIG, llm_config=llm)
 
     def test_store_from_other_db_rejected(self, toy_db, tmp_path):
         other = tmp_path / "other.sqlite"
