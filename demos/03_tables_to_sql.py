@@ -2,6 +2,9 @@
 """Table-aware answering: profile a database, embed its tables, pick the
 relevant ones for a question, generate SQL, and execute it read-only.
 
+Each table is profiled once, at ingest; answering reads the profile back
+from the store and refuses a table whose schema has changed since.
+
 The template mock maps known questions to SQL so the demo runs offline;
 swap in LlmConfig(backend="http", ...) for real text-to-SQL generation.
 """
@@ -11,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 from gtr import EmbedderConfig, LlmConfig, Query
-from gtr import answer_tabular, compose_sql_prompt, index_tables, profile_tables
+from gtr import answer_tabular, index_tables, profile_tables
 
 workdir = Path(tempfile.mkdtemp(prefix="gtr-demo-"))
 db_path = workdir / "shop.sqlite"
@@ -26,21 +29,21 @@ INSERT INTO sale VALUES (1, 1, 3), (2, 2, 1), (3, 1, 2), (4, 3, 5);
 conn.commit()
 conn.close()
 
-# 1. Profile every table: schema, row count, and a small CSV sample.
+# 1. Profile every table: schema, CREATE statement, and a small CSV sample.
 profiles = profile_tables(db_path, sample_limit=3)
 for p in profiles:
-    print(f"table {p.name}: {p.row_count} rows, columns {[c[0] for c in p.columns]}")
+    print(f"table {p.name}: columns {[c[0] for c in p.columns]}")
 
-# 2. Embed one record per table into a store.
+# 2. Embed one record per table into a store. Each record keeps the table's
+#    block of the SQL prompt and its CREATE statement.
 config = EmbedderConfig(dim=256)
 store = index_tables(profiles, config, workdir / "tables.jsonl")
+print("\nprompt block of product:")
+print(store.get("shop.product").metadata["prompt_block"], end="")
 
-# 3. The SQL prompt shows the model each selected table with its sample.
+# 3. Full pipeline with a deterministic mock generator: the prompt shows
+#    the model each selected table's block, then the question.
 question = Query("how many lamp sales were there?")
-print("\nprompt preview:")
-print(compose_sql_prompt(profiles[:1], question))
-
-# 4. Full pipeline with a deterministic mock generator.
 llm = LlmConfig(
     backend="template_sql",
     sql_templates={
@@ -52,5 +55,5 @@ llm = LlmConfig(
 )
 result = answer_tabular(question, db_path, store, embedder_config=config, llm_config=llm)
 print("selected tables:", result.trace.retrieved)
-print("generated SQL:", result.sql.text)
+print("generated SQL:", result.trace.answer)
 print("result rows:", result.result.rows)

@@ -35,17 +35,15 @@ from .metrics import (
     sas,
 )
 from .pipeline import AnswerTrace, Query, answer, append_trace, compose_prompt, ingest
-from .store import VectorRecord, VectorStore, cosine, export_embeddings_csv
+from .store import VectorRecord, VectorStore, cosine
 from .tables import (
     ResultSet,
-    SqlQuery,
     TableProfile,
     TabularAnswer,
     answer_tabular,
     compose_sql_prompt,
     execute_sql,
     extract_sql,
-    generate_sql,
     index_tables,
     profile_tables,
     select_tables,
@@ -68,7 +66,6 @@ __all__ = [
     "Query",
     "ResultSet",
     "RougeScore",
-    "SqlQuery",
     "TableProfile",
     "TabularAnswer",
     "TextEvalReport",
@@ -88,10 +85,8 @@ __all__ = [
     "embed_batch",
     "errors",
     "execute_sql",
-    "export_embeddings_csv",
     "extract_sql",
     "fingerprint",
-    "generate_sql",
     "index_tables",
     "ingest",
     "load_documents",

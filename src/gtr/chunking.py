@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InvalidConfig, InvalidInput
+from .errors import InvalidConfig, InvalidInput, check_unicode
 
 DEFAULT_CHUNK_SIZE = 512
 DEFAULT_OVERLAP = 64
@@ -157,14 +157,10 @@ def load_documents(path: str | Path) -> list[Document]:
                         f"{path}: line {lineno} must be an object whose 'id' and "
                         "'text' are strings"
                     )
-                doc_id, text = record["id"], record["text"]
                 try:
-                    doc_id.encode("utf-8"), text.encode("utf-8")
-                except UnicodeEncodeError as e:
-                    # A JSON escape such as "\ud800" decodes to a lone surrogate.
-                    raise InvalidInput(
-                        f"{path}: line {lineno}: not valid Unicode: {e.reason}"
-                    ) from None
-                docs.append(Document(doc_id, text, source_path=str(path)))
+                    check_unicode(record["id"], record["text"])
+                except InvalidInput as e:
+                    raise InvalidInput(f"{path}: line {lineno}: {e}") from None
+                docs.append(Document(record["id"], record["text"], source_path=str(path)))
         return docs
     return [Document(path.stem, path.read_text(encoding="utf-8"), source_path=str(path))]

@@ -54,13 +54,19 @@ def _llm_config(value: str) -> LlmConfig:
         path = Path(rest)
         if not path.is_file():
             raise InvalidInput(f"template mapping file not found: {path}")
-        mapping = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            mapping = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as e:  # JSONDecodeError, or an over-long integer
+            raise InvalidInput(f"{path}: malformed JSON: {e}")
         if not isinstance(mapping, dict):
             raise InvalidInput(f"{path} must hold a JSON object of question -> SQL")
-        return LlmConfig(
-            backend="template_sql",
-            sql_templates={str(k): str(v) for k, v in mapping.items()},
-        )
+        for question, sql in mapping.items():
+            if type(sql) is not str:
+                raise InvalidInput(
+                    f"{path}: the SQL for question {question!r} must be a string, "
+                    f"got {sql!r}"
+                )
+        return LlmConfig(backend="template_sql", sql_templates=mapping)
     if kind == "http":
         return LlmConfig(backend="http", endpoint_url=rest or None)
     raise InvalidConfig(f"unknown --llm backend {value!r}")
@@ -137,7 +143,7 @@ def _cmd_tables_ask(args) -> int:
         timeout_ms=args.timeout_ms,
         row_limit=args.row_limit,
     )
-    print(f"SQL: {result.sql.text}")
+    print(f"SQL: {result.trace.answer}")
     print("\t".join(result.result.columns))
     for row in result.result.rows:
         print("\t".join("" if v is None else str(v) for v in row))

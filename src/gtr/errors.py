@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all gtr modules."""
+"""Exception hierarchy shared by all gtr modules, and the text check their
+loaders share."""
 
 from __future__ import annotations
 
@@ -110,3 +111,16 @@ class StageError(GtrError):
         self.stage = stage
         self.trace = trace
         super().__init__(f"{stage}: {cause}")
+
+
+def check_unicode(*texts: str) -> None:
+    """Raise InvalidInput when a text holds a lone surrogate. A JSON escape
+    such as "\\ud800" decodes to one, and UTF-8 cannot encode it, so the
+    text would break the first embedding or save that meets it."""
+    for text in texts:
+        if text.isascii():  # a constant-time test in CPython
+            continue
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise InvalidInput(f"not valid Unicode: {e.reason}") from None

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .chunking import token_count, token_texts
 from .embedding import EmbedderConfig, embed
-from .errors import InvalidInput
+from .errors import InvalidInput, check_unicode
 from .store import cosine
 
 SUMMARY_COLUMNS = (
@@ -230,8 +230,9 @@ def load_items_jsonl(path: str | Path) -> list[GtrEvalItem]:
     """Read evaluation items; malformed lines are named by number.
 
     Each line: {"question", "reference", "candidate", "truthful",
-    "response_time_ms"}, where the first three are JSON strings, truthful
-    is the JSON integer 0 or 1 and response_time_ms a finite JSON number.
+    "response_time_ms"}, where the first three are JSON strings without
+    lone surrogates, truthful is the JSON integer 0 or 1 and
+    response_time_ms a finite JSON number.
     """
     path = Path(path)
     if not path.is_file():
@@ -250,6 +251,7 @@ def load_items_jsonl(path: str | Path) -> list[GtrEvalItem]:
                 for key, value in texts.items():
                     if type(value) is not str:
                         raise InvalidInput(f"{key} must be a JSON string, got {value!r}")
+                check_unicode(*texts.values())
                 truthful, ms = obj["truthful"], obj["response_time_ms"]
                 if type(truthful) is not int:
                     raise InvalidInput(

@@ -34,6 +34,7 @@ from .errors import (
     DuplicateId,
     InvalidInput,
     ZeroVector,
+    check_unicode,
 )
 
 STORE_FORMAT = "gtr-store"
@@ -261,7 +262,8 @@ class VectorStore:
         """Read a store file; validation failures name the offending line.
 
         Raises:
-            CorruptStore: bad header, wrong dim, duplicate id, malformed line.
+            CorruptStore: bad header, wrong dim, duplicate id, malformed line,
+                or a text holding a lone surrogate.
             OSError: unreadable path.
         """
         path = Path(path)
@@ -314,7 +316,9 @@ def _parse_record(obj, row: np.ndarray) -> VectorRecord:
     metadata = obj.get("metadata", {})
     if not isinstance(metadata, dict):
         raise InvalidInput("record metadata must be a JSON object")
-    return VectorRecord(str(obj["id"]), row, str(obj["kind"]), str(obj["text"]), metadata)
+    record = VectorRecord(str(obj["id"]), row, str(obj["kind"]), str(obj["text"]), metadata)
+    check_unicode(record.id, record.text, *record.metadata, *record.metadata.values())
+    return record
 
 
 def _dumps(obj) -> str:
@@ -329,17 +333,3 @@ def _vector_json(vector: np.ndarray) -> str:
     texts = [repr(x) for x in bits.view(np.float64).tolist()]
     return ",".join([texts[i] for i in where.tolist()])
 
-
-def export_embeddings_csv(store: VectorStore, path: str | Path) -> None:
-    """Write raw embeddings as CSV for external analysis or plotting tools.
-
-    Columns: id, kind, v0..v{dim-1}. Values use the same shortest
-    round-trip float representation as the store file.
-    """
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["id", "kind"] + [f"v{i}" for i in range(store.dim)])
-        for record in store.records:
-            writer.writerow([record.id, record.kind] + [repr(float(x)) for x in record.vector])

@@ -13,7 +13,10 @@ order, then the question::
 
     Table {name}({col1 type1, col2 type2, ...})\\n{csv}\\n\\n ... Question: {query}\\nSQL:
 
-where {csv} is the table's sample CSV without its final newline.
+where {csv} is the table's sample CSV without its final newline. Each
+table is profiled once, at ingest; its record keeps its block and its
+CREATE statement, so answering profiles nothing and refuses a table whose
+CREATE statement has changed since.
 """
 
 from __future__ import annotations
@@ -55,19 +58,9 @@ class TableProfile:
     db_id: str
     name: str
     columns: list[tuple[str, str]]
-    row_count: int
     sample_rows: list[tuple]
     csv: str
-
-
-@dataclass(frozen=True)
-class SqlQuery:
-    text: str
-    dialect: str = "sqlite"
-
-    def __post_init__(self):
-        if not self.text.strip():
-            raise InvalidInput("sql text must be nonempty")
+    create_sql: str  # the table's CREATE statement, as sqlite_master holds it
 
 
 @dataclass
@@ -79,8 +72,7 @@ class ResultSet:
 
 @dataclass
 class TabularAnswer:
-    sql: SqlQuery
-    result: ResultSet
+    result: ResultSet  # the SQL that made it is trace.answer
     trace: AnswerTrace
 
 
@@ -110,22 +102,16 @@ def profile_tables(
     db_id = Path(db_path).stem
     conn = _connect_readonly(db_path)
     try:
-        names = [
-            row[0]
-            for row in conn.execute(
-                "SELECT name FROM sqlite_master WHERE type='table' "
-                "AND name NOT LIKE 'sqlite_%'"
-            )
-        ]
+        schema = conn.execute(
+            "SELECT name, sql FROM sqlite_master WHERE type='table' "
+            "AND name NOT LIKE 'sqlite_%'"
+        ).fetchall()
         profiles = []
-        for name in names:
+        for name, create_sql in schema:
             columns = [
                 (str(row[1]), str(row[2]))
                 for row in conn.execute(f"PRAGMA table_info({_quote_ident(name)})")
             ]
-            row_count = conn.execute(
-                f"SELECT COUNT(*) FROM {_quote_ident(name)}"
-            ).fetchone()[0]
             sample_rows = [
                 tuple(row)
                 for row in conn.execute(
@@ -137,9 +123,9 @@ def profile_tables(
                     db_id=db_id,
                     name=name,
                     columns=columns,
-                    row_count=row_count,
                     sample_rows=sample_rows,
                     csv=serialize_table_csv(columns, sample_rows),
+                    create_sql=create_sql,
                 )
             )
         return profiles
@@ -175,12 +161,22 @@ def embedding_text(profile: TableProfile) -> str:
     return f"table: {profile.name}\ncolumns: {names}\n{profile.csv}"
 
 
+def prompt_block(profile: TableProfile) -> str:
+    """One table's block of the SQL prompt."""
+    cols = ", ".join(
+        f"{name} {ctype}" if ctype else name for name, ctype in profile.columns
+    )
+    body = profile.csv.removesuffix("\n")
+    return f"Table {profile.name}({cols})\n{body}\n\n"
+
+
 def index_tables(
     profiles: Sequence[TableProfile],
     embedder_config: EmbedderConfig | None = None,
     store_path: str | Path | None = None,
 ) -> VectorStore:
-    """Embed one record per table into a new store (id ``<db_id>.<name>``)."""
+    """Embed one record per table into a new store (id ``<db_id>.<name>``).
+    Its metadata keeps the table's prompt block and CREATE statement."""
     if not profiles:
         raise InvalidInput("need at least one table profile to index")
     embedder_config = embedder_config or EmbedderConfig()
@@ -193,7 +189,12 @@ def index_tables(
                 vector=embed(text, embedder_config),
                 kind="table",
                 text=text,
-                metadata={"db_id": profile.db_id, "name": profile.name},
+                metadata={
+                    "db_id": profile.db_id,
+                    "name": profile.name,
+                    "prompt_block": prompt_block(profile),
+                    "create_sql": profile.create_sql,
+                },
             )
         )
     if store_path is not None:
@@ -220,17 +221,11 @@ def select_tables(
     return store.query_top_k(embed(query.text, embedder_config), k)
 
 
-def compose_sql_prompt(selected: Sequence[TableProfile], query: Query) -> str:
-    """Instantiate the SQL prompt template over the selected tables."""
-    if not selected:
+def compose_sql_prompt(blocks: Sequence[str], query: Query) -> str:
+    """Instantiate the SQL prompt template over the selected tables'
+    blocks (see prompt_block)."""
+    if not blocks:
         raise EmptySelection("sql prompt needs at least one table")
-    blocks = []
-    for profile in selected:
-        cols = ", ".join(
-            f"{name} {ctype}" if ctype else name for name, ctype in profile.columns
-        )
-        body = profile.csv.removesuffix("\n")
-        blocks.append(f"Table {profile.name}({cols})\n{body}\n\n")
     return "".join(blocks) + f"Question: {query.text}\nSQL:"
 
 
@@ -255,10 +250,6 @@ def extract_sql(completion_text: str) -> str:
     if not statement:
         raise EmptyGeneration("completion contained no SQL statement")
     return statement
-
-
-def generate_sql(prompt: str, llm_config: LlmConfig | None = None) -> SqlQuery:
-    return SqlQuery(extract_sql(complete(prompt, llm_config).text))
 
 
 # Keywords that can only belong to a mutating or schema-changing statement.
@@ -297,7 +288,7 @@ def assert_read_only(sql: str) -> None:
 
 
 def execute_sql(
-    sql: SqlQuery | str,
+    sql: str,
     db_path: str | Path,
     *,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
@@ -314,13 +305,12 @@ def execute_sql(
         QueryTimeout: execution exceeded timeout_ms.
         DbUnreadable: missing or unopenable database file.
     """
-    text = sql.text if isinstance(sql, SqlQuery) else sql
-    assert_read_only(text)
+    assert_read_only(sql)
     conn = _connect_readonly(db_path)
     deadline = time.monotonic() + timeout_ms / 1000.0
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 5000)
     try:
-        cursor = conn.execute(text)
+        cursor = conn.execute(sql)
         if row_limit is None:
             rows = [tuple(r) for r in cursor.fetchall()]
             truncated = False
@@ -357,20 +347,28 @@ def answer_tabular(
 
     Raises:
         InvalidInput: store not indexed from this database, or indexing a
-            table the database no longer has.
+            table the database no longer has or whose CREATE statement
+            differs from the one stored (or none was stored).
         StageError: any stage failed.
     """
     db_id = Path(db_path).stem
-    profiles = {p.name: p for p in profile_tables(db_path)}
+    conn = _connect_readonly(db_path)
+    try:
+        schema = dict(conn.execute("SELECT name, sql FROM sqlite_master WHERE type='table'"))
+    finally:
+        conn.close()
     for record in store.records:
-        if record.metadata.get("db_id") != db_id:
+        meta = record.metadata
+        name = meta.get("name")
+        if meta.get("db_id") != db_id:
             raise InvalidInput(
                 f"store record {record.id!r} was not indexed from database {db_id!r}"
             )
-        if record.metadata.get("name") not in profiles:
+        if (name not in schema or meta.get("create_sql") != schema[name]
+                or "prompt_block" not in meta):
             raise InvalidInput(
-                f"store indexes table {record.metadata.get('name')!r}, which database "
-                f"{db_id!r} no longer has; re-run `gtr tables ingest`"
+                f"table {name!r} of database {db_id!r} is gone or changed since the "
+                "store indexed it; re-run `gtr tables ingest`"
             )
 
     trace = AnswerTrace(query=query.text)
@@ -384,11 +382,9 @@ def answer_tabular(
     except GtrError as e:
         fail("select_tables", e)
 
-    selected_profiles = [
-        profiles[store.get(table_id).metadata["name"]] for table_id, _ in trace.retrieved
-    ]
+    blocks = [store.get(table_id).metadata["prompt_block"] for table_id, _ in trace.retrieved]
     try:
-        trace.prompt = compose_sql_prompt(selected_profiles, query)
+        trace.prompt = compose_sql_prompt(blocks, query)
     except GtrError as e:
         fail("compose_sql_prompt", e)
 
@@ -398,10 +394,9 @@ def answer_tabular(
     except GtrError as e:
         fail("generate_sql", e)
 
-    sql = SqlQuery(trace.answer)
     try:
-        result = execute_sql(sql, db_path, timeout_ms=timeout_ms, row_limit=row_limit)
+        result = execute_sql(trace.answer, db_path, timeout_ms=timeout_ms, row_limit=row_limit)
     except GtrError as e:
         fail("execute_sql", e)
 
-    return TabularAnswer(sql=sql, result=result, trace=trace)
+    return TabularAnswer(result=result, trace=trace)

@@ -195,7 +195,7 @@ def test_criterion_07_tabular_end_to_end(tmp_path):
         result = answer_tabular(
             Query(question), db, store, embedder_config=config, llm_config=llm
         )
-        assert result.sql.text == sql
+        assert result.trace.answer == sql
         assert result.result.rows == expected_rows, question
         rank1 = select_tables(Query(question), store, 1, embedder_config=config)
         oracle = naive_scan(store, embed(question, config), 1)

@@ -145,6 +145,55 @@ class TestTables:
         assert "execute_sql" in err
 
 
+    @pytest.mark.parametrize("text, message", [
+        ("{oops", "malformed JSON"),
+        ('{"q?": null}', "question 'q?' must be a string, got None"),
+        ('{"q?": 7}', "question 'q?' must be a string, got 7"),
+    ])
+    def test_bad_template_mapping_names_the_file(self, capsys, tmp_path, toy_db,
+                                                 text, message):
+        store = tmp_path / "t.jsonl"
+        run(capsys, "tables", "ingest", "--db", str(toy_db),
+            "--store", str(store), "--dim", "64")
+        mapping = tmp_path / "fixtures.json"
+        mapping.write_text(text, encoding="utf-8")
+        code, out, err = run(
+            capsys, "tables", "ask", "q?", "--db", str(toy_db),
+            "--store", str(store), "--dim", "64", "--llm", f"template:{mapping}",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {mapping}") and message in err
+
+    def test_ask_uses_the_sample_taken_at_ingest(self, capsys, tmp_path, toy_db):
+        store = tmp_path / "t.jsonl"
+        trace = tmp_path / "trace.jsonl"
+        run(capsys, "tables", "ingest", "--db", str(toy_db), "--store", str(store),
+            "--dim", "64", "--sample-limit", "1")
+        code, _, _ = run(
+            capsys, "tables", "ask", "q?", "--db", str(toy_db), "--store", str(store),
+            "--dim", "64", "--llm", "fixed:SELECT 1", "--trace", str(trace),
+        )
+        assert code == 0
+        prompt = json.loads(trace.read_text(encoding="utf-8"))["prompt"]
+        assert "singer_id,name,age,country\n1,Joe Sharp,52,Netherlands\n\n" in prompt
+
+    def test_schema_change_after_ingest_exits_one(self, capsys, tmp_path, toy_db):
+        import sqlite3
+
+        store = tmp_path / "t.jsonl"
+        run(capsys, "tables", "ingest", "--db", str(toy_db),
+            "--store", str(store), "--dim", "64")
+        conn = sqlite3.connect(toy_db)
+        conn.execute("ALTER TABLE stadium ADD COLUMN z")
+        conn.commit()
+        conn.close()
+        code, out, err = run(
+            capsys, "tables", "ask", "q?", "--db", str(toy_db),
+            "--store", str(store), "--dim", "64", "--llm", "fixed:SELECT 1",
+        )
+        assert (code, out) == (1, "")
+        assert "'stadium'" in err and "re-run `gtr tables ingest`" in err
+
 class TestEval:
     def test_eval_sql_perfect(self, capsys, tmp_path, toy_db):
         db_dir = tmp_path / "dbs"

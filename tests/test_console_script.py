@@ -50,3 +50,15 @@ class TestConsoleScript:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error") and "line 1" in proc.stderr
         assert not (tmp_path / "s.jsonl").exists()
+
+    def test_lone_surrogate_in_eval_item_is_an_input_error(self, tmp_path):
+        items = tmp_path / "items.jsonl"
+        items.write_text(
+            '{"question": "q", "reference": "bad \\ud800 x", "candidate": "c", '
+            '"truthful": 1, "response_time_ms": 1.0}\n',
+            encoding="utf-8",
+        )
+        proc = run_gtr("eval", "text", "--items", str(items))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error") and "line 1" in proc.stderr

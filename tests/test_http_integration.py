@@ -76,5 +76,5 @@ class TestRemoteCompletions:
             embedder_config=config,
             llm_config=LlmConfig(backend="http", endpoint_url=server.url),
         )
-        assert result.sql.text == "SELECT count(*) FROM singer"
+        assert result.trace.answer == "SELECT count(*) FROM singer"
         assert result.result.rows == [(6,)]

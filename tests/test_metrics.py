@@ -265,6 +265,17 @@ class TestLoadItems:
                            match=f"{path}: bad item on line 2: {field} must be a JSON string"):
             load_items_jsonl(path)
 
+    @pytest.mark.parametrize("field", ["question", "reference", "candidate"])
+    def test_lone_surrogate_names_file_and_line(self, tmp_path, field):
+        path = tmp_path / "items.jsonl"
+        good = json.dumps({"question": "q", "reference": "r", "candidate": "c",
+                           "truthful": 0, "response_time_ms": 3})
+        bad = good.replace(f'"{field}": "{field[0]}"', f'"{field}": "bad \\ud800 x"')
+        path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(InvalidInput,
+                           match=f"{path}: bad item on line 2: not valid Unicode"):
+            load_items_jsonl(path)
+
     def test_empty_candidate_scores_zero_and_run_completes(self, tmp_path):
         path = tmp_path / "items.jsonl"
         rows = [{"question": "q1", "reference": "a b", "candidate": "a b",

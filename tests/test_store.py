@@ -12,7 +12,7 @@ from gtr.errors import (
     InvalidInput,
     ZeroVector,
 )
-from gtr.store import VectorRecord, VectorStore, cosine, export_embeddings_csv
+from gtr.store import VectorRecord, VectorStore, cosine
 from store_oracles import cosine as oracle_cosine
 
 
@@ -470,21 +470,26 @@ class TestPersistence:
         with pytest.raises(CorruptStore, match="line 1"):
             VectorStore.load(path)
 
-    def test_export_embeddings_csv(self, tmp_path):
-        import csv as csv_module
-
-        rng = np.random.default_rng(3)
-        store = random_store(rng, 4, 3)
-        out = tmp_path / "emb.csv"
-        export_embeddings_csv(store, out)
-        with open(out, encoding="utf-8", newline="") as f:
-            rows = list(csv_module.reader(f))
-        assert rows[0] == ["id", "kind", "v0", "v1", "v2"]
-        assert len(rows) == 5
-        for record, row in zip(store.records, rows[1:]):
-            assert row[0] == record.id
-            recovered = np.array([float(x) for x in row[2:]])
-            assert np.array_equal(recovered, record.vector)
+    @pytest.mark.parametrize("field", ["id", "text", "metadata key", "metadata value"])
+    def test_lone_surrogate_names_line(self, tmp_path, field):
+        # Loading such a record used to succeed; the next save then died
+        # with a UnicodeEncodeError.
+        values = {"id": '"a"', "text": '"t"', "metadata": "{}"}
+        bad = '"bad \\ud800 x"'
+        if field in ("id", "text"):
+            values[field] = bad
+        elif field == "metadata key":
+            values["metadata"] = "{%s:\"v\"}" % bad
+        else:
+            values["metadata"] = '{"k":%s}' % bad
+        path = tmp_path / "s.jsonl"
+        header = '{"format":"gtr-store","version":1,"dim":2,"embedder":"fp"}'
+        good = '{"id":"g","vector":[1.0,0.0],"kind":"chunk","text":"t","metadata":{}}'
+        record = ('{"id":%(id)s,"vector":[1.0,0.0],"kind":"chunk","text":%(text)s,'
+                  '"metadata":%(metadata)s}' % values)
+        path.write_text(header + "\n" + good + "\n" + record + "\n", encoding="utf-8")
+        with pytest.raises(CorruptStore, match="line 3: not valid Unicode"):
+            VectorStore.load(path)
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_vector_in_file_is_corrupt(self, tmp_path, token):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import sqlite3
 
 import pytest
@@ -15,7 +16,7 @@ from gtr.errors import (
 )
 from gtr.llm import LlmConfig
 from gtr.pipeline import Query
-from gtr.store import VectorRecord
+from gtr.store import VectorRecord, VectorStore
 from gtr.tables import (
     answer_tabular,
     assert_read_only,
@@ -25,10 +26,13 @@ from gtr.tables import (
     extract_sql,
     index_tables,
     profile_tables,
+    prompt_block,
     select_tables,
     serialize_table_csv,
 )
 
+import tables_oracles
+from fixtures_sql import TABULAR_QUESTIONS
 from test_store import brute_force_top_k
 
 CONFIG = EmbedderConfig(dim=64)
@@ -41,7 +45,7 @@ class TestProfiles:
         singer = profiles[0]
         assert singer.db_id == "concerts"
         assert [c[0] for c in singer.columns] == ["singer_id", "name", "age", "country"]
-        assert singer.row_count == 6
+        assert singer.create_sql.startswith("CREATE TABLE singer (\n    singer_id INTEGER")
         assert len(singer.sample_rows) == 5  # default sample limit
 
     def test_empty_db(self, tmp_path):
@@ -57,7 +61,7 @@ class TestProfiles:
         conn.commit()
         conn.close()
         [profile] = profile_tables(path, sample_limit=5)
-        assert profile.row_count == 1000
+        assert profile.create_sql == "CREATE TABLE t (x INTEGER)"
         assert profile.csv.splitlines() == ["x", "0", "1", "2", "3", "4"]
 
 
@@ -156,7 +160,7 @@ class TestIndexAndSelect:
 class TestSqlPrompt:
     def test_single_table_block(self, toy_db):
         [singer, *_] = profile_tables(toy_db, sample_limit=1)
-        prompt = compose_sql_prompt([singer], Query("how many?"))
+        prompt = compose_sql_prompt([prompt_block(singer)], Query("how many?"))
         assert prompt.startswith(
             "Table singer(singer_id INTEGER, name TEXT, age INTEGER, country TEXT)\n"
         )
@@ -165,8 +169,8 @@ class TestSqlPrompt:
         assert "singer_id,name,age,country\n1,Joe Sharp,52,Netherlands\n" in prompt
 
     def test_blocks_in_given_order(self, toy_db):
-        profiles = profile_tables(toy_db, sample_limit=0)
-        prompt = compose_sql_prompt([profiles[1], profiles[0]], Query("q"))
+        blocks = [prompt_block(p) for p in profile_tables(toy_db, sample_limit=0)]
+        prompt = compose_sql_prompt([blocks[1], blocks[0]], Query("q"))
         assert prompt.index("Table stadium") < prompt.index("Table singer")
 
     def test_empty_selection(self):
@@ -288,7 +292,7 @@ class TestAnswerTabular:
             Query(question), toy_db, self._store(toy_db),
             embedder_config=CONFIG, llm_config=llm,
         )
-        assert result.sql.text == "SELECT count(*) FROM singer"
+        assert result.trace.answer == "SELECT count(*) FROM singer"
         assert result.result.rows == [(6,)]
         assert result.trace.error is None
         assert len(result.trace.retrieved) == 3
@@ -322,9 +326,8 @@ class TestAnswerTabular:
         # Re-run every stage by hand with the same inputs.
         selected = select_tables(Query(question), store, 3, embedder_config=CONFIG)
         assert result.trace.retrieved == selected
-        profiles = {p.name: p for p in profile_tables(toy_db)}
-        chosen = [profiles[store.get(tid).metadata["name"]] for tid, _ in selected]
-        prompt = compose_sql_prompt(chosen, Query(question))
+        blocks = [store.get(tid).metadata["prompt_block"] for tid, _ in selected]
+        prompt = compose_sql_prompt(blocks, Query(question))
         assert result.trace.prompt == prompt
         assert result.trace.answer == "SELECT max(capacity) FROM stadium"
         assert result.result.rows == [(32609,)]
@@ -353,5 +356,91 @@ class TestAnswerTabular:
         store = index_tables(profile_tables(other), CONFIG)
         with pytest.raises(InvalidInput):
             answer_tabular(Query("q"), toy_db, store,
+                           embedder_config=CONFIG,
+                           llm_config=LlmConfig(backend="template_sql"))
+
+
+class TestProfileTakenAtIngest:
+    """answer_tabular reads the profile index_tables stored; it profiles
+    nothing per question."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_prompt_bytes_equal_the_per_question_oracle(self, toy_db, tmp_path, k):
+        path = tmp_path / "t.jsonl"
+        index_tables(profile_tables(toy_db), CONFIG, path)
+        store = VectorStore.load(path)  # the blocks survive save and load
+        llm = LlmConfig(backend="template_sql",
+                        sql_templates={q: sql for q, (sql, _) in TABULAR_QUESTIONS.items()})
+        for question in TABULAR_QUESTIONS:
+            trace = answer_tabular(Query(question), toy_db, store, k=k,
+                                   embedder_config=CONFIG, llm_config=llm).trace
+            oracle = tables_oracles.ask_time_prompt(toy_db, store, trace.retrieved,
+                                                    Query(question))
+            assert trace.prompt == oracle, question
+
+    def test_makes_no_profile_call(self, toy_db, monkeypatch):
+        import gtr.tables as tables_module
+
+        store = index_tables(profile_tables(toy_db), CONFIG)
+        monkeypatch.setattr(tables_module, "profile_tables", None)
+        result = answer_tabular(Query("q?"), toy_db, store, embedder_config=CONFIG,
+                                llm_config=LlmConfig(backend="fixed", fixed_text="SELECT 1"))
+        assert result.result.rows == [(1,)]
+
+    def test_prompt_shows_the_sample_limit_of_ingest(self, toy_db):
+        store = index_tables(profile_tables(toy_db, sample_limit=1), CONFIG)
+        trace = answer_tabular(Query("q?"), toy_db, store, k=3, embedder_config=CONFIG,
+                               llm_config=LlmConfig(backend="fixed", fixed_text="SELECT 1")).trace
+        *blocks, question = trace.prompt.split("\n\n")
+        # Each toy table has at least three rows; each block shows one.
+        assert [len(block.splitlines()) for block in blocks] == [3, 3, 3]
+        assert "1,Joe Sharp,52,Netherlands" in trace.prompt
+        assert "2,Timbaland" not in trace.prompt
+        assert question == "Question: q?\nSQL:"
+
+    def test_rows_added_after_ingest_are_not_refused(self, toy_db):
+        store = index_tables(profile_tables(toy_db), CONFIG)
+        conn = sqlite3.connect(toy_db)
+        conn.execute("INSERT INTO stadium VALUES (4, 'New Arena', 1000, 'Lima')")
+        conn.commit()
+        conn.close()
+        llm = LlmConfig(backend="fixed", fixed_text="SELECT count(*) FROM stadium")
+        result = answer_tabular(Query("q?"), toy_db, store, embedder_config=CONFIG,
+                                llm_config=llm)
+        assert result.result.rows == [(4,)]
+        assert "Ricoh Arena" in result.trace.prompt
+        assert "New Arena" not in result.trace.prompt
+
+    @pytest.mark.parametrize("change", [
+        "ALTER TABLE stadium ADD COLUMN z",
+        "ALTER TABLE stadium RENAME COLUMN location TO city",
+    ])
+    def test_schema_change_after_ingest_names_the_table(self, toy_db, change):
+        store = index_tables(profile_tables(toy_db), CONFIG)
+        conn = sqlite3.connect(toy_db)
+        conn.execute(change)
+        conn.commit()
+        conn.close()
+        with pytest.raises(InvalidInput, match="'stadium'.*re-run `gtr tables ingest`"):
+            answer_tabular(Query("q?"), toy_db, store, embedder_config=CONFIG,
+                           llm_config=LlmConfig(backend="template_sql"))
+
+    @pytest.mark.parametrize("dropped", [
+        ("prompt_block", "create_sql"),  # a store written before schemas were stored
+        ("create_sql",),
+        ("prompt_block",),
+    ])
+    def test_store_without_stored_profile_is_refused(self, toy_db, tmp_path, dropped):
+        path = tmp_path / "t.jsonl"
+        index_tables(profile_tables(toy_db), CONFIG, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        records = [json.loads(line) for line in lines[1:]]
+        for record in records:
+            for key in dropped:
+                del record["metadata"][key]
+        path.write_text(lines[0] + "".join(json.dumps(r) + "\n" for r in records),
+                        encoding="utf-8")
+        with pytest.raises(InvalidInput, match="'singer'.*re-run `gtr tables ingest`"):
+            answer_tabular(Query("q?"), toy_db, VectorStore.load(path),
                            embedder_config=CONFIG,
                            llm_config=LlmConfig(backend="template_sql"))
