@@ -33,9 +33,9 @@ store = ingest(
     chunk_size=16,
     overlap=4,
     embedder_config=config,
-    store_path=workdir / "store.jsonl",
+    store_path=workdir / "store.gtr",
 )
-print(f"store holds {len(store)} chunks at {workdir / 'store.jsonl'}")
+print(f"store holds {len(store)} chunks at {workdir / 'store.gtr'}")
 
 # Ask with the echo mock: the answer is the best-matching chunk itself.
 trace = answer(

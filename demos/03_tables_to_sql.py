@@ -37,7 +37,7 @@ for p in profiles:
 # 2. Embed one record per table into a store. Each record keeps the table's
 #    block of the SQL prompt and its CREATE statement.
 config = EmbedderConfig(dim=256)
-store = index_tables(profiles, config, workdir / "tables.jsonl")
+store = index_tables(profiles, config, workdir / "tables.gtr")
 print("\nprompt block of product:")
 print(store.get("shop.product").metadata["prompt_block"], end="")
 

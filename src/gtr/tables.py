@@ -41,6 +41,7 @@ from .errors import (
     QueryTimeout,
     SqlError,
     StageError,
+    check_unicode,
 )
 from .llm import LlmConfig, complete
 from .pipeline import AnswerTrace, Query, check_store
@@ -301,10 +302,15 @@ def execute_sql(
 
     Raises:
         NonReadStatement: statement is not SELECT-class.
-        SqlError: the engine rejected the statement (engine message kept).
+        SqlError: the engine rejected the statement (engine message kept),
+            or it holds a lone surrogate, which SQLite cannot be sent.
         QueryTimeout: execution exceeded timeout_ms.
         DbUnreadable: missing or unopenable database file.
     """
+    try:
+        check_unicode(sql)
+    except InvalidInput as e:
+        raise SqlError(str(e)) from None
     assert_read_only(sql)
     conn = _connect_readonly(db_path)
     deadline = time.monotonic() + timeout_ms / 1000.0

@@ -26,7 +26,9 @@ from gtr.chunking import (
 )
 from gtr.embedding import FNV_SEED
 from gtr.errors import InvalidConfig, ZeroVector
-from gtr.store import STORE_FORMAT, STORE_VERSION, VectorStore
+from gtr.store import STORE_FORMAT, VectorStore
+
+STORE_VERSION = 1
 
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF

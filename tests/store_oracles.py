@@ -1,18 +1,24 @@
 """The vector store that ``gtr.store`` replaced, kept verbatim as a test
 oracle: every record owns its vector, and the first query after any insert
 copies them all into a cached matrix (``_ensure_caches``). Its ``save`` and
-the serialisation helpers it calls are copied with it, so
+the serialisation helpers it calls are copied with it: they write and read
+store format version 1, one JSON line per record with the vector inline.
 ``tests/test_store_equivalence.py`` compares the production store against
-this one for search results and for store-file bytes. ``cosine`` is the
+this one for search results, and checks that the version-1 files it
+writes load into the production store unchanged. ``cosine`` is the
 function as it was before it learned to scale vectors by a power of two;
 ``tests/test_store.py`` checks that every pair whose arithmetic stays in
 the normal float range still gets the same bits.
+
+``v2_bytes`` spells out store format version 2 one entry at a time, apart
+from the production writer, so the tests can pin that layout byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +30,9 @@ from gtr.errors import (
     InvalidInput,
     ZeroVector,
 )
-from gtr.store import STORE_FORMAT, STORE_VERSION, VectorRecord
+from gtr.store import STORE_FORMAT, VectorRecord
+
+STORE_VERSION = 1
 
 
 def cosine(u, v) -> float:
@@ -241,3 +249,29 @@ def _vector_json(vector: np.ndarray) -> str:
     bits, where = np.unique(vector.view(np.uint64), return_inverse=True)
     texts = [repr(x) for x in bits.view(np.float64).tolist()]
     return ",".join([texts[i] for i in where.tolist()])
+
+
+def v2_bytes(dim: int, fingerprint: str, records) -> bytes:
+    """A version-2 store file: the header line, one metadata line per
+    record, each row's bitmap (bit j, most significant first, set when entry
+    j is not all zero bits), then every set entry as little-endian float64."""
+    header = {"format": STORE_FORMAT, "version": 2, "dim": dim,
+              "embedder": fingerprint, "count": len(records)}
+    lines = [_dumps(header)] + [
+        _dumps({"id": r.id, "kind": r.kind, "text": r.text, "metadata": r.metadata})
+        for r in records
+    ]
+    out = bytearray("".join(line + "\n" for line in lines).encode("utf-8"))
+    entries = [[struct.pack("<d", x) for x in r.vector.tolist()] for r in records]
+    for row in entries:
+        for j in range(0, dim, 8):
+            byte = 0
+            for bit, entry in enumerate(row[j:j + 8]):
+                if entry != bytes(8):
+                    byte |= 0x80 >> bit
+            out.append(byte)
+    for row in entries:
+        for entry in row:
+            if entry != bytes(8):
+                out += entry
+    return bytes(out)

@@ -1,10 +1,11 @@
 """The ingest hot path against the reference code it replaced.
 
 ``ingest_oracles`` holds the original tokenizer, chunker, hashed
-bag-of-words embedder and store serialisation. Chunks must be equal, vectors
-bit-identical and store files byte-identical, on the repository's own
-documents, on hand-picked Unicode edge cases and on seeded random Unicode
-strings.
+bag-of-words embedder and store serialisation. Chunks must be equal and
+vectors bit-identical, on the repository's own documents, on hand-picked
+Unicode edge cases and on seeded random Unicode strings. The original
+serialisation writes store format version 1: loading its bytes and saving
+must give the very file the production save wrote.
 """
 
 import random
@@ -134,6 +135,21 @@ class TestChunksAndVectors:
             assert np.array_equal(got, oracle.embed_hashed_bow(text, 384))
 
 
+def assert_same_store_as_oracle_bytes(store, path, tmp_path):
+    """The version-1 file the original code wrote for ``store`` loads to
+    the same records, bit for bit, and saves to the bytes at ``path``."""
+    v1 = tmp_path / "v1.jsonl"
+    v1.write_bytes(oracle.store_bytes(store))
+    loaded = VectorStore.load(v1)
+    assert [(r.id, r.kind, r.text, r.metadata) for r in loaded.records] == [
+        (r.id, r.kind, r.text, r.metadata) for r in store.records]
+    for got, want in zip(loaded.records, store.records):
+        assert got.vector.tobytes() == want.vector.tobytes()
+    resaved = tmp_path / "resaved"
+    loaded.save(resaved)
+    assert resaved.read_bytes() == path.read_bytes()
+
+
 class TestStoreBytes:
     def test_ingested_store_matches_oracle_serialisation(self, tmp_path):
         docs = [Document(f"d{i}", text) for i, text in enumerate(_corpus()) if text.strip()]
@@ -141,7 +157,7 @@ class TestStoreBytes:
         path = tmp_path / "s.jsonl"
         store = ingest(docs, chunk_size=64, overlap=8,
                        embedder_config=EmbedderConfig(dim=96), store_path=path)
-        assert path.read_bytes() == oracle.store_bytes(store)
+        assert_same_store_as_oracle_bytes(store, path, tmp_path)
 
     def test_edge_values_match_oracle_serialisation(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -159,6 +175,6 @@ class TestStoreBytes:
         store.insert(VectorRecord("strided", strided, "chunk", "s"))
         path = tmp_path / "s.jsonl"
         store.save(path)
-        assert path.read_bytes() == oracle.store_bytes(store)
+        assert_same_store_as_oracle_bytes(store, path, tmp_path)
         reloaded = VectorStore.load(path)
         assert np.array_equal(np.signbit(reloaded.get("negzeros").vector), [True] * len(edge))

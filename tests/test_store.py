@@ -1,9 +1,12 @@
+import json
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
+import gtr.store as store_module
 from gtr.embedding import EmbedderConfig, embed
 from gtr.errors import (
     CorruptStore,
@@ -13,7 +16,9 @@ from gtr.errors import (
     ZeroVector,
 )
 from gtr.store import VectorRecord, VectorStore, cosine
+from store_oracles import VectorStore as OracleStore
 from store_oracles import cosine as oracle_cosine
+from store_oracles import v2_bytes
 
 
 def fsum_cosine(u, v):
@@ -248,6 +253,30 @@ class TestInsertAndQuery:
             for (_, a), (_, b) in zip(got, expected):
                 assert abs(a - b) <= 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    def test_norms_out_of_float_range(self):
+        # Squaring [1e200, 0] overflows and [1e-200, 1e-200] underflows; the
+        # store scales such rows, and every query, by a power of two first.
+        store = VectorStore(2, "test")
+        for rid, vec in [("huge", [1e200, 0.0]), ("tiny", [1e-200, 1e-200]),
+                         ("max", [1.7976931348623157e308, -1.7976931348623157e308]),
+                         ("zero", [0.0, 0.0]), ("unit", [0.0, 1.0])]:
+            store.insert(VectorRecord(rid, vec, "chunk", "t"))
+        assert dict(store.query_top_k([1e200, 0.0], 5)) == {
+            "huge": 1.0, "tiny": pytest.approx(0.5 ** 0.5), "max": pytest.approx(0.5 ** 0.5),
+            "zero": 0.0, "unit": 0.0}
+        assert store.query_top_k([1.0, 0.0], 1) == [("huge", 1.0)]
+        assert store.query_top_k([1.0, 1.0], 1) == [("tiny", pytest.approx(1.0))]
+        assert store.query_top_k([1e-300, -1e-300], 1) == [("max", pytest.approx(1.0))]
+        assert store.query_top_k([0.0, 5e-324], 1) == [("unit", 1.0)]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_query_rejected(self, bad):
+        store = VectorStore(2, "test")
+        store.insert(VectorRecord("a", [1.0, 0.0], "chunk", "t"))
+        with pytest.raises(InvalidInput, match="finite"):
+            store.query_top_k([1.0, bad], 1)
+
 
 class TestConcurrentReaders:
     def test_parallel_queries_agree(self):
@@ -309,6 +338,47 @@ class TestConcurrentReaders:
         naive = brute_force_top_k(store, query, 5)
         assert [rid for rid, _ in expected] == [rid for rid, _ in naive]
         assert all(abs(a - b) <= 1e-12 for (_, a), (_, b) in zip(expected, naive))
+
+    def test_parallel_queries_agree_on_rows_out_of_float_range(self):
+        # Readers racing to norm new rows each record the ones they scale;
+        # losing one would score that huge or tiny row as NaN or wrongly.
+        import sys
+        import threading
+
+        rng = np.random.default_rng(79)
+        vectors = [rng.standard_normal(16) * (1e200 if i % 7 == 0 else 1e-200 if i % 11 == 0
+                                              else 1.0) for i in range(400)]
+        store = VectorStore(16, "test")
+        for i, vec in enumerate(vectors[:300]):
+            store.insert(VectorRecord(f"r{i:05d}", vec, "chunk", "t"))
+        query = rng.standard_normal(16)
+        store.query_top_k(query, 5)
+        for i, vec in enumerate(vectors[300:], start=300):
+            store.insert(VectorRecord(f"r{i:05d}", vec, "chunk", "t"))
+        results = [None] * 16
+        barrier = threading.Barrier(16, timeout=30)
+
+        def worker(slot):
+            barrier.wait()
+            results[slot] = store.query_top_k(query, 400)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        fresh = VectorStore(16, "test")
+        for i, vec in enumerate(vectors):
+            fresh.insert(VectorRecord(f"r{i:05d}", vec, "chunk", "t"))
+        expected = fresh.query_top_k(query, 400)
+        assert all(r == expected for r in results)
+        assert all(math.isfinite(score) for _, score in expected)
 
 
 class TestMatrixStorage:
@@ -408,14 +478,12 @@ class TestPersistence:
         assert first.read_bytes() == second.read_bytes()
 
     def test_header_dim_mismatch_is_corrupt(self, tmp_path):
-        store = VectorStore(4, "fp")
-        store.insert(VectorRecord("a", [1.0, 0.0, 0.0, 0.0], "chunk", "t"))
+        # Version 1 names the first line whose vector has the old dim.
         path = tmp_path / "s.jsonl"
-        store.save(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        lines[0] = lines[0].replace('"dim":4', '"dim":8')
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(CorruptStore, match="line 2"):
+        header = '{"format":"gtr-store","version":1,"dim":8,"embedder":"fp"}'
+        record = '{"id":"a","vector":[1.0,0.0,0.0,0.0],"kind":"chunk","text":"t","metadata":{}}'
+        path.write_text(header + "\n" + record + "\n", encoding="utf-8")
+        with pytest.raises(CorruptStore, match="line 2: record dim 4 vs store dim 8"):
             VectorStore.load(path)
 
     def test_malformed_record_line_is_named(self, tmp_path):
@@ -535,3 +603,220 @@ class TestPersistence:
         path.write_text(header + "\n" + record + "\n" + record + "\n", encoding="utf-8")
         with pytest.raises(CorruptStore, match="line 3"):
             VectorStore.load(path)
+
+
+# A version-2 file written by hand: records a = [1.0, 0.0] and b = [-0.0, 2.0].
+V2_HEADER = {"format": "gtr-store", "version": 2, "dim": 2, "embedder": "fp", "count": 2}
+V2_LINES = [b'{"id":"a","kind":"chunk","text":"t","metadata":{}}',
+            b'{"id":"b","kind":"table","text":"\xc3\xa9","metadata":{"k":"v"}}']
+V2_BITMAPS = bytes([0b10000000, 0b11000000])
+V2_VALUES = struct.pack("<3d", 1.0, -0.0, 2.0)
+DROP = object()
+
+
+def v2_file(path, header=None, lines=V2_LINES, bitmaps=V2_BITMAPS, values=V2_VALUES):
+    """Write a version-2 store from its parts; ``header`` overrides fields
+    of ``V2_HEADER`` (``DROP`` removes one)."""
+    fields = {**V2_HEADER, **(header or {})}
+    fields = {k: v for k, v in fields.items() if v is not DROP}
+    head = json.dumps(fields, separators=(",", ":")).encode()
+    path.write_bytes(b"".join(line + b"\n" for line in [head, *lines]) + bitmaps + values)
+    return path
+
+
+def nan_with_payload() -> bytes:
+    return struct.pack("<Q", 0x7FF0000000000001)
+
+
+CORRUPT_V2 = [
+    ("count missing", dict(header={"count": DROP}), "line 1: bad count None"),
+    ("count negative", dict(header={"count": -1}), "line 1: bad count -1"),
+    ("count a string", dict(header={"count": "2"}), "line 1: bad count '2'"),
+    ("count a bool", dict(header={"count": True}), "line 1: bad count True"),
+    ("count past the file", dict(header={"count": 10 ** 15}), "line 1: bad count"),
+    ("count one short", dict(header={"count": 1}), "vector block"),
+    ("count one over", dict(header={"count": 3}), "line 4: "),
+    ("dim changed", dict(header={"dim": 16}), "vector block"),
+    ("version unknown", dict(header={"version": 3}), "line 1: unsupported version 3"),
+    ("line not UTF-8", dict(lines=[V2_LINES[0], V2_LINES[1].replace(b"\xc3\xa9", b"\xe9")]),
+     "line 3: not UTF-8"),
+    ("line a bare surrogate in UTF-8",
+     dict(lines=[V2_LINES[0], V2_LINES[1].replace(b"\xc3\xa9", b"\xed\xa0\x80")]),
+     "line 3: not UTF-8"),
+    ("line malformed", dict(lines=[b'{"id":"a"', V2_LINES[1]]), "line 2: malformed JSON"),
+    ("line blank", dict(lines=[V2_LINES[0], b"", V2_LINES[1]]), "line 3: malformed JSON"),
+    ("line not an object", dict(lines=[b'["a"]', V2_LINES[1]]), "line 2: .*JSON object"),
+    ("metadata not an object",
+     dict(lines=[V2_LINES[0], V2_LINES[1].replace(b'{"k":"v"}', b"[]")]), "line 3: .*metadata"),
+    *[(f"{field} missing",
+       dict(lines=[V2_LINES[0], json.dumps({k: v for k, v in {
+           "id": "b", "kind": "chunk", "text": "u", "metadata": {}}.items()
+           if k != field}).encode()]),
+       f"line 3: missing field '{field}'")
+      for field in ("id", "kind", "text", "metadata")],
+    ("bad kind", dict(lines=[V2_LINES[0].replace(b"chunk", b"row"), V2_LINES[1]]),
+     "line 2: record kind"),
+    ("id a number", dict(lines=[V2_LINES[0].replace(b'"a"', b"5"), V2_LINES[1]]),
+     "line 2: record id must be a string, got 5"),
+    ("kind null", dict(lines=[V2_LINES[0].replace(b'"chunk"', b"null"), V2_LINES[1]]),
+     "line 2: record kind must be a string, got None"),
+    ("text a list", dict(lines=[V2_LINES[0].replace(b'"t"', b'["t"]'), V2_LINES[1]]),
+     r"line 2: record text must be a string, got \['t'\]"),
+    ("metadata value a number",
+     dict(lines=[V2_LINES[0], V2_LINES[1].replace(b'"v"', b"1")]),
+     "line 3: record metadata 'k' must be a string, got 1"),
+    ("unknown field", dict(lines=[V2_LINES[0], V2_LINES[1][:-1] + b',"vector":[1.0]}']),
+     "line 3: unknown field 'vector'"),
+    ("embedder missing", dict(header={"embedder": DROP}), "line 1: bad embedder None"),
+    ("embedder a number", dict(header={"embedder": 7}), "line 1: bad embedder 7"),
+    ("header unknown field", dict(header={"extra": 1}), "line 1: unknown field 'extra'"),
+    ("lone surrogate", dict(lines=[V2_LINES[0], V2_LINES[1].replace(b"\xc3\xa9", b"\\ud800")]),
+     "line 3: not valid Unicode"),
+    ("duplicate id", dict(lines=[V2_LINES[0], V2_LINES[1].replace(b'"b"', b'"a"')]),
+     "line 3: record id 'a' already present"),
+    ("block missing", dict(bitmaps=b"", values=b""),
+     "vector block: truncated, 2 of 2 bytes missing"),
+    ("bitmaps short", dict(bitmaps=V2_BITMAPS[:1], values=b""),
+     "vector block: truncated, 1 of 2 bytes missing"),
+    ("values short", dict(values=V2_VALUES[:-1]),
+     "vector block: truncated, 1 of 24 bytes missing"),
+    ("value missing", dict(values=V2_VALUES[:16]),
+     "vector block: truncated, 8 of 24 bytes missing"),
+    ("trailing bytes", dict(values=V2_VALUES + b"\n"), "vector block: trailing bytes"),
+    ("NaN", dict(values=V2_VALUES[:8] + struct.pack("<d", math.nan) + V2_VALUES[16:]),
+     r"vector block: row 1 \(id 'b'\): a NaN or infinite value"),
+    ("NaN payload", dict(values=nan_with_payload() + V2_VALUES[8:]),
+     r"vector block: row 0 \(id 'a'\): a NaN or infinite value"),
+    ("+inf", dict(values=V2_VALUES[:16] + struct.pack("<d", math.inf)),
+     r"row 1 \(id 'b'\): a NaN or infinite value"),
+    ("-inf", dict(values=struct.pack("<d", -math.inf) + V2_VALUES[8:]),
+     r"row 0 \(id 'a'\): a NaN or infinite value"),
+    ("pad bit set", dict(bitmaps=bytes([0b10000001, 0b11000000])),
+     r"vector block: row 0 \(id 'a'\): bits set past dim 2"),
+    ("+0.0 stored", dict(values=V2_VALUES[:16] + struct.pack("<d", 0.0)),
+     r"vector block: row 1 \(id 'b'\): a stored \+0.0"),
+]
+
+
+class TestFormatV2:
+    def test_hand_written_file_loads_and_saves_to_the_same_bytes(self, tmp_path):
+        path = v2_file(tmp_path / "s.gtr")
+        store = VectorStore.load(path)
+        assert [(r.id, r.kind, r.text, r.metadata) for r in store.records] == [
+            ("a", "chunk", "t", {}), ("b", "table", "é", {"k": "v"})]
+        assert store.get("a").vector.tolist() == [1.0, 0.0]
+        assert np.signbit(store.get("b").vector).tolist() == [True, False]
+        assert store._matrix.shape == (2, 2)  # allocated once, at the count
+        store.save(tmp_path / "again.gtr")
+        assert (tmp_path / "again.gtr").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("case, parts, message", CORRUPT_V2,
+                             ids=[case for case, _, _ in CORRUPT_V2])
+    def test_corrupt_file_is_refused_naming_where(self, tmp_path, case, parts, message):
+        path = v2_file(tmp_path / "s.gtr", **parts)
+        with pytest.raises(CorruptStore, match=message):
+            VectorStore.load(path)
+
+    @pytest.mark.parametrize("dim", [1, 3, 8, 13, 64, 385])
+    def test_round_trip_is_byte_exact_and_matches_the_layout(self, tmp_path, dim):
+        rng = np.random.default_rng(dim)
+        store = VectorStore(dim, "fp é")
+        vectors = [np.zeros(dim), np.full(dim, -0.0), rng.standard_normal(dim),
+                   np.where(rng.random(dim) < 0.2, rng.standard_normal(dim), 0.0),
+                   np.full(dim, 5e-324), np.full(dim, -1.7976931348623157e308)]
+        for i, vec in enumerate(vectors):
+            store.insert(VectorRecord(f"r{i}", vec, "chunk", f"text {i}\n", {"i": str(i)}))
+        first, second = tmp_path / "a.gtr", tmp_path / "b.gtr"
+        store.save(first)
+        assert first.read_bytes() == v2_bytes(dim, "fp é", store.records)
+        loaded = VectorStore.load(first)
+        for original, reread in zip(store.records, loaded.records, strict=True):
+            assert reread.vector.tobytes() == original.vector.tobytes()
+            assert (reread.id, reread.kind, reread.text, reread.metadata) == (
+                original.id, original.kind, original.text, original.metadata)
+        loaded.save(second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_round_trip_empty_store_layout(self, tmp_path):
+        path = tmp_path / "s.gtr"
+        VectorStore(9, "fp").save(path)
+        assert path.read_bytes() == (
+            b'{"format":"gtr-store","version":2,"dim":9,"embedder":"fp","count":0}\n')
+        loaded = VectorStore.load(path)
+        assert (len(loaded), loaded.dim) == (0, 9)
+        loaded.insert(VectorRecord("a", np.ones(9), "chunk", "t"))
+        assert loaded.query_top_k(np.ones(9), 1) == [("a", 1.0)]
+
+    def test_many_blocks(self, tmp_path):
+        # More rows than one read or write block holds: each block's values
+        # start where the last block's ended, and errors name the right row.
+        rng = np.random.default_rng(8)
+        n, dim = 2 * store_module._BLOCK_ROWS + 37, 10
+        store = VectorStore(dim, "fp")
+        for i in range(n):
+            vec = np.where(rng.random(dim) < 0.3, rng.standard_normal(dim), 0.0)
+            store.insert(VectorRecord(f"r{i}", vec, "chunk", "t"))
+        path = tmp_path / "s.gtr"
+        store.save(path)
+        assert path.read_bytes() == v2_bytes(dim, "fp", store.records)
+        loaded = VectorStore.load(path)
+        assert loaded._matrix.tobytes() == store._matrix[:n].tobytes()
+        query = rng.standard_normal(dim)
+        assert loaded.query_top_k(query, 7) == store.query_top_k(query, 7)
+
+        data = bytearray(path.read_bytes())
+        row = store_module._BLOCK_ROWS + 5
+        before = sum(int(np.count_nonzero(r.vector)) for r in store.records[:row])
+        while not np.count_nonzero(store.records[row].vector):
+            row += 1
+        values_at = len(data) - 8 * sum(int(np.count_nonzero(r.vector)) for r in store.records)
+        offset = values_at + 8 * before
+        data[offset:offset + 8] = struct.pack("<d", math.inf)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptStore, match=rf"vector block: row {row} \(id 'r{row}'\)"):
+            VectorStore.load(path)
+
+    def test_v1_store_loads_and_saves_as_v2(self, tmp_path):
+        rng = np.random.default_rng(12)
+        oracle = OracleStore(6, "fp")
+        for i in range(40):
+            vec = rng.standard_normal(6) if i % 5 else np.array([0.0, -0.0, 1.0, 0.0, 0.0, 0.0])
+            oracle.insert(VectorRecord(f"r{i}", vec, "table", f"t é {i}", {"k": str(i)}))
+        v1 = tmp_path / "v1.jsonl"
+        oracle.save(v1)
+        v2 = tmp_path / "v2.gtr"
+        VectorStore.load(v1).save(v2)
+        assert v2.read_bytes().startswith(b'{"format":"gtr-store","version":2,')
+        assert v2.read_bytes() == v2_bytes(6, "fp", oracle.records)
+        reread = VectorStore.load(v2)
+        for original, loaded in zip(oracle.records, reread.records, strict=True):
+            assert loaded.vector.tobytes() == original.vector.tobytes()
+            assert (loaded.id, loaded.kind, loaded.text, loaded.metadata) == (
+                original.id, original.kind, original.text, original.metadata)
+
+    def test_v1_store_reads_non_string_fields_as_before(self, tmp_path):
+        # Version-1 loads have always taken str() of a non-string field and
+        # skipped unknown ones; only version 2, which save writes, is strict.
+        path = tmp_path / "v1.jsonl"
+        path.write_text('{"format":"gtr-store","version":1,"dim":2,"embedder":"fp"}\n'
+                        '{"id":5,"vector":[1.0,0.0],"kind":"chunk","text":"t",'
+                        '"metadata":{"n":1},"extra":true}\n', encoding="utf-8")
+        record = VectorStore.load(path).get("5")
+        assert (record.kind, record.text, record.metadata) == ("chunk", "t", {"n": "1"})
+
+    def test_failed_vector_block_write_leaves_previous_file(self, tmp_path, monkeypatch):
+        store = VectorStore(2, "fp")
+        store.insert(VectorRecord("a", [1.0, 0.0], "chunk", "first"))
+        path = tmp_path / "s.gtr"
+        store.save(path)
+        before = path.read_bytes()
+        store.insert(VectorRecord("b", [0.0, 1.0], "chunk", "second"))
+
+        def failing_packbits(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store_module.np, "packbits", failing_packbits)
+        with pytest.raises(OSError, match="disk full"):
+            store.save(path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]

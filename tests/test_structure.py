@@ -1,11 +1,12 @@
 """Structural guard: one concept, one implementation. The package holds
-one answer-trace class and one HTTP POST call site, and a table is
-profiled at ingest only."""
+one answer-trace class, one HTTP POST call site and one store writer, and
+a table is profiled at ingest only."""
 
 import ast
 from pathlib import Path
 
 import gtr
+from gtr import store
 
 SRC = Path(gtr.__file__).parent
 
@@ -76,3 +77,29 @@ def test_answer_tabular_profiles_no_table():
     }
     assert "select_tables" in called and "compose_sql_prompt" in called
     assert "profile_tables" not in called
+
+
+def test_one_store_writer_and_it_writes_version_2():
+    assert store.STORE_VERSION == 2
+    text = "".join(path.read_text(encoding="utf-8") for path in SRC.rglob("*.py"))
+    assert "_vector_json" not in text
+    [tree] = [tree for path, tree in _trees() if path.name == "store.py"]
+    # Version 1 wrote the vector inline; only the version-1 reader names it.
+    writes = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Constant) and node.value == "vector"]
+    [v1_reader] = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "_parse_v1_record"]
+    assert all(v1_reader.lineno <= line <= v1_reader.end_lineno for line in writes)
+    # The one commit point of a save is one os.replace.
+    replaces = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "replace" and getattr(node.func.value, "id", None) == "os"
+    ]
+    assert len(replaces) == 1
+    opened_for_writing = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"
+        and any(isinstance(a, ast.Constant) and "w" in str(a.value) for a in node.args)
+    ]
+    assert len(opened_for_writing) == 1

@@ -62,6 +62,22 @@ class TestEvaluateSuite:
         assert report.summary()["gold_errors"] == 1
         assert report.summary()["ex"] == 1.0  # only the healthy item scored
 
+    def test_lone_surrogate_pred_scores_false(self, db_dir):
+        pairs = [pair("SELECT name FROM singer WHERE name = 'a'",
+                      pred="SELECT name FROM singer WHERE name = 'a\ud800'"),
+                 pair("SELECT name FROM singer")]
+        report = evaluate_suite(pairs, db_dir)
+        assert [item.ex for item in report.items] == [False, True]
+
+    def test_lone_surrogate_gold_is_gold_error(self, db_dir):
+        pairs = [pair("SELECT name FROM singer WHERE name = 'a\ud800'",
+                      pred="SELECT name FROM singer"),
+                 pair("SELECT name FROM singer")]
+        report = evaluate_suite(pairs, db_dir)
+        assert report.items[0].ex is None
+        assert "gold query failed: not valid Unicode" in report.items[0].error
+        assert report.summary()["gold_errors"] == 1
+
     def test_missing_database_recorded(self, db_dir):
         pairs = [{"question": "", "gold": "SELECT 1", "pred": "SELECT 1", "db_id": "ghost"}]
         report = evaluate_suite(pairs, db_dir)

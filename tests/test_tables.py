@@ -1,5 +1,4 @@
 import hashlib
-import json
 import sqlite3
 
 import pytest
@@ -256,6 +255,11 @@ class TestExecuteSql:
         with pytest.raises(NonReadStatement):
             execute_sql("DELETE FROM singer", toy_db)
 
+    def test_lone_surrogate_is_sql_error(self, toy_db):
+        # sqlite3 cannot encode it and used to raise UnicodeEncodeError.
+        with pytest.raises(SqlError, match="not valid Unicode"):
+            execute_sql("SELECT 'a\ud800'", toy_db)
+
     def test_row_limit_truncates(self, toy_db):
         result = execute_sql("SELECT name FROM singer", toy_db, row_limit=2)
         assert len(result.rows) == 2
@@ -433,13 +437,11 @@ class TestProfileTakenAtIngest:
     def test_store_without_stored_profile_is_refused(self, toy_db, tmp_path, dropped):
         path = tmp_path / "t.jsonl"
         index_tables(profile_tables(toy_db), CONFIG, path)
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        records = [json.loads(line) for line in lines[1:]]
-        for record in records:
+        stored = VectorStore.load(path)
+        for record in stored.records:
             for key in dropped:
-                del record["metadata"][key]
-        path.write_text(lines[0] + "".join(json.dumps(r) + "\n" for r in records),
-                        encoding="utf-8")
+                del record.metadata[key]
+        stored.save(path)
         with pytest.raises(InvalidInput, match="'singer'.*re-run `gtr tables ingest`"):
             answer_tabular(Query("q?"), toy_db, VectorStore.load(path),
                            embedder_config=CONFIG,
