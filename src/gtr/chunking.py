@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InvalidConfig, InvalidInput, check_unicode
+from .errors import InvalidConfig, InvalidInput, check_unicode, read_lines
 
 DEFAULT_CHUNK_SIZE = 512
 DEFAULT_OVERLAP = 64
@@ -133,34 +133,32 @@ def load_documents(path: str | Path) -> list[Document]:
     stem.
 
     Raises:
-        InvalidInput: missing file, or a malformed JSONL record, including
-            one whose id or text is not a string or holds a lone surrogate
-            (the message names the line number).
+        InvalidInput: missing file, a byte that is not UTF-8, or a
+            malformed JSONL record, including one whose id or text is not a
+            string or holds a lone surrogate (the message names the line
+            number).
     """
     path = Path(path)
-    if not path.is_file():
-        raise InvalidInput(f"input file not found: {path}")
     if path.suffix == ".jsonl":
         docs = []
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError as e:  # JSONDecodeError, or an over-long integer
-                    raise InvalidInput(f"{path}: malformed JSON on line {lineno}: {e}")
-                if not isinstance(record, dict) or not (
-                    type(record.get("id")) is str and type(record.get("text")) is str
-                ):
-                    raise InvalidInput(
-                        f"{path}: line {lineno} must be an object whose 'id' and "
-                        "'text' are strings"
-                    )
-                try:
-                    check_unicode(record["id"], record["text"])
-                except InvalidInput as e:
-                    raise InvalidInput(f"{path}: line {lineno}: {e}") from None
-                docs.append(Document(record["id"], record["text"], source_path=str(path)))
+        for lineno, line in enumerate(read_lines(path), start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as e:  # JSONDecodeError, or an over-long integer
+                raise InvalidInput(f"{path}: malformed JSON on line {lineno}: {e}")
+            if not isinstance(record, dict) or not (
+                type(record.get("id")) is str and type(record.get("text")) is str
+            ):
+                raise InvalidInput(
+                    f"{path}: line {lineno} must be an object whose 'id' and "
+                    "'text' are strings"
+                )
+            try:
+                check_unicode(record["id"], record["text"])
+            except InvalidInput as e:
+                raise InvalidInput(f"{path}: line {lineno}: {e}") from None
+            docs.append(Document(record["id"], record["text"], source_path=str(path)))
         return docs
-    return [Document(path.stem, path.read_text(encoding="utf-8"), source_path=str(path))]
+    return [Document(path.stem, "".join(read_lines(path)), source_path=str(path))]

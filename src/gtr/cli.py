@@ -17,7 +17,7 @@ from pathlib import Path
 from . import metrics, pipeline, sqleval, tables
 from .chunking import DEFAULT_CHUNK_SIZE, DEFAULT_OVERLAP, load_documents
 from .embedding import DEFAULT_DIM, EmbedderConfig
-from .errors import GtrError, InvalidConfig, InvalidInput, StageError
+from .errors import GtrError, InvalidConfig, InvalidInput, StageError, read_lines
 from .llm import LlmConfig
 from .pipeline import Query
 from .store import VectorStore
@@ -52,10 +52,8 @@ def _llm_config(value: str) -> LlmConfig:
             # Empty registry: every question maps to the null statement.
             return LlmConfig(backend="template_sql")
         path = Path(rest)
-        if not path.is_file():
-            raise InvalidInput(f"template mapping file not found: {path}")
         try:
-            mapping = json.loads(path.read_text(encoding="utf-8"))
+            mapping = json.loads("".join(read_lines(path, "template mapping")))
         except ValueError as e:  # JSONDecodeError, or an over-long integer
             raise InvalidInput(f"{path}: malformed JSON: {e}")
         if not isinstance(mapping, dict):

@@ -105,8 +105,18 @@ def _embed_http_batch(texts: list[str], config: EmbedderConfig) -> list[np.ndarr
         )
     out = []
     for values in embeddings:
-        vec = np.asarray(values, dtype=np.float64)
-        if vec.ndim != 1 or vec.shape[0] != config.dim:
+        # JSON numbers only: NumPy would also read "1.0" and true as numbers.
+        if type(values) is not list or not all(type(x) in (int, float) for x in values):
+            raise BackendUnavailable(
+                "embedding backend returned an entry that is not a list of numbers"
+            )
+        try:
+            vec = np.array(values, dtype=np.float64)
+        except OverflowError:
+            raise BackendUnavailable(
+                "embedding backend returned an integer beyond the float range"
+            ) from None
+        if vec.shape[0] != config.dim:
             raise BackendUnavailable(
                 f"embedding backend returned dim {vec.shape}, expected {config.dim}"
             )

@@ -1,7 +1,11 @@
-"""Exception hierarchy shared by all gtr modules, and the text check their
-loaders share."""
+"""Exception hierarchy shared by all gtr modules, and the text reader and
+check their loaders share."""
 
 from __future__ import annotations
+
+import io
+from collections.abc import Iterator
+from pathlib import Path
 
 
 class GtrError(Exception):
@@ -124,3 +128,29 @@ def check_unicode(*texts: str) -> None:
             text.encode("utf-8")
         except UnicodeEncodeError as e:
             raise InvalidInput(f"not valid Unicode: {e.reason}") from None
+
+
+def read_lines(path: str | Path, what: str = "input") -> Iterator[str]:
+    """The lines of a UTF-8 text file, decoded strictly, one at a time, as
+    text-mode ``open`` yields them: "\\r\\n" and a lone "\\r" end a line and
+    become "\\n".
+
+    Raises:
+        InvalidInput: no file at ``path`` (``what`` names the file in the
+            message), or a byte that is not UTF-8 (the message names the
+            line).
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise InvalidInput(f"{what} file not found: {path}")
+    lineno = 0
+    with open(path, "rb") as f:
+        for raw in f:  # no UTF-8 sequence holds a "\n" or "\r" byte
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                lineno += 1 + raw.count(b"\r", 0, e.start)
+                raise InvalidInput(f"{path}: line {lineno}: not UTF-8: {e.reason}") from None
+            for line in io.StringIO(text, newline=None) if "\r" in text else (text,):
+                lineno += 1
+                yield line

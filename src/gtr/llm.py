@@ -123,9 +123,12 @@ def complete(prompt: str, config: LlmConfig | None = None) -> Completion:
         body = post_json(url, payload, config.timeout_s, "llm")
         latency_ms = (time.perf_counter() - started) * 1000.0
         try:
-            text = str(body["choices"][0]["text"])
+            text = body["choices"][0]["text"]
         except (KeyError, IndexError, TypeError) as e:
             raise BackendUnavailable(f"llm backend returned a malformed body: {e}")
+        if type(text) is not str:
+            raise BackendUnavailable(f"llm backend returned a text that is not a string: "
+                                     f"{text!r}")
 
     return Completion(
         text=text,

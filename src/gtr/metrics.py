@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .chunking import token_count, token_texts
 from .embedding import EmbedderConfig, embed
-from .errors import InvalidInput, check_unicode
+from .errors import InvalidInput, check_unicode, read_lines
 from .store import cosine
 
 SUMMARY_COLUMNS = (
@@ -227,7 +227,8 @@ def _finite_number(value) -> bool:
 
 
 def load_items_jsonl(path: str | Path) -> list[GtrEvalItem]:
-    """Read evaluation items; malformed lines are named by number.
+    """Read evaluation items from a UTF-8 file; malformed lines, and a
+    byte that is not UTF-8, are named by line number.
 
     Each line: {"question", "reference", "candidate", "truthful",
     "response_time_ms"}, where the first three are JSON strings without
@@ -235,35 +236,32 @@ def load_items_jsonl(path: str | Path) -> list[GtrEvalItem]:
     response_time_ms a finite JSON number.
     """
     path = Path(path)
-    if not path.is_file():
-        raise InvalidInput(f"items file not found: {path}")
     items = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as e:  # JSONDecodeError, or an over-long integer
-                raise InvalidInput(f"{path}: malformed JSON on line {lineno}: {e}")
-            try:
-                texts = {key: obj[key] for key in ("question", "reference", "candidate")}
-                for key, value in texts.items():
-                    if type(value) is not str:
-                        raise InvalidInput(f"{key} must be a JSON string, got {value!r}")
-                check_unicode(*texts.values())
-                truthful, ms = obj["truthful"], obj["response_time_ms"]
-                if type(truthful) is not int:
-                    raise InvalidInput(
-                        f"truthful must be the integer 0 or 1, got {truthful!r}"
-                    )
-                if not _finite_number(ms):
-                    raise InvalidInput(
-                        f"response_time_ms must be a finite number, got {ms!r}"
-                    )
-                items.append(
-                    GtrEvalItem(**texts, truthful=truthful, response_time_ms=float(ms))
+    for lineno, line in enumerate(read_lines(path, "items"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError as e:  # JSONDecodeError, or an over-long integer
+            raise InvalidInput(f"{path}: malformed JSON on line {lineno}: {e}")
+        try:
+            texts = {key: obj[key] for key in ("question", "reference", "candidate")}
+            for key, value in texts.items():
+                if type(value) is not str:
+                    raise InvalidInput(f"{key} must be a JSON string, got {value!r}")
+            check_unicode(*texts.values())
+            truthful, ms = obj["truthful"], obj["response_time_ms"]
+            if type(truthful) is not int:
+                raise InvalidInput(
+                    f"truthful must be the integer 0 or 1, got {truthful!r}"
                 )
-            except (KeyError, TypeError, ValueError, InvalidInput) as e:
-                raise InvalidInput(f"{path}: bad item on line {lineno}: {e}")
+            if not _finite_number(ms):
+                raise InvalidInput(
+                    f"response_time_ms must be a finite number, got {ms!r}"
+                )
+            items.append(
+                GtrEvalItem(**texts, truthful=truthful, response_time_ms=float(ms))
+            )
+        except (KeyError, TypeError, ValueError, InvalidInput) as e:
+            raise InvalidInput(f"{path}: bad item on line {lineno}: {e}")
     return items

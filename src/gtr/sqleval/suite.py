@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from ..errors import EvalError, GtrError, InvalidInput, ParseError
+from ..errors import EvalError, GtrError, InvalidInput, ParseError, read_lines
 from .exact_match import compare_clauses
 from .execution import execution_accuracy
 from .hardness import classify_hardness
@@ -32,19 +32,6 @@ class SqlEvalItem:
     ex: bool | None  # None when gold failed to execute
     em_clauses: dict[str, bool] = field(default_factory=dict)
     error: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "question": self.question,
-            "db_id": self.db_id,
-            "gold": self.gold,
-            "pred": self.pred,
-            "hardness": self.hardness,
-            "em": self.em,
-            "ex": self.ex,
-            "em_clauses": self.em_clauses,
-            "error": self.error,
-        }
 
 
 @dataclass
@@ -84,7 +71,7 @@ class SqlEvalReport:
     def write_jsonl(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             for item in self.items:
-                f.write(json.dumps(item.to_dict(), ensure_ascii=False) + "\n")
+                f.write(json.dumps(asdict(item), ensure_ascii=False) + "\n")
 
     def format_summary(self) -> str:
         overall = self.summary()
@@ -193,18 +180,15 @@ def evaluate_suite(
 
 
 def load_sql_lines(path: str | Path) -> list[tuple[str, str | None]]:
-    """Read (sql, db_id) per nonempty line; db_id is the tab-separated tail."""
-    path = Path(path)
-    if not path.is_file():
-        raise InvalidInput(f"sql file not found: {path}")
+    """Read (sql, db_id) per nonempty line of a UTF-8 file; db_id is the
+    tab-separated tail. A byte that is not UTF-8 is named by line number."""
     out = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            sql, sep, db_id = line.partition("\t")
-            out.append((sql.strip(), db_id.strip() if sep else None))
+    for line in read_lines(path, "sql"):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        sql, sep, db_id = line.partition("\t")
+        out.append((sql.strip(), db_id.strip() if sep else None))
     return out
 
 

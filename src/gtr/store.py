@@ -18,10 +18,9 @@ File format, version 2 (one store per file, "\\n" after each JSON line):
 A row's bitmap has bit j (most significant first) set when entry j's bits
 are not all zero, so -0.0 is stored and +0.0 is not. As in FAISS's
 ``IndexFlatIP`` the vectors are read straight into the matrix, with no
-per-value parsing. A version-2 load refuses a header or record line with a
-field beyond those shown, and a record whose id, kind, text or metadata
-value is not a string. Version 1 files, one JSON line per record with the
-vector inline, still load as they always have; every save writes version 2.
+per-value parsing. A load reads only what a save writes: it refuses any
+other version, a header or record line with a field beyond those shown,
+and a record whose id, kind, text or metadata value is not a string.
 
 ``load(save(store))`` reproduces every record bit for bit and saving it
 again writes the same bytes; stored vectors are kept exactly as written
@@ -176,7 +175,7 @@ class VectorStore:
             )
         row = self._next_row()
         self._add(record)
-        row[...] = record.vector  # a version-1 load has already parsed it into this row
+        row[...] = record.vector
         row.flags.writeable = False
         record.vector = row
 
@@ -318,13 +317,16 @@ class VectorStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorStore":
-        """Read a store file, version 2 or 1; validation failures name the
-        offending line or the vector block.
+        """Read a store file that ``save`` wrote; validation failures name
+        the offending line or the vector block. The matrix is made once, at
+        ``count`` rows; each record's vector is a view of its row as soon as
+        its line is read, and the vector block then fills the rows.
 
         Raises:
-            CorruptStore: bad header, wrong dim, duplicate id, malformed line,
-                a text holding a lone surrogate, or a vector block that is
-                short, too long, or holds a value ``save`` never writes.
+            CorruptStore: bad header, another version, wrong dim, duplicate
+                id, malformed line, a text holding a lone surrogate, or a
+                vector block that is short, too long, or holds a value
+                ``save`` never writes.
             OSError: unreadable path.
         """
         path = Path(path)
@@ -339,65 +341,45 @@ class VectorStore:
             if not isinstance(header, dict) or header.get("format") != STORE_FORMAT:
                 raise CorruptStore(f"{path}: line 1: not a {STORE_FORMAT} file")
             version = header.get("version")
-            if type(version) is not int or version not in (1, STORE_VERSION):
-                raise CorruptStore(f"{path}: line 1: unsupported version {version!r}")
+            if type(version) is not int or version != STORE_VERSION:
+                raise CorruptStore(f"{path}: line 1: unsupported version {version!r}; "
+                                   "re-run `gtr ingest` or `gtr tables ingest`")
             dim = header.get("dim")
             if type(dim) is not int or dim < 1:
                 raise CorruptStore(f"{path}: line 1: bad dim {dim!r}")
-            store = cls(dim, str(header.get("embedder", "")))
-            if version == 1:
-                store._read_v1(f, path)
-            else:
-                store._read_v2(f, path, header)
+            # Each record takes at least a line break and its bitmap, so a
+            # count the file cannot hold is refused before any allocation.
+            count = header.get("count")
+            most = os.fstat(f.fileno()).st_size // ((dim + 7) // 8 + 1)
+            if type(count) is not int or not 0 <= count <= most:
+                raise CorruptStore(f"{path}: line 1: bad count {count!r}")
+            if type(header.get("embedder")) is not str:
+                raise CorruptStore(f"{path}: line 1: bad embedder {header.get('embedder')!r}")
+            if len(header) != len(_HEADER_FIELDS):
+                unknown = next(k for k in header if k not in _HEADER_FIELDS)
+                raise CorruptStore(f"{path}: line 1: unknown field {unknown!r}")
+            store = cls(dim, header["embedder"])
+            matrix = np.zeros((count, dim), dtype=np.float64)
+            rows = matrix.view()
+            rows.flags.writeable = False
+            for lineno, row in enumerate(rows, start=2):
+                line = f.readline()
+                if not line.endswith(b"\n"):
+                    raise CorruptStore(f"{path}: line {lineno}: file ends before record "
+                                       f"{lineno - 1} of {count}")
+                try:
+                    store._add(_parse_record(_json_line(line), row))
+                except KeyError as e:
+                    raise CorruptStore(f"{path}: line {lineno}: missing field {e}")
+                except (InvalidInput, DuplicateId) as e:
+                    raise CorruptStore(f"{path}: line {lineno}: {e}")
+            store._matrix = matrix
+            store._norms = np.empty(count, dtype=np.float64)
+            store._read_vectors(f, f"{path}: vector block")
             return store
 
-    def _read_v1(self, f, path: Path) -> None:
-        """The records of a version-1 file: one line each, vector inline."""
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            try:
-                self.insert(_parse_v1_record(_json_line(line), self._next_row()))
-            except KeyError as e:
-                raise CorruptStore(f"{path}: line {lineno}: missing field {e}")
-            except (InvalidInput, DuplicateId, DimensionMismatch, ValueError) as e:
-                raise CorruptStore(f"{path}: line {lineno}: {e}")
-
-    def _read_v2(self, f, path: Path, header: dict) -> None:
-        """The records of a version-2 file. The matrix is made once, at
-        ``count`` rows; each record's vector is a view of its row as soon as
-        its line is read, and the vector block then fills the rows."""
-        # Each record takes at least a line break and its bitmap, so a
-        # count the file cannot hold is refused before any allocation.
-        count = header.get("count")
-        most = os.fstat(f.fileno()).st_size // ((self.dim + 7) // 8 + 1)
-        if type(count) is not int or not 0 <= count <= most:
-            raise CorruptStore(f"{path}: line 1: bad count {count!r}")
-        if type(header.get("embedder")) is not str:
-            raise CorruptStore(f"{path}: line 1: bad embedder {header.get('embedder')!r}")
-        if len(header) != len(_HEADER_FIELDS):
-            unknown = next(k for k in header if k not in _HEADER_FIELDS)
-            raise CorruptStore(f"{path}: line 1: unknown field {unknown!r}")
-        matrix = np.zeros((count, self.dim), dtype=np.float64)
-        rows = matrix.view()
-        rows.flags.writeable = False
-        for lineno, row in enumerate(rows, start=2):
-            line = f.readline()
-            if not line.endswith(b"\n"):
-                raise CorruptStore(f"{path}: line {lineno}: file ends before record "
-                                   f"{lineno - 1} of {count}")
-            try:
-                self._add(_parse_record(_json_line(line), row))
-            except KeyError as e:
-                raise CorruptStore(f"{path}: line {lineno}: missing field {e}")
-            except (InvalidInput, DuplicateId) as e:
-                raise CorruptStore(f"{path}: line {lineno}: {e}")
-        self._matrix = matrix
-        self._norms = np.empty(count, dtype=np.float64)
-        self._read_vectors(f, f"{path}: vector block")
-
     def _read_vectors(self, f, where: str) -> None:
-        """Fill the matrix from a version-2 vector block, a fixed number of
+        """Fill the matrix from the vector block, a fixed number of
         rows at a time. Pad bits and stored +0.0 entries are refused: they
         would load, but not save back to the same bytes."""
         n, dim = self._matrix.shape
@@ -450,10 +432,10 @@ def _read_exactly(f, size: int, where: str) -> bytes:
 
 
 def _parse_record(obj, row: np.ndarray) -> VectorRecord:
-    """The record of one version-2 line, with ``row`` as its vector. Only
-    what a save writes is accepted: the four fields and no other, each a
-    string, and metadata mapping strings to strings, so the record saves
-    back to the same line."""
+    """The record a line after the header holds, with ``row`` as its
+    vector. Only what a save writes is accepted: the four fields and no
+    other, each a string, and metadata mapping strings to strings, so the
+    record saves back to the same line."""
     if not isinstance(obj, dict):
         raise InvalidInput("record must be a JSON object")
     id_, kind, text, metadata = map(obj.__getitem__, _RECORD_FIELDS)
@@ -469,26 +451,6 @@ def _parse_record(obj, row: np.ndarray) -> VectorRecord:
     record = VectorRecord(id_, row, kind, text, metadata)
     check_unicode(record.id, record.text, *record.metadata, *record.metadata.values())
     return record
-
-
-def _parse_v1_record(obj, row: np.ndarray) -> VectorRecord:
-    """The record of one version-1 line, its vector parsed into ``row``.
-    The vector must hold exactly the floats a version-1 save wrote: a JSON
-    ``true`` or ``1`` would load as 1.0 and not as the value written."""
-    if not isinstance(obj, dict):
-        raise InvalidInput("record must be a JSON object")
-    vector = obj["vector"]
-    if not isinstance(vector, list) or list(map(type, vector)).count(float) != len(vector):
-        raise InvalidInput("record vector must be a list of floats")
-    if len(vector) != row.shape[0]:
-        raise DimensionMismatch(f"record dim {len(vector)} vs store dim {row.shape[0]}")
-    row[...] = np.fromiter(vector, np.float64, len(vector))
-    metadata = obj.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise InvalidInput("record metadata must be a JSON object")
-    # Version-1 loads have always read a non-string field as its str().
-    return _parse_record({name: str(obj[name]) for name in ("id", "kind", "text")}
-                         | {"metadata": {k: str(v) for k, v in metadata.items()}}, row)
 
 
 def _dumps(obj) -> str:

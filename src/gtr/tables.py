@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
+from urllib.parse import quote
 
 from .embedding import EmbedderConfig, embed, fingerprint
 from .errors import (
@@ -86,7 +87,8 @@ def _connect_readonly(db_path: str | Path) -> sqlite3.Connection:
     if not path.is_file():
         raise DbUnreadable(f"database file not found: {path}")
     try:
-        conn = sqlite3.connect(f"file:{path.as_posix()}?mode=ro", uri=True)
+        # Quoted, so a "#", "?" or "%" in the path cannot cut off mode=ro.
+        conn = sqlite3.connect(f"file:{quote(path.as_posix())}?mode=ro", uri=True)
         conn.execute("SELECT 1 FROM sqlite_master LIMIT 1").fetchall()
     except sqlite3.Error as e:
         raise DbUnreadable(f"cannot open {path}: {e}")
@@ -288,6 +290,12 @@ def assert_read_only(sql: str) -> None:
         )
 
 
+def _check_row_limit(row_limit: int | None) -> None:
+    # fetchmany(0) would fetch every row, and report none as truncated.
+    if row_limit is not None and row_limit < 1:
+        raise InvalidInput(f"row_limit must be positive or None, got {row_limit}")
+
+
 def execute_sql(
     sql: str,
     db_path: str | Path,
@@ -301,12 +309,14 @@ def execute_sql(
     row_limit=None disables truncation.
 
     Raises:
+        InvalidInput: row_limit below 1.
         NonReadStatement: statement is not SELECT-class.
         SqlError: the engine rejected the statement (engine message kept),
             or it holds a lone surrogate, which SQLite cannot be sent.
         QueryTimeout: execution exceeded timeout_ms.
         DbUnreadable: missing or unopenable database file.
     """
+    _check_row_limit(row_limit)
     try:
         check_unicode(sql)
     except InvalidInput as e:
@@ -352,11 +362,13 @@ def answer_tabular(
     partial trace (with trace.error set); the original error is chained.
 
     Raises:
-        InvalidInput: store not indexed from this database, or indexing a
-            table the database no longer has or whose CREATE statement
-            differs from the one stored (or none was stored).
+        InvalidInput: row_limit below 1, store not indexed from this
+            database, or indexing a table the database no longer has or
+            whose CREATE statement differs from the one stored (or none
+            was stored).
         StageError: any stage failed.
     """
+    _check_row_limit(row_limit)
     db_id = Path(db_path).stem
     conn = _connect_readonly(db_path)
     try:

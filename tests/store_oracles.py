@@ -4,11 +4,13 @@ copies them all into a cached matrix (``_ensure_caches``). Its ``save`` and
 the serialisation helpers it calls are copied with it: they write and read
 store format version 1, one JSON line per record with the vector inline.
 ``tests/test_store_equivalence.py`` compares the production store against
-this one for search results, and checks that the version-1 files it
-writes load into the production store unchanged. ``cosine`` is the
-function as it was before it learned to scale vectors by a power of two;
-``tests/test_store.py`` checks that every pair whose arithmetic stays in
-the normal float range still gets the same bits.
+this one for search results, and checks that the records of the
+version-1 files it writes, inserted into a production store
+(``as_production``), save to the production store's bytes; the production
+``load`` reads version 2 only. ``cosine`` is the function as it was before
+it learned to scale vectors by a power of two; ``tests/test_store.py``
+checks that every pair whose arithmetic stays in the normal float range
+still gets the same bits.
 
 ``v2_bytes`` spells out store format version 2 one entry at a time, apart
 from the production writer, so the tests can pin that layout byte for byte.
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+import gtr.store
 from gtr.errors import (
     CorruptStore,
     DimensionMismatch,
@@ -249,6 +252,15 @@ def _vector_json(vector: np.ndarray) -> str:
     bits, where = np.unique(vector.view(np.uint64), return_inverse=True)
     texts = [repr(x) for x in bits.view(np.float64).tolist()]
     return ",".join([texts[i] for i in where.tolist()])
+
+
+def as_production(oracle: VectorStore) -> gtr.store.VectorStore:
+    """A production store holding copies of ``oracle``'s records, inserted
+    in order."""
+    store = gtr.store.VectorStore(oracle.dim, oracle.embedder_fingerprint)
+    for r in oracle.records:
+        store.insert(VectorRecord(r.id, r.vector, r.kind, r.text, dict(r.metadata)))
+    return store
 
 
 def v2_bytes(dim: int, fingerprint: str, records) -> bytes:

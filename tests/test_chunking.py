@@ -136,6 +136,19 @@ class TestLoadDocuments:
         with pytest.raises(InvalidInput, match="line 2: .*not valid Unicode"):
             load_documents(path)
 
+    def test_line_ends_are_read_as_text_mode_open_reads_them(self, tmp_path):
+        data = "a\r\nb\rc\n\rd é\r".encode("utf-8")
+        path = tmp_path / "doc.txt"
+        path.write_bytes(data)
+        with open(path, encoding="utf-8") as f:
+            want = f.read()
+        assert want == "a\nb\nc\n\nd é\n"
+        assert load_documents(path)[0].text == want
+        jsonl = tmp_path / "docs.jsonl"
+        jsonl.write_bytes(b'{"id": "a", "text": "x"}\r{"id": "b", "text": "y"}\r\n\r{oops\n')
+        with pytest.raises(InvalidInput, match="malformed JSON on line 4"):
+            load_documents(jsonl)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InvalidInput, match="not found"):
             load_documents(tmp_path / "absent.txt")

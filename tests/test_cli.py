@@ -194,6 +194,55 @@ class TestTables:
         assert (code, out) == (1, "")
         assert "'stadium'" in err and "re-run `gtr tables ingest`" in err
 
+    def test_row_limit_below_one_exits_one(self, capsys, tmp_path, toy_db):
+        store = tmp_path / "t.jsonl"
+        run(capsys, "tables", "ingest", "--db", str(toy_db),
+            "--store", str(store), "--dim", "64")
+        code, out, err = run(
+            capsys, "tables", "ask", "q?", "--db", str(toy_db), "--store", str(store),
+            "--dim", "64", "--llm", "fixed:SELECT name FROM singer", "--row-limit", "0",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: row_limit must be positive or None, got 0\n"
+
+
+class TestNonUtf8Input:
+    """Each text input file is read as strict UTF-8: a bad byte exits 1
+    naming the file and its line, counting "\\r\\n" and a lone "\\r" as
+    line ends, where it used to escape as a UnicodeDecodeError."""
+
+    GOOD_ITEM = json.dumps({"question": "q", "reference": "r", "candidate": "c",
+                            "truthful": 1, "response_time_ms": 1.0}).encode()
+
+    @pytest.mark.parametrize("command, name, data", [
+        ("ingest", "docs.jsonl", b'{"id": "a", "text": "x"}\n{"id": "b", "text": "\xff"}\n'),
+        ("ingest", "doc.txt", b"first line\r\nsecond \xff line\n"),
+        ("eval text", "items.jsonl", GOOD_ITEM + b"\r" + GOOD_ITEM.replace(b"c", b"\xe9")),
+        ("eval sql", "gold.sql", b"SELECT 1\tconcerts\rSELECT \xc3\tconcerts\n"),
+        ("tables ask", "fixtures.json", b'{"q?":\r\n "SELECT \xed\xa0\x80"}'),
+    ], ids=["documents jsonl", "plain-text document", "eval items", "sql lines",
+            "template mapping"])
+    def test_bad_byte_names_file_and_line(self, capsys, tmp_path, toy_db, command, name,
+                                          data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        store = tmp_path / "t.jsonl"
+        argv = {
+            "ingest": ["ingest", "--input", str(path), "--store", str(store)],
+            "eval text": ["eval", "text", "--items", str(path)],
+            "eval sql": ["eval", "sql", "--gold", str(path), "--pred", str(path),
+                         "--db-dir", str(tmp_path)],
+            "tables ask": ["tables", "ask", "q?", "--db", str(toy_db), "--store", str(store),
+                           "--dim", "64", "--llm", f"template:{path}"],
+        }[command]
+        if command == "tables ask":
+            run(capsys, "tables", "ingest", "--db", str(toy_db), "--store", str(store),
+                "--dim", "64")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: line 2: not UTF-8: ")
+
+
 class TestEval:
     def test_eval_sql_perfect(self, capsys, tmp_path, toy_db):
         db_dir = tmp_path / "dbs"

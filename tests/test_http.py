@@ -91,3 +91,36 @@ def test_waits_half_a_second_then_one(json_server, monkeypatch):
     with pytest.raises(BackendUnavailable):
         _http.post_json(server.url, {}, 5.0, "llm")
     assert waits == [0.5, 1.0]
+
+
+class TestMalformedBodies:
+    """A body that is JSON but not the shape a backend sends is refused at
+    once, naming the backend, and not retried."""
+
+    @pytest.mark.parametrize("entry", [
+        [1.0, [2.0], 3.0, 4.0], [1.0, 2.0, 3.0, "4.0"], ["1.0", 2.0, 3.0, 4.0],
+        [True, 0.0, 0.0, 1.0], [1.0, 0.0, False, 1.0], [1.0, 2.0, None, 4.0],
+        {"0": 1.0}, "1234", 1.0, None,
+    ], ids=["ragged", "string", "leading string", "true", "false", "null",
+            "object", "text", "number", "entry null"])
+    def test_embedding_entry_not_a_list_of_numbers(self, json_server, entry):
+        server = json_server(lambda path, body: (200, {"embeddings": [entry]}))
+        config = EmbedderConfig(backend="http", dim=4, endpoint_url=server.url)
+        with pytest.raises(BackendUnavailable,
+                           match="embedding backend returned an entry that is not a list"):
+            embed("hello", config)
+        assert len(server.requests) == 1
+
+    def test_embedding_integer_beyond_the_float_range(self, json_server):
+        server = json_server(lambda path, body: (200, {"embeddings": [[10 ** 400, 0, 0, 1]]}))
+        config = EmbedderConfig(backend="http", dim=4, endpoint_url=server.url)
+        with pytest.raises(BackendUnavailable, match="embedding backend .*float range"):
+            embed("hello", config)
+
+    @pytest.mark.parametrize("text", [None, 5, ["ok"], {"t": "ok"}, True],
+                             ids=["null", "number", "list", "object", "true"])
+    def test_completion_text_not_a_string(self, json_server, text):
+        server = json_server(lambda path, body: (200, {"choices": [{"text": text}]}))
+        with pytest.raises(BackendUnavailable, match="llm backend returned a text that is not"):
+            complete("x", llm(server))
+        assert len(server.requests) == 1

@@ -4,8 +4,9 @@
 bag-of-words embedder and store serialisation. Chunks must be equal and
 vectors bit-identical, on the repository's own documents, on hand-picked
 Unicode edge cases and on seeded random Unicode strings. The original
-serialisation writes store format version 1: loading its bytes and saving
-must give the very file the production save wrote.
+serialisation writes store format version 1: the records the store oracle
+reads from those bytes, inserted into a production store and saved, must
+give the very file the production save wrote.
 """
 
 import random
@@ -19,6 +20,8 @@ from gtr.chunking import Document, chunk_text, tokenize
 from gtr.embedding import BUCKET_CACHE_SIZE, EmbedderConfig, bucket_index, embed, embed_batch
 from gtr.pipeline import ingest
 from gtr.store import VectorRecord, VectorStore
+from store_oracles import VectorStore as OracleStore
+from store_oracles import as_production, v2_bytes
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -136,11 +139,12 @@ class TestChunksAndVectors:
 
 
 def assert_same_store_as_oracle_bytes(store, path, tmp_path):
-    """The version-1 file the original code wrote for ``store`` loads to
-    the same records, bit for bit, and saves to the bytes at ``path``."""
+    """The version-1 file the original code wrote for ``store`` reads back
+    to the same records, bit for bit, and they save to the bytes at
+    ``path``, which spell out format version 2."""
     v1 = tmp_path / "v1.jsonl"
     v1.write_bytes(oracle.store_bytes(store))
-    loaded = VectorStore.load(v1)
+    loaded = as_production(OracleStore.load(v1))
     assert [(r.id, r.kind, r.text, r.metadata) for r in loaded.records] == [
         (r.id, r.kind, r.text, r.metadata) for r in store.records]
     for got, want in zip(loaded.records, store.records):
@@ -148,6 +152,7 @@ def assert_same_store_as_oracle_bytes(store, path, tmp_path):
     resaved = tmp_path / "resaved"
     loaded.save(resaved)
     assert resaved.read_bytes() == path.read_bytes()
+    assert path.read_bytes() == v2_bytes(store.dim, store.embedder_fingerprint, store.records)
 
 
 class TestStoreBytes:

@@ -17,8 +17,8 @@ from gtr.errors import (
 )
 from gtr.store import VectorRecord, VectorStore, cosine
 from store_oracles import VectorStore as OracleStore
+from store_oracles import as_production, v2_bytes
 from store_oracles import cosine as oracle_cosine
-from store_oracles import v2_bytes
 
 
 def fsum_cosine(u, v):
@@ -477,96 +477,10 @@ class TestPersistence:
         loaded.save(second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_header_dim_mismatch_is_corrupt(self, tmp_path):
-        # Version 1 names the first line whose vector has the old dim.
-        path = tmp_path / "s.jsonl"
-        header = '{"format":"gtr-store","version":1,"dim":8,"embedder":"fp"}'
-        record = '{"id":"a","vector":[1.0,0.0,0.0,0.0],"kind":"chunk","text":"t","metadata":{}}'
-        path.write_text(header + "\n" + record + "\n", encoding="utf-8")
-        with pytest.raises(CorruptStore, match="line 2: record dim 4 vs store dim 8"):
-            VectorStore.load(path)
-
-    def test_malformed_record_line_is_named(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        header = '{"format":"gtr-store","version":1,"dim":2,"embedder":"fp"}'
-        path.write_text(header + "\n{broken\n", encoding="utf-8")
-        with pytest.raises(CorruptStore, match="line 2"):
-            VectorStore.load(path)
-
-    @pytest.mark.parametrize(
-        "line, message",
-        [
-            ('["a", [1.0, 0.0], "chunk", "t"]', "JSON object"),
-            ('{"id":"a","vector":[1.0,0.0],"kind":"chunk","text":"t","metadata":[]}',
-             "metadata"),
-            ('{"id":"a","vector":[1.0,true],"kind":"chunk","text":"t","metadata":{}}',
-             "floats"),
-            ('{"id":"a","vector":[1.0,"2.0"],"kind":"chunk","text":"t","metadata":{}}',
-             "floats"),
-            ('{"id":"a","vector":[1.0,1],"kind":"chunk","text":"t","metadata":{}}',
-             "floats"),
-            ('{"id":"a","vector":[[1.0,0.0]],"kind":"chunk","text":"t","metadata":{}}',
-             "floats"),
-            ('{"id":"a","vector":1.0,"kind":"chunk","text":"t","metadata":{}}', "floats"),
-        ],
-    )
-    def test_malformed_record_is_corrupt(self, tmp_path, line, message):
-        path = tmp_path / "s.jsonl"
-        header = '{"format":"gtr-store","version":1,"dim":2,"embedder":"fp"}'
-        path.write_text(header + "\n" + line + "\n", encoding="utf-8")
-        with pytest.raises(CorruptStore, match=f"line 2: .*{message}"):
-            VectorStore.load(path)
-
-    @pytest.mark.parametrize("where", ["header", "record"])
-    def test_integer_too_long_to_parse_names_line(self, tmp_path, where):
-        path = tmp_path / "s.jsonl"
-        header = '{"format":"gtr-store","version":1,"dim":2,"embedder":"fp"}'
-        record = '{"id":"a","vector":[1.0,0.0],"kind":"chunk","text":"t","metadata":{}}'
-        huge = "1" + "0" * 4300
-        if where == "header":
-            header = header.replace('"dim":2', f'"dim":{huge}')
-        else:
-            record = record.replace('"metadata":{}', f'"n":{huge}')
-        path.write_text(header + "\n" + record + "\n", encoding="utf-8")
-        line = 1 if where == "header" else 2
-        with pytest.raises(CorruptStore, match=f"line {line}: malformed"):
-            VectorStore.load(path)
-
     def test_bad_header(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text('{"format":"other"}\n', encoding="utf-8")
         with pytest.raises(CorruptStore, match="line 1"):
-            VectorStore.load(path)
-
-    @pytest.mark.parametrize("field", ["id", "text", "metadata key", "metadata value"])
-    def test_lone_surrogate_names_line(self, tmp_path, field):
-        # Loading such a record used to succeed; the next save then died
-        # with a UnicodeEncodeError.
-        values = {"id": '"a"', "text": '"t"', "metadata": "{}"}
-        bad = '"bad \\ud800 x"'
-        if field in ("id", "text"):
-            values[field] = bad
-        elif field == "metadata key":
-            values["metadata"] = "{%s:\"v\"}" % bad
-        else:
-            values["metadata"] = '{"k":%s}' % bad
-        path = tmp_path / "s.jsonl"
-        header = '{"format":"gtr-store","version":1,"dim":2,"embedder":"fp"}'
-        good = '{"id":"g","vector":[1.0,0.0],"kind":"chunk","text":"t","metadata":{}}'
-        record = ('{"id":%(id)s,"vector":[1.0,0.0],"kind":"chunk","text":%(text)s,'
-                  '"metadata":%(metadata)s}' % values)
-        path.write_text(header + "\n" + good + "\n" + record + "\n", encoding="utf-8")
-        with pytest.raises(CorruptStore, match="line 3: not valid Unicode"):
-            VectorStore.load(path)
-
-    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
-    def test_non_finite_vector_in_file_is_corrupt(self, tmp_path, token):
-        path = tmp_path / "s.jsonl"
-        header = '{"format":"gtr-store","version":1,"dim":2,"embedder":"fp"}'
-        good = '{"id":"a","vector":[1.0,0.0],"kind":"chunk","text":"t","metadata":{}}'
-        bad = '{"id":"b","vector":[%s,0.0],"kind":"chunk","text":"t","metadata":{}}' % token
-        path.write_text(header + "\n" + good + "\n" + bad + "\n", encoding="utf-8")
-        with pytest.raises(CorruptStore, match="line 3: .*finite"):
             VectorStore.load(path)
 
     def test_failed_save_leaves_previous_file(self, tmp_path, monkeypatch):
@@ -595,14 +509,6 @@ class TestPersistence:
         store.save(path)
         assert len(VectorStore.load(path)) == 2
         assert list(tmp_path.iterdir()) == [path]
-
-    def test_duplicate_id_in_file(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        header = '{"format":"gtr-store","version":1,"dim":2,"embedder":"fp"}'
-        record = '{"id":"a","vector":[1.0,0.0],"kind":"chunk","text":"t","metadata":{}}'
-        path.write_text(header + "\n" + record + "\n" + record + "\n", encoding="utf-8")
-        with pytest.raises(CorruptStore, match="line 3"):
-            VectorStore.load(path)
 
 
 # A version-2 file written by hand: records a = [1.0, 0.0] and b = [-0.0, 2.0].
@@ -638,6 +544,8 @@ CORRUPT_V2 = [
     ("count one over", dict(header={"count": 3}), "line 4: "),
     ("dim changed", dict(header={"dim": 16}), "vector block"),
     ("version unknown", dict(header={"version": 3}), "line 1: unsupported version 3"),
+    ("version 1", dict(header={"version": 1}),
+     "line 1: unsupported version 1; re-run `gtr ingest` or `gtr tables ingest`"),
     ("line not UTF-8", dict(lines=[V2_LINES[0], V2_LINES[1].replace(b"\xc3\xa9", b"\xe9")]),
      "line 3: not UTF-8"),
     ("line a bare surrogate in UTF-8",
@@ -672,6 +580,14 @@ CORRUPT_V2 = [
     ("header unknown field", dict(header={"extra": 1}), "line 1: unknown field 'extra'"),
     ("lone surrogate", dict(lines=[V2_LINES[0], V2_LINES[1].replace(b"\xc3\xa9", b"\\ud800")]),
      "line 3: not valid Unicode"),
+    *[(f"lone surrogate in {where}",
+       dict(lines=[V2_LINES[0], V2_LINES[1].replace(good, bad)]), "line 3: not valid Unicode")
+      for where, good, bad in [("id", b'"b"', b'"\\ud800"'),
+                               ("metadata key", b'"k"', b'"\\ud800"'),
+                               ("metadata value", b'"v"', b'"x \\udfff"')]],
+    ("integer too long",
+     dict(lines=[V2_LINES[0], V2_LINES[1][:-1] + b',"n":1' + b"0" * 4300 + b"}"]),
+     "line 3: malformed JSON"),
     ("duplicate id", dict(lines=[V2_LINES[0], V2_LINES[1].replace(b'"b"', b'"a"')]),
      "line 3: record id 'a' already present"),
     ("block missing", dict(bitmaps=b"", values=b""),
@@ -776,7 +692,13 @@ class TestFormatV2:
         with pytest.raises(CorruptStore, match=rf"vector block: row {row} \(id 'r{row}'\)"):
             VectorStore.load(path)
 
-    def test_v1_store_loads_and_saves_as_v2(self, tmp_path):
+    def test_header_integer_too_long_to_parse_names_line_1(self, tmp_path):
+        path = v2_file(tmp_path / "s.gtr")
+        path.write_bytes(path.read_bytes().replace(b'"dim":2', b'"dim":1' + b"0" * 4300, 1))
+        with pytest.raises(CorruptStore, match="line 1: malformed JSON"):
+            VectorStore.load(path)
+
+    def test_v1_store_is_refused_and_its_records_save_as_v2(self, tmp_path):
         rng = np.random.default_rng(12)
         oracle = OracleStore(6, "fp")
         for i in range(40):
@@ -784,25 +706,16 @@ class TestFormatV2:
             oracle.insert(VectorRecord(f"r{i}", vec, "table", f"t é {i}", {"k": str(i)}))
         v1 = tmp_path / "v1.jsonl"
         oracle.save(v1)
+        with pytest.raises(CorruptStore, match="line 1: unsupported version 1; re-run `gtr "):
+            VectorStore.load(v1)
         v2 = tmp_path / "v2.gtr"
-        VectorStore.load(v1).save(v2)
-        assert v2.read_bytes().startswith(b'{"format":"gtr-store","version":2,')
+        as_production(OracleStore.load(v1)).save(v2)
         assert v2.read_bytes() == v2_bytes(6, "fp", oracle.records)
         reread = VectorStore.load(v2)
         for original, loaded in zip(oracle.records, reread.records, strict=True):
             assert loaded.vector.tobytes() == original.vector.tobytes()
             assert (loaded.id, loaded.kind, loaded.text, loaded.metadata) == (
                 original.id, original.kind, original.text, original.metadata)
-
-    def test_v1_store_reads_non_string_fields_as_before(self, tmp_path):
-        # Version-1 loads have always taken str() of a non-string field and
-        # skipped unknown ones; only version 2, which save writes, is strict.
-        path = tmp_path / "v1.jsonl"
-        path.write_text('{"format":"gtr-store","version":1,"dim":2,"embedder":"fp"}\n'
-                        '{"id":5,"vector":[1.0,0.0],"kind":"chunk","text":"t",'
-                        '"metadata":{"n":1},"extra":true}\n', encoding="utf-8")
-        record = VectorStore.load(path).get("5")
-        assert (record.kind, record.text, record.metadata) == ("chunk", "t", {"n": "1"})
 
     def test_failed_vector_block_write_leaves_previous_file(self, tmp_path, monkeypatch):
         store = VectorStore(2, "fp")

@@ -8,9 +8,11 @@ the precision lost, the production store scales it by a power of two
 first, and its score is checked against exact arithmetic instead.
 
 Saved files: the production store writes format version 2 and the oracle
-version 1. Loading the oracle's file and saving it must give the production
-store's bytes, which must equal ``store_oracles.v2_bytes``, and stores loaded
-from either file must answer queries exactly as the oracle does.
+version 1, which the production ``load`` refuses. The records the oracle
+reads back from its file, inserted into a production store and saved, must
+give the production store's bytes, which must equal
+``store_oracles.v2_bytes``; stores made from either file must answer
+queries exactly as the oracle does.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import pytest
 from gtr.embedding import EmbedderConfig, embed
 from gtr.store import VectorRecord, VectorStore
 from store_oracles import VectorStore as OracleStore
-from store_oracles import v2_bytes
+from store_oracles import as_production, v2_bytes
 
 DIMS = (1, 2, 3, 7, 16, 64, 384, 400)
 WORDS = ["alpha", "beta", "gamma", "delta", "épsilon", "zeta", "中文", "eta"]
@@ -108,7 +110,7 @@ class Twin:
         self.old.save(old_path)
         assert new_path.read_bytes() == v2_bytes(self.new.dim, "fp", self.new.records)
         resaved = tmp_path / "resaved.gtr"
-        VectorStore.load(old_path).save(resaved)
+        as_production(OracleStore.load(old_path)).save(resaved)
         assert resaved.read_bytes() == new_path.read_bytes()
         return new_path, old_path
 
@@ -226,8 +228,8 @@ def test_save_load_and_keep_growing(tmp_path, dim):
         twin.insert(random_id(rng, i), v, "table" if i % 3 else "chunk", f"text é {i}",
                     {"doc_id": f"d{i % 7}", "index": str(i)})
     new_path, old_path = twin.check_saved(tmp_path)
-    for path in (new_path, old_path):
-        loaded = Twin(VectorStore.load(path), OracleStore.load(old_path))
+    for store in (VectorStore.load(new_path), as_production(OracleStore.load(old_path))):
+        loaded = Twin(store, OracleStore.load(old_path))
         for k in (1, 5, 150, 151):
             loaded.check(random_query(rng, dim, seen), k)
     for i in range(150, 200):
@@ -250,7 +252,7 @@ def test_loaded_bag_of_words_store(tmp_path):
         twin.insert(f"doc{int(rng.integers(50))}#{i}", embed(" ".join(words), config))
     new_path, old_path = twin.check_saved(tmp_path)
     loaded = Twin(VectorStore.load(new_path), OracleStore.load(old_path))
-    from_v1 = VectorStore.load(old_path)
+    from_v1 = as_production(OracleStore.load(old_path))
     for _ in range(40):
         words = rng.choice(WORDS, size=int(rng.integers(1, 4)))
         query, k = embed(" ".join(words), config), int(rng.choice([1, 5, 10]))

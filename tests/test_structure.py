@@ -1,6 +1,7 @@
 """Structural guard: one concept, one implementation. The package holds
-one answer-trace class, one HTTP POST call site and one store writer, and
-a table is profiled at ingest only."""
+one answer-trace class, one HTTP POST call site, one store writer and
+reader, and one reader of text input files, and a table is profiled at
+ingest only."""
 
 import ast
 from pathlib import Path
@@ -84,12 +85,12 @@ def test_one_store_writer_and_it_writes_version_2():
     text = "".join(path.read_text(encoding="utf-8") for path in SRC.rglob("*.py"))
     assert "_vector_json" not in text
     [tree] = [tree for path, tree in _trees() if path.name == "store.py"]
-    # Version 1 wrote the vector inline; only the version-1 reader names it.
-    writes = [node.lineno for node in ast.walk(tree)
-              if isinstance(node, ast.Constant) and node.value == "vector"]
-    [v1_reader] = [node for node in ast.walk(tree)
-                   if isinstance(node, ast.FunctionDef) and node.name == "_parse_v1_record"]
-    assert all(v1_reader.lineno <= line <= v1_reader.end_lineno for line in writes)
+    # Version 1 held the vector inline; nothing in the store reads or
+    # writes it any more.
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and node.value == "vector"]
+    names = {getattr(node, "name", None) for node in ast.walk(tree)}
+    assert not names & {"_read_v1", "_parse_v1_record", "_read_v2"}
     # The one commit point of a save is one os.replace.
     replaces = [
         node for node in ast.walk(tree)
@@ -103,3 +104,21 @@ def test_one_store_writer_and_it_writes_version_2():
         and any(isinstance(a, ast.Constant) and "w" in str(a.value) for a in node.args)
     ]
     assert len(opened_for_writing) == 1
+
+
+def test_input_files_are_read_in_one_place():
+    # Text inputs go through errors.read_lines, which names a bad byte's
+    # line; the store reads its own binary file.
+    readers = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            modes = [a.value for a in [*node.args[1:2], *(k.value for k in node.keywords
+                                                           if k.arg == "mode")]
+                     if isinstance(a, ast.Constant)]
+            if (name == "open" and not any(set(m) & set("wax") for m in modes)
+                    or name in ("read_text", "read_bytes")):
+                readers.append(path.name)
+    assert sorted(set(readers)) == ["errors.py", "store.py"], readers

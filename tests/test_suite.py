@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -105,8 +106,8 @@ class TestEvaluateSuite:
         pairs = [pair("SELECT name FROM singer"), pair("SELECT count(*) FROM stadium")] * 4
         sequential = evaluate_suite(pairs, db_dir, jobs=1)
         parallel = evaluate_suite(pairs, db_dir, jobs=4)
-        assert [i.to_dict() for i in sequential.items] == [
-            i.to_dict() for i in parallel.items
+        assert [asdict(i) for i in sequential.items] == [
+            asdict(i) for i in parallel.items
         ]
 
     def test_jsonl_and_summary_output(self, db_dir, tmp_path):

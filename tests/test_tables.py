@@ -1,8 +1,10 @@
 import hashlib
 import sqlite3
+from pathlib import Path
 
 import pytest
 
+import gtr.tables as tables
 from gtr.embedding import EmbedderConfig, embed
 from gtr.errors import (
     EmptyGeneration,
@@ -31,6 +33,7 @@ from gtr.tables import (
 )
 
 import tables_oracles
+from conftest import build_toy_db
 from fixtures_sql import TABULAR_QUESTIONS
 from test_store import brute_force_top_k
 
@@ -265,6 +268,39 @@ class TestExecuteSql:
         assert len(result.rows) == 2
         assert result.truncated is True
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_row_limit_below_one_is_refused(self, toy_db, limit):
+        # fetchmany(0) fetches every row: a limit of 0 used to return all
+        # six, with truncated False.
+        with pytest.raises(InvalidInput, match=f"row_limit must be positive or None, got {limit}"):
+            execute_sql("SELECT name FROM singer", toy_db, row_limit=limit)
+
+    def test_no_row_limit_fetches_every_row(self, toy_db):
+        result = execute_sql("SELECT name FROM singer", toy_db, row_limit=None)
+        assert (len(result.rows), result.truncated) == (6, False)
+
+    @pytest.mark.parametrize("name", ["a#b.sqlite", "c?d.sqlite", "e%20f.sqlite"])
+    @pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+    def test_path_with_uri_characters_opens_read_only(self, tmp_path, monkeypatch, name,
+                                                      relative):
+        # Unquoted, "#" and "?" cut the URI short, dropping mode=ro and
+        # creating an empty file named by the text before them; "%20"
+        # named a file with a space.
+        db = tmp_path / name
+        build_toy_db(db)
+        before = hashlib.sha256(db.read_bytes()).hexdigest()
+        files = sorted(tmp_path.iterdir())
+        if relative:
+            monkeypatch.chdir(tmp_path)
+            db = Path(name)
+        assert execute_sql("SELECT count(*) FROM singer", db).rows == [(6,)]
+        conn = tables._connect_readonly(db)
+        with pytest.raises(sqlite3.OperationalError, match="readonly"):
+            conn.execute("CREATE TABLE t (x)")
+        conn.close()
+        assert sorted(tmp_path.iterdir()) == files
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == before
+
     def test_timeout(self, toy_db):
         heavy = (
             "SELECT count(*) FROM singer a, singer b, singer c, singer d, "
@@ -310,6 +346,12 @@ class TestAnswerTabular:
         assert err.stage == "execute_sql"
         assert err.trace.error[0] == "execute_sql"
         assert isinstance(err.__cause__, SqlError)
+
+    def test_row_limit_below_one_is_refused_before_any_stage(self, toy_db):
+        llm = LlmConfig(backend="fixed", fixed_text="SELECT name FROM singer")
+        with pytest.raises(InvalidInput, match="row_limit must be positive"):
+            answer_tabular(Query("q?"), toy_db, self._store(toy_db),
+                           embedder_config=CONFIG, llm_config=llm, row_limit=0)
 
     def test_write_generation_is_rejected(self, toy_db):
         llm = LlmConfig(backend="fixed", fixed_text="DELETE FROM singer")
