@@ -160,8 +160,11 @@ def evaluate_suite(
     is None and excluded from the aggregate.
 
     Raises:
-        InvalidInput: empty pair list or a pair missing a required key.
+        InvalidInput: empty pair list, a pair missing a required key, or
+            jobs below 1 (None means the CPU count).
     """
+    if jobs is not None and jobs < 1:
+        raise InvalidInput(f"jobs must be positive or None, got {jobs}")
     if not pairs:
         raise InvalidInput("need at least one (pred, gold) pair to evaluate")
     for i, pair in enumerate(pairs):

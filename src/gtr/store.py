@@ -1,12 +1,12 @@
 """Persistent vector store with exact cosine top-k search.
 
-Search is an exhaustive scan — no approximate index. Every vector lives in
-one contiguous float64 matrix, one row per record, grown by doubling; a
-record's ``vector`` is a read-only view of its row. Scores are computed in
-double precision as a single matrix-vector product over the filled rows,
-ties broken by ascending record id, so results are bit-reproducible and
-equal to a naive per-record scan. An insert writes one row; the next query
-computes the norms of the rows added since the last one.
+Search is an exhaustive scan — no approximate index. As in FAISS's flat
+index, records are kept as columns: lists of ids, kinds, texts and metadata
+beside one contiguous float64 matrix, one row per record, grown by doubling.
+Scores are one matrix-vector product in double precision, and equal scores
+are ordered by ascending id; equal dense vectors can still score an ulp
+apart, as BLAS sums a row in an order that depends on its position. An
+insert writes one row; the next query norms the rows added since the last.
 
 File format, version 2 (one store per file, "\\n" after each JSON line):
 
@@ -100,10 +100,18 @@ def _scaled(x: np.ndarray) -> np.ndarray:
     return np.ldexp(x, -np.frexp(np.abs(x).max(axis=-1, keepdims=True, initial=0.0))[1])
 
 
+def _check_id_kind(id_: str, kind: str) -> None:
+    if not id_:
+        raise InvalidInput("record id must be nonempty")
+    if kind not in RECORD_KINDS:
+        raise InvalidInput(f"record kind must be one of {RECORD_KINDS}")
+
+
 @dataclass
 class VectorRecord:
-    """One stored item. Once inserted, ``vector`` is a read-only view of the
-    record's row in the store's matrix."""
+    """One item, as given to ``insert`` or handed out by ``get`` and
+    ``records``. The store keeps no record: it copies one in, and builds a
+    new one each time it hands one out."""
 
     id: str
     vector: np.ndarray
@@ -112,10 +120,7 @@ class VectorRecord:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.id:
-            raise InvalidInput("record id must be nonempty")
-        if self.kind not in RECORD_KINDS:
-            raise InvalidInput(f"record kind must be one of {RECORD_KINDS}")
+        _check_id_kind(self.id, self.kind)
         self.vector = np.asarray(self.vector, dtype=np.float64)
         if self.vector.ndim != 1:
             raise InvalidInput("record vector must be 1-D")
@@ -126,7 +131,8 @@ class VectorRecord:
 
 
 class VectorStore:
-    """Ordered collection of vector records over one embedding space.
+    """Ordered vector records over one embedding space: record i is
+    ``ids[i]``, ``kinds[i]``, ``texts[i]``, ``metadata[i]`` and matrix row i.
 
     Concurrency contract: any number of concurrent readers (query_top_k,
     get) OR a single writer (insert, save); no internal locking.
@@ -137,8 +143,11 @@ class VectorStore:
             raise InvalidInput(f"dim must be positive, got {dim}")
         self.dim = dim
         self.embedder_fingerprint = embedder_fingerprint
-        self.records: list[VectorRecord] = []
-        self._by_id: dict[str, VectorRecord] = {}
+        self.ids: list[str] = []
+        self.kinds: list[str] = []
+        self.texts: list[str] = []
+        self.metadata: list[dict[str, str]] = []
+        self._rows: dict[str, int] = {}
         # Rows [:len(self)] hold the vectors; the rest is spare capacity.
         self._matrix = np.empty((0, dim), dtype=np.float64)
         # _norms[:_normed] are the norms of the first _normed rows; the rows
@@ -149,21 +158,30 @@ class VectorStore:
         self._scaled_rows = np.empty(0, dtype=np.intp)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
     def __contains__(self, record_id: str) -> bool:
-        return record_id in self._by_id
+        return record_id in self._rows
 
     def get(self, record_id: str) -> VectorRecord:
-        try:
-            return self._by_id[record_id]
-        except KeyError:
-            raise InvalidInput(f"no record with id {record_id!r}") from None
+        """A new record of the stored fields; changing it changes no store."""
+        if record_id not in self._rows:
+            raise InvalidInput(f"no record with id {record_id!r}")
+        return self._record(self._rows[record_id])
+
+    @property
+    def records(self) -> list[VectorRecord]:
+        """A new record for every row, in insertion order; O(n)."""
+        return [self._record(i) for i in range(len(self))]
+
+    def _record(self, i: int) -> VectorRecord:
+        vector = self._matrix[i]
+        vector.flags.writeable = False
+        return VectorRecord(self.ids[i], vector, self.kinds[i], self.texts[i], self.metadata[i])
 
     def insert(self, record: VectorRecord) -> None:
-        """Add one record; it becomes visible to get() and query_top_k().
-        Its vector is copied into the store's matrix and ``record.vector``
-        becomes a read-only view of that row.
+        """Add a copy of one record; it becomes visible to get() and
+        query_top_k(). The record itself is left as it is.
 
         Raises:
             DuplicateId: the id is already present.
@@ -173,38 +191,25 @@ class VectorStore:
             raise DimensionMismatch(
                 f"record dim {record.vector.shape[0]} vs store dim {self.dim}"
             )
-        row = self._next_row()
-        self._add(record)
-        row[...] = record.vector
-        row.flags.writeable = False
-        record.vector = row
-
-    def _add(self, record: VectorRecord) -> None:
-        """Append a record as the owner of the next row of the matrix.
-
-        Raises:
-            DuplicateId: the id is already present.
-        """
-        if record.id in self._by_id:
-            raise DuplicateId(f"record id {record.id!r} already present")
-        self.records.append(record)
-        self._by_id[record.id] = record
-
-    def _next_row(self) -> np.ndarray:
-        """The row the next record's vector goes in. A full matrix is copied
-        into one of twice the rows, and every record's view re-pointed, so
-        the old buffer is freed."""
-        n = len(self.records)
+        n = len(self)
         if n == self._matrix.shape[0]:
             matrix = np.empty((max(16, 2 * n), self.dim), dtype=np.float64)
-            matrix[:n] = self._matrix[:n]
+            matrix[:n] = self._matrix
             norms = np.empty(matrix.shape[0], dtype=np.float64)
             norms[: self._normed] = self._norms[: self._normed]
-            for i, record in enumerate(self.records):
-                record.vector = matrix[i]
-                record.vector.flags.writeable = False
             self._matrix, self._norms = matrix, norms
-        return self._matrix[n]
+        self._add(record.id, record.kind, record.text, dict(record.metadata))
+        self._matrix[n] = record.vector
+
+    def _add(self, id_: str, kind: str, text: str, metadata: dict[str, str]) -> None:
+        """Append one record's fields, or raise DuplicateId for a known id."""
+        if id_ in self._rows:
+            raise DuplicateId(f"record id {id_!r} already present")
+        self._rows[id_] = len(self.ids)
+        self.ids.append(id_)
+        self.kinds.append(kind)
+        self.texts.append(text)
+        self.metadata.append(metadata)
 
     def query_top_k(self, query, k: int) -> list[tuple[str, float]]:
         """Exact top-k by cosine score, descending; ties by ascending id.
@@ -233,7 +238,7 @@ class VectorStore:
             raise InvalidInput("query vector must be finite (no NaN or infinity)")
         if qnorm == 0.0:
             raise ZeroVector("query vector has zero norm")
-        n = len(self.records)
+        n = len(self)
         if n == 0:
             return []
         matrix = self._matrix[:n]
@@ -261,11 +266,11 @@ class VectorStore:
             # so boundary ties are still broken by id, never by position.
             threshold = np.partition(scores, n - k)[n - k]
             candidates = np.flatnonzero(scores >= threshold)
-        records = self.records
-        by_id = sorted(candidates.tolist(), key=lambda i: records[i].id)
+        ids = self.ids
+        by_id = sorted(candidates.tolist(), key=ids.__getitem__)
         # A stable sort by descending score keeps id order among equal scores.
         ranked = [by_id[j] for j in np.argsort(-scores[by_id], kind="stable")[:k]]
-        return [(records[i].id, float(scores[i])) for i in ranked]
+        return [(ids[i], float(scores[i])) for i in ranked]
 
     def _norm_rows(self, start: int, stop: int) -> None:
         """Fill _norms[start:stop]. A row whose norm overflows, or whose
@@ -289,7 +294,7 @@ class VectorStore:
         The vector block is written a fixed number of rows at a time."""
         path = Path(path)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        n = len(self.records)
+        n = len(self)
         matrix = self._matrix[:n]
         blocks = [matrix[i:i + _BLOCK_ROWS] for i in range(0, n, _BLOCK_ROWS)]
         try:
@@ -302,10 +307,8 @@ class VectorStore:
                     "count": n,
                 }
                 f.write(_dumps(header).encode("utf-8") + b"\n")
-                for r in self.records:
-                    line = _dumps({"id": r.id, "kind": r.kind, "text": r.text,
-                                   "metadata": r.metadata})
-                    f.write(line.encode("utf-8") + b"\n")
+                for fields in zip(self.ids, self.kinds, self.texts, self.metadata):
+                    f.write(_dumps(dict(zip(_RECORD_FIELDS, fields))).encode("utf-8") + b"\n")
                 for block in blocks:
                     f.write(np.packbits(block.view(np.uint64) != 0, axis=1))
                 for block in blocks:
@@ -318,9 +321,9 @@ class VectorStore:
     @classmethod
     def load(cls, path: str | Path) -> "VectorStore":
         """Read a store file that ``save`` wrote; validation failures name
-        the offending line or the vector block. The matrix is made once, at
-        ``count`` rows; each record's vector is a view of its row as soon as
-        its line is read, and the vector block then fills the rows.
+        the offending line or the vector block. The record lines fill the
+        columns; the matrix is then made once, at ``count`` rows, and the
+        vector block fills it.
 
         Raises:
             CorruptStore: bad header, another version, wrong dim, duplicate
@@ -359,21 +362,18 @@ class VectorStore:
                 unknown = next(k for k in header if k not in _HEADER_FIELDS)
                 raise CorruptStore(f"{path}: line 1: unknown field {unknown!r}")
             store = cls(dim, header["embedder"])
-            matrix = np.zeros((count, dim), dtype=np.float64)
-            rows = matrix.view()
-            rows.flags.writeable = False
-            for lineno, row in enumerate(rows, start=2):
+            for lineno in range(2, count + 2):
                 line = f.readline()
                 if not line.endswith(b"\n"):
                     raise CorruptStore(f"{path}: line {lineno}: file ends before record "
                                        f"{lineno - 1} of {count}")
                 try:
-                    store._add(_parse_record(_json_line(line), row))
+                    store._add(*_parse_record(_json_line(line)))
                 except KeyError as e:
                     raise CorruptStore(f"{path}: line {lineno}: missing field {e}")
                 except (InvalidInput, DuplicateId) as e:
                     raise CorruptStore(f"{path}: line {lineno}: {e}")
-            store._matrix = matrix
+            store._matrix = np.zeros((count, dim), dtype=np.float64)
             store._norms = np.empty(count, dtype=np.float64)
             store._read_vectors(f, f"{path}: vector block")
             return store
@@ -404,7 +404,7 @@ class VectorStore:
             raise CorruptStore(f"{where}: trailing bytes after the last row")
 
     def _row_name(self, row: int) -> str:
-        return f"row {row} (id {self.records[row].id!r})"
+        return f"row {row} (id {self.ids[row]!r})"
 
 
 def _json_line(line: bytes):
@@ -431,11 +431,11 @@ def _read_exactly(f, size: int, where: str) -> bytes:
     return data
 
 
-def _parse_record(obj, row: np.ndarray) -> VectorRecord:
-    """The record a line after the header holds, with ``row`` as its
-    vector. Only what a save writes is accepted: the four fields and no
-    other, each a string, and metadata mapping strings to strings, so the
-    record saves back to the same line."""
+def _parse_record(obj) -> tuple[str, str, str, dict[str, str]]:
+    """The id, kind, text and metadata a line after the header holds. Only
+    what a save writes is accepted: the four fields and no other, each a
+    string, and metadata mapping strings to strings, so the record saves
+    back to the same line."""
     if not isinstance(obj, dict):
         raise InvalidInput("record must be a JSON object")
     id_, kind, text, metadata = map(obj.__getitem__, _RECORD_FIELDS)
@@ -448,9 +448,9 @@ def _parse_record(obj, row: np.ndarray) -> VectorRecord:
                  *((f"metadata {k!r}", v) for k, v in metadata.items())]
         name, value = next((n, v) for n, v in named if type(v) is not str)
         raise InvalidInput(f"record {name} must be a string, got {value!r}")
-    record = VectorRecord(id_, row, kind, text, metadata)
-    check_unicode(record.id, record.text, *record.metadata, *record.metadata.values())
-    return record
+    _check_id_kind(id_, kind)
+    check_unicode(id_, text, *metadata, *metadata.values())
+    return id_, kind, text, metadata
 
 
 def _dumps(obj) -> str:

@@ -215,12 +215,10 @@ def select_tables(
     """Top-k table record ids with scores, by exact cosine over the store."""
     embedder_config = embedder_config or EmbedderConfig()
     check_store(store, embedder_config)
-    for record in store.records:
-        if record.kind != "table":
-            raise InvalidInput(
-                f"store contains a non-table record {record.id!r}; "
-                "index tables into their own store"
-            )
+    for record_id, kind in zip(store.ids, store.kinds):
+        if kind != "table":
+            raise InvalidInput(f"store contains a non-table record {record_id!r}; "
+                               "index tables into their own store")
     return store.query_top_k(embed(query.text, embedder_config), k)
 
 
@@ -290,8 +288,11 @@ def assert_read_only(sql: str) -> None:
         )
 
 
-def _check_row_limit(row_limit: int | None) -> None:
-    # fetchmany(0) would fetch every row, and report none as truncated.
+def _check_limits(timeout_ms: int, row_limit: int | None) -> None:
+    # The deadline is checked every 5,000 steps, so a short statement would
+    # outrun a budget below 1 ms; fetchmany(0) would fetch every row.
+    if timeout_ms < 1:
+        raise InvalidInput(f"timeout_ms must be positive, got {timeout_ms}")
     if row_limit is not None and row_limit < 1:
         raise InvalidInput(f"row_limit must be positive or None, got {row_limit}")
 
@@ -309,14 +310,14 @@ def execute_sql(
     row_limit=None disables truncation.
 
     Raises:
-        InvalidInput: row_limit below 1.
+        InvalidInput: timeout_ms or row_limit below 1.
         NonReadStatement: statement is not SELECT-class.
         SqlError: the engine rejected the statement (engine message kept),
             or it holds a lone surrogate, which SQLite cannot be sent.
         QueryTimeout: execution exceeded timeout_ms.
         DbUnreadable: missing or unopenable database file.
     """
-    _check_row_limit(row_limit)
+    _check_limits(timeout_ms, row_limit)
     try:
         check_unicode(sql)
     except InvalidInput as e:
@@ -362,26 +363,25 @@ def answer_tabular(
     partial trace (with trace.error set); the original error is chained.
 
     Raises:
-        InvalidInput: row_limit below 1, store not indexed from this
-            database, or indexing a table the database no longer has or
-            whose CREATE statement differs from the one stored (or none
-            was stored).
+        InvalidInput: timeout_ms or row_limit below 1, store not indexed
+            from this database, or indexing a table the database no longer
+            has or whose CREATE statement differs from the one stored (or
+            none was stored).
         StageError: any stage failed.
     """
-    _check_row_limit(row_limit)
+    _check_limits(timeout_ms, row_limit)
     db_id = Path(db_path).stem
     conn = _connect_readonly(db_path)
     try:
         schema = dict(conn.execute("SELECT name, sql FROM sqlite_master WHERE type='table'"))
     finally:
         conn.close()
-    for record in store.records:
-        meta = record.metadata
+    stored = dict(zip(store.ids, store.metadata))
+    for record_id, meta in stored.items():
         name = meta.get("name")
         if meta.get("db_id") != db_id:
-            raise InvalidInput(
-                f"store record {record.id!r} was not indexed from database {db_id!r}"
-            )
+            raise InvalidInput(f"store record {record_id!r} was not indexed from "
+                               f"database {db_id!r}")
         if (name not in schema or meta.get("create_sql") != schema[name]
                 or "prompt_block" not in meta):
             raise InvalidInput(
@@ -400,7 +400,7 @@ def answer_tabular(
     except GtrError as e:
         fail("select_tables", e)
 
-    blocks = [store.get(table_id).metadata["prompt_block"] for table_id, _ in trace.retrieved]
+    blocks = [stored[table_id]["prompt_block"] for table_id, _ in trace.retrieved]
     try:
         trace.prompt = compose_sql_prompt(blocks, query)
     except GtrError as e:

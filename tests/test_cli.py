@@ -205,6 +205,18 @@ class TestTables:
         assert (code, out) == (1, "")
         assert err == "error: row_limit must be positive or None, got 0\n"
 
+    def test_timeout_below_one_ms_exits_one(self, capsys, tmp_path, toy_db):
+        # A zero budget used to answer this short query normally.
+        store = tmp_path / "t.jsonl"
+        run(capsys, "tables", "ingest", "--db", str(toy_db),
+            "--store", str(store), "--dim", "64")
+        code, out, err = run(
+            capsys, "tables", "ask", "q?", "--db", str(toy_db), "--store", str(store),
+            "--dim", "64", "--llm", "fixed:SELECT count(*) FROM singer", "--timeout-ms", "0",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: timeout_ms must be positive, got 0\n"
+
 
 class TestNonUtf8Input:
     """Each text input file is read as strict UTF-8: a bad byte exits 1
@@ -262,6 +274,19 @@ class TestEval:
         assert code == 0
         assert "1.000" in out
         assert out_path.is_file()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_eval_sql_jobs_below_one_exits_one(self, capsys, tmp_path, toy_db, jobs):
+        # -1 used to end in a ValueError traceback from the thread pool, and
+        # 0 silently meant the CPU count.
+        sql = tmp_path / "q.sql"
+        sql.write_text("SELECT name FROM singer\tconcerts\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "eval", "sql", "--gold", str(sql), "--pred", str(sql),
+            "--db-dir", str(toy_db.parent), "--jobs", jobs,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: jobs must be positive or None, got {jobs}\n"
 
     def test_eval_text_summary_has_seven_columns(self, capsys, tmp_path):
         items = tmp_path / "items.jsonl"

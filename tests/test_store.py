@@ -382,12 +382,13 @@ class TestConcurrentReaders:
 
 
 class TestMatrixStorage:
-    def test_record_vector_is_a_read_only_view_after_insert(self):
+    def test_get_vector_is_a_read_only_view_of_the_matrix(self):
         store = VectorStore(2, "test")
-        record = VectorRecord("a", [1.0, 0.0], "chunk", "t")
-        store.insert(record)
+        store.insert(VectorRecord("a", [1.0, 0.0], "chunk", "t"))
+        vector = store.get("a").vector
+        assert np.shares_memory(vector, store._matrix)
         with pytest.raises(ValueError):
-            record.vector[0] = 5.0
+            vector[0] = 5.0
         assert store.query_top_k([1.0, 0.0], 1) == [("a", 1.0)]
 
     def test_insert_copies_the_callers_array(self):
@@ -429,6 +430,15 @@ class TestMatrixStorage:
             with pytest.raises(ValueError):
                 record.vector[0] = 0.0
 
+    def test_record_handed_out_before_growth_keeps_its_values(self):
+        store = VectorStore(3, "test")
+        store.insert(VectorRecord("a", [1.0, 2.0, 3.0], "chunk", "t"))
+        before = store.get("a")
+        for i in range(40):
+            store.insert(VectorRecord(f"r{i}", [0.0, 1.0, float(i)], "chunk", "t"))
+        assert before.vector.tolist() == [1.0, 2.0, 3.0]
+        assert not np.shares_memory(before.vector, store._matrix)
+
     def test_id_with_trailing_nul_is_returned_whole(self):
         # Ids are compared and returned as Python strings; a NumPy string
         # array would drop the NUL and name the wrong record.
@@ -438,6 +448,77 @@ class TestMatrixStorage:
         [(rid, _)] = store.query_top_k([1.0, 0.0], 1)
         assert rid == "a\x00"
         assert store.get(rid).text == "nul"
+
+
+class TestStoreOwnsItsData:
+    """The store copies a record in and builds a new one each time it hands
+    one out, so changing any record, before or after, changes neither what
+    a query returns nor the bytes a save writes."""
+
+    @staticmethod
+    def _records():
+        return [VectorRecord("a", np.array([1.0, 0.0]), "chunk", "first", {"k": "v"}),
+                VectorRecord("b", np.array([0.6, 0.8]), "table", "second", {"k": "w"})]
+
+    @staticmethod
+    def _state(store, path):
+        store.save(path)
+        return store.query_top_k([1.0, 0.0], 2), path.read_bytes()
+
+    def _store(self, records=None):
+        store = VectorStore(2, "test")
+        for record in records or self._records():
+            store.insert(record)
+        return store
+
+    def _untouched(self, tmp_path):
+        return self._state(self._store(), tmp_path / "untouched.gtr")
+
+    def test_insert_leaves_the_callers_record_alone(self):
+        store = VectorStore(2, "test")
+        record, _ = self._records()
+        vector, metadata = record.vector, record.metadata
+        store.insert(record)
+        assert record.vector is vector and record.vector.flags.writeable
+        assert record.metadata is metadata
+
+    def test_changing_the_inserted_record_or_array_changes_nothing(self, tmp_path):
+        records = self._records()
+        vectors = [record.vector for record in records]
+        store = self._store(records)
+        for record, vector in zip(records, vectors):
+            vector[0] = -1.0
+            record.text = "changed"
+            record.metadata["k"] = "changed"
+            record.metadata["new"] = "key"
+        assert self._state(store, tmp_path / "s.gtr") == self._untouched(tmp_path)
+        assert store.get("a").text == "first" and store.get("a").metadata == {"k": "v"}
+
+    def test_changing_a_record_from_get_changes_nothing(self, tmp_path):
+        store = self._store()
+        got = store.get("a")
+        got.metadata["k"] = "changed"
+        got.text = "changed"
+        got.vector = np.array([0.0, 1.0])
+        assert store.get("a") is not got
+        assert self._state(store, tmp_path / "s.gtr") == self._untouched(tmp_path)
+
+    def test_changing_a_record_from_records_changes_nothing(self, tmp_path):
+        store = self._store()
+        store.records[1].metadata["k"] = "changed"
+        for record in store.records:
+            record.metadata.clear()
+            record.kind = "chunk"
+        assert self._state(store, tmp_path / "s.gtr") == self._untouched(tmp_path)
+
+    def test_changing_a_loaded_record_changes_nothing(self, tmp_path):
+        store = self._store()
+        path = tmp_path / "s.gtr"
+        store.save(path)
+        loaded = VectorStore.load(path)
+        loaded.get("b").metadata["k"] = "changed"
+        loaded.records[0].metadata["k"] = "changed"
+        assert self._state(loaded, path) == self._untouched(tmp_path)
 
 
 class TestPersistence:

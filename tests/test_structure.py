@@ -122,3 +122,34 @@ def test_input_files_are_read_in_one_place():
                     or name in ("read_text", "read_bytes")):
                 readers.append(path.name)
     assert sorted(set(readers)) == ["errors.py", "store.py"], readers
+
+
+def test_store_keeps_columns_and_builds_records_only_to_hand_out():
+    [tree] = [tree for path, tree in _trees() if path.name == "store.py"]
+    text = (SRC / "store.py").read_text(encoding="utf-8")
+    # No record list, no id -> record dict, no re-pointed or per-row views.
+    for name in ("_next_row", "_by_id", "rows.flags"):
+        assert name not in text
+    builders = {
+        func.name
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "VectorRecord"
+    }
+    # get and records hand records out through _record; load builds none.
+    assert builders == {"_record"}
+    [load] = [node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "load"]
+    used = {getattr(node, "attr", None) or getattr(node, "id", None) for node in ast.walk(load)}
+    assert not used & {"VectorRecord", "_record", "records"}
+
+
+def test_nothing_in_the_package_walks_store_records():
+    # records builds a VectorRecord per row; tables reads the columns.
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "records"
+    ]
+    assert readers == []

@@ -4,7 +4,7 @@ from dataclasses import asdict
 import pytest
 
 from gtr.errors import InvalidInput
-from gtr.sqleval import evaluate_suite, load_pairs
+from gtr.sqleval import evaluate_suite, load_pairs, suite
 
 from conftest import build_toy_db
 
@@ -109,6 +109,12 @@ class TestEvaluateSuite:
         assert [asdict(i) for i in sequential.items] == [
             asdict(i) for i in parallel.items
         ]
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_is_refused_before_any_pair(self, db_dir, monkeypatch, jobs):
+        monkeypatch.setattr(suite, "_evaluate_one", lambda *a: pytest.fail("scored"))
+        with pytest.raises(InvalidInput, match=f"jobs must be positive or None, got {jobs}"):
+            evaluate_suite([pair("SELECT name FROM singer")] * 2, db_dir, jobs=jobs)
 
     def test_jsonl_and_summary_output(self, db_dir, tmp_path):
         report = evaluate_suite([pair("SELECT name FROM singer")], db_dir)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import sqlite3
 from pathlib import Path
@@ -275,6 +276,13 @@ class TestExecuteSql:
         with pytest.raises(InvalidInput, match=f"row_limit must be positive or None, got {limit}"):
             execute_sql("SELECT name FROM singer", toy_db, row_limit=limit)
 
+    @pytest.mark.parametrize("timeout_ms", [0, -1])
+    def test_timeout_below_one_ms_is_refused(self, toy_db, timeout_ms):
+        # The deadline is checked every 5,000 SQLite steps, so a budget of
+        # 0 used to answer any statement shorter than that.
+        with pytest.raises(InvalidInput, match=f"timeout_ms must be positive, got {timeout_ms}"):
+            execute_sql("SELECT count(*) FROM singer", toy_db, timeout_ms=timeout_ms)
+
     def test_no_row_limit_fetches_every_row(self, toy_db):
         result = execute_sql("SELECT name FROM singer", toy_db, row_limit=None)
         assert (len(result.rows), result.truncated) == (6, False)
@@ -352,6 +360,13 @@ class TestAnswerTabular:
         with pytest.raises(InvalidInput, match="row_limit must be positive"):
             answer_tabular(Query("q?"), toy_db, self._store(toy_db),
                            embedder_config=CONFIG, llm_config=llm, row_limit=0)
+
+    def test_timeout_below_one_ms_is_refused_before_any_stage(self, toy_db, monkeypatch):
+        monkeypatch.setattr(tables, "select_tables", lambda *a, **k: pytest.fail("ran"))
+        llm = LlmConfig(backend="fixed", fixed_text="SELECT name FROM singer")
+        with pytest.raises(InvalidInput, match="timeout_ms must be positive, got 0"):
+            answer_tabular(Query("q?"), toy_db, self._store(toy_db),
+                           embedder_config=CONFIG, llm_config=llm, timeout_ms=0)
 
     def test_write_generation_is_rejected(self, toy_db):
         llm = LlmConfig(backend="fixed", fixed_text="DELETE FROM singer")
@@ -478,12 +493,12 @@ class TestProfileTakenAtIngest:
     ])
     def test_store_without_stored_profile_is_refused(self, toy_db, tmp_path, dropped):
         path = tmp_path / "t.jsonl"
-        index_tables(profile_tables(toy_db), CONFIG, path)
-        stored = VectorStore.load(path)
-        for record in stored.records:
-            for key in dropped:
-                del record.metadata[key]
-        stored.save(path)
+        fresh = index_tables(profile_tables(toy_db), CONFIG)
+        stale = VectorStore(fresh.dim, fresh.embedder_fingerprint)
+        for record in fresh.records:
+            kept = {k: v for k, v in record.metadata.items() if k not in dropped}
+            stale.insert(dataclasses.replace(record, metadata=kept))
+        stale.save(path)
         with pytest.raises(InvalidInput, match="'singer'.*re-run `gtr tables ingest`"):
             answer_tabular(Query("q?"), toy_db, VectorStore.load(path),
                            embedder_config=CONFIG,
