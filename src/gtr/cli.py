@@ -2,8 +2,9 @@
 database tables, and run the evaluation harnesses.
 
 Configuration precedence is flags > environment (GTR_STORE, GTR_EMBED_URL,
-GTR_LLM_URL) > defaults. Diagnostics go to stderr, data to stdout or files;
-the exit code is 0 only when no error was recorded.
+GTR_LLM_URL) > defaults; ``ask`` and ``tables ask`` embed with the embedder
+the store names. Diagnostics go to stderr, data to stdout or files; the
+exit code is 0 only when no error was recorded.
 """
 
 from __future__ import annotations
@@ -104,13 +105,8 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_ask(args) -> int:
     store = VectorStore.load(_store_path(args))
-    trace = pipeline.answer(
-        Query(args.query),
-        store,
-        k=args.k,
-        embedder_config=_embedder_config(args),
-        llm_config=_llm_config(args.llm),
-    )
+    trace = pipeline.answer(Query(args.query), store, k=args.k,
+                            llm_config=_llm_config(args.llm))
     print(trace.answer)
     if args.trace:
         pipeline.append_trace(trace, args.trace)
@@ -132,14 +128,8 @@ def _cmd_tables_ingest(args) -> int:
 def _cmd_tables_ask(args) -> int:
     store = VectorStore.load(_store_path(args))
     result = tables.answer_tabular(
-        Query(args.query),
-        args.db,
-        store,
-        k=args.k,
-        embedder_config=_embedder_config(args),
-        llm_config=_llm_config(args.llm),
-        timeout_ms=args.timeout_ms,
-        row_limit=args.row_limit,
+        Query(args.query), args.db, store, k=args.k, llm_config=_llm_config(args.llm),
+        timeout_ms=args.timeout_ms, row_limit=args.row_limit,
     )
     print(f"SQL: {result.trace.answer}")
     print("\t".join(result.result.columns))
@@ -192,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--llm", default="echo")
     p.add_argument("--trace", default=None, help="append the answer trace as JSONL")
-    _add_embedder_flags(p)
     p.set_defaults(handler=_cmd_ask)
 
     tables_parser = sub.add_parser("tables", help="table indexing and SQL answering")
@@ -214,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None)
     p.add_argument("--timeout-ms", type=int, default=tables.DEFAULT_TIMEOUT_MS)
     p.add_argument("--row-limit", type=int, default=tables.DEFAULT_ROW_LIMIT)
-    _add_embedder_flags(p)
     p.set_defaults(handler=_cmd_tables_ask)
 
     eval_parser = sub.add_parser("eval", help="run an evaluation harness")
@@ -231,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--db-dir", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=_cmd_eval_sql)
 
     return parser

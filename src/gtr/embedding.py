@@ -30,7 +30,8 @@ import numpy as np
 
 from ._http import post_json
 from .chunking import token_texts
-from .errors import BackendUnavailable, EmptyText, InvalidConfig, ZeroVector
+from .errors import (BackendUnavailable, EmptyText, FingerprintMismatch, InvalidConfig,
+                     ZeroVector)
 
 DEFAULT_DIM = 384
 
@@ -67,6 +68,20 @@ def fingerprint(config: EmbedderConfig) -> str:
     if config.backend == "hashed_bow":
         return f"hashed_bow:{config.dim}:{FNV_SEED:016x}"
     return f"http:{config.dim}:{config.endpoint_url}"
+
+
+def config_from_fingerprint(fp: str) -> EmbedderConfig:
+    """The config, with default batch size and timeout, whose fingerprint is
+    ``fp``; FingerprintMismatch if none has it (an unknown backend, another
+    hash seed, a malformed dim)."""
+    try:
+        backend, dim, tail = fp.split(":", 2)
+        config = EmbedderConfig(backend, int(dim), tail if backend == "http" else None)
+        if fingerprint(config) == fp:
+            return config
+    except (InvalidConfig, ValueError):  # too few fields, or a bad backend or dim
+        pass
+    raise FingerprintMismatch(f"store embedder {fp!r} names no known embedder")
 
 
 def _fnv1a(data: bytes) -> int:

@@ -16,10 +16,11 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 from .chunking import Chunk, Document, chunk_text, DEFAULT_CHUNK_SIZE, DEFAULT_OVERLAP
-from .embedding import EmbedderConfig, embed, embed_batch, fingerprint
+from .embedding import EmbedderConfig, config_from_fingerprint, embed, embed_batch, fingerprint
 from .errors import DuplicateId, EmptyContext, FingerprintMismatch, InvalidInput
 from .llm import Completion, LlmConfig, complete
 from .store import VectorRecord, VectorStore
@@ -71,7 +72,6 @@ def ingest(
     """
     if not docs:
         raise InvalidInput("need at least one document to ingest")
-    embedder_config = embedder_config or EmbedderConfig()
 
     seen: set[str] = set()
     chunks: list[Chunk] = []
@@ -81,45 +81,54 @@ def ingest(
         seen.add(doc.id)
         chunks.extend(chunk_text(doc, chunk_size, overlap))
 
+    items = (
+        (chunk_record_id(c.doc_id, c.index), c.text,
+         {"doc_id": c.doc_id, "index": str(c.index),
+          "token_start": str(c.token_start), "token_end": str(c.token_end)})
+        for c in chunks
+    )
+    return build_store(items, "chunk", embedder_config, store_path)
+
+
+def build_store(
+    items: Iterable[tuple[str, str, dict[str, str]]], kind: str,
+    embedder_config: EmbedderConfig | None, store_path: str | Path | None = None,
+) -> VectorStore:
+    """A new store of ``kind`` records from ``(id, text, metadata)`` items,
+    saved at store_path if given. Items are drawn and embedded one batch of
+    ``batch_size`` at a time, so one batch's own arrays are alive at once."""
+    embedder_config = embedder_config or EmbedderConfig()
     store = VectorStore(embedder_config.dim, fingerprint(embedder_config))
-    # One embedding batch at a time: insert copies each vector into the
-    # store's matrix, so the batch's own arrays are freed as the next comes.
-    size = embedder_config.batch_size
-    for start in range(0, len(chunks), size):
-        batch = chunks[start : start + size]
-        for chunk, vector in zip(batch, embed_batch([c.text for c in batch], embedder_config)):
-            store.insert(
-                VectorRecord(
-                    id=chunk_record_id(chunk.doc_id, chunk.index),
-                    vector=vector,
-                    kind="chunk",
-                    text=chunk.text,
-                    metadata={
-                        "doc_id": chunk.doc_id,
-                        "index": str(chunk.index),
-                        "token_start": str(chunk.token_start),
-                        "token_end": str(chunk.token_end),
-                    },
-                )
-            )
-    store.save(store_path)
+    items = iter(items)
+    while batch := list(islice(items, embedder_config.batch_size)):
+        vectors = embed_batch([text for _, text, _ in batch], embedder_config)
+        for (id_, text, metadata), vector in zip(batch, vectors):
+            store.insert(VectorRecord(id_, vector, kind, text, metadata))
+    if store_path is not None:
+        store.save(store_path)
     return store
 
 
-def check_store(store: VectorStore, embedder_config: EmbedderConfig) -> None:
-    """Refuse to search a store that is empty or was built by another embedder.
+def check_store(store: VectorStore,
+                embedder_config: EmbedderConfig | None = None) -> EmbedderConfig:
+    """The config to embed queries to ``store`` with: the one its header
+    names, or embedder_config after checking it is that one.
 
     Raises:
         InvalidInput: empty store.
-        FingerprintMismatch: store built with a different embedder.
+        FingerprintMismatch: store built with a different embedder, or its
+            header names no known embedder or one of another dim.
     """
     if len(store) == 0:
         raise InvalidInput("cannot search an empty store")
-    expected = fingerprint(embedder_config)
-    if store.embedder_fingerprint != expected:
-        raise FingerprintMismatch(
-            f"store embedder {store.embedder_fingerprint!r} != configured {expected!r}"
-        )
+    named = store.embedder_fingerprint
+    if embedder_config is None:
+        embedder_config = config_from_fingerprint(named)
+    elif named != (configured := fingerprint(embedder_config)):
+        raise FingerprintMismatch(f"store embedder {named!r} != configured {configured!r}")
+    if embedder_config.dim != store.dim:
+        raise FingerprintMismatch(f"store embedder {named!r} vs store dim {store.dim}")
+    return embedder_config
 
 
 def compose_prompt(query: Query, chunk_texts: Sequence[str]) -> str:
@@ -143,14 +152,14 @@ def answer(
     embedder_config: EmbedderConfig | None = None,
     llm_config: LlmConfig | None = None,
 ) -> AnswerTrace:
-    """Retrieve, prompt, and complete; the trace records every stage.
+    """Retrieve, prompt, and complete; the trace records every stage. With
+    no embedder_config the query is embedded as the store's header names.
 
     Raises:
         InvalidInput: empty store.
         FingerprintMismatch: store built with a different embedder.
     """
-    embedder_config = embedder_config or EmbedderConfig()
-    check_store(store, embedder_config)
+    embedder_config = check_store(store, embedder_config)
     retrieved = store.query_top_k(embed(query.text, embedder_config), k)
     prompt = compose_prompt(query, [store.get(rid).text for rid, _ in retrieved])
     completion = complete(prompt, llm_config)

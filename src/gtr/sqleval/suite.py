@@ -9,7 +9,6 @@ directory as ``<db_id>/<db_id>.sqlite``, ``<db_id>.sqlite``, or
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -150,7 +149,7 @@ def evaluate_suite(
     pairs: list[dict],
     db_dir: str | Path,
     *,
-    jobs: int | None = None,
+    jobs: int = 1,
     timeout_ms: int = 30_000,
 ) -> SqlEvalReport:
     """Score every {question, pred, gold, db_id} pair; never aborts mid-suite.
@@ -161,17 +160,16 @@ def evaluate_suite(
 
     Raises:
         InvalidInput: empty pair list, a pair missing a required key, or
-            jobs below 1 (None means the CPU count).
+            jobs below 1.
     """
-    if jobs is not None and jobs < 1:
-        raise InvalidInput(f"jobs must be positive or None, got {jobs}")
+    if jobs < 1:
+        raise InvalidInput(f"jobs must be positive, got {jobs}")
     if not pairs:
         raise InvalidInput("need at least one (pred, gold) pair to evaluate")
     for i, pair in enumerate(pairs):
         for key in ("pred", "gold", "db_id"):
             if key not in pair:
                 raise InvalidInput(f"pair {i} is missing {key!r}")
-    jobs = jobs or os.cpu_count() or 1
     if jobs == 1 or len(pairs) == 1:
         items = [_evaluate_one(p, db_dir, timeout_ms) for p in pairs]
     else:

@@ -100,7 +100,19 @@ def _scaled(x: np.ndarray) -> np.ndarray:
     return np.ldexp(x, -np.frexp(np.abs(x).max(axis=-1, keepdims=True, initial=0.0))[1])
 
 
-def _check_id_kind(id_: str, kind: str) -> None:
+def _check_fields(id_, kind, text, metadata) -> None:
+    """Raise InvalidInput, naming the field, unless the id is nonempty, the
+    kind known, and every field a string (metadata a dict of them) that
+    UTF-8 can encode: what the file format holds exactly."""
+    if not isinstance(metadata, dict):
+        raise InvalidInput("record metadata must be a JSON object")
+    try:  # one pass over all the fields, as a record is checked per insert
+        check_unicode("".join((id_, kind, text, *metadata, *metadata.values())))
+    except TypeError:
+        named = [("id", id_), ("kind", kind), ("text", text),
+                 *((f"metadata {k!r}", x) for k, v in metadata.items() for x in (k, v))]
+        name, value = next((n, v) for n, v in named if not isinstance(v, str))
+        raise InvalidInput(f"record {name} must be a string, got {value!r}") from None
     if not id_:
         raise InvalidInput("record id must be nonempty")
     if kind not in RECORD_KINDS:
@@ -111,7 +123,7 @@ def _check_id_kind(id_: str, kind: str) -> None:
 class VectorRecord:
     """One item, as given to ``insert`` or handed out by ``get`` and
     ``records``. The store keeps no record: it copies one in, and builds a
-    new one each time it hands one out."""
+    new one each time it hands one out. ``insert`` checks it as it is then."""
 
     id: str
     vector: np.ndarray
@@ -120,14 +132,8 @@ class VectorRecord:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_id_kind(self.id, self.kind)
         self.vector = np.asarray(self.vector, dtype=np.float64)
-        if self.vector.ndim != 1:
-            raise InvalidInput("record vector must be 1-D")
-        if not np.isfinite(self.vector).all():
-            raise InvalidInput("record vector must be finite (no NaN or infinity)")
-        # String-only metadata keeps the file format round-trip exact.
-        self.metadata = {str(k): str(v) for k, v in self.metadata.items()}
+        self.metadata = dict(self.metadata)
 
 
 class VectorStore:
@@ -181,16 +187,20 @@ class VectorStore:
 
     def insert(self, record: VectorRecord) -> None:
         """Add a copy of one record; it becomes visible to get() and
-        query_top_k(). The record itself is left as it is.
+        query_top_k(). The record is left as it is; a refused one leaves
+        the store as it was.
 
         Raises:
+            InvalidInput: a NaN or infinite entry, or a field load refuses.
             DuplicateId: the id is already present.
-            DimensionMismatch: record vector dim differs from the store's.
+            DimensionMismatch: the vector is not 1-D of the store's dim.
         """
-        if record.vector.shape[0] != self.dim:
-            raise DimensionMismatch(
-                f"record dim {record.vector.shape[0]} vs store dim {self.dim}"
-            )
+        vector = np.asarray(record.vector, dtype=np.float64)
+        if vector.shape != (self.dim,):
+            raise DimensionMismatch(f"record dim {vector.shape} vs store dim {self.dim}")
+        if not np.isfinite(vector).all():
+            raise InvalidInput("record vector must be finite (no NaN or infinity)")
+        _check_fields(record.id, record.kind, record.text, record.metadata)
         n = len(self)
         if n == self._matrix.shape[0]:
             matrix = np.empty((max(16, 2 * n), self.dim), dtype=np.float64)
@@ -199,7 +209,7 @@ class VectorStore:
             norms[: self._normed] = self._norms[: self._normed]
             self._matrix, self._norms = matrix, norms
         self._add(record.id, record.kind, record.text, dict(record.metadata))
-        self._matrix[n] = record.vector
+        self._matrix[n] = vector
 
     def _add(self, id_: str, kind: str, text: str, metadata: dict[str, str]) -> None:
         """Append one record's fields, or raise DuplicateId for a known id."""
@@ -441,15 +451,7 @@ def _parse_record(obj) -> tuple[str, str, str, dict[str, str]]:
     id_, kind, text, metadata = map(obj.__getitem__, _RECORD_FIELDS)
     if len(obj) != len(_RECORD_FIELDS):
         raise InvalidInput(f"unknown field {next(k for k in obj if k not in _RECORD_FIELDS)!r}")
-    if not isinstance(metadata, dict):
-        raise InvalidInput("record metadata must be a JSON object")
-    if {type(id_), type(kind), type(text), *map(type, metadata.values())} != {str}:
-        named = [("id", id_), ("kind", kind), ("text", text),
-                 *((f"metadata {k!r}", v) for k, v in metadata.items())]
-        name, value = next((n, v) for n, v in named if type(v) is not str)
-        raise InvalidInput(f"record {name} must be a string, got {value!r}")
-    _check_id_kind(id_, kind)
-    check_unicode(id_, text, *metadata, *metadata.values())
+    _check_fields(id_, kind, text, metadata)
     return id_, kind, text, metadata
 
 

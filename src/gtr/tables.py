@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Sequence
 from urllib.parse import quote
 
-from .embedding import EmbedderConfig, embed, fingerprint
+from .embedding import EmbedderConfig, embed
 from .errors import (
     DbUnreadable,
     EmptyGeneration,
@@ -45,9 +45,9 @@ from .errors import (
     check_unicode,
 )
 from .llm import LlmConfig, complete
-from .pipeline import AnswerTrace, Query, check_store
+from .pipeline import AnswerTrace, Query, build_store, check_store
 from .sqllex import tokenize
-from .store import VectorRecord, VectorStore
+from .store import VectorStore
 
 DEFAULT_SAMPLE_LIMIT = 5
 DEFAULT_ROW_LIMIT = 1000
@@ -182,27 +182,13 @@ def index_tables(
     Its metadata keeps the table's prompt block and CREATE statement."""
     if not profiles:
         raise InvalidInput("need at least one table profile to index")
-    embedder_config = embedder_config or EmbedderConfig()
-    store = VectorStore(embedder_config.dim, fingerprint(embedder_config))
-    for profile in profiles:
-        text = embedding_text(profile)
-        store.insert(
-            VectorRecord(
-                id=table_record_id(profile.db_id, profile.name),
-                vector=embed(text, embedder_config),
-                kind="table",
-                text=text,
-                metadata={
-                    "db_id": profile.db_id,
-                    "name": profile.name,
-                    "prompt_block": prompt_block(profile),
-                    "create_sql": profile.create_sql,
-                },
-            )
-        )
-    if store_path is not None:
-        store.save(store_path)
-    return store
+    items = (
+        (table_record_id(p.db_id, p.name), embedding_text(p),
+         {"db_id": p.db_id, "name": p.name, "prompt_block": prompt_block(p),
+          "create_sql": p.create_sql})
+        for p in profiles
+    )
+    return build_store(items, "table", embedder_config, store_path)
 
 
 def select_tables(
@@ -212,9 +198,9 @@ def select_tables(
     *,
     embedder_config: EmbedderConfig | None = None,
 ) -> list[tuple[str, float]]:
-    """Top-k table record ids with scores, by exact cosine over the store."""
-    embedder_config = embedder_config or EmbedderConfig()
-    check_store(store, embedder_config)
+    """Top-k table record ids with scores, by exact cosine over the store.
+    With no embedder_config the query is embedded as the store names."""
+    embedder_config = check_store(store, embedder_config)
     for record_id, kind in zip(store.ids, store.kinds):
         if kind != "table":
             raise InvalidInput(f"store contains a non-table record {record_id!r}; "

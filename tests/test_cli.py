@@ -2,7 +2,13 @@ import json
 
 import pytest
 
+from gtr import pipeline, tables
 from gtr.cli import main
+from gtr.embedding import EmbedderConfig, embed
+from gtr.llm import LlmConfig
+from gtr.pipeline import Query
+from gtr.sqleval import suite
+from gtr.store import VectorStore
 
 from fixtures_sql import TABULAR_QUESTIONS
 
@@ -73,7 +79,7 @@ class TestAsk:
         store = self._ingest(capsys, tmp_path, "the only chunk")
         code, out, _ = run(
             capsys, "ask", "anything?", "--store", str(store),
-            "--llm", "echo", "--dim", "32",
+            "--llm", "echo",
         )
         assert code == 0
         assert out == "the only chunk\n"
@@ -84,7 +90,7 @@ class TestAsk:
         trace_path = tmp_path / "trace.jsonl"
         code, _, _ = run(
             capsys, "ask", "w1 w2", "--store", str(store), "--llm", "echo",
-            "--dim", "32", "--k", "3", "--trace", str(trace_path),
+            "--k", "3", "--trace", str(trace_path),
         )
         assert code == 0
         record = json.loads(trace_path.read_text(encoding="utf-8").splitlines()[0])
@@ -104,10 +110,73 @@ class TestAsk:
         for path in (t1, t2):
             code, out, _ = run(
                 capsys, "ask", "alpha", "--store", str(store), "--llm", "echo",
-                "--dim", "32", "--trace", str(path),
+                "--trace", str(path),
             )
             assert code == 0
         assert t1.read_bytes() == t2.read_bytes()
+
+
+class TestAskTakesTheStoresEmbedder:
+    """ask and tables ask take no embedder flag. They embed with the one the
+    store names, and print and trace what an answer given that config does."""
+
+    @pytest.fixture(params=["hashed_bow", "http"])
+    def embedder(self, request, json_server):
+        if request.param == "hashed_bow":
+            return ["--dim", "32"], EmbedderConfig(dim=32)
+        server = json_server(lambda path, body: (200, {"embeddings": [
+            embed(text, EmbedderConfig(dim=32)).tolist() for text in body["inputs"]]}))
+        url = server.url + "embed"
+        return (["--embedder", "http", "--embed-url", url, "--dim", "32"],
+                EmbedderConfig(backend="http", dim=32, endpoint_url=url))
+
+    def test_ask(self, capsys, tmp_path, embedder):
+        flags, config = embedder
+        doc = tmp_path / "doc.txt"
+        doc.write_text(" ".join(f"w{i}" for i in range(30)), encoding="utf-8")
+        store = tmp_path / "s.gtr"
+        run(capsys, "ingest", "--input", str(doc), "--store", str(store),
+            "--chunk-size", "4", "--overlap", "1", *flags)
+        trace = tmp_path / "trace.jsonl"
+        code, out, err = run(capsys, "ask", "w1 w2", "--store", str(store), "--k", "3",
+                             "--llm", "echo", "--trace", str(trace))
+        assert (code, err) == (0, "")
+        expected = pipeline.answer(Query("w1 w2"), VectorStore.load(store), k=3,
+                                   embedder_config=config,
+                                   llm_config=LlmConfig(backend="echo_context"))
+        assert out == expected.answer + "\n"
+        pipeline.append_trace(expected, tmp_path / "expected.jsonl")
+        assert trace.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+
+    def test_tables_ask(self, capsys, tmp_path, toy_db, embedder):
+        flags, config = embedder
+        store = tmp_path / "t.gtr"
+        run(capsys, "tables", "ingest", "--db", str(toy_db), "--store", str(store), *flags)
+        question = "How many singers are in the singer table?"
+        sql = TABULAR_QUESTIONS[question][0]
+        mapping = tmp_path / "fixtures.json"
+        mapping.write_text(json.dumps({question: sql}), encoding="utf-8")
+        trace = tmp_path / "trace.jsonl"
+        code, out, err = run(capsys, "tables", "ask", question, "--db", str(toy_db),
+                             "--store", str(store), "--llm", f"template:{mapping}",
+                             "--trace", str(trace))
+        assert (code, err) == (0, "")
+        assert out == f"SQL: {sql}\ncount(*)\n6\n"
+        expected = tables.answer_tabular(
+            Query(question), toy_db, VectorStore.load(store), embedder_config=config,
+            llm_config=LlmConfig(backend="template_sql", sql_templates={question: sql}),
+        )
+        pipeline.append_trace(expected.trace, tmp_path / "expected.jsonl")
+        assert trace.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("command", [["ask"], ["tables", "ask", "--db", "x.sqlite"]])
+    @pytest.mark.parametrize("flag", [["--dim", "32"], ["--embedder", "hashed_bow"],
+                                      ["--embed-url", "http://localhost:1/"]])
+    def test_embedder_flag_is_a_usage_error(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "q?", "--store", "s.gtr", *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 class TestTables:
@@ -127,7 +196,7 @@ class TestTables:
         )
         code, out, _ = run(
             capsys, "tables", "ask", question, "--db", str(toy_db),
-            "--store", str(store), "--dim", "64", "--llm", f"template:{mapping}",
+            "--store", str(store), "--llm", f"template:{mapping}",
         )
         assert code == 0
         assert "SQL: SELECT count(*) FROM singer" in out
@@ -139,7 +208,7 @@ class TestTables:
             "--store", str(store), "--dim", "64")
         code, _, err = run(
             capsys, "tables", "ask", "zap it", "--db", str(toy_db),
-            "--store", str(store), "--dim", "64", "--llm", "fixed:DELETE FROM singer",
+            "--store", str(store), "--llm", "fixed:DELETE FROM singer",
         )
         assert code == 1
         assert "execute_sql" in err
@@ -159,7 +228,7 @@ class TestTables:
         mapping.write_text(text, encoding="utf-8")
         code, out, err = run(
             capsys, "tables", "ask", "q?", "--db", str(toy_db),
-            "--store", str(store), "--dim", "64", "--llm", f"template:{mapping}",
+            "--store", str(store), "--llm", f"template:{mapping}",
         )
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {mapping}") and message in err
@@ -171,7 +240,7 @@ class TestTables:
             "--dim", "64", "--sample-limit", "1")
         code, _, _ = run(
             capsys, "tables", "ask", "q?", "--db", str(toy_db), "--store", str(store),
-            "--dim", "64", "--llm", "fixed:SELECT 1", "--trace", str(trace),
+            "--llm", "fixed:SELECT 1", "--trace", str(trace),
         )
         assert code == 0
         prompt = json.loads(trace.read_text(encoding="utf-8"))["prompt"]
@@ -189,7 +258,7 @@ class TestTables:
         conn.close()
         code, out, err = run(
             capsys, "tables", "ask", "q?", "--db", str(toy_db),
-            "--store", str(store), "--dim", "64", "--llm", "fixed:SELECT 1",
+            "--store", str(store), "--llm", "fixed:SELECT 1",
         )
         assert (code, out) == (1, "")
         assert "'stadium'" in err and "re-run `gtr tables ingest`" in err
@@ -200,7 +269,7 @@ class TestTables:
             "--store", str(store), "--dim", "64")
         code, out, err = run(
             capsys, "tables", "ask", "q?", "--db", str(toy_db), "--store", str(store),
-            "--dim", "64", "--llm", "fixed:SELECT name FROM singer", "--row-limit", "0",
+            "--llm", "fixed:SELECT name FROM singer", "--row-limit", "0",
         )
         assert (code, out) == (1, "")
         assert err == "error: row_limit must be positive or None, got 0\n"
@@ -212,7 +281,7 @@ class TestTables:
             "--store", str(store), "--dim", "64")
         code, out, err = run(
             capsys, "tables", "ask", "q?", "--db", str(toy_db), "--store", str(store),
-            "--dim", "64", "--llm", "fixed:SELECT count(*) FROM singer", "--timeout-ms", "0",
+            "--llm", "fixed:SELECT count(*) FROM singer", "--timeout-ms", "0",
         )
         assert (code, out) == (1, "")
         assert err == "error: timeout_ms must be positive, got 0\n"
@@ -245,7 +314,7 @@ class TestNonUtf8Input:
             "eval sql": ["eval", "sql", "--gold", str(path), "--pred", str(path),
                          "--db-dir", str(tmp_path)],
             "tables ask": ["tables", "ask", "q?", "--db", str(toy_db), "--store", str(store),
-                           "--dim", "64", "--llm", f"template:{path}"],
+                           "--llm", f"template:{path}"],
         }[command]
         if command == "tables ask":
             run(capsys, "tables", "ingest", "--db", str(toy_db), "--store", str(store),
@@ -275,6 +344,16 @@ class TestEval:
         assert "1.000" in out
         assert out_path.is_file()
 
+    def test_eval_sql_starts_no_thread_pool_by_default(self, capsys, tmp_path, toy_db,
+                                                       monkeypatch):
+        monkeypatch.setattr(suite, "ThreadPoolExecutor",
+                            lambda *a, **k: pytest.fail("a thread pool was started"))
+        sql = tmp_path / "q.sql"
+        sql.write_text("SELECT name FROM singer\tconcerts\n" * 3, encoding="utf-8")
+        code, out, _ = run(capsys, "eval", "sql", "--gold", str(sql), "--pred", str(sql),
+                           "--db-dir", str(toy_db.parent))
+        assert code == 0 and "1.000" in out
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_eval_sql_jobs_below_one_exits_one(self, capsys, tmp_path, toy_db, jobs):
         # -1 used to end in a ValueError traceback from the thread pool, and
@@ -286,7 +365,7 @@ class TestEval:
             "--db-dir", str(toy_db.parent), "--jobs", jobs,
         )
         assert (code, out) == (1, "")
-        assert err == f"error: jobs must be positive or None, got {jobs}\n"
+        assert err == f"error: jobs must be positive, got {jobs}\n"
 
     def test_eval_text_summary_has_seven_columns(self, capsys, tmp_path):
         items = tmp_path / "items.jsonl"

@@ -31,7 +31,7 @@ class TestConsoleScript:
                        "--dim", "32")
         assert proc.returncode == 0, proc.stderr
         proc = run_gtr("ask", "what is in the store?", "--store", str(store),
-                       "--llm", "echo", "--dim", "32")
+                       "--llm", "echo")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "a single memorable chunk\n"
 

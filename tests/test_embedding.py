@@ -6,11 +6,12 @@ import pytest
 from gtr.embedding import (
     EmbedderConfig,
     bucket_index,
+    config_from_fingerprint,
     embed,
     embed_batch,
     fingerprint,
 )
-from gtr.errors import BackendUnavailable, EmptyText, InvalidConfig
+from gtr.errors import BackendUnavailable, EmptyText, FingerprintMismatch, InvalidConfig
 from gtr.store import cosine
 
 
@@ -94,6 +95,28 @@ class TestConfig:
         b = fingerprint(EmbedderConfig(dim=32))
         c = fingerprint(EmbedderConfig(backend="http", dim=16, endpoint_url="http://x/"))
         assert len({a, b, c}) == 3
+
+    @pytest.mark.parametrize("config", [
+        EmbedderConfig(dim=64),
+        EmbedderConfig(dim=1),
+        EmbedderConfig(backend="http", dim=16, endpoint_url="http://x:8080/embed?a=b:c"),
+    ])
+    def test_config_rebuilt_from_its_fingerprint(self, config):
+        assert config_from_fingerprint(fingerprint(config)) == config
+
+    @pytest.mark.parametrize("fp", [
+        "hashed_bow:64:0000000000000000",  # another hash seed
+        "bogus:64:x",
+        "hashed_bow:sixty:cbf29ce484222325",
+        "hashed_bow:064:cbf29ce484222325",
+        "hashed_bow:0:cbf29ce484222325",
+        "hashed_bow:64",
+        "http:64",
+        "",
+    ])
+    def test_fingerprint_no_config_has_is_refused(self, fp):
+        with pytest.raises(FingerprintMismatch, match="names no known embedder"):
+            config_from_fingerprint(fp)
 
 
 @pytest.mark.usefixtures("fast_retries")

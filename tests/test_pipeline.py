@@ -137,6 +137,23 @@ class TestAnswer:
         with pytest.raises(FingerprintMismatch, match="!= configured"):
             answer(Query("q"), store, embedder_config=other, llm_config=ECHO)
 
+    def test_no_config_embeds_with_the_one_the_store_names(self, tmp_path):
+        store = self._store(tmp_path, ["cats purr", "dogs bark", "fish swim"])
+        assert store.dim == 48
+        query = Query("do fish swim in water")
+        assert answer(query, store, k=3) == answer(query, store, k=3, embedder_config=CONFIG)
+        assert answer(query, store).answer == "fish swim"
+
+    @pytest.mark.parametrize("fp, message", [
+        ("hashed_bow:48:0000000000000000", "names no known embedder"),
+        ("hashed_bow:49:cbf29ce484222325", "vs store dim 48"),
+    ])
+    def test_store_naming_no_usable_embedder_is_refused(self, tmp_path, fp, message):
+        store = self._store(tmp_path, ["C."])
+        store.embedder_fingerprint = fp
+        with pytest.raises(FingerprintMismatch, match=message):
+            answer(Query("q"), store, llm_config=ECHO)
+
     def test_tables_share_the_store_guard(self, toy_db):
         with pytest.raises(InvalidInput, match="empty store"):
             select_tables(Query("q"), VectorStore(CONFIG.dim, "wrong"),

@@ -180,8 +180,9 @@ class TestInsertAndQuery:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_vector_rejected(self, bad):
+        record = VectorRecord("a", [1.0, bad, 0.0], "chunk", "t")
         with pytest.raises(InvalidInput, match="finite"):
-            VectorRecord("a", [1.0, bad, 0.0], "chunk", "t")
+            VectorStore(3, "test").insert(record)
 
     def test_query_empty_store(self):
         store = VectorStore(2, "test")
@@ -519,6 +520,48 @@ class TestStoreOwnsItsData:
         loaded.get("b").metadata["k"] = "changed"
         loaded.records[0].metadata["k"] = "changed"
         assert self._state(loaded, path) == self._untouched(tmp_path)
+
+
+class TestInsertChecksTheRecord:
+    """insert refuses what load refuses, as the record is when it is
+    inserted: a record changed after it was made used to get in, and then
+    scored NaN or saved a file that load refused or that raised a
+    UnicodeEncodeError."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("vector", np.array([math.nan, 1.0, 0.0, 0.0]), "must be finite"),
+        ("vector", np.array([math.inf, 1.0, 0.0, 0.0]), "must be finite"),
+        ("vector", np.ones((1, 4)), r"record dim \(1, 4\) vs store dim 4"),
+        ("vector", np.ones(3), r"record dim \(3,\) vs store dim 4"),
+        ("kind", "bogus", "kind must be one of"),
+        ("kind", None, "record kind must be a string, got None"),
+        ("id", "", "id must be nonempty"),
+        ("id", 5, "record id must be a string, got 5"),
+        ("text", b"t", "record text must be a string, got b't'"),
+        ("text", "bad \ud800 text", "not valid Unicode"),
+        ("metadata", {"k": 3}, "record metadata 'k' must be a string, got 3"),
+        ("metadata", {3: "v"}, "record metadata 3 must be a string, got 3"),
+        ("metadata", {"k": "\udfff"}, "not valid Unicode"),
+        ("metadata", {"\udfff": "v"}, "not valid Unicode"),
+        ("metadata", [("k", "v")], "metadata must be a JSON object"),
+        ("id", "z", "record id 'z' already present"),
+    ])
+    def test_changed_record_is_refused_and_store_left_as_it_was(self, tmp_path, field,
+                                                                 value, message):
+        store = VectorStore(4, "fp")
+        store.insert(VectorRecord("z", [0.0, 1.0, 0.0, 0.0], "table", "kept", {"k": "v"}))
+        store.save(tmp_path / "before.gtr")
+        before = (tmp_path / "before.gtr").read_bytes()
+        record = VectorRecord("a", [1.0, 0.0, 0.0, 0.0], "chunk", "t")
+        setattr(record, field, value)
+        with pytest.raises((InvalidInput, DimensionMismatch, DuplicateId), match=message):
+            store.insert(record)
+        assert "a" not in store and len(store) == 1
+        assert store.query_top_k([1.0, 1.0, 0.0, 0.0], 3) == [("z", pytest.approx(0.5 ** 0.5))]
+        store.save(tmp_path / "after.gtr")
+        assert (tmp_path / "after.gtr").read_bytes() == before
+        store.insert(VectorRecord("a", [1.0, 0.0, 0.0, 0.0], "chunk", "t"))
+        assert len(store) == 2
 
 
 class TestPersistence:

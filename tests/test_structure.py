@@ -1,13 +1,14 @@
 """Structural guard: one concept, one implementation. The package holds
-one answer-trace class, one HTTP POST call site, one store writer and
-reader, and one reader of text input files, and a table is profiled at
-ingest only."""
+one answer-trace class, one HTTP POST call site, one store builder, writer
+and reader, and one reader of text input files, a table is profiled at
+ingest only, and asking takes the embedder the store names."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import gtr
-from gtr import store
+from gtr import cli, store
 
 SRC = Path(gtr.__file__).parent
 
@@ -153,3 +154,43 @@ def test_nothing_in_the_package_walks_store_records():
         if isinstance(node, ast.Attribute) and node.attr == "records"
     ]
     assert readers == []
+
+
+def test_one_store_builder_for_documents_and_tables():
+    # A new store is made only by pipeline.build_store, and read by
+    # VectorStore.load; ingest and index_tables both build through it.
+    makers = [
+        (path.name, func.name, node.func.id)
+        for path, tree in _trees()
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("VectorStore", "cls")
+    ]
+    assert sorted(makers) == [("pipeline.py", "build_store", "VectorStore"),
+                              ("store.py", "load", "cls")]
+    builders = {
+        func.name
+        for _, tree in _trees()
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "build_store"
+    }
+    assert builders == {"ingest", "index_tables"}
+
+
+def test_asking_takes_no_embedder_option():
+    def sub(parser, name):
+        [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices[name]
+
+    def options(parser):
+        return {o for action in parser._actions for o in action.option_strings}
+
+    parser = cli.build_parser()
+    embedder = {"--dim", "--embedder", "--embed-url"}
+    for ask in (sub(parser, "ask"), sub(sub(parser, "tables"), "ask")):
+        assert not options(ask) & embedder
+    # They stay where a store is built or texts are scored.
+    for command in (sub(parser, "ingest"), sub(sub(parser, "tables"), "ingest"),
+                    sub(sub(parser, "eval"), "text")):
+        assert embedder <= options(command)

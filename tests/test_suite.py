@@ -110,10 +110,16 @@ class TestEvaluateSuite:
             asdict(i) for i in parallel.items
         ]
 
+    def test_default_run_starts_no_thread_pool(self, db_dir, monkeypatch):
+        monkeypatch.setattr(suite, "ThreadPoolExecutor",
+                            lambda *a, **k: pytest.fail("a thread pool was started"))
+        report = evaluate_suite([pair("SELECT name FROM singer")] * 3, db_dir)
+        assert report.summary()["em"] == 1.0
+
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_is_refused_before_any_pair(self, db_dir, monkeypatch, jobs):
         monkeypatch.setattr(suite, "_evaluate_one", lambda *a: pytest.fail("scored"))
-        with pytest.raises(InvalidInput, match=f"jobs must be positive or None, got {jobs}"):
+        with pytest.raises(InvalidInput, match=f"jobs must be positive, got {jobs}"):
             evaluate_suite([pair("SELECT name FROM singer")] * 2, db_dir, jobs=jobs)
 
     def test_jsonl_and_summary_output(self, db_dir, tmp_path):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import gtr.tables as tables
-from gtr.embedding import EmbedderConfig, embed
+from gtr.embedding import EmbedderConfig, embed, fingerprint
 from gtr.errors import (
     EmptyGeneration,
     EmptySelection,
@@ -158,6 +158,23 @@ class TestIndexAndSelect:
     def test_empty_profiles_rejected(self):
         with pytest.raises(InvalidInput):
             index_tables([], CONFIG)
+
+    def test_http_embeds_one_request_per_batch(self, toy_db, tmp_path, json_server):
+        server = json_server(lambda path, body: (200, {"embeddings": [
+            embed(text, CONFIG).tolist() for text in body["inputs"]]}))
+        config = EmbedderConfig(backend="http", dim=CONFIG.dim, endpoint_url=server.url,
+                                batch_size=2)
+        profiles = profile_tables(toy_db)
+        index_tables(profiles, config, tmp_path / "batched.gtr")
+        assert len(server.requests) == 2  # 3 tables, 2 per request; one per table sent 3
+        # The bytes equal a store made the old way, one embed call per table.
+        one_by_one = VectorStore(config.dim, fingerprint(config))
+        for profile, record in zip(profiles, index_tables(profiles, config).records):
+            text = embedding_text(profile)
+            one_by_one.insert(VectorRecord(record.id, embed(text, config), "table", text,
+                                           record.metadata))
+        one_by_one.save(tmp_path / "one_by_one.gtr")
+        assert (tmp_path / "batched.gtr").read_bytes() == (tmp_path / "one_by_one.gtr").read_bytes()
 
 
 class TestSqlPrompt:

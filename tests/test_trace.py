@@ -73,7 +73,7 @@ class TestAskLines:
                      "--chunk-size", "6", "--overlap", "2", "--dim", "64"]) == 0
         out = tmp_path / "trace.jsonl"
         assert main(["ask", "why is mars red?", "--store", str(store_path), "--k", "2",
-                     "--llm", "echo", "--dim", "64", "--trace", str(out)]) == 0
+                     "--llm", "echo", "--trace", str(out)]) == 0
         capsys.readouterr()
         trace = answer(Query("why is mars red?"), ingest(
             DOCS, chunk_size=6, overlap=2, embedder_config=CONFIG,
@@ -129,7 +129,7 @@ class TestTablesLines:
         assert main(["tables", "ingest", "--db", str(toy_db), "--store", str(store_path),
                      "--dim", "64"]) == 0
         assert main(["tables", "ask", "how many singers?", "--db", str(toy_db),
-                     "--store", str(store_path), "--dim", "64",
+                     "--store", str(store_path),
                      "--llm", f"template:{mapping}", "--trace", str(out)]) == 0
         capsys.readouterr()
         assert out.read_text(encoding="utf-8") == tables_line(_tabular_trace(TEMPLATE, toy_db))
@@ -143,7 +143,7 @@ class TestTablesAskFailure:
               "--dim", "64"])
         capsys.readouterr()
         code = main(["tables", "ask", "how many singers?", "--db", str(toy_db),
-                     "--store", str(store_path), "--dim", "64",
+                     "--store", str(store_path),
                      "--llm", "fixed:SELEC nope FROM singer", "--trace", str(out)])
         err = capsys.readouterr().err
         assert code == 1
@@ -159,6 +159,6 @@ class TestTablesAskFailure:
         main(["tables", "ingest", "--db", str(toy_db), "--store", str(store_path),
               "--dim", "64"])
         code = main(["tables", "ask", "q?", "--db", str(toy_db), "--store", str(store_path),
-                     "--dim", "64", "--llm", "fixed:SELEC nope"])
+                     "--llm", "fixed:SELEC nope"])
         assert code == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["concerts.sqlite", "t.jsonl"]
