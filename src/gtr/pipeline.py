@@ -102,8 +102,8 @@ def build_store(
     items = iter(items)
     while batch := list(islice(items, embedder_config.batch_size)):
         vectors = embed_batch([text for _, text, _ in batch], embedder_config)
-        for (id_, text, metadata), vector in zip(batch, vectors):
-            store.insert(VectorRecord(id_, vector, kind, text, metadata))
+        store.insert_many([VectorRecord(id_, vector, kind, text, metadata)
+                           for (id_, text, metadata), vector in zip(batch, vectors)])
     if store_path is not None:
         store.save(store_path)
     return store
@@ -161,7 +161,7 @@ def answer(
     """
     embedder_config = check_store(store, embedder_config)
     retrieved = store.query_top_k(embed(query.text, embedder_config), k)
-    prompt = compose_prompt(query, [store.get(rid).text for rid, _ in retrieved])
+    prompt = compose_prompt(query, [store.texts[store.row(rid)] for rid, _ in retrieved])
     completion = complete(prompt, llm_config)
     return AnswerTrace(
         query=query.text,

@@ -2,11 +2,19 @@
 
 Search is an exhaustive scan — no approximate index. As in FAISS's flat
 index, records are kept as columns: lists of ids, kinds, texts and metadata
-beside one contiguous float64 matrix, one row per record, grown by doubling.
-Scores are one matrix-vector product in double precision, and equal scores
-are ordered by ascending id; equal dense vectors can still score an ulp
-apart, as BLAS sums a row in an order that depends on its position. An
-insert writes one row; the next query norms the rows added since the last.
+beside one float64 matrix, one row per record, grown by doubling. The
+matrix is column-major, so each of its columns is contiguous.
+
+Every score is summed in one defined order, the same for every row: a
+row's dot product with the query starts from +0.0 and adds the products
+over the query's nonzero entries one column at a time, in ascending column
+order. A row's norm folds its squares in half (see ``_norms``). Equal
+vectors therefore score equally wherever they sit, and equal scores are
+ordered by ascending id. A hashed query has a few nonzero entries, so a
+query reads a few columns; a dense query reads them all, which at dim 384
+took about 8 ms over 15,000 rows and 52 ms over 100,000 on one core of a
+2-core x86-64 VM. An insert writes one row; the next query norms the rows
+added since the last.
 
 File format, version 2 (one store per file, "\\n" after each JSON line):
 
@@ -72,10 +80,10 @@ def cosine(u, v) -> float:
     Raises:
         DimensionMismatch: different lengths.
         ZeroVector: either argument has zero norm.
-        InvalidInput: an entry is NaN or infinite.
+        InvalidInput: an entry is NaN, infinite or not a real number.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    u = _vector(u, "cosine")
+    v = _vector(v, "cosine")
     if u.ndim != 1 or v.ndim != 1:
         raise InvalidInput("cosine expects 1-D vectors")
     if u.shape[0] != v.shape[0]:
@@ -89,6 +97,51 @@ def cosine(u, v) -> float:
     if np.array_equal(u, v):
         return 1.0
     return float(min(1.0, max(-1.0, float(su @ sv) / (nu * nv))))
+
+
+def _vector(values, what: str) -> np.ndarray:
+    """values as a float64 array.
+
+    Raises:
+        InvalidInput: an entry is not a real number (a string, a complex
+            number, a bool, an int too large for a float), or the entries
+            are ragged.
+    """
+    try:
+        array = np.asarray(values)
+    except ValueError:
+        raise InvalidInput(f"{what} vector is ragged") from None
+    if array.dtype.kind not in "fiu":
+        raise InvalidInput(f"{what} vector entries must be real numbers, got {array.dtype}")
+    return array.astype(np.float64, copy=False)
+
+
+def _column_dots(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Each row's dot product with query, summed in the defined order: from
+    +0.0, adding the products over the query's nonzero entries one column at
+    a time, in ascending column order. A zero product adds nothing to a sum
+    started from +0.0, so this is the sum over every column in that order."""
+    dots = np.zeros(matrix.shape[0])
+    products = np.empty_like(dots)
+    columns = query.nonzero()[0]
+    for j, q in zip(columns.tolist(), query[columns].tolist()):
+        np.multiply(matrix[:, j], q, out=products)
+        dots += products
+    return dots
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's Euclidean norm, summed in one order that is the same for
+    every row: the squares, padded with zeros to a power-of-two width, are
+    folded in half, adding entry j + w to entry j, until one is left. That
+    is a fixed number of array operations however many rows there are."""
+    width = 1 << (rows.shape[1] - 1).bit_length()
+    squares = np.zeros((width, rows.shape[0]))  # row j: entry j of every row
+    np.square(rows.T, out=squares[: rows.shape[1]])
+    while width > 1:
+        width //= 2
+        np.add(squares[:width], squares[width:2 * width], out=squares[:width])
+    return np.sqrt(squares[0])
 
 
 def _scaled(x: np.ndarray) -> np.ndarray:
@@ -132,7 +185,7 @@ class VectorRecord:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=np.float64)
+        self.vector = _vector(self.vector, "record")
         self.metadata = dict(self.metadata)
 
 
@@ -155,7 +208,8 @@ class VectorStore:
         self.metadata: list[dict[str, str]] = []
         self._rows: dict[str, int] = {}
         # Rows [:len(self)] hold the vectors; the rest is spare capacity.
-        self._matrix = np.empty((0, dim), dtype=np.float64)
+        # Column-major, so a query reads the columns it needs contiguously.
+        self._matrix = np.empty((0, dim), dtype=np.float64, order="F")
         # _norms[:_normed] are the norms of the first _normed rows; the rows
         # whose indices _scaled_rows lists, in order, are normed and scored
         # as _scaled returns them.
@@ -171,9 +225,14 @@ class VectorStore:
 
     def get(self, record_id: str) -> VectorRecord:
         """A new record of the stored fields; changing it changes no store."""
-        if record_id not in self._rows:
-            raise InvalidInput(f"no record with id {record_id!r}")
-        return self._record(self._rows[record_id])
+        return self._record(self.row(record_id))
+
+    def row(self, record_id: str) -> int:
+        """The record's row: its index into ids, kinds, texts and metadata."""
+        try:
+            return self._rows[record_id]
+        except KeyError:
+            raise InvalidInput(f"no record with id {record_id!r}") from None
 
     @property
     def records(self) -> list[VectorRecord]:
@@ -191,25 +250,47 @@ class VectorStore:
         the store as it was.
 
         Raises:
-            InvalidInput: a NaN or infinite entry, or a field load refuses.
+            InvalidInput: a NaN, infinite or non-real entry, or a field
+                load refuses.
             DuplicateId: the id is already present.
             DimensionMismatch: the vector is not 1-D of the store's dim.
         """
-        vector = np.asarray(record.vector, dtype=np.float64)
-        if vector.shape != (self.dim,):
-            raise DimensionMismatch(f"record dim {vector.shape} vs store dim {self.dim}")
-        if not np.isfinite(vector).all():
-            raise InvalidInput("record vector must be finite (no NaN or infinity)")
-        _check_fields(record.id, record.kind, record.text, record.metadata)
-        n = len(self)
-        if n == self._matrix.shape[0]:
-            matrix = np.empty((max(16, 2 * n), self.dim), dtype=np.float64)
-            matrix[:n] = self._matrix
-            norms = np.empty(matrix.shape[0], dtype=np.float64)
+        self.insert_many([record])
+
+    def insert_many(self, records: list[VectorRecord]) -> None:
+        """Add copies of records, in order, as ``insert`` adds one; their
+        rows are written with one assignment, as a row of the column-major
+        matrix is spread over all its columns. Every record is checked
+        before any is added: a refused one leaves the store as it was.
+
+        Raises:
+            As ``insert``, also for an id repeated within records.
+        """
+        vectors = np.empty((len(records), self.dim), dtype=np.float64)
+        new_ids = set()
+        for i, record in enumerate(records):
+            vector = _vector(record.vector, "record")
+            if vector.shape != (self.dim,):
+                raise DimensionMismatch(f"record dim {vector.shape} vs store dim {self.dim}")
+            if not np.isfinite(vector).all():
+                raise InvalidInput("record vector must be finite (no NaN or infinity)")
+            _check_fields(record.id, record.kind, record.text, record.metadata)
+            if record.id in self._rows or record.id in new_ids:
+                raise DuplicateId(f"record id {record.id!r} already present")
+            new_ids.add(record.id)
+            vectors[i] = vector
+        n, capacity = len(self), self._matrix.shape[0]
+        if n + len(records) > capacity:
+            while capacity < n + len(records):
+                capacity = max(16, 2 * capacity)
+            matrix = np.empty((capacity, self.dim), dtype=np.float64, order="F")
+            matrix[:n] = self._matrix[:n]
+            norms = np.empty(capacity, dtype=np.float64)
             norms[: self._normed] = self._norms[: self._normed]
             self._matrix, self._norms = matrix, norms
-        self._add(record.id, record.kind, record.text, dict(record.metadata))
-        self._matrix[n] = vector
+        for record in records:
+            self._add(record.id, record.kind, record.text, dict(record.metadata))
+        self._matrix[n:n + len(records)] = vectors
 
     def _add(self, id_: str, kind: str, text: str, metadata: dict[str, str]) -> None:
         """Append one record's fields, or raise DuplicateId for a known id."""
@@ -228,22 +309,28 @@ class VectorStore:
         zero norm score 0.0 rather than erroring, so one bad record cannot
         poison every query. The query, and each row whose norm would
         overflow or underflow, is scaled by a power of two first, as in
-        ``cosine``, so huge and tiny vectors score like any others.
+        ``cosine``, so huge and tiny vectors score like any others. A score
+        is the row's dot product with the query, in the order the module
+        docstring defines, over the row's norm times the query's; the
+        query's norm is the root of its own dot product in that order.
 
         Raises:
             DimensionMismatch: query dim differs from the store's.
             ZeroVector: the query has zero norm.
-            InvalidInput: k < 1, or the query has a NaN or infinite entry.
+            InvalidInput: k < 1, or the query has a NaN, infinite or
+                non-real entry.
         """
         if k < 1:
             raise InvalidInput(f"k must be positive, got {k}")
-        query = np.asarray(query, dtype=np.float64)
+        query = _vector(query, "query")
         if query.ndim != 1 or query.shape[0] != self.dim:
             raise DimensionMismatch(
                 f"query dim {query.shape} vs store dim {self.dim}"
             )
         query = _scaled(query)
-        qnorm = np.linalg.norm(query)
+        # The query's own dot product, summed in the same order.
+        squares = np.square(query[query != 0.0])
+        qnorm = math.sqrt(np.cumsum(squares)[-1]) if squares.size else 0.0
         if not math.isfinite(qnorm):
             raise InvalidInput("query vector must be finite (no NaN or infinity)")
         if qnorm == 0.0:
@@ -261,10 +348,10 @@ class VectorStore:
         rows = self._scaled_rows
         if rows.size:
             with np.errstate(over="ignore"):
-                dots = matrix @ query
-            dots[rows] = _scaled(matrix[rows]) @ query
+                dots = _column_dots(matrix, query)
+            dots[rows] = _column_dots(_scaled(matrix[rows]), query)
         else:
-            dots = matrix @ query
+            dots = _column_dots(matrix, query)
         denom = self._norms[:n] * qnorm
         scores = np.divide(dots, denom, out=np.zeros_like(dots), where=denom != 0.0)
         np.clip(scores, -1.0, 1.0, out=scores)
@@ -283,20 +370,22 @@ class VectorStore:
         return [(ids[i], float(scores[i])) for i in ranked]
 
     def _norm_rows(self, start: int, stop: int) -> None:
-        """Fill _norms[start:stop]. A row whose norm overflows, or whose
-        squares fall below the normal float range, is normed as _scaled
-        returns it and joins _scaled_rows."""
-        rows = self._matrix[start:stop]
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(rows, axis=1)
-        odd = np.flatnonzero((norms < _TINY_NORM) | (norms == np.inf))
-        if odd.size:
-            norms[odd] = np.linalg.norm(_scaled(rows[odd]), axis=1)
-            odd = odd[norms[odd] != 0.0]  # zero rows stay as they are
-            # A new array, not an update: a concurrent reader keeps the one
-            # it read, and racing readers assign equal arrays.
-            self._scaled_rows = np.union1d(self._scaled_rows, odd + start)
-        self._norms[start:stop] = norms
+        """Fill _norms[start:stop], a fixed number of rows at a time. A row
+        whose norm overflows, or whose squares fall below the normal float
+        range, is normed as _scaled returns it and joins _scaled_rows."""
+        for begin in range(start, stop, _BLOCK_ROWS):
+            end = min(begin + _BLOCK_ROWS, stop)
+            rows = self._matrix[begin:end]
+            with np.errstate(over="ignore"):
+                norms = _norms(rows)
+            odd = np.flatnonzero((norms < _TINY_NORM) | (norms == np.inf))
+            if odd.size:
+                norms[odd] = _norms(_scaled(rows[odd]))
+                odd = odd[norms[odd] != 0.0]  # zero rows stay as they are
+                # A new array, not an update: a concurrent reader keeps the
+                # one it read, and racing readers assign equal arrays.
+                self._scaled_rows = np.union1d(self._scaled_rows, odd + begin)
+            self._norms[begin:end] = norms
 
     def save(self, path: str | Path) -> None:
         """Write to a temporary file beside ``path``, then rename it over
@@ -319,8 +408,12 @@ class VectorStore:
                 f.write(_dumps(header).encode("utf-8") + b"\n")
                 for fields in zip(self.ids, self.kinds, self.texts, self.metadata):
                     f.write(_dumps(dict(zip(_RECORD_FIELDS, fields))).encode("utf-8") + b"\n")
+                # The blocks are column-major: only the packed bitmaps, an
+                # eighth of a row's bytes, are copied into row order; a mask
+                # picks the set entries in row order already.
                 for block in blocks:
-                    f.write(np.packbits(block.view(np.uint64) != 0, axis=1))
+                    bitmaps = np.packbits(block.view(np.uint64) != 0, axis=1)
+                    f.write(np.ascontiguousarray(bitmaps))
                 for block in blocks:
                     f.write(block[block.view(np.uint64) != 0].astype("<f8", copy=False))
             os.replace(tmp, path)
@@ -383,7 +476,7 @@ class VectorStore:
                     raise CorruptStore(f"{path}: line {lineno}: missing field {e}")
                 except (InvalidInput, DuplicateId) as e:
                     raise CorruptStore(f"{path}: line {lineno}: {e}")
-            store._matrix = np.zeros((count, dim), dtype=np.float64)
+            store._matrix = np.zeros((count, dim), dtype=np.float64, order="F")
             store._norms = np.empty(count, dtype=np.float64)
             store._read_vectors(f, f"{path}: vector block")
             return store
@@ -455,5 +548,5 @@ def _parse_record(obj) -> tuple[str, str, str, dict[str, str]]:
     return id_, kind, text, metadata
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+# json.dumps with these options, without building an encoder per line.
+_dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode

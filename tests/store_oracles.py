@@ -14,11 +14,18 @@ still gets the same bits.
 
 ``v2_bytes`` spells out store format version 2 one entry at a time, apart
 from the production writer, so the tests can pin that layout byte for byte.
+
+``naive_row`` and ``naive_top_k`` are a naive scan in the order the
+production store defines for its sums, one Python float operation at a
+time: a dot product adds the products over the query's nonzero entries
+from +0.0 in ascending column order, and a row's norm folds its squares in
+half. Production scores must equal theirs bit for bit.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -287,3 +294,73 @@ def v2_bytes(dim: int, fingerprint: str, records) -> bytes:
             if entry != bytes(8):
                 out += entry
     return bytes(out)
+
+
+# A row norm below this had its square fall out of the normal float range.
+TINY_NORM = 2.0 ** -511
+
+
+def power_scaled(values: list[float]) -> list[float]:
+    """values times the power of two that puts the largest magnitude in
+    [0.5, 1); all zeros stay as they are."""
+    peak = max(abs(x) for x in values)
+    if peak == 0.0:
+        return list(values)
+    shift = -math.frexp(peak)[1]
+    return [math.ldexp(x, shift) for x in values]
+
+
+def nonzero_terms(query: list[float]) -> list[tuple[int, float]]:
+    """``(j, query[j])`` for each nonzero entry, in ascending j."""
+    return [(j, q) for j, q in enumerate(query) if q != 0.0]
+
+
+def ordered_dot(row: list[float], terms: list[tuple[int, float]]) -> float:
+    """From +0.0, add row[j] * q for each of a query's ``nonzero_terms``,
+    in order."""
+    total = 0.0
+    for j, q in terms:
+        total += row[j] * q
+    return total
+
+
+def fold_norm(values: list[float]) -> float:
+    """The root of the sum of squares, padded with zeros to a power-of-two
+    length and folded in half (entry j + w added to entry j) until one is
+    left."""
+    squares = [x * x for x in values]
+    width = 1 << (len(squares) - 1).bit_length()
+    squares += [0.0] * (width - len(squares))
+    while width > 1:
+        width //= 2
+        squares = [a + b for a, b in zip(squares[:width], squares[width:])]
+    return math.sqrt(squares[0])
+
+
+def naive_row(record_id: str, vector) -> tuple[str, list[float], float]:
+    """``(id, entries, norm)`` as the scan scores the row: a nonzero row
+    whose norm overflows or whose squares fall below the normal float range
+    is scaled by a power of two first."""
+    values = [float(x) for x in vector]
+    norm = fold_norm(values)
+    if norm < TINY_NORM or norm == math.inf:
+        scaled = power_scaled(values)
+        if fold_norm(scaled) != 0.0:
+            values, norm = scaled, fold_norm(scaled)
+    return record_id, values, norm
+
+
+def naive_top_k(rows, query, k: int) -> list[tuple[str, float]]:
+    """The top k of ``naive_row`` rows by cosine score, descending, then by
+    ascending id. The query is scaled by a power of two; its norm is the
+    root of its own ordered dot product; a zero denominator scores 0.0."""
+    query = power_scaled([float(x) for x in query])
+    terms = nonzero_terms(query)
+    qnorm = math.sqrt(ordered_dot(query, terms))
+    scored = []
+    for record_id, values, norm in rows:
+        denom = norm * qnorm
+        score = ordered_dot(values, terms) / denom if denom != 0.0 else 0.0
+        scored.append((record_id, min(1.0, max(-1.0, score))))
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored[:k]

@@ -279,6 +279,46 @@ class TestInsertAndQuery:
             store.query_top_k([1.0, bad], 1)
 
 
+# Entries that are not real numbers: text (numeric text too), complex
+# numbers, bools, an int no float holds, and ragged nesting. Each used to
+# escape as a raw ValueError, TypeError or OverflowError, or, for numeric
+# text and bools, to be taken as numbers.
+NOT_REAL = [["x", "y"], ["1.5", "2"], [1 + 2j, 0], np.array([1 + 2j, 0]), [True, False],
+            [10 ** 400, 0], [[1.0], [2.0, 3.0]]]
+
+
+class TestVectorEntriesMustBeReal:
+    @pytest.mark.parametrize("bad", NOT_REAL)
+    def test_insert_refuses(self, bad):
+        store = VectorStore(2, "test")
+        record = VectorRecord("a", [1.0, 0.0], "chunk", "t")
+        record.vector = bad
+        with pytest.raises(InvalidInput, match="real numbers|ragged"):
+            store.insert(record)
+        assert len(store) == 0
+
+    @pytest.mark.parametrize("bad", NOT_REAL)
+    def test_query_refuses(self, bad):
+        store = VectorStore(2, "test")
+        store.insert(VectorRecord("a", [1.0, 0.0], "chunk", "t"))
+        with pytest.raises(InvalidInput, match="real numbers|ragged"):
+            store.query_top_k(bad, 1)
+
+    @pytest.mark.parametrize("bad", NOT_REAL)
+    def test_record_and_cosine_refuse(self, bad):
+        with pytest.raises(InvalidInput, match="real numbers|ragged"):
+            VectorRecord("a", bad, "chunk", "t")
+        with pytest.raises(InvalidInput, match="real numbers|ragged"):
+            cosine(bad, [1.0, 0.0])
+
+    @pytest.mark.parametrize("good", [[1, 0], np.array([1, 0], dtype=np.uint8),
+                                      np.array([1.0, 0.0], dtype=np.float32)])
+    def test_integers_and_other_float_widths_are_numbers(self, good):
+        store = VectorStore(2, "test")
+        store.insert(VectorRecord("a", good, "chunk", "t"))
+        assert store.query_top_k(good, 1) == [("a", 1.0)]
+
+
 class TestConcurrentReaders:
     def test_parallel_queries_agree(self):
         # Many readers may hit a freshly built store at once; the first
@@ -562,6 +602,53 @@ class TestInsertChecksTheRecord:
         assert (tmp_path / "after.gtr").read_bytes() == before
         store.insert(VectorRecord("a", [1.0, 0.0, 0.0, 0.0], "chunk", "t"))
         assert len(store) == 2
+
+
+class TestInsertMany:
+    def records(self, rng, n, dim, prefix="r"):
+        return [VectorRecord(f"{prefix}{i:04d}", rng.standard_normal(dim), "chunk", f"t{i}",
+                             {"i": str(i)}) for i in range(n)]
+
+    @pytest.mark.parametrize("sizes", [[1], [5, 11], [16, 1, 40], [0, 3], [100]])
+    def test_same_store_as_one_insert_at_a_time(self, tmp_path, sizes):
+        # Batches that fill the matrix exactly, cross a doubling, or cross
+        # several at once.
+        rng = np.random.default_rng(len(sizes))
+        records = self.records(rng, sum(sizes), 6)
+        one_by_one, batched = VectorStore(6, "fp"), VectorStore(6, "fp")
+        for record in records:
+            one_by_one.insert(record)
+        start = 0
+        for size in sizes:
+            batched.insert_many(records[start:start + size])
+            start += size
+        one_by_one.save(tmp_path / "a.gtr")
+        batched.save(tmp_path / "b.gtr")
+        assert (tmp_path / "a.gtr").read_bytes() == (tmp_path / "b.gtr").read_bytes()
+        query = rng.standard_normal(6)
+        assert batched.query_top_k(query, 7) == one_by_one.query_top_k(query, 7)
+
+    @pytest.mark.parametrize("bad, error", [
+        (dict(id="r0001"), DuplicateId),  # repeated within the batch
+        (dict(id="kept"), DuplicateId),  # already in the store
+        (dict(vector=[1.0, math.nan, 0.0]), InvalidInput),
+        (dict(vector=["x", "y", "z"]), InvalidInput),
+        (dict(vector=[1.0, 2.0]), DimensionMismatch),
+        (dict(kind="bogus"), InvalidInput),
+    ])
+    def test_one_refused_record_adds_none(self, tmp_path, bad, error):
+        rng = np.random.default_rng(3)
+        store = VectorStore(3, "fp")
+        store.insert(VectorRecord("kept", [1.0, 0.0, 0.0], "chunk", "t"))
+        store.save(tmp_path / "before.gtr")
+        records = self.records(rng, 20, 3)
+        for field_name, value in bad.items():
+            setattr(records[12], field_name, value)
+        with pytest.raises(error):
+            store.insert_many(records)
+        assert len(store) == 1 and "r0000" not in store
+        store.save(tmp_path / "after.gtr")
+        assert (tmp_path / "after.gtr").read_bytes() == (tmp_path / "before.gtr").read_bytes()
 
 
 class TestPersistence:

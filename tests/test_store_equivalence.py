@@ -1,11 +1,14 @@
-"""The matrix-first store against the store it replaced (``store_oracles``).
+"""The production store against a naive scan in its defined summation
+order and against the store it replaced (``store_oracles``).
 
 Both stores get the same records in the same order, interleaved with
-queries; every ``query_top_k`` result must be identical, ids and scores bit
-for bit. The one exception is a row whose norm overflows or whose squares
-fall below the normal float range: the oracle scores it as NaN or with
-the precision lost, the production store scales it by a power of two
-first, and its score is checked against exact arithmetic instead.
+queries. Every ``query_top_k`` result must equal ``naive_top_k``'s, ids and
+scores bit for bit. The replaced store summed each row in BLAS's order, so
+its scores must agree to rounding only. The exception is a row whose norm
+overflows or whose squares fall below the normal float range: the replaced
+store scores it as NaN or with the precision lost, the production store
+scales it by a power of two first, and its score is checked against exact
+arithmetic instead.
 
 Saved files: the production store writes format version 2 and the oracle
 version 1, which the production ``load`` refuses. The records the oracle
@@ -25,7 +28,7 @@ import pytest
 from gtr.embedding import EmbedderConfig, embed
 from gtr.store import VectorRecord, VectorStore
 from store_oracles import VectorStore as OracleStore
-from store_oracles import as_production, v2_bytes
+from store_oracles import as_production, naive_row, naive_top_k, v2_bytes
 
 DIMS = (1, 2, 3, 7, 16, 64, 384, 400)
 WORDS = ["alpha", "beta", "gamma", "delta", "épsilon", "zeta", "中文", "eta"]
@@ -63,11 +66,13 @@ def exact_cosine(u, v) -> float:
 
 
 class Twin:
-    """A production store and an oracle store fed the same operations."""
+    """A production store, an oracle store and the naive scan's rows, fed
+    the same operations."""
 
     def __init__(self, new, old):
         self.new, self.old = new, old
         self.odd = {r.id for r in new.records if out_of_range(r.vector)}
+        self.rows = [naive_row(r.id, r.vector) for r in new.records]
 
     @classmethod
     def empty(cls, dim):
@@ -79,28 +84,22 @@ class Twin:
                                       dict(metadata or {})))
         if out_of_range(vector):
             self.odd.add(rid)
+        self.rows.append(naive_row(rid, vector))
 
     def check(self, query, k):
         got = self.new.query_top_k(query, k)
+        assert exact(got) == exact(naive_top_k(self.rows, query, k))
         # An out-of-range query the oracle scores as NaN, or refuses.
-        odd = {r.id for r in self.new.records} if out_of_range(query) else self.odd
-        if not odd:
-            assert exact(got) == exact(self.old.query_top_k(query, k))
-            return got
-        # Every score but the out-of-range rows' is the oracle's, bit for
-        # bit; those are exact to rounding; the top k are the first k of
-        # the full ranking by score, then id.
         n = len(self.new)
-        ranked = self.new.query_top_k(query, n)
-        assert got == ranked[:k]
-        assert ranked == sorted(ranked, key=lambda pair: (-pair[1], pair[0]))
+        odd = {r.id for r in self.new.records} if out_of_range(query) else self.odd
         old = {} if len(odd) == n else dict(self.old.query_top_k(query, n))
-        for rid, score in ranked:
+        for rid, score in got:
             if rid in odd:
                 want = exact_cosine(self.new.get(rid).vector, query)
                 assert score == pytest.approx(want, abs=4e-16)
             else:
-                assert score.hex() == old[rid].hex()
+                # Another order of a sum of at most 400 products.
+                assert score == pytest.approx(old[rid], abs=1e-13)
         return got
 
     def check_saved(self, tmp_path):
@@ -195,6 +194,65 @@ def test_zero_vectors_only():
     for rid in ["c", "a", "b"]:
         twin.insert(rid, [0.0, 0.0])
     assert twin.check(np.array([1.0, -1.0]), 2) == [("a", 0.0), ("b", 0.0)]
+
+
+def test_zero_scores_are_positive_zero():
+    # Each sum starts from +0.0, so a product of -0.0 leaves no -0.0 score.
+    twin = Twin.empty(3)
+    for rid, v in [("a", [1.0, -0.0, 0.0]), ("b", [-2.0, 0.0, -0.0]), ("c", [0.0, 0.0, 0.0])]:
+        twin.insert(rid, v)
+    got = twin.check(np.array([0.0, 3.0, 1.0]), 3)
+    assert exact(got) == [("a", "0x0.0p+0"), ("b", "0x0.0p+0"), ("c", "0x0.0p+0")]
+
+
+def test_equal_rows_score_equally_at_any_position():
+    # A matrix-vector product summed row 8 in another order than row 7,
+    # its equal: r08 scored 0x1.5912a4c12b480p-4 and r07 ...47fp-4, so r08
+    # ranked first.
+    rng = np.random.default_rng(0)
+    vectors = rng.standard_normal((11, 104))
+    vectors[8] = vectors[7]
+    query = rng.standard_normal(104)
+    twin = Twin.empty(104)
+    for i, v in enumerate(vectors):
+        twin.insert(f"r{i:02d}", v)
+    got = twin.check(query, 11)
+    ids = [rid for rid, _ in got]
+    assert ids.index("r08") == ids.index("r07") + 1
+    assert dict(got)["r07"].hex() == dict(got)["r08"].hex()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_equal_vectors_rank_by_id_wherever_they_sit(seed):
+    # Copies of one vector sit at random positions, some in the last few
+    # rows, which a blocked matrix-vector product sums apart; their ids are
+    # in no relation to their positions. Every copy scores the same, bit for
+    # bit, so the copies come in ascending id order, for dense queries and
+    # for sparse ones.
+    rng = np.random.default_rng(4000 + seed)
+    for _ in range(40):
+        dim = int(rng.choice([8, 50, 104, 384]))
+        n = int(rng.integers(10, 120))
+        vectors = rng.standard_normal((n, dim))
+        if rng.integers(2):
+            vectors[rng.random((n, dim)) < 0.9] = 0.0
+        copies = {*rng.choice(n - 8, size=2, replace=False).tolist(),
+                  *rng.choice(range(n - 8, n), size=3, replace=False).tolist()}
+        for i in copies:
+            vectors[i] = vectors[min(copies)]
+        ids = [f"{int(x):04d}" for x in rng.permutation(n)]
+        store = VectorStore(dim, "fp")
+        for rid, v in zip(ids, vectors):
+            store.insert(VectorRecord(rid, v, "chunk", "t"))
+        sparse = np.zeros(dim)
+        sparse[rng.choice(dim, size=min(dim, 6), replace=False)] = rng.standard_normal(min(dim, 6))
+        for query in (rng.standard_normal(dim), sparse):
+            if not np.any(vectors[min(copies)] * query):
+                continue
+            ranked = store.query_top_k(query, n)
+            assert ranked == sorted(ranked, key=lambda pair: (-pair[1], pair[0]))
+            copy_ids = {ids[i] for i in copies}
+            assert len({score.hex() for rid, score in ranked if rid in copy_ids}) == 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the oracle's overflows

@@ -1,7 +1,8 @@
 """Structural guard: one concept, one implementation. The package holds
 one answer-trace class, one HTTP POST call site, one store builder, writer
 and reader, and one reader of text input files, a table is profiled at
-ingest only, and asking takes the embedder the store names."""
+ingest only, asking takes the embedder the store names, and search sums
+every score in the store's own order."""
 
 import argparse
 import ast
@@ -194,3 +195,37 @@ def test_asking_takes_no_embedder_option():
     for command in (sub(parser, "ingest"), sub(sub(parser, "tables"), "ingest"),
                     sub(sub(parser, "eval"), "text")):
         assert embedder <= options(command)
+
+
+def test_search_sums_in_the_stores_own_order():
+    # Scores are summed in the order store._column_dots and store._norms
+    # define, the same for every row; a BLAS or NumPy product sums in an
+    # order of its own. No @, dot, matmul, einsum or norm in query_top_k or
+    # in any store function it reaches.
+    [tree] = [tree for path, tree in _trees() if path.name == "store.py"]
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    products = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "norm"}
+    reached, todo = set(), ["query_top_k"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for node in ast.walk(functions[name]):
+            assert not isinstance(getattr(node, "op", None), ast.MatMult), (name, node.lineno)
+            called = getattr(node, "id", None) or getattr(node, "attr", None)
+            assert called not in products, (name, node.lineno)
+            if called in functions and called not in reached:
+                todo.append(called)
+    assert {"_vector", "_scaled", "_column_dots", "_norm_rows", "_norms"} <= reached
+
+
+def test_answer_builds_no_record_per_hit():
+    # The prompt takes each hit's text by row; get builds a VectorRecord.
+    [func] = [
+        node
+        for path, tree in _trees() if path.name == "pipeline.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "answer"
+    ]
+    called = {getattr(node.func, "attr", None) for node in ast.walk(func)
+              if isinstance(node, ast.Call)}
+    assert "row" in called and "get" not in called
