@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
 """Walk through the retrieval core: chunk a document, embed the chunks,
-and run an exact cosine top-k search against an in-memory store."""
+run an exact cosine top-k search against an in-memory store, then save the
+store, add a document and save again, which appends to the file."""
+
+import os
+import tempfile
+from pathlib import Path
 
 from gtr import Document, EmbedderConfig, VectorRecord, VectorStore
 from gtr import chunk_text, embed, embed_batch, fingerprint, tokenize
@@ -38,3 +43,19 @@ for chunk, vec in zip(chunks, vectors):
 query = "how does cosine similarity retrieval work?"
 for record_id, score in store.query_top_k(embed(query, config), k=3):
     print(f"  {score:+.4f}  {record_id}  {store.get(record_id).text[:48]!r}")
+
+# 5. Save, add a document, save again. The second save finds the file as the
+#    first left it, so it writes only the new rows past its end and then
+#    rewrites the header's count in place; the bytes equal a whole save.
+path = Path(tempfile.mkdtemp()) / "store.gtr"
+store.save(path)
+before = os.stat(path)
+more = chunk_text(Document(id="more", text="Appending keeps earlier rows in place."), 16, 4)
+for chunk, vec in zip(more, embed_batch([c.text for c in more], config)):
+    store.insert(VectorRecord(f"{chunk.doc_id}:{chunk.index}", vec, "chunk", chunk.text))
+store.save(path)
+after = os.stat(path)
+appended = after.st_ino == before.st_ino
+print(f"second save {'appended' if appended else 'rewrote the file'}: "
+      f"{before.st_size} -> {after.st_size} bytes, {len(VectorStore.load(path))} records")
+assert appended

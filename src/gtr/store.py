@@ -2,8 +2,8 @@
 
 Search is an exhaustive scan — no approximate index. As in FAISS's flat
 index, records are kept as columns: lists of ids, kinds, texts and metadata
-beside one float64 matrix, one row per record, grown by doubling. The
-matrix is column-major, so each of its columns is contiguous.
+beside one float64 matrix, one row per record, with spare rows for growth.
+The matrix is column-major, so each of its columns is contiguous.
 
 Every score is summed in one defined order, the same for every row: a
 row's dot product with the query starts from +0.0 and adds the products
@@ -16,23 +16,32 @@ took about 8 ms over 15,000 rows and 52 ms over 100,000 on one core of a
 2-core x86-64 VM. An insert writes one row; the next query norms the rows
 added since the last.
 
-File format, version 2 (one store per file, "\\n" after each JSON line):
+File format, version 3 (one store per file):
 
-    line 1:         {"format":"gtr-store","version":2,"dim":N,"embedder":FINGERPRINT,"count":n}
-    lines 2..n+1:   {"id":...,"kind":...,"text":...,"metadata":{...}}   (UTF-8)
-    vector block:   n row bitmaps of ceil(N/8) bytes, then the set entries
-                    as little-endian float64, row by row; nothing follows
+    line 1:   {"format":"gtr-store","version":3,"dim":N,"embedder":FINGERPRINT,"count":n}
+              padded with spaces to the width a 20-digit count takes, then "\\n"
+    n entries, one per record, in order:
+              {"id":...,"kind":...,"text":...,"metadata":{...}}   (UTF-8), "\\n",
+              the row's bitmap of ceil(N/8) bytes, then its set entries as
+              little-endian float64
 
 A row's bitmap has bit j (most significant first) set when entry j's bits
 are not all zero, so -0.0 is stored and +0.0 is not. As in FAISS's
 ``IndexFlatIP`` the vectors are read straight into the matrix, with no
 per-value parsing. A load reads only what a save writes: it refuses any
-other version, a header or record line with a field beyond those shown,
-and a record whose id, kind, text or metadata value is not a string.
+other version, a header not padded as shown, a header or record line with
+a field beyond those shown, and a record whose id, kind, text or metadata
+value is not a string. Bytes after the n-th entry are a tail left by an
+interrupted append: a load ignores them and logs a warning.
 
-``load(save(store))`` reproduces every record bit for bit and saving it
-again writes the same bytes; stored vectors are kept exactly as written
-(never re-normalized on load).
+A save appends when the file at its path is the one the store last saved
+or loaded, unchanged since (the log-structured commit of Rosenblum and
+Ousterhout, 1992): the new entries go past the committed end, and the
+header, rewritten in place at the same width, commits them. Otherwise a
+save writes the whole file beside the path and renames it over. Both write
+the same bytes, so ``load(save(store))`` reproduces every record bit for
+bit and saving it again writes the same bytes; stored vectors are kept
+exactly as written (never re-normalized on load).
 """
 
 from __future__ import annotations
@@ -40,11 +49,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from ._http import log
 from .errors import (
     CorruptStore,
     DimensionMismatch,
@@ -55,13 +67,16 @@ from .errors import (
 )
 
 STORE_FORMAT = "gtr-store"
-STORE_VERSION = 2
+STORE_VERSION = 3
 RECORD_KINDS = ("chunk", "table")
 _HEADER_FIELDS = ("format", "version", "dim", "embedder", "count")
 _RECORD_FIELDS = ("id", "kind", "text", "metadata")
-# Rows per write or read of the vector block: a fixed buffer, so neither a
-# save nor a load holds a second copy of the vectors.
-_BLOCK_ROWS = 1024
+# The header is padded to the width a count of this many digits takes, so
+# that no count a file can hold changes its length.
+_COUNT_DIGITS = 20
+# Rows per encoded or decoded block of entries: a fixed buffer, so neither
+# a save nor a load holds a second copy of the vectors.
+_BLOCK_ROWS = 256
 # A row norm below this had its square fall out of the normal float range.
 _TINY_NORM = 2.0 ** -511
 
@@ -216,6 +231,8 @@ class VectorStore:
         self._norms = np.empty(0, dtype=np.float64)
         self._normed = 0
         self._scaled_rows = np.empty(0, dtype=np.intp)
+        # The file this store last saved or loaded, as it left it.
+        self._file: _Committed | None = None
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -282,7 +299,10 @@ class VectorStore:
         n, capacity = len(self), self._matrix.shape[0]
         if n + len(records) > capacity:
             while capacity < n + len(records):
-                capacity = max(16, 2 * capacity)
+                # Bit 3 set: no capacity is a multiple of 16 rows, so no
+                # column stride is a multiple of 4 KB, which would put one
+                # row's writes to all its columns into the same cache sets.
+                capacity = max(16, 2 * capacity) | 8
             matrix = np.empty((capacity, self.dim), dtype=np.float64, order="F")
             matrix[:n] = self._matrix[:n]
             norms = np.empty(capacity, dtype=np.float64)
@@ -388,60 +408,124 @@ class VectorStore:
             self._norms[begin:end] = norms
 
     def save(self, path: str | Path) -> None:
-        """Write to a temporary file beside ``path``, then rename it over
-        ``path``: a save that fails part way leaves the old file intact.
-        The vector block is written a fixed number of rows at a time."""
+        """Write the store to ``path``. When ``path`` is the file this store
+        last saved or loaded, unchanged since, only the rows added since
+        are written, past its committed end, and rewriting the header's
+        count in place commits them. Otherwise the whole store goes to a
+        temporary file beside ``path``, which is then renamed over it. Both
+        ways write the same bytes, and a save that fails part way leaves a
+        file that loads to the records it held before."""
         path = Path(path)
+        header = _header(self.dim, self.embedder_fingerprint, len(self))
+        reason = self._why_whole(path, header)
+        if reason is None:
+            self._append(path, header)
+            return
+        log.debug("store save %s: writing the whole file: %s", path, reason)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        n = len(self)
-        matrix = self._matrix[:n]
-        blocks = [matrix[i:i + _BLOCK_ROWS] for i in range(0, n, _BLOCK_ROWS)]
         try:
             with open(tmp, "wb") as f:
-                header = {
-                    "format": STORE_FORMAT,
-                    "version": STORE_VERSION,
-                    "dim": self.dim,
-                    "embedder": self.embedder_fingerprint,
-                    "count": n,
-                }
-                f.write(_dumps(header).encode("utf-8") + b"\n")
-                for fields in zip(self.ids, self.kinds, self.texts, self.metadata):
-                    f.write(_dumps(dict(zip(_RECORD_FIELDS, fields))).encode("utf-8") + b"\n")
-                # The blocks are column-major: only the packed bitmaps, an
-                # eighth of a row's bytes, are copied into row order; a mask
-                # picks the set entries in row order already.
-                for block in blocks:
-                    bitmaps = np.packbits(block.view(np.uint64) != 0, axis=1)
-                    f.write(np.ascontiguousarray(bitmaps))
-                for block in blocks:
-                    f.write(block[block.view(np.uint64) != 0].astype("<f8", copy=False))
+                f.write(header)
+                end = self._write_entries(f, 0)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
+        self._file = _Committed(os.path.abspath(path), _stat_key(os.lstat(path)),
+                                len(self), end, len(header))
+
+    def _why_whole(self, path: Path, header: bytes) -> str | None:
+        """None when a save to ``path`` can append; else why it cannot."""
+        committed = self._file
+        if committed is None:
+            return "the store has saved or loaded no file"
+        if committed.path != os.path.abspath(path):
+            return f"the store last saved or loaded {committed.path}"
+        try:
+            st = os.lstat(path)
+        except FileNotFoundError:
+            return "the file is missing"
+        if not stat.S_ISREG(st.st_mode):
+            return "not a regular file"
+        if not os.access(path, os.W_OK):  # a rename still replaces it
+            return "the file is not writable"
+        if _stat_key(st) != committed.stat:
+            return "the file changed since the store last saved or loaded it"
+        if len(header) != committed.header:
+            return "the header changed width"
+        return None
+
+    def _append(self, path: Path, header: bytes) -> None:
+        """Write the rows past the committed count at the committed end,
+        dropping any tail there, then rewrite the header: the commit. An
+        error before the commit truncates the file back to its committed
+        end."""
+        committed = self._file
+        with open(path, "r+b") as f:
+            try:
+                f.truncate(committed.end)
+                f.seek(committed.end)
+                end = self._write_entries(f, committed.count)
+                f.flush()
+            except BaseException:
+                f.truncate(committed.end)
+                raise
+            f.seek(0)
+            f.write(header)
+            f.flush()
+            key = _stat_key(os.fstat(f.fileno()))
+        self._file = committed._replace(stat=key, count=len(self), end=end)
+
+    def _write_entries(self, f, start: int) -> int:
+        """Write the entries of rows ``start`` onward, a block of rows at a
+        time, and return the offset just past the last."""
+        for begin in range(start, len(self), _BLOCK_ROWS):
+            f.write(self._entries(begin, min(begin + _BLOCK_ROWS, len(self))))
+        return f.tell()
+
+    def _entries(self, start: int, stop: int) -> bytes:
+        """Rows ``start`` to ``stop`` as the file holds them: for each row its
+        record line, its bitmap and its set entries. Every save, whole or
+        appending, encodes rows here."""
+        # One copy of the block in row order, so that the bitmaps and the
+        # set entries come out row by row.
+        block = np.ascontiguousarray(self._matrix[start:stop])
+        nonzero = block.view(np.uint64) != 0
+        bitmaps = np.packbits(nonzero, axis=1).tobytes()
+        values = block[nonzero].astype("<f8", copy=False).tobytes()
+        ends = (8 * np.cumsum(np.count_nonzero(nonzero, axis=1))).tolist()
+        width = (self.dim + 7) // 8
+        parts = []
+        begin = 0
+        records = zip(self.ids[start:stop], self.kinds[start:stop],
+                      self.texts[start:stop], self.metadata[start:stop])
+        for at, fields, end in zip(range(0, len(bitmaps), width), records, ends):
+            parts += (_record_line(*fields), b"\n", bitmaps[at:at + width], values[begin:end])
+            begin = end
+        return b"".join(parts)
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorStore":
         """Read a store file that ``save`` wrote; validation failures name
-        the offending line or the vector block. The record lines fill the
-        columns; the matrix is then made once, at ``count`` rows, and the
-        vector block fills it.
+        line 1 or the row. The matrix is made once, at ``count`` rows; the
+        entries are then read a block of rows at a time, their record lines
+        filling the columns and their set entries the matrix. Bytes after
+        the last entry are ignored, with a warning on the ``gtr`` logger.
 
         Raises:
             CorruptStore: bad header, another version, wrong dim, duplicate
-                id, malformed line, a text holding a lone surrogate, or a
-                vector block that is short, too long, or holds a value
-                ``save`` never writes.
+                id, malformed line, a text holding a lone surrogate, an
+                entry cut short, or a value ``save`` never writes.
             OSError: unreadable path.
         """
         path = Path(path)
         with open(path, "rb") as f:
-            header_line = f.readline()
-            if not header_line:
+            st = os.fstat(f.fileno())
+            line = f.readline()
+            if not line:
                 raise CorruptStore(f"{path}: line 1: empty file, missing header")
             try:
-                header = _json_line(header_line)
+                header = _json_line(line)
             except InvalidInput as e:
                 raise CorruptStore(f"{path}: line 1: {e}") from None
             if not isinstance(header, dict) or header.get("format") != STORE_FORMAT:
@@ -456,63 +540,109 @@ class VectorStore:
             # Each record takes at least a line break and its bitmap, so a
             # count the file cannot hold is refused before any allocation.
             count = header.get("count")
-            most = os.fstat(f.fileno()).st_size // ((dim + 7) // 8 + 1)
-            if type(count) is not int or not 0 <= count <= most:
+            if type(count) is not int or not 0 <= count <= st.st_size // ((dim + 7) // 8 + 1):
                 raise CorruptStore(f"{path}: line 1: bad count {count!r}")
-            if type(header.get("embedder")) is not str:
-                raise CorruptStore(f"{path}: line 1: bad embedder {header.get('embedder')!r}")
+            embedder = header.get("embedder")
+            if type(embedder) is not str:
+                raise CorruptStore(f"{path}: line 1: bad embedder {embedder!r}")
             if len(header) != len(_HEADER_FIELDS):
                 unknown = next(k for k in header if k not in _HEADER_FIELDS)
                 raise CorruptStore(f"{path}: line 1: unknown field {unknown!r}")
-            store = cls(dim, header["embedder"])
-            for lineno in range(2, count + 2):
-                line = f.readline()
-                if not line.endswith(b"\n"):
-                    raise CorruptStore(f"{path}: line {lineno}: file ends before record "
-                                       f"{lineno - 1} of {count}")
-                try:
-                    store._add(*_parse_record(_json_line(line)))
-                except KeyError as e:
-                    raise CorruptStore(f"{path}: line {lineno}: missing field {e}")
-                except (InvalidInput, DuplicateId) as e:
-                    raise CorruptStore(f"{path}: line {lineno}: {e}")
-            store._matrix = np.zeros((count, dim), dtype=np.float64, order="F")
-            store._norms = np.empty(count, dtype=np.float64)
-            store._read_vectors(f, f"{path}: vector block")
-            return store
+            if line != _header(dim, embedder, count):
+                raise CorruptStore(f"{path}: line 1: not the header a save writes, "
+                                   f"padded to {len(_header(dim, embedder, 0)) - 1} bytes")
+            store = cls(dim, embedder)
+            end = store._read_entries(f, count, str(path))
+        if end < st.st_size:
+            log.warning("store %s: ignoring %d bytes after the last of its %d records, "
+                        "left by an interrupted save", path, st.st_size - end, count)
+        store._file = _Committed(os.path.abspath(path), _stat_key(st), count, end, len(line))
+        return store
 
-    def _read_vectors(self, f, where: str) -> None:
-        """Fill the matrix from the vector block, a fixed number of
-        rows at a time. Pad bits and stored +0.0 entries are refused: they
-        would load, but not save back to the same bytes."""
-        n, dim = self._matrix.shape
-        width = (dim + 7) // 8
-        bitmaps = np.frombuffer(_read_exactly(f, n * width, where), np.uint8).reshape(n, width)
-        padded = np.flatnonzero(bitmaps[:, -1] & (0xFF >> dim % 8)) if dim % 8 else []
-        if len(padded):
-            raise CorruptStore(f"{where}: {self._row_name(padded[0])}: bits set past dim {dim}")
-        for start in range(0, n, _BLOCK_ROWS):
-            mask = np.unpackbits(bitmaps[start:start + _BLOCK_ROWS], axis=1, count=dim)
+    def _read_entries(self, f, count: int, where: str) -> int:
+        """Fill the columns and a new matrix of ``count`` rows from the
+        entries ``f`` reads next, a block of rows at a time, and return the
+        offset just past the last. Pad bits and stored +0.0 entries are
+        refused: they would load, but not save back to the same bytes."""
+        width = (self.dim + 7) // 8
+        pad = (1 << (8 * width - self.dim)) - 1  # the bitmap's bits past dim
+        readline, read, add, from_bytes = f.readline, f.read, self._add, int.from_bytes
+        self._matrix = np.zeros((count, self.dim), dtype=np.float64, order="F")
+        self._norms = np.empty(count, dtype=np.float64)
+        for start in range(0, count, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, count)
+            bitmaps, values = [], []
+            for row in range(start, stop):
+                line = readline()
+                if not line.endswith(b"\n"):
+                    raise CorruptStore(f"{where}: row {row}: file ends before record "
+                                       f"{row + 1} of {count}")
+                try:
+                    add(*_parse_record(_json_line(line[:-1])))
+                except KeyError as e:
+                    raise CorruptStore(f"{where}: row {row}: missing field {e}") from None
+                except (InvalidInput, DuplicateId) as e:
+                    raise CorruptStore(f"{where}: row {row}: {e}") from None
+                bitmap = read(width)
+                bits = from_bytes(bitmap, "big")
+                if bits & pad and len(bitmap) == width:
+                    raise CorruptStore(f"{where}: {self._row_name(row)}: "
+                                       f"bits set past dim {self.dim}")
+                size = 8 * bits.bit_count()
+                value = read(size)
+                if len(bitmap) < width or len(value) < size:
+                    missing = width - len(bitmap) + size - len(value)
+                    raise CorruptStore(f"{where}: {self._row_name(row)}: truncated, "
+                                       f"{missing} of its bytes missing")
+                bitmaps.append(bitmap)
+                values.append(value)
+            packed = np.frombuffer(b"".join(bitmaps), np.uint8)
+            mask = np.unpackbits(packed.reshape(-1, width), axis=1, count=self.dim)
             mask = mask.view(bool)
-            size = 8 * int(np.count_nonzero(mask))
-            values = np.frombuffer(_read_exactly(f, size, where), "<f8")
-            for bad, what in ((~np.isfinite(values), "a NaN or infinite value"),
-                              (values.view("<u8") == 0, "a stored +0.0")):
+            block = np.frombuffer(b"".join(values), "<f8")
+            for bad, what in ((~np.isfinite(block), "a NaN or infinite value"),
+                              (block.view("<u8") == 0, "a stored +0.0")):
                 if bad.any():
                     counts = np.cumsum(np.count_nonzero(mask, axis=1))
                     row = start + int(np.searchsorted(counts, np.argmax(bad), side="right"))
                     raise CorruptStore(f"{where}: {self._row_name(row)}: {what}")
-            self._matrix[start:start + _BLOCK_ROWS][mask] = values
-        if f.read(1):
-            raise CorruptStore(f"{where}: trailing bytes after the last row")
+            self._matrix[start:stop][mask] = block
+        return f.tell()
 
     def _row_name(self, row: int) -> str:
         return f"row {row} (id {self.ids[row]!r})"
 
 
+class _Committed(NamedTuple):
+    """A store file as the store last saved or loaded it."""
+
+    path: str  # absolute
+    stat: tuple[int, int, int, int]  # _stat_key of the file
+    count: int  # records the header commits
+    end: int  # offset just past the last committed entry
+    header: int  # length of line 1
+
+
+def _stat_key(st: os.stat_result) -> tuple[int, int, int, int]:
+    """What tells a file from another, or from itself changed."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _header(dim: int, embedder: str, count: int) -> bytes:
+    """Line 1 of a store file: the header, padded with spaces to the width
+    a ``_COUNT_DIGITS``-digit count takes, so that rewriting the count
+    never changes its length."""
+    line = _dumps({"format": STORE_FORMAT, "version": STORE_VERSION, "dim": dim,
+                   "embedder": embedder, "count": count}).encode("utf-8")
+    return line.ljust(len(line) - len(str(count)) + _COUNT_DIGITS) + b"\n"
+
+
 def _json_line(line: bytes):
     """The JSON value of one store-file line, decoded as strict UTF-8 (the
     bytes form of ``json.loads`` would let an encoded lone surrogate pass).
+    A line that is one JSON value and nothing else, as a save writes them,
+    goes straight to the scanner ``json.loads`` calls; any other takes
+    ``json.loads`` itself, for the whitespace it allows or its error.
 
     Raises:
         InvalidInput: not UTF-8, or not JSON.
@@ -522,16 +652,15 @@ def _json_line(line: bytes):
     except UnicodeDecodeError as e:
         raise InvalidInput(f"not UTF-8: {e.reason} at byte {e.start}") from None
     try:
+        value, end = _scan_json(text, 0)
+        if end == len(text):
+            return value
+    except (StopIteration, ValueError):
+        pass
+    try:
         return json.loads(text)
     except ValueError as e:  # JSONDecodeError, or an over-long integer
         raise InvalidInput(f"malformed JSON: {e}") from None
-
-
-def _read_exactly(f, size: int, where: str) -> bytes:
-    data = f.read(size)
-    if len(data) != size:
-        raise CorruptStore(f"{where}: truncated, {size - len(data)} of {size} bytes missing")
-    return data
 
 
 def _parse_record(obj) -> tuple[str, str, str, dict[str, str]]:
@@ -548,5 +677,17 @@ def _parse_record(obj) -> tuple[str, str, str, dict[str, str]]:
     return id_, kind, text, metadata
 
 
-# json.dumps with these options, without building an encoder per line.
+def _record_line(id_: str, kind: str, text: str, metadata: dict[str, str]) -> bytes:
+    """A record's line: ``_dumps`` of its four fields as one object, put
+    together from each string as ``_dumps`` encodes it, in about two thirds
+    of the time."""
+    pairs = ",".join([f"{_string(k)}:{_string(v)}" for k, v in metadata.items()])
+    return (f'{{"id":{_string(id_)},"kind":{_string(kind)},"text":{_string(text)},'
+            f'"metadata":{{{pairs}}}}}').encode("utf-8")
+
+
+# json.dumps with these options, without building an encoder per line; the
+# string encoder it calls; and the scanner json.loads calls.
 _dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+_string = json.encoder.encode_basestring
+_scan_json = json.JSONDecoder().scan_once

@@ -7,13 +7,17 @@ store format version 1, one JSON line per record with the vector inline.
 this one for search results, and checks that the records of the
 version-1 files it writes, inserted into a production store
 (``as_production``), save to the production store's bytes; the production
-``load`` reads version 2 only. ``cosine`` is the function as it was before
+``load`` reads version 3 only. ``cosine`` is the function as it was before
 it learned to scale vectors by a power of two; ``tests/test_store.py``
 checks that every pair whose arithmetic stays in the normal float range
 still gets the same bits.
 
-``v2_bytes`` spells out store format version 2 one entry at a time, apart
+``v3_bytes`` spells out store format version 3 one entry at a time, apart
 from the production writer, so the tests can pin that layout byte for byte.
+Version 2, which kept every record line before one vector block, is kept
+as an oracle too: ``v2_bytes`` writes it and ``load_v2``, the production
+reader it had, reads it back. The records a version-3 file loads to must
+equal those ``load_v2`` reads from ``v2_bytes`` of the same records.
 
 ``naive_row`` and ``naive_top_k`` are a naive scan in the order the
 production store defines for its sums, one Python float operation at a
@@ -40,7 +44,7 @@ from gtr.errors import (
     InvalidInput,
     ZeroVector,
 )
-from gtr.store import STORE_FORMAT, VectorRecord
+from gtr.store import STORE_FORMAT, VectorRecord, _json_line, _parse_record
 
 STORE_VERSION = 1
 
@@ -272,28 +276,132 @@ def as_production(oracle: VectorStore) -> gtr.store.VectorStore:
 
 def v2_bytes(dim: int, fingerprint: str, records) -> bytes:
     """A version-2 store file: the header line, one metadata line per
-    record, each row's bitmap (bit j, most significant first, set when entry
-    j is not all zero bits), then every set entry as little-endian float64."""
+    record, each row's bitmap, then every row's set entries."""
     header = {"format": STORE_FORMAT, "version": 2, "dim": dim,
               "embedder": fingerprint, "count": len(records)}
     lines = [_dumps(header)] + [
         _dumps({"id": r.id, "kind": r.kind, "text": r.text, "metadata": r.metadata})
         for r in records
     ]
-    out = bytearray("".join(line + "\n" for line in lines).encode("utf-8"))
-    entries = [[struct.pack("<d", x) for x in r.vector.tolist()] for r in records]
-    for row in entries:
-        for j in range(0, dim, 8):
-            byte = 0
-            for bit, entry in enumerate(row[j:j + 8]):
-                if entry != bytes(8):
-                    byte |= 0x80 >> bit
-            out.append(byte)
-    for row in entries:
-        for entry in row:
+    rows = [_bitmap_and_values(dim, r.vector) for r in records]
+    return ("".join(line + "\n" for line in lines).encode("utf-8")
+            + b"".join(bitmap for bitmap, _ in rows) + b"".join(values for _, values in rows))
+
+
+def _bitmap_and_values(dim: int, vector) -> tuple[bytes, bytes]:
+    """A row's bitmap (bit j, most significant first, set when entry j is
+    not all zero bits) and its set entries as little-endian float64."""
+    entries = [struct.pack("<d", x) for x in vector.tolist()]
+    bitmap = bytearray()
+    for j in range(0, dim, 8):
+        byte = 0
+        for bit, entry in enumerate(entries[j:j + 8]):
             if entry != bytes(8):
-                out += entry
-    return bytes(out)
+                byte |= 0x80 >> bit
+        bitmap.append(byte)
+    return bytes(bitmap), b"".join(entry for entry in entries if entry != bytes(8))
+
+
+def v3_bytes(dim: int, fingerprint: str, records) -> bytes:
+    """A version-3 store file: the header line, padded with spaces to the
+    length it has with a 20-digit count, then per record its metadata
+    line, its bitmap and its set entries."""
+    def header(count):
+        return _dumps({"format": STORE_FORMAT, "version": 3, "dim": dim,
+                       "embedder": fingerprint, "count": count})
+
+    out = (header(len(records)).ljust(len(header(10 ** 19))) + "\n").encode("utf-8")
+    for r in records:
+        line = _dumps({"id": r.id, "kind": r.kind, "text": r.text, "metadata": r.metadata})
+        out += (line + "\n").encode("utf-8") + b"".join(_bitmap_and_values(dim, r.vector))
+    return out
+
+
+def load_v2(path) -> gtr.store.VectorStore:
+    """Read a version-2 store file, as the production ``load`` did before
+    version 3; validation failures name the offending line or the vector
+    block.
+
+    Raises:
+        CorruptStore: bad header, another version, wrong dim, duplicate
+            id, malformed line, a text holding a lone surrogate, or a
+            vector block that is short, too long, or holds a value
+            version 2's save never writes.
+        OSError: unreadable path.
+    """
+    path = Path(path)
+    with open(path, "rb") as f:
+        header_line = f.readline()
+        if not header_line:
+            raise CorruptStore(f"{path}: line 1: empty file, missing header")
+        try:
+            header = _json_line(header_line)
+        except InvalidInput as e:
+            raise CorruptStore(f"{path}: line 1: {e}") from None
+        if not isinstance(header, dict) or header.get("format") != STORE_FORMAT:
+            raise CorruptStore(f"{path}: line 1: not a {STORE_FORMAT} file")
+        version = header.get("version")
+        if type(version) is not int or version != 2:
+            raise CorruptStore(f"{path}: line 1: unsupported version {version!r}")
+        dim = header.get("dim")
+        if type(dim) is not int or dim < 1:
+            raise CorruptStore(f"{path}: line 1: bad dim {dim!r}")
+        count = header.get("count")
+        most = os.fstat(f.fileno()).st_size // ((dim + 7) // 8 + 1)
+        if type(count) is not int or not 0 <= count <= most:
+            raise CorruptStore(f"{path}: line 1: bad count {count!r}")
+        if type(header.get("embedder")) is not str:
+            raise CorruptStore(f"{path}: line 1: bad embedder {header.get('embedder')!r}")
+        if len(header) != 5:
+            raise CorruptStore(f"{path}: line 1: unknown field")
+        store = gtr.store.VectorStore(dim, header["embedder"])
+        for lineno in range(2, count + 2):
+            line = f.readline()
+            if not line.endswith(b"\n"):
+                raise CorruptStore(f"{path}: line {lineno}: file ends before record "
+                                   f"{lineno - 1} of {count}")
+            try:
+                store._add(*_parse_record(_json_line(line)))
+            except KeyError as e:
+                raise CorruptStore(f"{path}: line {lineno}: missing field {e}")
+            except (InvalidInput, DuplicateId) as e:
+                raise CorruptStore(f"{path}: line {lineno}: {e}")
+        store._matrix = np.zeros((count, dim), dtype=np.float64, order="F")
+        store._norms = np.empty(count, dtype=np.float64)
+        _read_v2_vectors(store, f, f"{path}: vector block")
+        return store
+
+
+def _read_v2_vectors(store, f, where: str) -> None:
+    """Fill the matrix from version 2's vector block, a fixed number of
+    rows at a time. Pad bits and stored +0.0 entries are refused."""
+    n, dim = store._matrix.shape
+    width = (dim + 7) // 8
+    bitmaps = np.frombuffer(_read_exactly(f, n * width, where), np.uint8).reshape(n, width)
+    padded = np.flatnonzero(bitmaps[:, -1] & (0xFF >> dim % 8)) if dim % 8 else []
+    if len(padded):
+        raise CorruptStore(f"{where}: {store._row_name(padded[0])}: bits set past dim {dim}")
+    for start in range(0, n, 1024):
+        mask = np.unpackbits(bitmaps[start:start + 1024], axis=1, count=dim)
+        mask = mask.view(bool)
+        size = 8 * int(np.count_nonzero(mask))
+        values = np.frombuffer(_read_exactly(f, size, where), "<f8")
+        for bad, what in ((~np.isfinite(values), "a NaN or infinite value"),
+                          (values.view("<u8") == 0, "a stored +0.0")):
+            if bad.any():
+                counts = np.cumsum(np.count_nonzero(mask, axis=1))
+                row = start + int(np.searchsorted(counts, np.argmax(bad), side="right"))
+                raise CorruptStore(f"{where}: {store._row_name(row)}: {what}")
+        store._matrix[start:start + 1024][mask] = values
+    if f.read(1):
+        raise CorruptStore(f"{where}: trailing bytes after the last row")
+
+
+def _read_exactly(f, size: int, where: str) -> bytes:
+    data = f.read(size)
+    if len(data) != size:
+        raise CorruptStore(f"{where}: truncated, {size - len(data)} of {size} bytes missing")
+    return data
 
 
 # A row norm below this had its square fall out of the normal float range.

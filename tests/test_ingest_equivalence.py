@@ -21,7 +21,7 @@ from gtr.embedding import BUCKET_CACHE_SIZE, EmbedderConfig, bucket_index, embed
 from gtr.pipeline import ingest
 from gtr.store import VectorRecord, VectorStore
 from store_oracles import VectorStore as OracleStore
-from store_oracles import as_production, v2_bytes
+from store_oracles import as_production, v3_bytes
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -141,7 +141,7 @@ class TestChunksAndVectors:
 def assert_same_store_as_oracle_bytes(store, path, tmp_path):
     """The version-1 file the original code wrote for ``store`` reads back
     to the same records, bit for bit, and they save to the bytes at
-    ``path``, which spell out format version 2."""
+    ``path``, which spell out format version 3."""
     v1 = tmp_path / "v1.jsonl"
     v1.write_bytes(oracle.store_bytes(store))
     loaded = as_production(OracleStore.load(v1))
@@ -152,7 +152,7 @@ def assert_same_store_as_oracle_bytes(store, path, tmp_path):
     resaved = tmp_path / "resaved"
     loaded.save(resaved)
     assert resaved.read_bytes() == path.read_bytes()
-    assert path.read_bytes() == v2_bytes(store.dim, store.embedder_fingerprint, store.records)
+    assert path.read_bytes() == v3_bytes(store.dim, store.embedder_fingerprint, store.records)
 
 
 class TestStoreBytes:

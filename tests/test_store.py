@@ -1,5 +1,7 @@
 import json
+import logging
 import math
+import os
 import struct
 import warnings
 
@@ -17,7 +19,7 @@ from gtr.errors import (
 )
 from gtr.store import VectorRecord, VectorStore, cosine
 from store_oracles import VectorStore as OracleStore
-from store_oracles import as_production, v2_bytes
+from store_oracles import as_production, load_v2, v2_bytes, v3_bytes
 from store_oracles import cosine as oracle_cosine
 
 
@@ -461,6 +463,31 @@ class TestMatrixStorage:
             with pytest.raises(ValueError):
                 record.vector[0] = 0.0
 
+    def test_no_capacity_is_a_multiple_of_512_rows(self, tmp_path):
+        # A capacity of 512k rows makes each column's stride a multiple of
+        # 4 KB, so one row's writes to all its columns share cache sets.
+        store = VectorStore(1, "test")
+        capacities = [store._matrix.shape[0]]
+        vector = np.ones(1)
+        for i in range(100_000):
+            store.insert(VectorRecord(str(i), vector, "chunk", ""))
+            if store._matrix.shape[0] != capacities[-1]:
+                capacities.append(store._matrix.shape[0])
+        assert capacities[:4] == [0, 24, 56, 120]
+        assert capacities[-1] >= 100_000 > capacities[-2]
+        assert all(2 * a < b <= 2 * a + 24 for a, b in zip(capacities[1:], capacities[2:]))
+        assert not [c for c in capacities[1:] if c % 512 == 0]
+        # A loaded store is full; its first growth obeys the same rule.
+        path = tmp_path / "s.gtr"
+        for n in (512, 1024, 4096):
+            full = VectorStore(1, "test")
+            full.insert_many([VectorRecord(str(i), vector, "chunk", "") for i in range(n)])
+            full.save(path)
+            loaded = VectorStore.load(path)
+            assert loaded._matrix.shape[0] == n
+            loaded.insert(VectorRecord("new", vector, "chunk", ""))
+            assert loaded._matrix.shape[0] == 2 * n + 8
+
     def test_loaded_record_vectors_are_read_only_views(self, tmp_path):
         rng = np.random.default_rng(6)
         path = tmp_path / "s.jsonl"
@@ -609,10 +636,10 @@ class TestInsertMany:
         return [VectorRecord(f"{prefix}{i:04d}", rng.standard_normal(dim), "chunk", f"t{i}",
                              {"i": str(i)}) for i in range(n)]
 
-    @pytest.mark.parametrize("sizes", [[1], [5, 11], [16, 1, 40], [0, 3], [100]])
+    @pytest.mark.parametrize("sizes", [[1], [5, 19], [24, 1, 40], [0, 3], [130]])
     def test_same_store_as_one_insert_at_a_time(self, tmp_path, sizes):
-        # Batches that fill the matrix exactly, cross a doubling, or cross
-        # several at once.
+        # Batches that fill the matrix exactly (24 rows), cross a growth, or
+        # cross several at once.
         rng = np.random.default_rng(len(sizes))
         records = self.records(rng, sum(sizes), 6)
         one_by_one, batched = VectorStore(6, "fp"), VectorStore(6, "fp")
@@ -688,6 +715,17 @@ class TestPersistence:
         loaded.save(second)
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("text", ["", "plain", 'q"uote\\back/slash', "\x00\x1f\x7f\n\r\t\b\f",
+                                      "é 中文 \u2028\u2029 \U0001f600", "\ufeff\uffff"])
+    def test_record_line_is_the_json_of_the_record(self, text):
+        metadata = {text: text, "k": "v"} if text else {}
+        line = store_module._record_line(text or "id", "chunk", text, metadata)
+        assert line == json.dumps({"id": text or "id", "kind": "chunk", "text": text,
+                                   "metadata": metadata},
+                                  ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+        assert store_module._parse_record(json.loads(line)) == (
+            text or "id", "chunk", text, metadata)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text('{"format":"other"}\n', encoding="utf-8")
@@ -703,14 +741,14 @@ class TestPersistence:
         store.save(path)
         before = path.read_bytes()
         store.insert(VectorRecord("b", [0.0, 1.0], "chunk", "second"))
-        real_dumps = store_module._dumps
+        real_record_line = store_module._record_line
 
-        def failing_dumps(obj):
-            if isinstance(obj, dict) and obj.get("text") == "second":
+        def failing_record_line(id_, kind, text, metadata):
+            if text == "second":
                 raise RuntimeError("disk full")
-            return real_dumps(obj)
+            return real_record_line(id_, kind, text, metadata)
 
-        monkeypatch.setattr(store_module, "_dumps", failing_dumps)
+        monkeypatch.setattr(store_module, "_record_line", failing_record_line)
         with pytest.raises(RuntimeError, match="disk full"):
             store.save(path)
         assert path.read_bytes() == before
@@ -722,22 +760,30 @@ class TestPersistence:
         assert list(tmp_path.iterdir()) == [path]
 
 
-# A version-2 file written by hand: records a = [1.0, 0.0] and b = [-0.0, 2.0].
-V2_HEADER = {"format": "gtr-store", "version": 2, "dim": 2, "embedder": "fp", "count": 2}
-V2_LINES = [b'{"id":"a","kind":"chunk","text":"t","metadata":{}}',
+# A version-3 file written by hand: records a = [1.0, 0.0] and b = [-0.0, 2.0].
+V3_HEADER = {"format": "gtr-store", "version": 3, "dim": 2, "embedder": "fp", "count": 2}
+V3_LINES = [b'{"id":"a","kind":"chunk","text":"t","metadata":{}}',
             b'{"id":"b","kind":"table","text":"\xc3\xa9","metadata":{"k":"v"}}']
-V2_BITMAPS = bytes([0b10000000, 0b11000000])
-V2_VALUES = struct.pack("<3d", 1.0, -0.0, 2.0)
+V3_BITMAPS = [bytes([0b10000000]), bytes([0b11000000])]
+V3_VALUES = [struct.pack("<d", 1.0), struct.pack("<2d", -0.0, 2.0)]
 DROP = object()
 
 
-def v2_file(path, header=None, lines=V2_LINES, bitmaps=V2_BITMAPS, values=V2_VALUES):
-    """Write a version-2 store from its parts; ``header`` overrides fields
-    of ``V2_HEADER`` (``DROP`` removes one)."""
-    fields = {**V2_HEADER, **(header or {})}
+def v3_file(path, header=None, lines=V3_LINES, bitmaps=V3_BITMAPS, values=V3_VALUES,
+            tail=b"", padding=None):
+    """Write a version-3 store from its parts, entry by entry; ``header``
+    overrides fields of ``V3_HEADER`` (``DROP`` removes one). Line 1 is
+    padded to the length it has with a 20-digit count, or with ``padding``
+    spaces."""
+    fields = {**V3_HEADER, **(header or {})}
     fields = {k: v for k, v in fields.items() if v is not DROP}
     head = json.dumps(fields, separators=(",", ":")).encode()
-    path.write_bytes(b"".join(line + b"\n" for line in [head, *lines]) + bitmaps + values)
+    if padding is None:
+        head = head.ljust(len(json.dumps({**fields, "count": 10 ** 19}, separators=(",", ":"))))
+    else:
+        head += b" " * padding
+    entries = [line + b"\n" + bitmap + value for line, bitmap, value in zip(lines, bitmaps, values)]
+    path.write_bytes(head + b"\n" + b"".join(entries) + tail)
     return path
 
 
@@ -745,89 +791,121 @@ def nan_with_payload() -> bytes:
     return struct.pack("<Q", 0x7FF0000000000001)
 
 
-CORRUPT_V2 = [
+CORRUPT_V3 = [
     ("count missing", dict(header={"count": DROP}), "line 1: bad count None"),
     ("count negative", dict(header={"count": -1}), "line 1: bad count -1"),
     ("count a string", dict(header={"count": "2"}), "line 1: bad count '2'"),
     ("count a bool", dict(header={"count": True}), "line 1: bad count True"),
     ("count past the file", dict(header={"count": 10 ** 15}), "line 1: bad count"),
-    ("count one short", dict(header={"count": 1}), "vector block"),
-    ("count one over", dict(header={"count": 3}), "line 4: "),
-    ("dim changed", dict(header={"dim": 16}), "vector block"),
-    ("version unknown", dict(header={"version": 3}), "line 1: unsupported version 3"),
+    ("count one over", dict(header={"count": 3}), "row 2: file ends before record 3 of 3"),
+    ("dim changed", dict(header={"dim": 16}), "row 1: "),
+    ("version unknown", dict(header={"version": 4}), "line 1: unsupported version 4"),
     ("version 1", dict(header={"version": 1}),
      "line 1: unsupported version 1; re-run `gtr ingest` or `gtr tables ingest`"),
-    ("line not UTF-8", dict(lines=[V2_LINES[0], V2_LINES[1].replace(b"\xc3\xa9", b"\xe9")]),
-     "line 3: not UTF-8"),
+    ("version 2", dict(header={"version": 2}),
+     "line 1: unsupported version 2; re-run `gtr ingest` or `gtr tables ingest`"),
+    ("header not padded", dict(padding=0), r"line 1: not the header a save writes, padded to \d+ "),
+    ("header one space short", dict(padding=18), "line 1: not the header a save writes"),
+    ("header one space over", dict(padding=20), "line 1: not the header a save writes"),
+    ("header padded for another count",
+     dict(header={"count": 1}, lines=V3_LINES[:1], padding=20), "line 1: not the header"),
+    ("line not UTF-8", dict(lines=[V3_LINES[0], V3_LINES[1].replace(b"\xc3\xa9", b"\xe9")]),
+     "row 1: not UTF-8"),
     ("line a bare surrogate in UTF-8",
-     dict(lines=[V2_LINES[0], V2_LINES[1].replace(b"\xc3\xa9", b"\xed\xa0\x80")]),
-     "line 3: not UTF-8"),
-    ("line malformed", dict(lines=[b'{"id":"a"', V2_LINES[1]]), "line 2: malformed JSON"),
-    ("line blank", dict(lines=[V2_LINES[0], b"", V2_LINES[1]]), "line 3: malformed JSON"),
-    ("line not an object", dict(lines=[b'["a"]', V2_LINES[1]]), "line 2: .*JSON object"),
+     dict(lines=[V3_LINES[0], V3_LINES[1].replace(b"\xc3\xa9", b"\xed\xa0\x80")]),
+     "row 1: not UTF-8"),
+    ("line malformed", dict(lines=[b'{"id":"a"', V3_LINES[1]]), "row 0: malformed JSON"),
+    ("line blank", dict(lines=[V3_LINES[0], b"\n" + V3_LINES[1]]), "row 1: malformed JSON"),
+    ("line not an object", dict(lines=[b'["a"]', V3_LINES[1]]), "row 0: .*JSON object"),
     ("metadata not an object",
-     dict(lines=[V2_LINES[0], V2_LINES[1].replace(b'{"k":"v"}', b"[]")]), "line 3: .*metadata"),
+     dict(lines=[V3_LINES[0], V3_LINES[1].replace(b'{"k":"v"}', b"[]")]), "row 1: .*metadata"),
     *[(f"{field} missing",
-       dict(lines=[V2_LINES[0], json.dumps({k: v for k, v in {
+       dict(lines=[V3_LINES[0], json.dumps({k: v for k, v in {
            "id": "b", "kind": "chunk", "text": "u", "metadata": {}}.items()
            if k != field}).encode()]),
-       f"line 3: missing field '{field}'")
+       f"row 1: missing field '{field}'")
       for field in ("id", "kind", "text", "metadata")],
-    ("bad kind", dict(lines=[V2_LINES[0].replace(b"chunk", b"row"), V2_LINES[1]]),
-     "line 2: record kind"),
-    ("id a number", dict(lines=[V2_LINES[0].replace(b'"a"', b"5"), V2_LINES[1]]),
-     "line 2: record id must be a string, got 5"),
-    ("kind null", dict(lines=[V2_LINES[0].replace(b'"chunk"', b"null"), V2_LINES[1]]),
-     "line 2: record kind must be a string, got None"),
-    ("text a list", dict(lines=[V2_LINES[0].replace(b'"t"', b'["t"]'), V2_LINES[1]]),
-     r"line 2: record text must be a string, got \['t'\]"),
+    ("bad kind", dict(lines=[V3_LINES[0].replace(b"chunk", b"row"), V3_LINES[1]]),
+     "row 0: record kind"),
+    ("id a number", dict(lines=[V3_LINES[0].replace(b'"a"', b"5"), V3_LINES[1]]),
+     "row 0: record id must be a string, got 5"),
+    ("kind null", dict(lines=[V3_LINES[0].replace(b'"chunk"', b"null"), V3_LINES[1]]),
+     "row 0: record kind must be a string, got None"),
+    ("text a list", dict(lines=[V3_LINES[0].replace(b'"t"', b'["t"]'), V3_LINES[1]]),
+     r"row 0: record text must be a string, got \['t'\]"),
     ("metadata value a number",
-     dict(lines=[V2_LINES[0], V2_LINES[1].replace(b'"v"', b"1")]),
-     "line 3: record metadata 'k' must be a string, got 1"),
-    ("unknown field", dict(lines=[V2_LINES[0], V2_LINES[1][:-1] + b',"vector":[1.0]}']),
-     "line 3: unknown field 'vector'"),
+     dict(lines=[V3_LINES[0], V3_LINES[1].replace(b'"v"', b"1")]),
+     "row 1: record metadata 'k' must be a string, got 1"),
+    ("unknown field", dict(lines=[V3_LINES[0], V3_LINES[1][:-1] + b',"vector":[1.0]}']),
+     "row 1: unknown field 'vector'"),
     ("embedder missing", dict(header={"embedder": DROP}), "line 1: bad embedder None"),
     ("embedder a number", dict(header={"embedder": 7}), "line 1: bad embedder 7"),
     ("header unknown field", dict(header={"extra": 1}), "line 1: unknown field 'extra'"),
-    ("lone surrogate", dict(lines=[V2_LINES[0], V2_LINES[1].replace(b"\xc3\xa9", b"\\ud800")]),
-     "line 3: not valid Unicode"),
+    ("lone surrogate", dict(lines=[V3_LINES[0], V3_LINES[1].replace(b"\xc3\xa9", b"\\ud800")]),
+     "row 1: not valid Unicode"),
     *[(f"lone surrogate in {where}",
-       dict(lines=[V2_LINES[0], V2_LINES[1].replace(good, bad)]), "line 3: not valid Unicode")
+       dict(lines=[V3_LINES[0], V3_LINES[1].replace(good, bad)]), "row 1: not valid Unicode")
       for where, good, bad in [("id", b'"b"', b'"\\ud800"'),
                                ("metadata key", b'"k"', b'"\\ud800"'),
                                ("metadata value", b'"v"', b'"x \\udfff"')]],
     ("integer too long",
-     dict(lines=[V2_LINES[0], V2_LINES[1][:-1] + b',"n":1' + b"0" * 4300 + b"}"]),
-     "line 3: malformed JSON"),
-    ("duplicate id", dict(lines=[V2_LINES[0], V2_LINES[1].replace(b'"b"', b'"a"')]),
-     "line 3: record id 'a' already present"),
-    ("block missing", dict(bitmaps=b"", values=b""),
-     "vector block: truncated, 2 of 2 bytes missing"),
-    ("bitmaps short", dict(bitmaps=V2_BITMAPS[:1], values=b""),
-     "vector block: truncated, 1 of 2 bytes missing"),
-    ("values short", dict(values=V2_VALUES[:-1]),
-     "vector block: truncated, 1 of 24 bytes missing"),
-    ("value missing", dict(values=V2_VALUES[:16]),
-     "vector block: truncated, 8 of 24 bytes missing"),
-    ("trailing bytes", dict(values=V2_VALUES + b"\n"), "vector block: trailing bytes"),
-    ("NaN", dict(values=V2_VALUES[:8] + struct.pack("<d", math.nan) + V2_VALUES[16:]),
-     r"vector block: row 1 \(id 'b'\): a NaN or infinite value"),
-    ("NaN payload", dict(values=nan_with_payload() + V2_VALUES[8:]),
-     r"vector block: row 0 \(id 'a'\): a NaN or infinite value"),
-    ("+inf", dict(values=V2_VALUES[:16] + struct.pack("<d", math.inf)),
+     dict(lines=[V3_LINES[0], V3_LINES[1][:-1] + b',"n":1' + b"0" * 4300 + b"}"]),
+     "row 1: malformed JSON"),
+    ("duplicate id", dict(lines=[V3_LINES[0], V3_LINES[1].replace(b'"b"', b'"a"')]),
+     "row 1: record id 'a' already present"),
+    ("entry missing", dict(bitmaps=V3_BITMAPS[:1], values=V3_VALUES[:1], lines=V3_LINES[:1]),
+     "row 1: file ends before record 2 of 2"),
+    ("bitmap missing", dict(bitmaps=[V3_BITMAPS[0], b""], values=[V3_VALUES[0], b""]),
+     r"row 1 \(id 'b'\): truncated, 1 of its bytes missing"),
+    ("values missing", dict(values=[V3_VALUES[0], b""]),
+     r"row 1 \(id 'b'\): truncated, 16 of its bytes missing"),
+    ("values short", dict(values=[V3_VALUES[0], V3_VALUES[1][:-1]]),
+     r"row 1 \(id 'b'\): truncated, 1 of its bytes missing"),
+    ("value missing", dict(values=[V3_VALUES[0], V3_VALUES[1][:8]]),
+     r"row 1 \(id 'b'\): truncated, 8 of its bytes missing"),
+    ("row 0 short", dict(values=[b"", V3_VALUES[1]]), "row 1: malformed JSON"),
+    ("NaN", dict(values=[V3_VALUES[0], struct.pack("<2d", math.nan, 2.0)]),
      r"row 1 \(id 'b'\): a NaN or infinite value"),
-    ("-inf", dict(values=struct.pack("<d", -math.inf) + V2_VALUES[8:]),
+    ("NaN payload", dict(values=[nan_with_payload(), V3_VALUES[1]]),
      r"row 0 \(id 'a'\): a NaN or infinite value"),
-    ("pad bit set", dict(bitmaps=bytes([0b10000001, 0b11000000])),
-     r"vector block: row 0 \(id 'a'\): bits set past dim 2"),
-    ("+0.0 stored", dict(values=V2_VALUES[:16] + struct.pack("<d", 0.0)),
-     r"vector block: row 1 \(id 'b'\): a stored \+0.0"),
+    ("+inf", dict(values=[V3_VALUES[0], struct.pack("<2d", -0.0, math.inf)]),
+     r"row 1 \(id 'b'\): a NaN or infinite value"),
+    ("-inf", dict(values=[struct.pack("<d", -math.inf), V3_VALUES[1]]),
+     r"row 0 \(id 'a'\): a NaN or infinite value"),
+    ("pad bit set", dict(bitmaps=[bytes([0b10000001]), V3_BITMAPS[1]]),
+     r"row 0 \(id 'a'\): bits set past dim 2"),
+    ("pad bit set on a short last row", dict(bitmaps=[V3_BITMAPS[0], bytes([0b11100000])]),
+     r"row 1 \(id 'b'\): bits set past dim 2"),
+    ("+0.0 stored", dict(values=[V3_VALUES[0], struct.pack("<2d", -0.0, 0.0)]),
+     r"row 1 \(id 'b'\): a stored \+0.0"),
+]
+
+# Files that load, ignoring a tail after the committed entries, with a
+# warning: what an interrupted append leaves.
+TAILED_V3 = [
+    ("trailing bytes", dict(tail=b"\n"), 2, 1),
+    ("count one short", dict(header={"count": 1}),
+     1, len(V3_LINES[1]) + 1 + len(V3_BITMAPS[1]) + len(V3_VALUES[1])),
+    ("half an entry", dict(tail=V3_LINES[0].replace(b'"a"', b'"c"') + b"\n\x80"), 2,
+     len(V3_LINES[0]) + 2),
 ]
 
 
-class TestFormatV2:
+def whole_bytes(store, tmp_path) -> bytes:
+    """What a whole save of ``store`` writes, from a copy of its records, so
+    that the store's own save history is left as it is."""
+    copy = VectorStore(store.dim, store.embedder_fingerprint)
+    copy.insert_many(store.records)
+    path = tmp_path / "whole.gtr"
+    copy.save(path)
+    data = path.read_bytes()
+    path.unlink()
+    return data
+
+
+class TestFormatV3:
     def test_hand_written_file_loads_and_saves_to_the_same_bytes(self, tmp_path):
-        path = v2_file(tmp_path / "s.gtr")
+        path = v3_file(tmp_path / "s.gtr")
         store = VectorStore.load(path)
         assert [(r.id, r.kind, r.text, r.metadata) for r in store.records] == [
             ("a", "chunk", "t", {}), ("b", "table", "é", {"k": "v"})]
@@ -836,12 +914,39 @@ class TestFormatV2:
         assert store._matrix.shape == (2, 2)  # allocated once, at the count
         store.save(tmp_path / "again.gtr")
         assert (tmp_path / "again.gtr").read_bytes() == path.read_bytes()
+        assert path.read_bytes() == v3_bytes(2, "fp", store.records)
 
-    @pytest.mark.parametrize("case, parts, message", CORRUPT_V2,
-                             ids=[case for case, _, _ in CORRUPT_V2])
+    @pytest.mark.parametrize("case, parts, message", CORRUPT_V3,
+                             ids=[case for case, _, _ in CORRUPT_V3])
     def test_corrupt_file_is_refused_naming_where(self, tmp_path, case, parts, message):
-        path = v2_file(tmp_path / "s.gtr", **parts)
+        path = v3_file(tmp_path / "s.gtr", **parts)
         with pytest.raises(CorruptStore, match=message):
+            VectorStore.load(path)
+
+    @pytest.mark.parametrize("case, parts, count, ignored", TAILED_V3,
+                             ids=[case for case, _, _, _ in TAILED_V3])
+    def test_tail_is_ignored_and_logged(self, tmp_path, caplog, case, parts, count, ignored):
+        path = v3_file(tmp_path / "s.gtr", **parts)
+        with caplog.at_level(logging.WARNING, logger="gtr"):
+            store = VectorStore.load(path)
+        assert [r.id for r in store.records] == ["a", "b"][:count]
+        [record] = caplog.records
+        assert (record.name, record.levelname) == ("gtr", "WARNING")
+        assert str(path) in record.getMessage()
+        assert f"ignoring {ignored} bytes after the last of its {count} records" in (
+            record.getMessage())
+
+    def test_untailed_load_logs_nothing(self, tmp_path, caplog):
+        with caplog.at_level(logging.DEBUG, logger="gtr"):
+            VectorStore.load(v3_file(tmp_path / "s.gtr"))
+        assert caplog.records == []
+
+    def test_v2_file_is_refused_at_line_1(self, tmp_path):
+        records = VectorStore.load(v3_file(tmp_path / "s.gtr")).records
+        path = tmp_path / "v2.gtr"
+        path.write_bytes(v2_bytes(2, "fp", records))
+        assert [r.id for r in load_v2(path).records] == ["a", "b"]
+        with pytest.raises(CorruptStore, match="line 1: unsupported version 2; re-run `gtr "):
             VectorStore.load(path)
 
     @pytest.mark.parametrize("dim", [1, 3, 8, 13, 64, 385])
@@ -855,7 +960,7 @@ class TestFormatV2:
             store.insert(VectorRecord(f"r{i}", vec, "chunk", f"text {i}\n", {"i": str(i)}))
         first, second = tmp_path / "a.gtr", tmp_path / "b.gtr"
         store.save(first)
-        assert first.read_bytes() == v2_bytes(dim, "fp é", store.records)
+        assert first.read_bytes() == v3_bytes(dim, "fp é", store.records)
         loaded = VectorStore.load(first)
         for original, reread in zip(store.records, loaded.records, strict=True):
             assert reread.vector.tobytes() == original.vector.tobytes()
@@ -868,15 +973,17 @@ class TestFormatV2:
         path = tmp_path / "s.gtr"
         VectorStore(9, "fp").save(path)
         assert path.read_bytes() == (
-            b'{"format":"gtr-store","version":2,"dim":9,"embedder":"fp","count":0}\n')
+            b'{"format":"gtr-store","version":3,"dim":9,"embedder":"fp","count":0}'
+            + b" " * 19 + b"\n")
         loaded = VectorStore.load(path)
         assert (len(loaded), loaded.dim) == (0, 9)
         loaded.insert(VectorRecord("a", np.ones(9), "chunk", "t"))
         assert loaded.query_top_k(np.ones(9), 1) == [("a", 1.0)]
 
     def test_many_blocks(self, tmp_path):
-        # More rows than one read or write block holds: each block's values
-        # start where the last block's ended, and errors name the right row.
+        # More rows than one encoded or decoded block holds: each block's
+        # entries start where the last block's ended, and errors name the
+        # right row.
         rng = np.random.default_rng(8)
         n, dim = 2 * store_module._BLOCK_ROWS + 37, 10
         store = VectorStore(dim, "fp")
@@ -885,31 +992,32 @@ class TestFormatV2:
             store.insert(VectorRecord(f"r{i}", vec, "chunk", "t"))
         path = tmp_path / "s.gtr"
         store.save(path)
-        assert path.read_bytes() == v2_bytes(dim, "fp", store.records)
+        records = store.records
+        assert path.read_bytes() == v3_bytes(dim, "fp", records)
         loaded = VectorStore.load(path)
         assert loaded._matrix.tobytes() == store._matrix[:n].tobytes()
         query = rng.standard_normal(dim)
         assert loaded.query_top_k(query, 7) == store.query_top_k(query, 7)
 
-        data = bytearray(path.read_bytes())
         row = store_module._BLOCK_ROWS + 5
-        before = sum(int(np.count_nonzero(r.vector)) for r in store.records[:row])
-        while not np.count_nonzero(store.records[row].vector):
+        while not np.count_nonzero(records[row].vector):
             row += 1
-        values_at = len(data) - 8 * sum(int(np.count_nonzero(r.vector)) for r in store.records)
-        offset = values_at + 8 * before
+        line = json.dumps({"id": f"r{row}", "kind": "chunk", "text": "t", "metadata": {}},
+                          separators=(",", ":"))
+        offset = len(v3_bytes(dim, "fp", records[:row])) + len(line) + 1 + 2
+        data = bytearray(path.read_bytes())
         data[offset:offset + 8] = struct.pack("<d", math.inf)
         path.write_bytes(bytes(data))
-        with pytest.raises(CorruptStore, match=rf"vector block: row {row} \(id 'r{row}'\)"):
+        with pytest.raises(CorruptStore, match=rf"row {row} \(id 'r{row}'\): a NaN"):
             VectorStore.load(path)
 
     def test_header_integer_too_long_to_parse_names_line_1(self, tmp_path):
-        path = v2_file(tmp_path / "s.gtr")
+        path = v3_file(tmp_path / "s.gtr")
         path.write_bytes(path.read_bytes().replace(b'"dim":2', b'"dim":1' + b"0" * 4300, 1))
         with pytest.raises(CorruptStore, match="line 1: malformed JSON"):
             VectorStore.load(path)
 
-    def test_v1_store_is_refused_and_its_records_save_as_v2(self, tmp_path):
+    def test_v1_store_is_refused_and_its_records_save_as_v3(self, tmp_path):
         rng = np.random.default_rng(12)
         oracle = OracleStore(6, "fp")
         for i in range(40):
@@ -919,20 +1027,21 @@ class TestFormatV2:
         oracle.save(v1)
         with pytest.raises(CorruptStore, match="line 1: unsupported version 1; re-run `gtr "):
             VectorStore.load(v1)
-        v2 = tmp_path / "v2.gtr"
-        as_production(OracleStore.load(v1)).save(v2)
-        assert v2.read_bytes() == v2_bytes(6, "fp", oracle.records)
-        reread = VectorStore.load(v2)
+        v3 = tmp_path / "v3.gtr"
+        as_production(OracleStore.load(v1)).save(v3)
+        assert v3.read_bytes() == v3_bytes(6, "fp", oracle.records)
+        reread = VectorStore.load(v3)
         for original, loaded in zip(oracle.records, reread.records, strict=True):
             assert loaded.vector.tobytes() == original.vector.tobytes()
             assert (loaded.id, loaded.kind, loaded.text, loaded.metadata) == (
                 original.id, original.kind, original.text, original.metadata)
 
-    def test_failed_vector_block_write_leaves_previous_file(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("appending", [True, False], ids=["append", "whole"])
+    def test_failed_entry_write_leaves_previous_file(self, tmp_path, monkeypatch, appending):
         store = VectorStore(2, "fp")
         store.insert(VectorRecord("a", [1.0, 0.0], "chunk", "first"))
         path = tmp_path / "s.gtr"
-        store.save(path)
+        (store if appending else VectorStore.load(v3_file(path))).save(path)
         before = path.read_bytes()
         store.insert(VectorRecord("b", [0.0, 1.0], "chunk", "second"))
 
@@ -944,3 +1053,229 @@ class TestFormatV2:
             store.save(path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+
+def random_records(rng, n, dim, start=0):
+    """Records of many shapes: Gaussian, sparse, all zero, -0.0 entries,
+    and tiny or huge norms."""
+    records = []
+    for i in range(start, start + n):
+        shape = int(rng.integers(6))
+        if shape == 0:
+            vec = np.zeros(dim)
+        elif shape == 1:
+            vec = np.where(rng.random(dim) < 0.5, -0.0, 0.0)
+        elif shape == 2:
+            vec = np.where(rng.random(dim) < 0.2, rng.standard_normal(dim), 0.0)
+        elif shape == 3:
+            vec = rng.standard_normal(dim) * float(rng.choice([1e-300, 5e-324, 1e300]))
+        else:
+            vec = rng.standard_normal(dim)
+        metadata = {"i": str(i)} if i % 3 else {}
+        records.append(VectorRecord(f"r{i}", vec, "chunk" if i % 2 else "table",
+                                    f"text é {i}\n", metadata))
+    return records
+
+
+def same_records(got, want):
+    assert [(r.id, r.kind, r.text, r.metadata) for r in got] == [
+        (r.id, r.kind, r.text, r.metadata) for r in want]
+    for a, b in zip(got, want, strict=True):
+        assert a.vector.tobytes() == b.vector.tobytes()
+
+
+class TestAppend:
+    @pytest.mark.parametrize("dim", [1, 7, 8, 384])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_appends_write_what_a_whole_save_writes(self, tmp_path, dim, seed):
+        rng = np.random.default_rng([dim, seed])
+        records = random_records(rng, 130, dim)
+        # Batch ends at the counts whose header digits change, and at random.
+        ends = sorted({0, 9, 10, 99, 100, 130, *rng.integers(1, 130, size=6).tolist()})
+        path = tmp_path / "s.gtr"
+        store = VectorStore(dim, "fp")
+        store.save(path)
+        inode, done = path.stat().st_ino, 0
+        for end in ends:
+            store.insert_many(records[done:end])
+            done = end
+            if rng.random() < 0.3:  # the next save starts from a loaded store
+                store = VectorStore.load(path)
+                store.insert_many(records[len(store):end])
+            store.save(path)
+            assert path.stat().st_ino == inode  # appended, not replaced
+            data = path.read_bytes()
+            assert data == whole_bytes(store, tmp_path)
+            assert data == v3_bytes(dim, "fp", records[:end])
+            v2 = tmp_path / "v2.gtr"
+            v2.write_bytes(v2_bytes(dim, "fp", records[:end]))
+            same_records(VectorStore.load(path).records, load_v2(v2).records)
+        same_records(VectorStore.load(path).records, records)
+
+    def test_append_keeps_the_inode_and_every_committed_byte(self, tmp_path):
+        rng = np.random.default_rng(5)
+        records = random_records(rng, 40, 16)
+        path = tmp_path / "s.gtr"
+        store = VectorStore(16, "fp")
+        store.insert_many(records[:25])
+        store.save(path)
+        before, inode = path.read_bytes(), path.stat().st_ino
+        header = before.index(b"\n") + 1
+        store.insert_many(records[25:])
+        store.save(path)
+        after = path.read_bytes()
+        assert path.stat().st_ino == inode
+        assert after[header:len(before)] == before[header:]
+        assert after.index(b"\n") + 1 == header
+        assert after[:header].split() != before[:header].split()  # the count moved
+
+    def test_failure_mid_append_leaves_the_file_as_it_was(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(6)
+        records = random_records(rng, 60, 7)
+        path = tmp_path / "s.gtr"
+        store = VectorStore(7, "fp")
+        store.insert_many(records[:20])
+        store.save(path)
+        before = path.read_bytes()
+        store.insert_many(records[20:])
+        monkeypatch.setattr(store_module, "_BLOCK_ROWS", 8)
+        real = VectorStore._entries
+        calls = []
+
+        def failing_entries(self, start, stop):
+            calls.append(start)
+            if len(calls) == 3:  # two blocks are written by then
+                raise KeyboardInterrupt
+            return real(self, start, stop)
+
+        monkeypatch.setattr(VectorStore, "_entries", failing_entries)
+        with pytest.raises(KeyboardInterrupt):
+            store.save(path)
+        assert calls == [20, 28, 36]
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+        same_records(VectorStore.load(path).records, records[:20])
+        monkeypatch.undo()
+        store.save(path)
+        assert path.read_bytes() == v3_bytes(7, "fp", records)
+
+    def test_killed_append_leaves_a_tail_the_next_append_drops(self, tmp_path, caplog):
+        rng = np.random.default_rng(7)
+        records = random_records(rng, 30, 8)
+        path = tmp_path / "s.gtr"
+        store = VectorStore(8, "fp")
+        store.insert_many(records[:10])
+        store.save(path)
+        committed = path.read_bytes()
+        # An append killed before its commit: entries past the end, the
+        # header's count not yet rewritten.
+        with open(path, "ab") as f:
+            f.write(v3_bytes(8, "fp", records[:14])[len(committed):][:-3])
+        with caplog.at_level(logging.WARNING, logger="gtr"):
+            loaded = VectorStore.load(path)
+        same_records(loaded.records, records[:10])
+        [warning] = caplog.records
+        assert f"ignoring {path.stat().st_size - len(committed)} bytes" in warning.getMessage()
+        inode = path.stat().st_ino
+        loaded.save(path)  # nothing new: the tail alone is dropped
+        assert path.read_bytes() == committed
+        loaded.insert_many(records[10:])
+        loaded.save(path)
+        assert path.stat().st_ino == inode
+        assert path.read_bytes() == v3_bytes(8, "fp", records)
+
+    @pytest.mark.parametrize("change", ["appended", "replaced", "touched"])
+    def test_a_file_changed_by_another_store_is_written_whole(self, tmp_path, caplog, change):
+        rng = np.random.default_rng(8)
+        records = random_records(rng, 20, 5)
+        path = tmp_path / "s.gtr"
+        mine = VectorStore(5, "fp")
+        mine.insert_many(records[:10])
+        mine.save(path)
+        if change == "appended":
+            other = VectorStore.load(path)
+            other.insert(VectorRecord("other", np.ones(5), "chunk", "t"))
+            other.save(path)
+        elif change == "replaced":
+            other = VectorStore(5, "fp")
+            other.insert_many(records[:10])
+            other.save(path)
+        else:
+            st = path.stat()
+            os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000))
+        inode = path.stat().st_ino
+        mine.insert_many(records[10:])
+        with caplog.at_level(logging.DEBUG, logger="gtr"):
+            mine.save(path)
+        assert path.stat().st_ino != inode
+        assert path.read_bytes() == v3_bytes(5, "fp", records)
+        [record] = caplog.records
+        assert record.levelname == "DEBUG"
+        assert record.getMessage() == (f"store save {path}: writing the whole file: "
+                                       "the file changed since the store last saved or loaded it")
+
+    def test_saving_to_another_path_writes_it_whole(self, tmp_path, caplog):
+        rng = np.random.default_rng(9)
+        records = random_records(rng, 20, 5)
+        first, second = tmp_path / "a.gtr", tmp_path / "b.gtr"
+        store = VectorStore(5, "fp")
+        store.insert_many(records[:10])
+        store.save(first)
+        store.save(second)  # no file there yet
+        store.insert_many(records[10:])
+        inode = first.stat().st_ino
+        with caplog.at_level(logging.DEBUG, logger="gtr"):
+            store.save(first)  # the store last saved the second path
+        assert first.stat().st_ino != inode
+        assert first.read_bytes() == v3_bytes(5, "fp", records)
+        assert second.read_bytes() == v3_bytes(5, "fp", records[:10])
+        [record] = caplog.records
+        assert record.getMessage().endswith(f"the store last saved or loaded {second}")
+
+    def test_a_missing_file_is_written_whole(self, tmp_path, caplog):
+        store = VectorStore(3, "fp")
+        path = tmp_path / "s.gtr"
+        store.save(path)
+        path.unlink()
+        store.insert(VectorRecord("a", [1.0, 2.0, 3.0], "chunk", "t"))
+        with caplog.at_level(logging.DEBUG, logger="gtr"):
+            store.save(path)
+        assert path.read_bytes() == whole_bytes(store, tmp_path)
+        assert caplog.records[0].getMessage().endswith("the file is missing")
+
+    def test_a_symlink_is_replaced_by_a_whole_file(self, tmp_path, caplog):
+        store = VectorStore(3, "fp")
+        target, link = tmp_path / "target.gtr", tmp_path / "link.gtr"
+        store.save(target)
+        link.symlink_to(target)
+        store = VectorStore.load(link)
+        store.insert(VectorRecord("a", [1.0, 2.0, 3.0], "chunk", "t"))
+        with caplog.at_level(logging.DEBUG, logger="gtr"):
+            store.save(link)
+        assert caplog.records[0].getMessage().endswith("not a regular file")
+        assert not link.is_symlink()
+        assert link.read_bytes() == whole_bytes(store, tmp_path)
+        assert len(VectorStore.load(target)) == 0
+
+    def test_a_read_only_file_is_replaced_whole(self, tmp_path, caplog, monkeypatch):
+        store = VectorStore(3, "fp")
+        path = tmp_path / "s.gtr"
+        store.save(path)
+        inode = path.stat().st_ino
+        store.insert(VectorRecord("a", [1.0, 2.0, 3.0], "chunk", "t"))
+        monkeypatch.setattr(store_module.os, "access", lambda p, mode: False)
+        with caplog.at_level(logging.DEBUG, logger="gtr"):
+            store.save(path)
+        assert caplog.records[0].getMessage().endswith("the file is not writable")
+        assert path.stat().st_ino != inode
+        assert path.read_bytes() == whole_bytes(store, tmp_path)
+
+    def test_a_new_embedder_name_of_another_length_is_written_whole(self, tmp_path, caplog):
+        store = VectorStore(3, "fp")
+        path = tmp_path / "s.gtr"
+        store.save(path)
+        store.embedder_fingerprint = "a longer fingerprint"
+        with caplog.at_level(logging.DEBUG, logger="gtr"):
+            store.save(path)
+        assert caplog.records[0].getMessage().endswith("the header changed width")
+        assert VectorStore.load(path).embedder_fingerprint == "a longer fingerprint"

@@ -10,11 +10,11 @@ store scores it as NaN or with the precision lost, the production store
 scales it by a power of two first, and its score is checked against exact
 arithmetic instead.
 
-Saved files: the production store writes format version 2 and the oracle
+Saved files: the production store writes format version 3 and the oracle
 version 1, which the production ``load`` refuses. The records the oracle
 reads back from its file, inserted into a production store and saved, must
 give the production store's bytes, which must equal
-``store_oracles.v2_bytes``; stores made from either file must answer
+``store_oracles.v3_bytes``; stores made from either file must answer
 queries exactly as the oracle does.
 """
 
@@ -28,7 +28,7 @@ import pytest
 from gtr.embedding import EmbedderConfig, embed
 from gtr.store import VectorRecord, VectorStore
 from store_oracles import VectorStore as OracleStore
-from store_oracles import as_production, naive_row, naive_top_k, v2_bytes
+from store_oracles import as_production, naive_row, naive_top_k, v3_bytes
 
 DIMS = (1, 2, 3, 7, 16, 64, 384, 400)
 WORDS = ["alpha", "beta", "gamma", "delta", "épsilon", "zeta", "中文", "eta"]
@@ -107,7 +107,7 @@ class Twin:
         new_path, old_path = tmp_path / "new.gtr", tmp_path / "old.jsonl"
         self.new.save(new_path)
         self.old.save(old_path)
-        assert new_path.read_bytes() == v2_bytes(self.new.dim, "fp", self.new.records)
+        assert new_path.read_bytes() == v3_bytes(self.new.dim, "fp", self.new.records)
         resaved = tmp_path / "resaved.gtr"
         as_production(OracleStore.load(old_path)).save(resaved)
         assert resaved.read_bytes() == new_path.read_bytes()
@@ -167,7 +167,7 @@ def test_interleaved_inserts_and_queries(seed):
 
 
 def test_growth_boundaries():
-    # One query after every insert crosses each doubling of the matrix.
+    # One query after every insert crosses each growth of the matrix.
     rng = np.random.default_rng(5)
     twin = Twin.empty(3)
     seen = []

@@ -1,11 +1,13 @@
 """Structural guard: one concept, one implementation. The package holds
-one answer-trace class, one HTTP POST call site, one store builder, writer
-and reader, and one reader of text input files, a table is profiled at
-ingest only, asking takes the embedder the store names, and search sums
-every score in the store's own order."""
+one answer-trace class, one HTTP POST call site, one store builder, one
+store entry encoder that whole saves and appends share, one store reader,
+and one reader of text input files, a table is profiled at ingest only,
+asking takes the embedder the store names, and search sums every score in
+the store's own order."""
 
 import argparse
 import ast
+import inspect
 from pathlib import Path
 
 import gtr
@@ -82,8 +84,13 @@ def test_answer_tabular_profiles_no_table():
     assert "profile_tables" not in called
 
 
-def test_one_store_writer_and_it_writes_version_2():
-    assert store.STORE_VERSION == 2
+def _calls(node) -> list[str]:
+    return [getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            for call in ast.walk(node) if isinstance(call, ast.Call)]
+
+
+def test_one_store_writer_and_it_writes_version_3():
+    assert store.STORE_VERSION == 3
     text = "".join(path.read_text(encoding="utf-8") for path in SRC.rglob("*.py"))
     assert "_vector_json" not in text
     [tree] = [tree for path, tree in _trees() if path.name == "store.py"]
@@ -92,8 +99,8 @@ def test_one_store_writer_and_it_writes_version_2():
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Constant) and node.value == "vector"]
     names = {getattr(node, "name", None) for node in ast.walk(tree)}
-    assert not names & {"_read_v1", "_parse_v1_record", "_read_v2"}
-    # The one commit point of a save is one os.replace.
+    assert not names & {"_read_v1", "_parse_v1_record", "_read_v2", "_read_vectors"}
+    # The one commit point of a whole save is one os.replace.
     replaces = [
         node for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -103,9 +110,27 @@ def test_one_store_writer_and_it_writes_version_2():
     opened_for_writing = [
         node for node in ast.walk(tree)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"
-        and any(isinstance(a, ast.Constant) and "w" in str(a.value) for a in node.args)
+        and any(isinstance(a, ast.Constant) and set("w+") & set(str(a.value))
+                for a in node.args)
     ]
-    assert len(opened_for_writing) == 1
+    assert len(opened_for_writing) == 2  # the whole file's temporary, and an append
+
+
+def test_whole_saves_and_appends_share_one_entry_encoder():
+    [tree] = [tree for path, tree in _trees() if path.name == "store.py"]
+    methods = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    callers = {name for name, node in methods.items() if "_entries" in _calls(node)}
+    assert callers == {"_write_entries"}
+    assert _calls(methods["_write_entries"]).count("_entries") == 1
+    assert "_write_entries" in _calls(methods["save"])
+    assert "_write_entries" in _calls(methods["_append"])
+    assert "_append" in _calls(methods["save"])
+    # The header is made in one place, for a save and for load's check.
+    assert [name for name, node in methods.items() if "_header" in _calls(node)] == [
+        "save", "load"]
+    # Whether a save appends is decided from the file; save takes no
+    # parameter to ask for it.
+    assert list(inspect.signature(store.VectorStore.save).parameters) == ["self", "path"]
 
 
 def test_input_files_are_read_in_one_place():
