@@ -50,8 +50,10 @@ import json
 import math
 import os
 import stat
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -204,9 +206,31 @@ class VectorRecord:
         self.metadata = dict(self.metadata)
 
 
+class _Column(Sequence):
+    """A read-only view of one of a store's record columns."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values: list):
+        self._values = values
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, i):
+        return self._values[i]
+
+    def __iter__(self):
+        return iter(self._values)
+
+
 class VectorStore:
     """Ordered vector records over one embedding space: record i is
     ``ids[i]``, ``kinds[i]``, ``texts[i]``, ``metadata[i]`` and matrix row i.
+    The columns are read-only views, ``metadata[i]`` a read-only mapping,
+    and ``get`` and ``records`` hand out copies: a record, once added,
+    changes no more, which a save that appends only the rows added since
+    relies on.
 
     Concurrency contract: any number of concurrent readers (query_top_k,
     get) OR a single writer (insert, save); no internal locking.
@@ -217,10 +241,10 @@ class VectorStore:
             raise InvalidInput(f"dim must be positive, got {dim}")
         self.dim = dim
         self.embedder_fingerprint = embedder_fingerprint
-        self.ids: list[str] = []
-        self.kinds: list[str] = []
-        self.texts: list[str] = []
-        self.metadata: list[dict[str, str]] = []
+        self._ids: list[str] = []
+        self._kinds: list[str] = []
+        self._texts: list[str] = []
+        self._metadata: list[Mapping[str, str]] = []
         self._rows: dict[str, int] = {}
         # Rows [:len(self)] hold the vectors; the rest is spare capacity.
         # Column-major, so a query reads the columns it needs contiguously.
@@ -235,7 +259,23 @@ class VectorStore:
         self._file: _Committed | None = None
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self._ids)
+
+    @property
+    def ids(self) -> Sequence[str]:
+        return _Column(self._ids)
+
+    @property
+    def kinds(self) -> Sequence[str]:
+        return _Column(self._kinds)
+
+    @property
+    def texts(self) -> Sequence[str]:
+        return _Column(self._texts)
+
+    @property
+    def metadata(self) -> Sequence[Mapping[str, str]]:
+        return _Column(self._metadata)
 
     def __contains__(self, record_id: str) -> bool:
         return record_id in self._rows
@@ -259,7 +299,8 @@ class VectorStore:
     def _record(self, i: int) -> VectorRecord:
         vector = self._matrix[i]
         vector.flags.writeable = False
-        return VectorRecord(self.ids[i], vector, self.kinds[i], self.texts[i], self.metadata[i])
+        return VectorRecord(self._ids[i], vector, self._kinds[i], self._texts[i],
+                            self._metadata[i])
 
     def insert(self, record: VectorRecord) -> None:
         """Add a copy of one record; it becomes visible to get() and
@@ -316,11 +357,11 @@ class VectorStore:
         """Append one record's fields, or raise DuplicateId for a known id."""
         if id_ in self._rows:
             raise DuplicateId(f"record id {id_!r} already present")
-        self._rows[id_] = len(self.ids)
-        self.ids.append(id_)
-        self.kinds.append(kind)
-        self.texts.append(text)
-        self.metadata.append(metadata)
+        self._rows[id_] = len(self._ids)
+        self._ids.append(id_)
+        self._kinds.append(kind)
+        self._texts.append(text)
+        self._metadata.append(MappingProxyType(metadata))
 
     def query_top_k(self, query, k: int) -> list[tuple[str, float]]:
         """Exact top-k by cosine score, descending; ties by ascending id.
@@ -383,7 +424,7 @@ class VectorStore:
             # so boundary ties are still broken by id, never by position.
             threshold = np.partition(scores, n - k)[n - k]
             candidates = np.flatnonzero(scores >= threshold)
-        ids = self.ids
+        ids = self._ids
         by_id = sorted(candidates.tolist(), key=ids.__getitem__)
         # A stable sort by descending score keeps id order among equal scores.
         ranked = [by_id[j] for j in np.argsort(-scores[by_id], kind="stable")[:k]]
@@ -497,10 +538,12 @@ class VectorStore:
         width = (self.dim + 7) // 8
         parts = []
         begin = 0
-        records = zip(self.ids[start:stop], self.kinds[start:stop],
-                      self.texts[start:stop], self.metadata[start:stop])
-        for at, fields, end in zip(range(0, len(bitmaps), width), records, ends):
-            parts += (_record_line(*fields), b"\n", bitmaps[at:at + width], values[begin:end])
+        records = zip(self._ids[start:stop], self._kinds[start:stop],
+                      self._texts[start:stop], self._metadata[start:stop])
+        for at, (id_, kind, text, metadata), end in zip(range(0, len(bitmaps), width),
+                                                        records, ends):
+            line = _dumps({"id": id_, "kind": kind, "text": text, "metadata": dict(metadata)})
+            parts += (line.encode("utf-8"), b"\n", bitmaps[at:at + width], values[begin:end])
             begin = end
         return b"".join(parts)
 
@@ -610,7 +653,7 @@ class VectorStore:
         return f.tell()
 
     def _row_name(self, row: int) -> str:
-        return f"row {row} (id {self.ids[row]!r})"
+        return f"row {row} (id {self._ids[row]!r})"
 
 
 class _Committed(NamedTuple):
@@ -640,9 +683,6 @@ def _header(dim: int, embedder: str, count: int) -> bytes:
 def _json_line(line: bytes):
     """The JSON value of one store-file line, decoded as strict UTF-8 (the
     bytes form of ``json.loads`` would let an encoded lone surrogate pass).
-    A line that is one JSON value and nothing else, as a save writes them,
-    goes straight to the scanner ``json.loads`` calls; any other takes
-    ``json.loads`` itself, for the whitespace it allows or its error.
 
     Raises:
         InvalidInput: not UTF-8, or not JSON.
@@ -651,12 +691,6 @@ def _json_line(line: bytes):
         text = line.decode("utf-8")
     except UnicodeDecodeError as e:
         raise InvalidInput(f"not UTF-8: {e.reason} at byte {e.start}") from None
-    try:
-        value, end = _scan_json(text, 0)
-        if end == len(text):
-            return value
-    except (StopIteration, ValueError):
-        pass
     try:
         return json.loads(text)
     except ValueError as e:  # JSONDecodeError, or an over-long integer
@@ -677,17 +711,5 @@ def _parse_record(obj) -> tuple[str, str, str, dict[str, str]]:
     return id_, kind, text, metadata
 
 
-def _record_line(id_: str, kind: str, text: str, metadata: dict[str, str]) -> bytes:
-    """A record's line: ``_dumps`` of its four fields as one object, put
-    together from each string as ``_dumps`` encodes it, in about two thirds
-    of the time."""
-    pairs = ",".join([f"{_string(k)}:{_string(v)}" for k, v in metadata.items()])
-    return (f'{{"id":{_string(id_)},"kind":{_string(kind)},"text":{_string(text)},'
-            f'"metadata":{{{pairs}}}}}').encode("utf-8")
-
-
-# json.dumps with these options, without building an encoder per line; the
-# string encoder it calls; and the scanner json.loads calls.
+# json.dumps with these options, without building an encoder per line.
 _dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
-_string = json.encoder.encode_basestring
-_scan_json = json.JSONDecoder().scan_once

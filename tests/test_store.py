@@ -588,6 +588,27 @@ class TestStoreOwnsItsData:
         loaded.records[0].metadata["k"] = "changed"
         assert self._state(loaded, path) == self._untouched(tmp_path)
 
+    def test_the_columns_are_read_only(self, tmp_path):
+        # A save to the file the store last wrote appends only the rows
+        # added since, so a committed row changed in place would leave the
+        # file disagreeing with the store.
+        store = self._store(self._records()[:1])
+        path = tmp_path / "s.gtr"
+        store.save(path)
+        for column in (store.ids, store.kinds, store.texts, store.metadata):
+            with pytest.raises(TypeError):
+                column[0] = "changed"
+            assert not hasattr(column, "append")
+        for metadata in (store.metadata[0], store.metadata[:][0], next(iter(store.metadata))):
+            with pytest.raises(TypeError):
+                metadata["k"] = "changed"
+        assert list(store.ids) == ["a"] and store.texts[:] == ["first"]
+        assert store.metadata[0] == {"k": "v"}
+        store.texts[:].append("changed")
+        store.insert(self._records()[1])
+        assert self._state(store, path) == self._untouched(tmp_path)
+        assert (store.ids[-1], store.kinds[-1], store.texts[-1]) == ("b", "table", "second")
+
 
 class TestInsertChecksTheRecord:
     """insert refuses what load refuses, as the record is when it is
@@ -715,17 +736,6 @@ class TestPersistence:
         loaded.save(second)
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize("text", ["", "plain", 'q"uote\\back/slash', "\x00\x1f\x7f\n\r\t\b\f",
-                                      "é 中文 \u2028\u2029 \U0001f600", "\ufeff\uffff"])
-    def test_record_line_is_the_json_of_the_record(self, text):
-        metadata = {text: text, "k": "v"} if text else {}
-        line = store_module._record_line(text or "id", "chunk", text, metadata)
-        assert line == json.dumps({"id": text or "id", "kind": "chunk", "text": text,
-                                   "metadata": metadata},
-                                  ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-        assert store_module._parse_record(json.loads(line)) == (
-            text or "id", "chunk", text, metadata)
-
     def test_bad_header(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text('{"format":"other"}\n', encoding="utf-8")
@@ -741,14 +751,14 @@ class TestPersistence:
         store.save(path)
         before = path.read_bytes()
         store.insert(VectorRecord("b", [0.0, 1.0], "chunk", "second"))
-        real_record_line = store_module._record_line
+        real_dumps = store_module._dumps
 
-        def failing_record_line(id_, kind, text, metadata):
-            if text == "second":
+        def failing_dumps(obj):
+            if isinstance(obj, dict) and obj.get("text") == "second":
                 raise RuntimeError("disk full")
-            return real_record_line(id_, kind, text, metadata)
+            return real_dumps(obj)
 
-        monkeypatch.setattr(store_module, "_record_line", failing_record_line)
+        monkeypatch.setattr(store_module, "_dumps", failing_dumps)
         with pytest.raises(RuntimeError, match="disk full"):
             store.save(path)
         assert path.read_bytes() == before
