@@ -82,7 +82,7 @@ class QueryTimeout(GtrError):
 
 
 class EvalError(GtrError):
-    """A gold query failed to execute (a dataset defect, not a model one)."""
+    """A gold query could not run (a dataset defect, not a model one)."""
 
 
 class ParseError(GtrError):

@@ -9,6 +9,7 @@ case-sensitively, and NULL equals NULL.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from pathlib import Path
 
 from ..errors import EvalError, GtrError
@@ -76,6 +77,26 @@ def results_match(gold: ResultSet, pred: ResultSet, ordered: bool) -> bool:
     return all(_rows_equal(g, p) for g, p in zip(gold_rows, pred_rows))
 
 
+def execution_verdicts(
+    gold: str, gold_run: ResultSet | GtrError, pred_runs: Iterable[ResultSet | GtrError]
+) -> list[bool]:
+    """The EX rule: each pred's run scored against one run of the gold.
+
+    A run is the statement's ResultSet, or the GtrError it raised. A failing
+    gold raises EvalError, since the defect is in the dataset rather than
+    the model, before pred_runs is read, so a lazy iterable runs no pred. A
+    failing pred scores False; otherwise rows compare by results_match, in
+    order only when the gold orders its output.
+    """
+    if isinstance(gold_run, GtrError):
+        raise EvalError(f"gold query failed: {gold_run}") from gold_run
+    ordered = has_top_level_order_by(gold)
+    return [
+        not isinstance(run, GtrError) and results_match(gold_run, run, ordered)
+        for run in pred_runs
+    ]
+
+
 def execution_accuracy(
     pred: str,
     gold: str,
@@ -83,17 +104,14 @@ def execution_accuracy(
     *,
     timeout_ms: int = 30_000,
 ) -> bool:
-    """True iff pred's output matches gold's on this database.
+    """True iff pred's output matches gold's on this database, by the rule
+    of execution_verdicts. Pred runs only when gold ran."""
 
-    A pred-side execution error scores False; a gold-side failure raises
-    EvalError, since the defect is in the dataset rather than the model.
-    """
-    try:
-        gold_result = execute_sql(gold, db_path, timeout_ms=timeout_ms, row_limit=None)
-    except GtrError as e:
-        raise EvalError(f"gold query failed: {e}") from e
-    try:
-        pred_result = execute_sql(pred, db_path, timeout_ms=timeout_ms, row_limit=None)
-    except GtrError:
-        return False
-    return results_match(gold_result, pred_result, has_top_level_order_by(gold))
+    def run(sql: str) -> ResultSet | GtrError:
+        try:
+            return execute_sql(sql, db_path, timeout_ms=timeout_ms, row_limit=None)
+        except GtrError as e:
+            return e
+
+    [verdict] = execution_verdicts(gold, run(gold), map(run, [pred]))
+    return verdict

@@ -3,7 +3,9 @@
 Input files follow the usual text-to-SQL layout: one query per line, with a
 tab-separated database id on each gold line. Databases resolve inside a
 directory as ``<db_id>/<db_id>.sqlite``, ``<db_id>.sqlite``, or
-``<db_id>.db``.
+``<db_id>.db``; a db_id must be a plain name. Pairs that share a gold and a
+database are scored together, so each distinct statement runs once per
+group.
 """
 
 from __future__ import annotations
@@ -11,13 +13,15 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import cache, partial
 from pathlib import Path
 
 from ..errors import EvalError, GtrError, InvalidInput, ParseError, read_lines
+from ..tables import ResultSet, execute_sql
 from .exact_match import compare_clauses
-from .execution import execution_accuracy
+from .execution import execution_verdicts
 from .hardness import classify_hardness
-from .parser import HARDNESS_LEVELS, parse_sql
+from .parser import HARDNESS_LEVELS, ClauseSets, parse_sql
 
 
 @dataclass
@@ -93,6 +97,14 @@ class SqlEvalReport:
 
 
 def resolve_db_path(db_dir: str | Path, db_id: str) -> Path | None:
+    """The database file for db_id inside db_dir, or None.
+
+    Only a plain name resolves: an empty id, ``.``, ``..``, or one holding
+    ``/``, ``\\`` or NUL could name a file outside db_dir, and resolves to
+    None.
+    """
+    if db_id in ("", ".", "..") or any(c in db_id for c in "/\\\0"):
+        return None
     db_dir = Path(db_dir)
     for candidate in (
         db_dir / db_id / f"{db_id}.sqlite",
@@ -104,45 +116,69 @@ def resolve_db_path(db_dir: str | Path, db_id: str) -> Path | None:
     return None
 
 
-def _evaluate_one(pair: dict, db_dir: str | Path, timeout_ms: int) -> SqlEvalItem:
-    gold = pair["gold"]
-    pred = pair["pred"]
-    item = SqlEvalItem(
-        question=pair.get("question", ""),
-        db_id=pair["db_id"],
-        gold=gold,
-        pred=pred,
-        hardness=None,
-        em=False,
-        ex=None,
-    )
+def _parse(sql: str) -> tuple[ClauseSets | None, str | None]:
     try:
-        gold_cs = parse_sql(gold)
-        item.hardness = classify_hardness(gold_cs)
+        return parse_sql(sql), None
     except ParseError as e:
-        gold_cs = None
-        item.error = f"gold parse error: {e}"
-    try:
-        pred_cs = parse_sql(pred)
-    except ParseError as e:
-        pred_cs = None
-        item.error = item.error or f"pred parse error: {e}"
-    if gold_cs is not None and pred_cs is not None:
-        item.em_clauses = compare_clauses(pred_cs, gold_cs)
-        item.em = all(item.em_clauses.values())
+        return None, str(e)
 
-    db_path = resolve_db_path(db_dir, item.db_id)
-    if db_path is None:
-        item.error = f"database not found for db_id {item.db_id!r}"
-        return item
+
+def _run(sql: str, db_path: Path, timeout_ms: int) -> ResultSet | GtrError:
     try:
-        item.ex = execution_accuracy(pred, gold, db_path, timeout_ms=timeout_ms)
+        return execute_sql(sql, db_path, timeout_ms=timeout_ms, row_limit=None)
+    except GtrError as e:
+        return e
+
+
+def _evaluate_group(
+    gold: str, db_id: str, pairs: list[dict], db_dir: str | Path, timeout_ms: int
+) -> list[SqlEvalItem]:
+    """Score the pairs that share one gold and db_id.
+
+    Each distinct text is parsed at most once and each distinct statement
+    run at most once, so a pred equal to its gold reuses the gold's parse
+    and result. Both are dropped when the group is scored.
+    """
+    parse = cache(_parse)
+    gold_cs, gold_error = parse(gold)
+    hardness = None if gold_cs is None else classify_hardness(gold_cs)
+    items = []
+    for pair in pairs:
+        item = SqlEvalItem(
+            question=pair.get("question", ""),
+            db_id=db_id,
+            gold=gold,
+            pred=pair["pred"],
+            hardness=hardness,
+            em=False,
+            ex=None,
+        )
+        if gold_error is not None:
+            item.error = f"gold parse error: {gold_error}"
+        else:
+            pred_cs, pred_error = parse(item.pred)
+            if pred_error is not None:
+                item.error = f"pred parse error: {pred_error}"
+            else:
+                item.em_clauses = compare_clauses(pred_cs, gold_cs)
+                item.em = all(item.em_clauses.values())
+        items.append(item)
+
+    db_path = resolve_db_path(db_dir, db_id)
+    if db_path is None:
+        for item in items:
+            item.error = f"database not found for db_id {db_id!r}"
+        return items
+    run = cache(partial(_run, db_path=db_path, timeout_ms=timeout_ms))
+    try:
+        verdicts = execution_verdicts(gold, run(gold), (run(item.pred) for item in items))
     except EvalError as e:
-        item.error = str(e)
-    except GtrError as e:  # defensive: executor errors on pred score False
-        item.ex = False
-        item.error = str(e)
-    return item
+        for item in items:
+            item.error = str(e)
+    else:
+        for item, ex in zip(items, verdicts):
+            item.ex = ex
+    return items
 
 
 def evaluate_suite(
@@ -153,6 +189,10 @@ def evaluate_suite(
     timeout_ms: int = 30_000,
 ) -> SqlEvalReport:
     """Score every {question, pred, gold, db_id} pair; never aborts mid-suite.
+
+    Pairs are scored in groups that share a gold and a db_id (see
+    _evaluate_group); with jobs above 1, groups run on a thread pool. Items
+    come back in input order.
 
     Item-level failures (parse errors, missing databases, failing gold
     queries) are recorded on the item. EX for items whose gold query fails
@@ -170,13 +210,23 @@ def evaluate_suite(
         for key in ("pred", "gold", "db_id"):
             if key not in pair:
                 raise InvalidInput(f"pair {i} is missing {key!r}")
-    if jobs == 1 or len(pairs) == 1:
-        items = [_evaluate_one(p, db_dir, timeout_ms) for p in pairs]
+    groups: dict[tuple[str, str], list[int]] = {}
+    for i, pair in enumerate(pairs):
+        groups.setdefault((pair["gold"], pair["db_id"]), []).append(i)
+
+    def score(group: tuple[tuple[str, str], list[int]]) -> list[SqlEvalItem]:
+        (gold, db_id), indices = group
+        return _evaluate_group(gold, db_id, [pairs[i] for i in indices], db_dir, timeout_ms)
+
+    if jobs == 1 or len(groups) == 1:
+        scored = list(map(score, groups.items()))
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            items = list(
-                pool.map(lambda p: _evaluate_one(p, db_dir, timeout_ms), pairs)
-            )
+            scored = list(pool.map(score, groups.items()))
+    items: list[SqlEvalItem] = [None] * len(pairs)
+    for indices, group_items in zip(groups.values(), scored):
+        for i, item in zip(indices, group_items):
+            items[i] = item
     return SqlEvalReport(items)
 
 

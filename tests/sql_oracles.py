@@ -1,16 +1,24 @@
 """The SQL scanners that ``gtr.sqllex`` replaced, kept verbatim as test
 oracles: the parser's ``_lex``, the read-only screen's
 ``_statement_keywords`` with the verdict logic of ``assert_read_only``, and
-the character loop of ``has_top_level_order_by``.
+the character loop of ``has_top_level_order_by``. Also the per-pair scorer
+that grouped scoring replaced in ``evaluate_suite``: it parses and runs both
+queries of every pair.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
-from gtr.errors import NonReadStatement, ParseError
+from gtr.errors import EvalError, GtrError, NonReadStatement, ParseError
+from gtr.sqleval import parse_sql as _parse_sql
+from gtr.sqleval.exact_match import compare_clauses
+from gtr.sqleval.execution import execution_accuracy
+from gtr.sqleval.hardness import classify_hardness
 from gtr.sqleval.parser import _Parser, _resolve
+from gtr.sqleval.suite import SqlEvalItem, SqlEvalReport, resolve_db_path
 from gtr.tables import _NON_SELECT_STARTERS, _WRITE_KEYWORDS
 
 # -- gtr.sqleval.parser ------------------------------------------------------
@@ -182,3 +190,52 @@ def has_top_level_order_by(sql: str) -> bool:
         else:
             i += 1
     return False
+
+
+# -- gtr.sqleval.suite --------------------------------------------------------
+
+def _evaluate_one(pair: dict, db_dir: str | Path, timeout_ms: int) -> SqlEvalItem:
+    gold = pair["gold"]
+    pred = pair["pred"]
+    item = SqlEvalItem(
+        question=pair.get("question", ""),
+        db_id=pair["db_id"],
+        gold=gold,
+        pred=pred,
+        hardness=None,
+        em=False,
+        ex=None,
+    )
+    try:
+        gold_cs = _parse_sql(gold)
+        item.hardness = classify_hardness(gold_cs)
+    except ParseError as e:
+        gold_cs = None
+        item.error = f"gold parse error: {e}"
+    try:
+        pred_cs = _parse_sql(pred)
+    except ParseError as e:
+        pred_cs = None
+        item.error = item.error or f"pred parse error: {e}"
+    if gold_cs is not None and pred_cs is not None:
+        item.em_clauses = compare_clauses(pred_cs, gold_cs)
+        item.em = all(item.em_clauses.values())
+
+    db_path = resolve_db_path(db_dir, item.db_id)
+    if db_path is None:
+        item.error = f"database not found for db_id {item.db_id!r}"
+        return item
+    try:
+        item.ex = execution_accuracy(pred, gold, db_path, timeout_ms=timeout_ms)
+    except EvalError as e:
+        item.error = str(e)
+    except GtrError as e:  # defensive: executor errors on pred score False
+        item.ex = False
+        item.error = str(e)
+    return item
+
+
+def evaluate_suite(pairs: list[dict], db_dir: str | Path,
+                   timeout_ms: int = 30_000) -> SqlEvalReport:
+    """``gtr.sqleval.evaluate_suite`` scoring one pair at a time."""
+    return SqlEvalReport([_evaluate_one(p, db_dir, timeout_ms) for p in pairs])

@@ -2,8 +2,9 @@
 one answer-trace class, one HTTP POST call site, one store builder, one
 store entry encoder that whole saves and appends share, one store reader,
 and one reader of text input files, a table is profiled at ingest only,
-asking takes the embedder the store names, and search sums every score in
-the store's own order."""
+asking takes the embedder the store names, search sums every score in the
+store's own order, and execution accuracy has one rule that the suite and
+the single-pair scorer share."""
 
 import argparse
 import ast
@@ -131,6 +132,27 @@ def test_whole_saves_and_appends_share_one_entry_encoder():
     # Whether a save appends is decided from the file; save takes no
     # parameter to ask for it.
     assert list(inspect.signature(store.VectorStore.save).parameters) == ["self", "path"]
+
+
+def test_one_execution_accuracy_rule():
+    text = "".join(path.read_text(encoding="utf-8") for path in SRC.rglob("*.py"))
+    assert text.count("gold query failed") == 1
+    functions = {
+        (path.name, node.name): node
+        for path, tree in _trees()
+        for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+    }
+    rule = functions["execution.py", "execution_verdicts"]
+    assert "gold query failed" in ast.unparse(rule)
+    assert {"results_match", "has_top_level_order_by"} <= set(_calls(rule))
+    assert "execution_verdicts" in _calls(functions["execution.py", "execution_accuracy"])
+    # The suite runs statements and hands the runs to the rule; it makes no
+    # verdict of its own.
+    [suite_tree] = [tree for path, tree in _trees() if path.name == "suite.py"]
+    called = set(_calls(suite_tree))
+    assert "execution_verdicts" in called
+    assert not called & {"results_match", "has_top_level_order_by", "execution_accuracy",
+                         "EvalError", "_values_equal", "_rows_equal"}
 
 
 def test_input_files_are_read_in_one_place():

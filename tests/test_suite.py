@@ -118,9 +118,83 @@ class TestEvaluateSuite:
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_is_refused_before_any_pair(self, db_dir, monkeypatch, jobs):
-        monkeypatch.setattr(suite, "_evaluate_one", lambda *a: pytest.fail("scored"))
+        for name in ("execute_sql", "parse_sql"):
+            monkeypatch.setattr(suite, name, lambda *a, **k: pytest.fail("scored"))
         with pytest.raises(InvalidInput, match=f"jobs must be positive, got {jobs}"):
             evaluate_suite([pair("SELECT name FROM singer")] * 2, db_dir, jobs=jobs)
+
+    @pytest.mark.parametrize("db_id", ["", ".", "..", "../outside/secret", "concerts/",
+                                       "..\\concerts", "con\0certs"])
+    def test_db_id_must_be_a_plain_name(self, db_dir, db_id):
+        (db_dir.parent / "outside").mkdir()
+        build_toy_db(db_dir.parent / "outside" / "secret.sqlite")
+        assert suite.resolve_db_path(db_dir, db_id) is None
+        [item] = evaluate_suite(
+            [{"question": "", "gold": "SELECT 1", "pred": "SELECT 1", "db_id": db_id}],
+            db_dir).items
+        assert item.ex is None
+        assert item.error == f"database not found for db_id {db_id!r}"
+
+    def test_absolute_db_id_does_not_escape_the_directory(self, db_dir):
+        (db_dir.parent / "outside").mkdir()
+        build_toy_db(db_dir.parent / "outside" / "secret.sqlite")
+        outside = db_dir.parent / "outside" / "secret"
+        assert suite.resolve_db_path(db_dir, "concerts") is not None
+        assert suite.resolve_db_path(db_dir, str(outside)) is None
+        [item] = evaluate_suite([{"question": "", "gold": "SELECT name FROM singer",
+                                  "pred": "SELECT name FROM singer",
+                                  "db_id": str(outside)}], db_dir).items
+        assert item.ex is None and "database not found" in item.error
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_distinct_statement_is_parsed_and_run_once_per_group(
+            self, db_dir, monkeypatch, jobs):
+        build_toy_db(db_dir / "other.db")
+        runs, parses = [], []
+
+        def counted(calls, fn):
+            def wrapper(sql, *args, **kwargs):
+                calls.append((sql, str(args[0]) if args else None))
+                return fn(sql, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(suite, "execute_sql", counted(runs, suite.execute_sql))
+        monkeypatch.setattr(suite, "parse_sql", counted(parses, suite.parse_sql))
+        g1, g2, bad = ("SELECT name FROM singer WHERE age > 30",
+                       "SELECT count(*) FROM concert", "SELECT nope FROM nowhere")
+        p1, p2 = "SELECT name FROM singer WHERE age > 40", "SELEC name FROM singer"
+        groups = {
+            (g1, "concerts"): [g1, p1, p1, p2, g1, g2],
+            (g1, "other"): [p1, g1],
+            (g2, "concerts"): [g2, g2, g1],
+            (bad, "concerts"): [g1, bad, p1],
+        }
+        pairs = [{"question": "", "gold": gold, "pred": pred, "db_id": db_id}
+                 for (gold, db_id), preds in groups.items() for pred in preds]
+        report = evaluate_suite(pairs[::-1], db_dir, jobs=jobs)
+        assert [item.pred for item in report.items] == [p["pred"] for p in pairs[::-1]]
+
+        concerts = str(db_dir / "concerts" / "concerts.sqlite")
+        other = str(db_dir / "other.db")
+        # A failing gold runs no pred; a pred equal to its gold adds no run.
+        assert sorted(runs) == sorted([
+            (g1, concerts), (p1, concerts), (p2, concerts), (g2, concerts),
+            (g1, other), (p1, other),
+            (g2, concerts), (g1, concerts),
+            (bad, concerts),
+        ])
+        assert sorted(sql for sql, _ in parses) == sorted([
+            g1, p1, p2, g2,
+            g1, p1,
+            g2, g1,
+            bad, g1, p1,
+        ])
+        assert [item.ex for item in report.items[::-1]] == [
+            True, False, False, False, True, False,
+            False, True,
+            True, True, False,
+            None, None, None,
+        ]
 
     def test_jsonl_and_summary_output(self, db_dir, tmp_path):
         report = evaluate_suite([pair("SELECT name FROM singer")], db_dir)
