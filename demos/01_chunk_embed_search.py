@@ -31,8 +31,10 @@ for c in chunks:
     print(f"  chunk {c.index}: tokens [{c.token_start}, {c.token_end}) -> {c.text[:40]!r}...")
 
 # 3. Embed with the offline hashed bag-of-words backend (unit-norm vectors).
+#    Each chunk carries its token texts, so the embedder need not split the
+#    chunk texts again.
 config = EmbedderConfig(dim=128)
-vectors = embed_batch([c.text for c in chunks], config)
+vectors = embed_batch([c.text for c in chunks], config, [c.tokens for c in chunks])
 print(f"embedded {len(vectors)} chunks at dim {config.dim}")
 
 # 4. Store and search.

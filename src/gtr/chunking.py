@@ -7,16 +7,19 @@ character. The same splitter is used everywhere token counts are reported
 reports).
 
 A chunk's text is an exact character slice of the source document, from the
-start of its first token to the end of its last; the chunker works on the
-character spans of one regex pass and never encodes the document. Byte
-offsets into the UTF-8 encoding are a contract of :func:`tokenize` alone.
+start of its first token to the end of its last. The chunker splits each
+document once, into alternating gaps and tokens, joins each chunk's text from
+those parts and hands the chunk its token texts too, so the hashed embedder
+never tokenizes a chunk again. It never encodes the document: byte offsets
+into the UTF-8 encoding are a contract of :func:`tokenize` alone.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InvalidConfig, InvalidInput, check_unicode, read_lines
@@ -25,6 +28,8 @@ DEFAULT_CHUNK_SIZE = 512
 DEFAULT_OVERLAP = 64
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
+# Splitting on the token pattern as a group gives [gap, token, gap, ..., gap].
+_SPLIT_RE = re.compile(f"({_TOKEN_RE.pattern})", re.UNICODE)
 
 
 @dataclass(frozen=True)
@@ -53,6 +58,8 @@ class Chunk:
 
     token_start/token_end are token indices (end exclusive); text is the
     exact source slice from the first token's start to the last token's end.
+    tokens, which equality and repr leave out, holds the token texts of
+    ``token_texts(text)`` when the chunker made the chunk, else nothing.
     """
 
     doc_id: str
@@ -60,6 +67,7 @@ class Chunk:
     text: str
     token_start: int
     token_end: int
+    tokens: Sequence[str] = field(default=(), compare=False, repr=False)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -94,7 +102,7 @@ def chunk_text(
     Windows start at multiples of (chunk_size - overlap); every window except
     possibly the last holds exactly chunk_size tokens. The final partial
     window is kept so that every token is covered. A window that would add no
-    new tokens is never emitted.
+    new tokens is never emitted. Each chunk carries its token texts.
 
     Raises:
         InvalidConfig: if chunk_size < 1, overlap < 0, or overlap >= chunk_size.
@@ -108,18 +116,22 @@ def chunk_text(
             f"overlap ({overlap}) must be smaller than chunk_size ({chunk_size})"
         )
 
-    spans = [m.span() for m in _TOKEN_RE.finditer(doc.text)]
-    if not spans:
+    # Token i is parts[2i + 1]; tokens s..e-1 and the gaps between them are
+    # parts[2s + 1 : 2e].
+    parts = _SPLIT_RE.split(doc.text)
+    n_tokens = len(parts) // 2
+    if not n_tokens:
         return []
 
     stride = chunk_size - overlap
     chunks: list[Chunk] = []
     start = 0
     while True:
-        end = min(start + chunk_size, len(spans))
-        text = doc.text[spans[start][0] : spans[end - 1][1]]
-        chunks.append(Chunk(doc.id, len(chunks), text, start, end))
-        if end == len(spans):
+        end = min(start + chunk_size, n_tokens)
+        lo, hi = 2 * start + 1, 2 * end
+        chunks.append(Chunk(doc.id, len(chunks), "".join(parts[lo:hi]), start, end,
+                            parts[lo:hi:2]))
+        if end == n_tokens:
             break
         start += stride
     return chunks

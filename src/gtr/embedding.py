@@ -6,10 +6,14 @@ dimension):
 * ``hashed_bow`` — offline reference backend. Lowercased tokens are hashed
   with 64-bit FNV-1a into ``dim`` buckets, counts accumulated, and the count
   vector L2-normalized. Fully deterministic, so retrieval behavior is
-  computable by hand in tests. Token frequencies are Zipf-like, so bucket
-  indices are memoised in a bounded LRU cache of ``BUCKET_CACHE_SIZE``
-  entries: the frequent tokens stay cached and memory stays flat however
-  large the vocabulary.
+  computable by hand in tests. A call with several texts buckets each
+  distinct token of them once, however often they repeat it, and counts
+  each text's buckets with one ``bincount``. Ingest hands over the token
+  texts the chunker already split, so a chunk is never tokenized twice. A
+  bounded LRU cache of ``BUCKET_CACHE_SIZE`` entries keeps the buckets of
+  the frequent head of a Zipf vocabulary across calls, so that a single
+  text, such as a query, is bucketed token by token and seldom pays for an
+  FNV-1a loop; memory stays flat however large the vocabulary.
 * ``http`` — remote embedding service speaking a small JSON protocol:
   ``POST endpoint_url {"inputs": [...]}`` returning
   ``{"embeddings": [[...], ...]}``. Requests are batched and sent through
@@ -23,15 +27,17 @@ store file.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
 from ._http import post_json
 from .chunking import token_texts
 from .errors import (BackendUnavailable, EmptyText, FingerprintMismatch, InvalidConfig,
-                     ZeroVector)
+                     InvalidInput, ZeroVector)
 
 DEFAULT_DIM = 384
 
@@ -98,17 +104,48 @@ def bucket_index(token: str, dim: int) -> int:
     return _fnv1a(token.encode("utf-8")) % dim
 
 
-def _embed_hashed_bow(text: str, dim: int) -> np.ndarray:
-    # Counts are small exact integers, so the float64 vector equals the one
-    # accumulated by adding 1.0 per token.
-    buckets = [bucket_index(tok.lower(), dim) for tok in token_texts(text)]
-    counts = np.bincount(buckets, minlength=dim).astype(np.float64)
-    norm = np.linalg.norm(counts)
-    if norm == 0.0:
-        # Unreachable for nonempty trimmed text: every non-space character
-        # produces a token and every token lands in some bucket.
-        raise ZeroVector("text produced no tokens")
-    return counts / norm
+def _hashed_bow(token_lists: Sequence[Sequence[str]], dim: int) -> list[np.ndarray]:
+    """One unit-norm count vector per token list. Across several lists each
+    distinct token is lowercased and bucketed once per call; one list's
+    tokens go through the LRU one by one.
+
+    Raises:
+        InvalidInput: a token holds a lone surrogate; the message names the
+            index of the first list that holds one.
+        ZeroVector: a list holds no tokens.
+    """
+    try:
+        if len(token_lists) == 1:
+            # The LRU keeps one text's tokens between their occurrences, so
+            # a pass that finds the distinct ones would cost more than it
+            # saves. Across a batch the LRU would evict them in between.
+            ids = [bucket_index(tok.lower(), dim) for tok in token_lists[0]]
+        else:
+            buckets = {tok: bucket_index(tok.lower(), dim)
+                       for tok in dict.fromkeys(chain.from_iterable(token_lists))}
+            ids = np.fromiter(map(buckets.__getitem__, chain.from_iterable(token_lists)),
+                              np.intp)
+    except UnicodeEncodeError as e:
+        # Tokens are bucketed in order of first occurrence, so the first
+        # list that holds the failing token is the first that holds any.
+        i = next(i for i, tokens in enumerate(token_lists)
+                 if e.object in map(str.lower, tokens))
+        raise InvalidInput(f"cannot embed text at index {i}: not valid Unicode: "
+                           f"{e.reason}") from None
+    out = []
+    end = 0
+    for tokens in token_lists:
+        start, end = end, end + len(tokens)
+        # Counts are small exact integers, so the float64 vector equals the
+        # one accumulated by adding 1.0 per token.
+        counts = np.bincount(ids[start:end], minlength=dim).astype(np.float64)
+        norm = np.linalg.norm(counts)
+        if norm == 0.0:
+            # Unreachable for the tokens of nonempty trimmed text: every
+            # non-space character is in some token.
+            raise ZeroVector("text produced no tokens")
+        out.append(counts / norm)
+    return out
 
 
 def _embed_http_batch(texts: list[str], config: EmbedderConfig) -> list[np.ndarray]:
@@ -147,30 +184,43 @@ def embed(text: str, config: EmbedderConfig | None = None) -> np.ndarray:
 
     Raises:
         EmptyText: if the text is empty after trimming whitespace.
+        InvalidInput: hashed backend, text holding a lone surrogate.
         BackendUnavailable: http backend failures after retries.
     """
     config = config or EmbedderConfig()
     if not text.strip():
         raise EmptyText("cannot embed empty or whitespace-only text")
     if config.backend == "hashed_bow":
-        return _embed_hashed_bow(text, config.dim)
+        return _hashed_bow([token_texts(text)], config.dim)[0]
     return _embed_http_batch([text], config)[0]
 
 
 def embed_batch(
-    texts: list[str], config: EmbedderConfig | None = None
+    texts: list[str], config: EmbedderConfig | None = None,
+    tokens: Sequence[Sequence[str]] | None = None,
 ) -> list[np.ndarray]:
     """Embed many texts; element i equals embed(texts[i], config).
 
-    The http backend sends ceil(len/batch_size) wire requests. The first
-    invalid element fails the whole batch with its index in the message.
+    tokens, if given, holds ``token_texts(texts[i])`` for each i, as the
+    chunks of ``chunk_text`` carry them; the hashed backend then buckets
+    those instead of tokenizing the texts again. The http backend sends the
+    texts, in ceil(len/batch_size) wire requests. The first invalid element
+    fails the whole batch with its index in the message.
+
+    Raises:
+        InvalidInput: tokens and texts differ in length, or (hashed
+            backend) a text holds a lone surrogate.
     """
     config = config or EmbedderConfig()
+    if tokens is not None and len(tokens) != len(texts):
+        raise InvalidInput(f"{len(tokens)} token lists for {len(texts)} texts")
     for i, text in enumerate(texts):
         if not text.strip():
             raise EmptyText(f"cannot embed empty text at index {i}")
     if config.backend == "hashed_bow":
-        return [_embed_hashed_bow(t, config.dim) for t in texts]
+        if tokens is None:
+            tokens = [token_texts(text) for text in texts]
+        return _hashed_bow(tokens, config.dim)
     out: list[np.ndarray] = []
     for start in range(0, len(texts), config.batch_size):
         out.extend(_embed_http_batch(texts[start : start + config.batch_size], config))

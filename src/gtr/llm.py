@@ -28,6 +28,7 @@ from .errors import BackendUnavailable, InvalidConfig, InvalidInput, MalformedPr
 ENV_LLM_URL = "GTR_LLM_URL"
 
 CONTEXT_PREFIX = "Context:\n"
+_CONTEXT_PREFIX_TOKENS = token_count(CONTEXT_PREFIX)
 QUESTION_DELIMITER = "\n\nQuestion: "
 QUESTION_LINE_PREFIX = "Question: "
 
@@ -105,8 +106,14 @@ def complete(prompt: str, config: LlmConfig | None = None) -> Completion:
         raise InvalidInput("prompt must be nonempty")
 
     if config.backend == "echo_context":
-        text, latency_ms = extract_context(prompt), 0.0
-    elif config.backend == "template_sql":
+        text = extract_context(prompt)
+        completion_tokens = token_count(text)
+        # The context lies between a "\n" and a "\n\n", and no token spans
+        # whitespace, so the prompt's count is the sum of its three parts'.
+        after = prompt[len(CONTEXT_PREFIX) + len(text) :]
+        return Completion(text, _CONTEXT_PREFIX_TOKENS + completion_tokens + token_count(after),
+                          completion_tokens, 0.0)
+    if config.backend == "template_sql":
         question = extract_question(prompt)
         text, latency_ms = config.sql_templates.get(question, "SELECT NULL;"), 0.0
     elif config.backend == "fixed":

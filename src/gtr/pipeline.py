@@ -1,14 +1,16 @@
 """End-to-end retrieval pipeline for unstructured text.
 
-Ingestion chunks documents, embeds every chunk, and persists the vectors;
-answering embeds the query, retrieves the top-k chunks by exact cosine
-search, composes a fixed-template prompt, and runs the completion backend.
+Ingestion chunks each document when a batch of chunks to embed reaches it,
+and persists the vectors; answering embeds the query, retrieves the top-k
+chunks by exact cosine search, composes a fixed-template prompt, and runs the
+completion backend.
 
 Prompt template (bit-exact, UTF-8, "\\n" newlines)::
 
     Context:\\n{chunk1}\\n\\n{chunk2}...\\n\\nQuestion: {query}\\nAnswer:
 
-Traces export as JSONL, one answer per line.
+Traces export as JSONL, one answer per line; a lone surrogate, which an http
+completion can hold, is written as its JSON escape.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from pathlib import Path
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .chunking import Chunk, Document, chunk_text, DEFAULT_CHUNK_SIZE, DEFAULT_OVERLAP
+from .chunking import Document, chunk_text, DEFAULT_CHUNK_SIZE, DEFAULT_OVERLAP
 from .embedding import EmbedderConfig, config_from_fingerprint, embed, embed_batch, fingerprint
-from .errors import DuplicateId, EmptyContext, FingerprintMismatch, InvalidInput
+from .errors import DuplicateId, EmptyContext, FingerprintMismatch, InvalidInput, check_unicode
 from .llm import Completion, LlmConfig, complete
 from .store import VectorRecord, VectorStore
 
@@ -33,6 +35,10 @@ class Query:
     def __post_init__(self):
         if not self.text.strip():
             raise InvalidInput("query must be nonempty")
+        try:
+            check_unicode(self.text)
+        except InvalidInput as e:
+            raise InvalidInput(f"query: {e}") from None
 
 
 @dataclass
@@ -64,46 +70,53 @@ def ingest(
 ) -> VectorStore:
     """Chunk and embed documents into a new store saved at store_path.
 
-    One record per chunk, id ``<doc_id>:<index>``, kind ``chunk``.
+    One record per chunk, id ``<doc_id>:<index>``, kind ``chunk``. Each
+    document is chunked only when the batch that needs its first chunk is
+    drawn, so one document's chunks are alive at a time, not the corpus's.
 
     Raises:
         InvalidInput: empty document list.
-        DuplicateId: the same document id appears twice.
+        DuplicateId: the same document id appears twice; nothing is
+            chunked or embedded.
     """
     if not docs:
         raise InvalidInput("need at least one document to ingest")
 
     seen: set[str] = set()
-    chunks: list[Chunk] = []
     for doc in docs:
         if doc.id in seen:
             raise DuplicateId(f"document id {doc.id!r} ingested twice")
         seen.add(doc.id)
-        chunks.extend(chunk_text(doc, chunk_size, overlap))
 
     items = (
         (chunk_record_id(c.doc_id, c.index), c.text,
          {"doc_id": c.doc_id, "index": str(c.index),
-          "token_start": str(c.token_start), "token_end": str(c.token_end)})
-        for c in chunks
+          "token_start": str(c.token_start), "token_end": str(c.token_end)},
+         c.tokens)
+        for doc in docs for c in chunk_text(doc, chunk_size, overlap)
     )
     return build_store(items, "chunk", embedder_config, store_path)
 
 
 def build_store(
-    items: Iterable[tuple[str, str, dict[str, str]]], kind: str,
+    items: Iterable[tuple[str, str, dict[str, str], Sequence[str] | None]], kind: str,
     embedder_config: EmbedderConfig | None, store_path: str | Path | None = None,
 ) -> VectorStore:
-    """A new store of ``kind`` records from ``(id, text, metadata)`` items,
-    saved at store_path if given. Items are drawn and embedded one batch of
-    ``batch_size`` at a time, so one batch's own arrays are alive at once."""
+    """A new store of ``kind`` records from ``(id, text, metadata, tokens)``
+    items, saved at store_path if given. ``tokens`` is the text's token
+    texts, as a chunk carries them, or None for every item. Items are drawn
+    and embedded one batch of ``batch_size`` at a time, so one batch's own
+    arrays are alive at once."""
     embedder_config = embedder_config or EmbedderConfig()
     store = VectorStore(embedder_config.dim, fingerprint(embedder_config))
     items = iter(items)
     while batch := list(islice(items, embedder_config.batch_size)):
-        vectors = embed_batch([text for _, text, _ in batch], embedder_config)
+        texts = [text for _, text, _, _ in batch]
+        tokens = [text_tokens for *_, text_tokens in batch]
+        vectors = embed_batch(texts, embedder_config,
+                              tokens=None if tokens[0] is None else tokens)
         store.insert_many([VectorRecord(id_, vector, kind, text, metadata)
-                           for (id_, text, metadata), vector in zip(batch, vectors)])
+                           for (id_, text, metadata, _), vector in zip(batch, vectors)])
     if store_path is not None:
         store.save(store_path)
     return store
@@ -174,5 +187,5 @@ def answer(
 
 def append_trace(trace: AnswerTrace, path: str | Path) -> None:
     """Append one trace, documents' or tables', as a JSONL line."""
-    with open(path, "a", encoding="utf-8", newline="\n") as f:
+    with open(path, "a", encoding="utf-8", errors="backslashreplace", newline="\n") as f:
         f.write(json.dumps(asdict(trace), ensure_ascii=False) + "\n")

@@ -72,7 +72,11 @@ class SqlEvalReport:
         return out
 
     def write_jsonl(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
+        """One JSON line per item. A lone surrogate in a gold or pred is
+        written as its JSON escape, so each line reads back to its item (a
+        high surrogate directly followed by a low one reads back as the one
+        character the pair encodes)."""
+        with open(path, "w", encoding="utf-8", errors="backslashreplace", newline="\n") as f:
             for item in self.items:
                 f.write(json.dumps(asdict(item), ensure_ascii=False) + "\n")
 

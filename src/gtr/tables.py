@@ -185,7 +185,7 @@ def index_tables(
     items = (
         (table_record_id(p.db_id, p.name), embedding_text(p),
          {"db_id": p.db_id, "name": p.name, "prompt_block": prompt_block(p),
-          "create_sql": p.create_sql})
+          "create_sql": p.create_sql}, None)
         for p in profiles
     )
     return build_store(items, "table", embedder_config, store_path)

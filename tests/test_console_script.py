@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -62,3 +64,23 @@ class TestConsoleScript:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error") and "line 1" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["ask", "tables ask"])
+    def test_question_bytes_that_are_not_utf8_are_an_input_error(self, tmp_path, toy_db,
+                                                                 command):
+        # Such argv bytes arrive as lone surrogates ("\xff" as "\udcff").
+        store = tmp_path / "s.gtr"
+        if command == "ask":
+            doc = tmp_path / "d.jsonl"
+            doc.write_text('{"id": "a", "text": "hello world"}\n', encoding="utf-8")
+            setup = run_gtr("ingest", "--input", str(doc), "--store", str(store))
+            argv = ["ask", "--store", str(store), b"hello \xff"]
+        else:
+            setup = run_gtr("tables", "ingest", "--db", str(toy_db), "--store", str(store))
+            argv = ["tables", "ask", "--db", str(toy_db), "--store", str(store),
+                    b"hello \xff"]
+        assert setup.returncode == 0, setup.stderr
+        proc = run_gtr(*argv)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: query: not valid Unicode: surrogates not allowed\n"

@@ -11,7 +11,8 @@ from gtr.embedding import (
     embed_batch,
     fingerprint,
 )
-from gtr.errors import BackendUnavailable, EmptyText, FingerprintMismatch, InvalidConfig
+from gtr.errors import (BackendUnavailable, EmptyText, FingerprintMismatch, InvalidConfig,
+                        InvalidInput)
 from gtr.store import cosine
 
 
@@ -75,6 +76,17 @@ class TestEmbedBatch:
     def test_error_carries_index(self):
         with pytest.raises(EmptyText, match="index 1"):
             embed_batch(["fine", "  ", "also fine"], EmbedderConfig(dim=8))
+
+    def test_lone_surrogate_is_an_input_error_naming_its_index(self):
+        texts = ["fine", "also fine", "bad \udcff", "worse \ud800"]
+        config = EmbedderConfig(dim=8)
+        message = "^cannot embed text at index 2: not valid Unicode: surrogates not allowed$"
+        with pytest.raises(InvalidInput, match=message):
+            embed_batch(texts, config)
+        with pytest.raises(InvalidInput, match=message):
+            embed_batch(texts, config, [t.split() for t in texts])
+        with pytest.raises(InvalidInput, match="index 0: not valid Unicode"):
+            embed("hello \udcff", config)
 
 
 class TestConfig:

@@ -4,17 +4,17 @@ with local servers standing in for remote embedding and completion services."""
 import numpy as np
 
 from gtr.chunking import Document
-from gtr.embedding import EmbedderConfig
-from gtr.embedding import _embed_hashed_bow  # server-side stand-in math
+from gtr.embedding import EmbedderConfig, embed
 from gtr.llm import LlmConfig
 from gtr.pipeline import Query, answer, ingest
 from gtr.tables import answer_tabular, index_tables, profile_tables
 
 DIM = 48
+LOCAL = EmbedderConfig(dim=DIM)  # the server-side stand-in math
 
 
 def embedding_responder(path, body):
-    vectors = [_embed_hashed_bow(text, DIM).tolist() for text in body["inputs"]]
+    vectors = [embed(text, LOCAL).tolist() for text in body["inputs"]]
     return 200, {"embeddings": vectors}
 
 
@@ -39,7 +39,7 @@ class TestRemoteEmbedder:
         assert trace.answer == "gamma delta"
         # Wire vectors agree with the local reference computation up to the
         # client's re-normalization.
-        local = _embed_hashed_bow("gamma delta", DIM)
+        local = embed("gamma delta", LOCAL)
         stored = store.get(trace.retrieved[0][0]).vector
         assert np.allclose(stored, local, atol=1e-12)
 

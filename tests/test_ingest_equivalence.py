@@ -1,12 +1,13 @@
 """The ingest hot path against the reference code it replaced.
 
 ``ingest_oracles`` holds the original tokenizer, chunker, hashed
-bag-of-words embedder and store serialisation. Chunks must be equal and
-vectors bit-identical, on the repository's own documents, on hand-picked
-Unicode edge cases and on seeded random Unicode strings. The original
-serialisation writes store format version 1: the records the store oracle
-reads from those bytes, inserted into a production store and saved, must
-give the very file the production save wrote.
+bag-of-words embedder and store serialisation. Chunks and the token texts
+they carry must be equal and vectors bit-identical, on the repository's own
+documents, on hand-picked Unicode edge cases and on seeded random Unicode
+strings, whether the embedder is handed the chunks' tokens or tokenizes their
+texts itself. The original serialisation writes store format version 1: the
+records the store oracle reads from those bytes, inserted into a production
+store and saved, must give the very file the production save wrote.
 """
 
 import random
@@ -16,8 +17,10 @@ import numpy as np
 import pytest
 
 import ingest_oracles as oracle
+from gtr import pipeline
 from gtr.chunking import Document, chunk_text, tokenize
 from gtr.embedding import BUCKET_CACHE_SIZE, EmbedderConfig, bucket_index, embed, embed_batch
+from gtr.errors import DuplicateId, InvalidInput
 from gtr.pipeline import ingest
 from gtr.store import VectorRecord, VectorStore
 from store_oracles import VectorStore as OracleStore
@@ -27,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 WINDOWS = [(1, 0), (2, 1), (3, 1), (4, 0), (7, 3), (512, 64)]
 DIMS = [1, 7, 384]
+GROUP = 1000  # chunks per embed_batch call
 
 HAND_PICKED = [
     "",
@@ -84,25 +88,44 @@ def _corpus() -> list[str]:
     return docs + HAND_PICKED
 
 
-def _assert_text_equivalent(text: str) -> None:
-    assert tokenize(text) == oracle.tokenize(text)
-    doc = Document("d", text)
+def _assert_texts_equivalent(texts: list[str]) -> None:
+    """Chunks, their tokens and their vectors, the chunks of up to GROUP
+    texts embedded in one batch, and each whole text's vector."""
+    tokens = [[t.text for t in oracle.tokenize(text)] for text in texts]
     for size, overlap in WINDOWS:
-        assert chunk_text(doc, size, overlap) == oracle.chunk_text(doc, size, overlap)
-    if text.strip():
-        for dim in DIMS:
-            got = embed(text, EmbedderConfig(dim=dim))
-            assert np.array_equal(got, oracle.embed_hashed_bow(text, dim))
+        chunks = []
+        for text, text_tokens in zip(texts, tokens):
+            doc = Document("d", text)
+            doc_chunks = chunk_text(doc, size, overlap)
+            assert doc_chunks == oracle.chunk_text(doc, size, overlap)
+            assert [c.tokens for c in doc_chunks] == [
+                text_tokens[c.token_start : c.token_end] for c in doc_chunks]
+            chunks += doc_chunks
+        for start in range(0, len(chunks), GROUP):
+            batch = chunks[start : start + GROUP]
+            for dim in DIMS:
+                got = embed_batch([c.text for c in batch], EmbedderConfig(dim=dim),
+                                  [c.tokens for c in batch])
+                want = {}  # short chunks repeat; each is embedded once
+                for vector, chunk in zip(got, batch, strict=True):
+                    if chunk.text not in want:
+                        want[chunk.text] = oracle.embed_hashed_bow(chunk.text, dim).tobytes()
+                    assert vector.tobytes() == want[chunk.text]
+    for text in texts:
+        assert tokenize(text) == oracle.tokenize(text)
+        if text.strip():
+            for dim in DIMS:
+                got = embed(text, EmbedderConfig(dim=dim))
+                assert np.array_equal(got, oracle.embed_hashed_bow(text, dim))
 
 
 class TestChunksAndVectors:
     @pytest.mark.parametrize("index", range(len(_corpus())))
     def test_corpus_and_hand_picked(self, index):
-        _assert_text_equivalent(_corpus()[index])
+        _assert_texts_equivalent([_corpus()[index]])
 
     def test_seeded_random_unicode(self):
-        for text in RANDOM_TEXTS:
-            _assert_text_equivalent(text)
+        _assert_texts_equivalent(RANDOM_TEXTS)
 
     def test_default_window(self):
         text = (ROOT / "README.md").read_text(encoding="utf-8") * 3
@@ -136,6 +159,77 @@ class TestChunksAndVectors:
         config = EmbedderConfig(dim=384)
         for got, text in zip(embed_batch(texts, config), texts):
             assert np.array_equal(got, oracle.embed_hashed_bow(text, 384))
+
+
+class TestEmbedBatchTokens:
+    def test_chunk_tokens_give_the_vectors_of_the_texts(self):
+        for text in _corpus():
+            for size, overlap in WINDOWS[3:]:
+                chunks = chunk_text(Document("d", text), size, overlap)
+                texts = [c.text for c in chunks]
+                for dim in DIMS:
+                    config = EmbedderConfig(dim=dim)
+                    given = embed_batch(texts, config, [c.tokens for c in chunks])
+                    tokenized = embed_batch(texts, config)
+                    assert [v.tobytes() for v in given] == [v.tobytes() for v in tokenized]
+
+    @pytest.mark.parametrize("texts", [
+        [],
+        ["The the THE"],
+        ["The the THE", "the", "THE The", "a The a", "The the THE", "İ i̇ I ı"],
+        ["x", "X x", "y x", "x"] * 20,
+    ], ids=["empty", "one", "case variants", "repeats"])
+    def test_each_text_embeds_as_it_would_alone(self, texts):
+        for dim in DIMS:
+            config = EmbedderConfig(dim=dim)
+            got = embed_batch(texts, config)
+            assert len(got) == len(texts)
+            for vector, text in zip(got, texts):
+                assert vector.tobytes() == embed(text, config).tobytes()
+                assert np.array_equal(vector, oracle.embed_hashed_bow(text, dim))
+
+    def test_token_lists_must_match_the_texts(self):
+        with pytest.raises(InvalidInput, match="1 token lists for 2 texts"):
+            embed_batch(["a", "b"], EmbedderConfig(dim=8), [["a"]])
+
+
+class TestIngestOrder:
+    def _record(self, monkeypatch):
+        events = []
+
+        def chunk(doc, *args):
+            events.append(("chunk", doc.id))
+            return chunk_text(doc, *args)
+
+        def embed_texts(texts, *args, **kwargs):
+            events.append(("embed", len(texts)))
+            return embed_batch(texts, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "chunk_text", chunk)
+        monkeypatch.setattr(pipeline, "embed_batch", embed_texts)
+        return events
+
+    def test_each_document_is_chunked_when_a_batch_needs_it(self, monkeypatch, tmp_path):
+        events = self._record(monkeypatch)
+        docs = [Document(f"d{i}", " ".join(f"w{i}{j}" for j in range(8))) for i in range(4)]
+        path = tmp_path / "s"
+        ingest(docs, chunk_size=2, overlap=0,
+               embedder_config=EmbedderConfig(dim=16, batch_size=3), store_path=path)
+        # Four chunks per document, three per batch.
+        assert events == [("chunk", "d0"), ("embed", 3), ("chunk", "d1"), ("embed", 3),
+                          ("chunk", "d2"), ("embed", 3), ("embed", 3), ("chunk", "d3"),
+                          ("embed", 3), ("embed", 1)]
+        oracle_chunks = [c for d in docs for c in oracle.chunk_text(d, 2, 0)]
+        assert list(VectorStore.load(path).texts) == [c.text for c in oracle_chunks]
+
+    def test_duplicate_ids_are_refused_before_any_work(self, monkeypatch, tmp_path):
+        events = self._record(monkeypatch)
+        docs = [Document("a", "x y"), Document("b", "z"), Document("a", "w")]
+        with pytest.raises(DuplicateId, match="'a'"):
+            ingest(docs, chunk_size=1, overlap=0, embedder_config=EmbedderConfig(dim=8),
+                   store_path=tmp_path / "s")
+        assert events == []
+        assert not (tmp_path / "s").exists()
 
 
 def assert_same_store_as_oracle_bytes(store, path, tmp_path):

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from gtr.chunking import token_count
 from gtr.errors import BackendUnavailable, InvalidConfig, InvalidInput, MalformedPrompt
 from gtr.llm import Completion, LlmConfig, complete, extract_context, extract_question
+from gtr.pipeline import Query, compose_prompt
 
 PROMPT = "Context:\nC.\n\nQuestion: Q?\nAnswer:"
 
@@ -64,6 +67,28 @@ class TestContract:
         completion = complete(PROMPT, LlmConfig(backend="echo_context"))
         assert completion.prompt_tokens == token_count(PROMPT)
         assert completion.completion_tokens == token_count("C.")
+
+    def test_echo_token_accounting_over_random_prompts(self):
+        # The echo backend counts the context once and adds the rest of the
+        # prompt's tokens; the sum must equal a count of the whole prompt.
+        alphabet = ["a", "Zz", "é", "中", "_", "7", ".", ":", "?", "😀", "\u0301", " ",
+                    "\n", "\t", "\xa0", "\u2028", "\x85", "\u3000", "Question", "Context"]
+        rng = random.Random(23)
+
+        def text():
+            return "".join(rng.choices(alphabet, k=rng.randint(0, 12)))
+
+        config = LlmConfig(backend="echo_context")
+        for i in range(1000):
+            question = "q" + text()
+            if i % 4 == 0:
+                question += "\n\nQuestion: " + text()
+            chunks = [text() for _ in range(rng.randint(1, 3))]
+            prompt = compose_prompt(Query(question), chunks)
+            completion = complete(prompt, config)
+            assert completion.prompt_tokens == token_count(prompt), repr(prompt)
+            assert completion.completion_tokens == token_count(completion.text)
+            assert completion.text == extract_context(prompt)
 
     def test_empty_prompt_rejected(self):
         with pytest.raises(InvalidInput):

@@ -129,6 +129,11 @@ class TestSas:
         assert sas(candidate, reference, CONFIG) == 0.0
         assert rouge_l(candidate, reference).f1 == 0.0
 
+    @pytest.mark.parametrize("candidate, reference", [("a \ud800", "a"), ("a", "\udcff b")])
+    def test_lone_surrogate_is_an_input_error(self, candidate, reference):
+        with pytest.raises(InvalidInput, match="not valid Unicode"):
+            sas(candidate, reference, CONFIG)
+
 
 class TestAggregate:
     def _items(self, flags):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -10,8 +11,8 @@ from gtr.errors import (
     InvalidInput,
 )
 from gtr.chunking import Document
-from gtr.llm import LlmConfig
-from gtr.pipeline import Query, answer, append_trace, compose_prompt, ingest
+from gtr.llm import Completion, LlmConfig
+from gtr.pipeline import AnswerTrace, Query, answer, append_trace, compose_prompt, ingest
 from gtr.store import VectorStore
 from gtr.tables import index_tables, profile_tables, select_tables
 
@@ -166,6 +167,11 @@ class TestAnswer:
         with pytest.raises(InvalidInput):
             Query("   ")
 
+    @pytest.mark.parametrize("text", ["a\ud800", "hello \udcff", "\udfff?"])
+    def test_query_with_a_lone_surrogate_is_refused(self, text):
+        with pytest.raises(InvalidInput, match="^query: not valid Unicode"):
+            Query(text)
+
 
 class TestTraceExport:
     def test_append_trace_jsonl(self, tmp_path):
@@ -182,3 +188,20 @@ class TestTraceExport:
         assert record["answer"] == "C."
         assert record["truthful"] is None
         assert record["retrieved"][0][0] == "d:0"
+
+    def test_lone_surrogate_in_a_completion_is_written_escaped(self, tmp_path):
+        # An http completion can hold one; the trace line must still load.
+        answer_text = "a\ud800 b \udcff"
+        traces = [AnswerTrace(query="q?", retrieved=[("d:0", 0.5)], prompt="p",
+                              answer=answer_text,
+                              completion=Completion(answer_text, 1, 4, 2.5)),
+                  AnswerTrace(query="é \u2028 😀", answer="ok")]
+        out = tmp_path / "trace.jsonl"
+        for trace in traces:
+            append_trace(trace, out)
+        raw = out.read_bytes()
+        assert b"a\\ud800 b \\udcff" in raw
+        lines = raw.decode("utf-8").removesuffix("\n").split("\n")
+        assert [json.loads(line) for line in lines] == [
+            json.loads(json.dumps(asdict(trace))) for trace in traces]
+        assert lines[1] == json.dumps(asdict(traces[1]), ensure_ascii=False)

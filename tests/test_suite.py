@@ -70,6 +70,21 @@ class TestEvaluateSuite:
         report = evaluate_suite(pairs, db_dir)
         assert [item.ex for item in report.items] == [False, True]
 
+    def test_lone_surrogate_items_are_written_escaped(self, db_dir, tmp_path):
+        pairs = [pair("SELECT name FROM singer WHERE name = 'a\ud800'",
+                      pred="SELECT name FROM singer", question="a\ud800"),
+                 pair("SELECT name FROM singer", pred="SELECT 'a\ud800' FROM singer"),
+                 pair("SELECT name FROM singer", question="é \u2028 😀")]
+        report = evaluate_suite(pairs, db_dir)
+        out = tmp_path / "report.jsonl"
+        report.write_jsonl(out)
+        raw = out.read_bytes()
+        assert b"'a\\ud800'" in raw
+        lines = raw.decode("utf-8").removesuffix("\n").split("\n")
+        assert [json.loads(line) for line in lines] == [asdict(i) for i in report.items]
+        # Text that UTF-8 can encode is written as before.
+        assert lines[2] == json.dumps(asdict(report.items[2]), ensure_ascii=False)
+
     def test_lone_surrogate_gold_is_gold_error(self, db_dir):
         pairs = [pair("SELECT name FROM singer WHERE name = 'a\ud800'",
                       pred="SELECT name FROM singer"),

@@ -372,6 +372,17 @@ class TestAnswerTabular:
         assert err.trace.error[0] == "execute_sql"
         assert isinstance(err.__cause__, SqlError)
 
+    def test_lone_surrogate_fails_the_select_stage(self, toy_db):
+        # Query refuses such text; one that holds it anyway fails in a stage.
+        query = Query("q?")
+        object.__setattr__(query, "text", "q \udcff?")
+        llm = LlmConfig(backend="fixed", fixed_text="SELECT name FROM singer")
+        with pytest.raises(StageError) as exc_info:
+            answer_tabular(query, toy_db, self._store(toy_db),
+                           embedder_config=CONFIG, llm_config=llm)
+        assert exc_info.value.stage == "select_tables"
+        assert isinstance(exc_info.value.__cause__, InvalidInput)
+
     def test_row_limit_below_one_is_refused_before_any_stage(self, toy_db):
         llm = LlmConfig(backend="fixed", fixed_text="SELECT name FROM singer")
         with pytest.raises(InvalidInput, match="row_limit must be positive"):
