@@ -15,7 +15,6 @@ from .parser import (
     SelectTerm,
     ValExpr,
     parse_sql,
-    serialize,
 )
 from .suite import (
     SqlEvalItem,
@@ -52,5 +51,4 @@ __all__ = [
     "parse_sql",
     "resolve_db_path",
     "results_match",
-    "serialize",
 ]

@@ -23,11 +23,6 @@ Clauses live in frozen sets (ORDER BY stays an ordered list), so two
 queries are structurally equal exactly when their :class:`ClauseSets`
 compare equal. OR-connector counts are carried for difficulty scoring but
 excluded from equality.
-
-:func:`serialize` renders a ClauseSets back to parseable SQL (placeholders
-render as the stand-in literal ``1``), and
-``parse_sql(serialize(parse_sql(q))) == parse_sql(q)`` holds for every
-supported query.
 """
 
 from __future__ import annotations
@@ -109,14 +104,15 @@ class ClauseSets:
 
     @property
     def subqueries(self) -> tuple:
-        """Nested queries used as comparison values, in rendered order."""
-        nested = []
-        for bucket in (self.join_conditions, self.where, self.having):
-            for pred in sorted(bucket, key=_render_predicate):
-                for value in (pred.rhs, pred.rhs2):
-                    if isinstance(value, ClauseSets):
-                        nested.append(value)
-        return tuple(nested)
+        """Nested queries used as comparison values: those of the join
+        conditions, then WHERE, then HAVING, each clause's in set order."""
+        return tuple(
+            value
+            for bucket in (self.join_conditions, self.where, self.having)
+            for pred in bucket
+            for value in (pred.rhs, pred.rhs2)
+            if isinstance(value, ClauseSets)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -515,107 +511,3 @@ def parse_sql(text: str) -> ClauseSets:
             and the token descriptions that would have been accepted.
     """
     return _resolve(_Parser(text, _tokens(text)).parse(), {})
-
-
-# ---------------------------------------------------------------------------
-# Serialization (ClauseSets -> parseable SQL)
-# ---------------------------------------------------------------------------
-
-
-def _render_ref(ref: ColumnRef) -> str:
-    return f"{ref.table}.{ref.name}" if ref.table else ref.name
-
-
-def _render_term(term: ColumnTerm) -> str:
-    inner = _render_ref(term.ref)
-    if term.distinct:
-        inner = f"distinct {inner}"
-    return f"{term.agg}({inner})" if term.agg else inner
-
-
-def _render_expr(expr: ValExpr) -> str:
-    if expr.op:
-        return f"{_render_term(expr.left)} {expr.op} {_render_term(expr.right)}"
-    return _render_term(expr.left)
-
-
-def _render_select_term(term: SelectTerm) -> str:
-    inner = _render_expr(term.expr)
-    if term.distinct:
-        inner = f"distinct {inner}"
-    return f"{term.agg}({inner})" if term.agg else inner
-
-
-def _render_value(value) -> str:
-    if value == VALUE:
-        return "1"  # stand-in literal; anonymized again on reparse
-    if isinstance(value, ValExpr):
-        return _render_expr(value)
-    if isinstance(value, ClauseSets):
-        return f"({serialize(value)})"
-    raise TypeError(f"unrenderable value {value!r}")
-
-
-def _render_predicate(pred: Predicate) -> str:
-    if pred.op == "exists":
-        prefix = "not " if pred.negated else ""
-        return f"{prefix}exists {_render_value(pred.rhs)}"
-    lhs = _render_expr(pred.lhs)
-    if pred.op == "is":
-        return f"{lhs} is not null" if pred.negated else f"{lhs} is null"
-    if pred.op == "between":
-        middle = f"between {_render_value(pred.rhs)} and {_render_value(pred.rhs2)}"
-        return f"{lhs} not {middle}" if pred.negated else f"{lhs} {middle}"
-    if pred.op in ("in", "like"):
-        rhs = _render_value(pred.rhs)
-        if pred.op == "in" and not isinstance(pred.rhs, ClauseSets):
-            rhs = f"({rhs})"
-        keyword = f"not {pred.op}" if pred.negated else pred.op
-        return f"{lhs} {keyword} {rhs}"
-    rendered = f"{lhs} {pred.op} {_render_value(pred.rhs)}"
-    return f"not {rendered}" if pred.negated else rendered
-
-
-def _render_source(source) -> str:
-    if isinstance(source, ClauseSets):
-        return f"({serialize(source)})"
-    return source
-
-
-def serialize(cs: ClauseSets) -> str:
-    """Render clause sets back to SQL; reparsing yields an equal ClauseSets.
-
-    Set-valued clauses are rendered in sorted order and OR connectors are
-    not reconstructed (connector counts do not participate in equality).
-    """
-    parts = ["select"]
-    if cs.select_distinct:
-        parts.append("distinct")
-    parts.append(", ".join(sorted(_render_select_term(t) for t in cs.select)))
-    parts.append("from")
-    parts.append(" join ".join(sorted(_render_source(t) for t in cs.from_tables)))
-    if cs.join_conditions:
-        parts.append(
-            "on " + " and ".join(sorted(_render_predicate(p) for p in cs.join_conditions))
-        )
-    if cs.where:
-        parts.append(
-            "where " + " and ".join(sorted(_render_predicate(p) for p in cs.where))
-        )
-    if cs.group_by:
-        parts.append("group by " + ", ".join(sorted(_render_term(t) for t in cs.group_by)))
-    if cs.having:
-        parts.append(
-            "having " + " and ".join(sorted(_render_predicate(p) for p in cs.having))
-        )
-    if cs.order_by:
-        parts.append(
-            "order by "
-            + ", ".join(f"{_render_expr(e)} {d}" for e, d in cs.order_by)
-        )
-    if cs.limit:
-        parts.append("limit 1")
-    sql = " ".join(parts)
-    if cs.set_op is not None:
-        sql += f" {cs.set_op[0]} {serialize(cs.set_op[1])}"
-    return sql

@@ -7,6 +7,7 @@ statement whose keywords include a write or DDL verb, so a run can never
 mutate the database. Keywords are the ``name`` tokens of :mod:`gtr.sqllex`,
 so words inside strings, quoted identifiers and comments are data, and
 ``replace(`` is SQLite's string function rather than the REPLACE statement.
+Each thread reuses its read-only connections (see _connect_readonly).
 
 SQL prompt template (bit-exact), one block per selected table in score
 order, then the question::
@@ -23,9 +24,13 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import re
 import sqlite3
+import stat
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -82,17 +87,69 @@ def _quote_ident(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
+# Each thread keeps its most recently used read-only connections, keyed by
+# absolute path, each beside the stat identity its file had when opened.
+_MAX_CONNECTIONS = 8
+
+
+class _Connections(threading.local):
+    def __init__(self):
+        self.lru: OrderedDict[str, tuple[tuple, sqlite3.Connection]] = OrderedDict()
+
+
+_connections = _Connections()
+# SQLite forbids using a connection across fork: a child starts empty.
+os.register_at_fork(after_in_child=lambda: _connections.lru.clear())
+
+
 def _connect_readonly(db_path: str | Path) -> sqlite3.Connection:
+    """This thread's read-only connection to db_path, opened on first use.
+
+    A cached connection is reused while the file keeps its (device, inode,
+    size, mtime): a file replaced or rewritten by something other than
+    SQLite gets a new connection. Commits made through SQLite are seen
+    anyway, when each read begins. Callers must not close it.
+    """
     path = Path(db_path)
-    if not path.is_file():
+    key = os.path.abspath(path)
+    lru = _connections.lru
+    try:
+        st = path.stat()  # before the open, so a later rewrite shows as a change
+        identity = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+    except OSError:
+        st = identity = None
+    cached = lru.pop(key, None)
+    if cached is not None:
+        if cached[0] == identity:
+            lru[key] = cached
+            return cached[1]
+        cached[1].close()
+    if st is None or not stat.S_ISREG(st.st_mode):
         raise DbUnreadable(f"database file not found: {path}")
     try:
         # Quoted, so a "#", "?" or "%" in the path cannot cut off mode=ro.
         conn = sqlite3.connect(f"file:{quote(path.as_posix())}?mode=ro", uri=True)
-        conn.execute("SELECT 1 FROM sqlite_master LIMIT 1").fetchall()
     except sqlite3.Error as e:
         raise DbUnreadable(f"cannot open {path}: {e}")
+    try:
+        _fetch_all(conn, "SELECT 1 FROM sqlite_master LIMIT 1")
+    except sqlite3.Error as e:
+        conn.close()  # else the error's traceback keeps the file open
+        raise DbUnreadable(f"cannot open {path}: {e}")
+    lru[key] = (identity, conn)
+    if len(lru) > _MAX_CONNECTIONS:
+        lru.popitem(last=False)[1][1].close()
     return conn
+
+
+def _fetch_all(conn: sqlite3.Connection, sql: str, params: Sequence = ()) -> list:
+    """All rows of one statement; its cursor is closed even on error, so no
+    statement holds the shared lock once this returns."""
+    cursor = conn.cursor()
+    try:
+        return cursor.execute(sql, params).fetchall()
+    finally:
+        cursor.close()
 
 
 def profile_tables(
@@ -104,36 +161,30 @@ def profile_tables(
         raise InvalidInput("sample_limit must be nonnegative")
     db_id = Path(db_path).stem
     conn = _connect_readonly(db_path)
-    try:
-        schema = conn.execute(
-            "SELECT name, sql FROM sqlite_master WHERE type='table' "
-            "AND name NOT LIKE 'sqlite_%'"
-        ).fetchall()
-        profiles = []
-        for name, create_sql in schema:
-            columns = [
-                (str(row[1]), str(row[2]))
-                for row in conn.execute(f"PRAGMA table_info({_quote_ident(name)})")
-            ]
-            sample_rows = [
-                tuple(row)
-                for row in conn.execute(
-                    f"SELECT * FROM {_quote_ident(name)} LIMIT ?", (sample_limit,)
-                )
-            ]
-            profiles.append(
-                TableProfile(
-                    db_id=db_id,
-                    name=name,
-                    columns=columns,
-                    sample_rows=sample_rows,
-                    csv=serialize_table_csv(columns, sample_rows),
-                    create_sql=create_sql,
-                )
+    schema = _fetch_all(
+        conn,
+        "SELECT name, sql FROM sqlite_master WHERE type='table' AND name NOT LIKE 'sqlite_%'",
+    )
+    profiles = []
+    for name, create_sql in schema:
+        columns = [
+            (str(row[1]), str(row[2]))
+            for row in _fetch_all(conn, f"PRAGMA table_info({_quote_ident(name)})")
+        ]
+        sample_rows = _fetch_all(
+            conn, f"SELECT * FROM {_quote_ident(name)} LIMIT ?", (sample_limit,)
+        )
+        profiles.append(
+            TableProfile(
+                db_id=db_id,
+                name=name,
+                columns=columns,
+                sample_rows=sample_rows,
+                csv=serialize_table_csv(columns, sample_rows),
+                create_sql=create_sql,
             )
-        return profiles
-    finally:
-        conn.close()
+        )
+    return profiles
 
 
 def serialize_table_csv(
@@ -312,8 +363,9 @@ def execute_sql(
     conn = _connect_readonly(db_path)
     deadline = time.monotonic() + timeout_ms / 1000.0
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 5000)
+    cursor = conn.cursor()
     try:
-        cursor = conn.execute(sql)
+        cursor.execute(sql)
         if row_limit is None:
             rows = [tuple(r) for r in cursor.fetchall()]
             truncated = False
@@ -329,7 +381,10 @@ def execute_sql(
     except sqlite3.Error as e:
         raise SqlError(str(e))
     finally:
-        conn.close()
+        # The connection is shared: no statement may keep its shared lock,
+        # and no old deadline may interrupt a later statement.
+        cursor.close()
+        conn.set_progress_handler(None, 0)
 
 
 def answer_tabular(
@@ -353,15 +408,14 @@ def answer_tabular(
             from this database, or indexing a table the database no longer
             has or whose CREATE statement differs from the one stored (or
             none was stored).
+        DbUnreadable: missing or unopenable database file; raised before
+            any stage runs.
         StageError: any stage failed.
     """
     _check_limits(timeout_ms, row_limit)
     db_id = Path(db_path).stem
-    conn = _connect_readonly(db_path)
-    try:
-        schema = dict(conn.execute("SELECT name, sql FROM sqlite_master WHERE type='table'"))
-    finally:
-        conn.close()
+    schema = dict(_fetch_all(_connect_readonly(db_path),
+                             "SELECT name, sql FROM sqlite_master WHERE type='table'"))
     stored = dict(zip(store.ids, store.metadata))
     for record_id, meta in stored.items():
         name = meta.get("name")

@@ -3,7 +3,10 @@ oracles: the parser's ``_lex``, the read-only screen's
 ``_statement_keywords`` with the verdict logic of ``assert_read_only``, and
 the character loop of ``has_top_level_order_by``. Also the per-pair scorer
 that grouped scoring replaced in ``evaluate_suite``: it parses and runs both
-queries of every pair.
+queries of every pair. Last, ``serialize``, which renders clause sets back
+to parseable SQL (placeholders as the stand-in literal ``1``), so that
+``parse_sql(serialize(parse_sql(q))) == parse_sql(q)`` can be checked for
+every supported query.
 """
 
 from __future__ import annotations
@@ -17,7 +20,17 @@ from gtr.sqleval import parse_sql as _parse_sql
 from gtr.sqleval.exact_match import compare_clauses
 from gtr.sqleval.execution import execution_accuracy
 from gtr.sqleval.hardness import classify_hardness
-from gtr.sqleval.parser import _Parser, _resolve
+from gtr.sqleval.parser import (
+    VALUE,
+    ClauseSets,
+    ColumnRef,
+    ColumnTerm,
+    Predicate,
+    SelectTerm,
+    ValExpr,
+    _Parser,
+    _resolve,
+)
 from gtr.sqleval.suite import SqlEvalItem, SqlEvalReport, resolve_db_path
 from gtr.tables import _NON_SELECT_STARTERS, _WRITE_KEYWORDS
 
@@ -239,3 +252,105 @@ def evaluate_suite(pairs: list[dict], db_dir: str | Path,
                    timeout_ms: int = 30_000) -> SqlEvalReport:
     """``gtr.sqleval.evaluate_suite`` scoring one pair at a time."""
     return SqlEvalReport([_evaluate_one(p, db_dir, timeout_ms) for p in pairs])
+
+
+# -- rendering clause sets back to SQL --------------------------------------
+
+
+def _render_ref(ref: ColumnRef) -> str:
+    return f"{ref.table}.{ref.name}" if ref.table else ref.name
+
+
+def _render_term(term: ColumnTerm) -> str:
+    inner = _render_ref(term.ref)
+    if term.distinct:
+        inner = f"distinct {inner}"
+    return f"{term.agg}({inner})" if term.agg else inner
+
+
+def _render_expr(expr: ValExpr) -> str:
+    if expr.op:
+        return f"{_render_term(expr.left)} {expr.op} {_render_term(expr.right)}"
+    return _render_term(expr.left)
+
+
+def _render_select_term(term: SelectTerm) -> str:
+    inner = _render_expr(term.expr)
+    if term.distinct:
+        inner = f"distinct {inner}"
+    return f"{term.agg}({inner})" if term.agg else inner
+
+
+def _render_value(value) -> str:
+    if value == VALUE:
+        return "1"  # stand-in literal; anonymized again on reparse
+    if isinstance(value, ValExpr):
+        return _render_expr(value)
+    if isinstance(value, ClauseSets):
+        return f"({serialize(value)})"
+    raise TypeError(f"unrenderable value {value!r}")
+
+
+def _render_predicate(pred: Predicate) -> str:
+    if pred.op == "exists":
+        prefix = "not " if pred.negated else ""
+        return f"{prefix}exists {_render_value(pred.rhs)}"
+    lhs = _render_expr(pred.lhs)
+    if pred.op == "is":
+        return f"{lhs} is not null" if pred.negated else f"{lhs} is null"
+    if pred.op == "between":
+        middle = f"between {_render_value(pred.rhs)} and {_render_value(pred.rhs2)}"
+        return f"{lhs} not {middle}" if pred.negated else f"{lhs} {middle}"
+    if pred.op in ("in", "like"):
+        rhs = _render_value(pred.rhs)
+        if pred.op == "in" and not isinstance(pred.rhs, ClauseSets):
+            rhs = f"({rhs})"
+        keyword = f"not {pred.op}" if pred.negated else pred.op
+        return f"{lhs} {keyword} {rhs}"
+    rendered = f"{lhs} {pred.op} {_render_value(pred.rhs)}"
+    return f"not {rendered}" if pred.negated else rendered
+
+
+def _render_source(source) -> str:
+    if isinstance(source, ClauseSets):
+        return f"({serialize(source)})"
+    return source
+
+
+def serialize(cs: ClauseSets) -> str:
+    """Render clause sets back to SQL; reparsing yields an equal ClauseSets.
+
+    Set-valued clauses are rendered in sorted order and OR connectors are
+    not reconstructed (connector counts do not participate in equality).
+    """
+    parts = ["select"]
+    if cs.select_distinct:
+        parts.append("distinct")
+    parts.append(", ".join(sorted(_render_select_term(t) for t in cs.select)))
+    parts.append("from")
+    parts.append(" join ".join(sorted(_render_source(t) for t in cs.from_tables)))
+    if cs.join_conditions:
+        parts.append(
+            "on " + " and ".join(sorted(_render_predicate(p) for p in cs.join_conditions))
+        )
+    if cs.where:
+        parts.append(
+            "where " + " and ".join(sorted(_render_predicate(p) for p in cs.where))
+        )
+    if cs.group_by:
+        parts.append("group by " + ", ".join(sorted(_render_term(t) for t in cs.group_by)))
+    if cs.having:
+        parts.append(
+            "having " + " and ".join(sorted(_render_predicate(p) for p in cs.having))
+        )
+    if cs.order_by:
+        parts.append(
+            "order by "
+            + ", ".join(f"{_render_expr(e)} {d}" for e, d in cs.order_by)
+        )
+    if cs.limit:
+        parts.append("limit 1")
+    sql = " ".join(parts)
+    if cs.set_op is not None:
+        sql += f" {cs.set_op[0]} {serialize(cs.set_op[1])}"
+    return sql

@@ -9,10 +9,10 @@ from gtr.sqleval import (
     SelectTerm,
     ValExpr,
     parse_sql,
-    serialize,
 )
 
 from fixtures_sql import ALL_EM_QUERIES, HARDNESS_CASES
+from sql_oracles import serialize
 
 
 def bare(name):

@@ -3,8 +3,9 @@ one answer-trace class, one HTTP POST call site, one store builder, one
 store entry encoder that whole saves and appends share, one store reader,
 and one reader of text input files, a table is profiled at ingest only,
 asking takes the embedder the store names, search sums every score in the
-store's own order, and execution accuracy has one rule that the suite and
-the single-pair scorer share."""
+store's own order, execution accuracy has one rule that the suite and
+the single-pair scorer share, and every SQLite connection is opened in one
+function, whose callers never close it."""
 
 import argparse
 import ast
@@ -153,6 +154,42 @@ def test_one_execution_accuracy_rule():
     assert "execution_verdicts" in called
     assert not called & {"results_match", "has_top_level_order_by", "execution_accuracy",
                          "EvalError", "_values_equal", "_rows_equal"}
+
+
+def test_connections_are_opened_in_one_place_and_never_closed_by_users():
+    # tables._connect_readonly caches each connection for its thread, so a
+    # function that closed the one it got would close it for every later call.
+    text = "".join(path.read_text(encoding="utf-8") for path in SRC.rglob("*.py"))
+    assert text.count("sqlite3.connect") == 1
+    functions = [
+        node
+        for path, tree in _trees() if path.name == "tables.py"
+        for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+    ]
+    [source] = [
+        func.name
+        for func in functions
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "sqlite3.connect"
+    ]
+    assert source == "_connect_readonly"
+    for func in functions:
+        if func.name == source:
+            continue
+        calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)]
+        conns = {ast.unparse(node) for node in calls if ast.unparse(node.func) == source}
+        conns |= {
+            target.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign) and ast.unparse(node.value) in conns
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        closed = {ast.unparse(node.func.value) for node in calls
+                  if isinstance(node.func, ast.Attribute) and node.func.attr == "close"}
+        closed |= {ast.unparse(arg) for node in calls
+                   if ast.unparse(node.func) in ("closing", "contextlib.closing")
+                   for arg in node.args}
+        assert not closed & conns, func.name
 
 
 def test_input_files_are_read_in_one_place():
