@@ -6,14 +6,17 @@ dimension):
 * ``hashed_bow`` — offline reference backend. Lowercased tokens are hashed
   with 64-bit FNV-1a into ``dim`` buckets, counts accumulated, and the count
   vector L2-normalized. Fully deterministic, so retrieval behavior is
-  computable by hand in tests. A call with several texts buckets each
-  distinct token of them once, however often they repeat it, and counts
-  each text's buckets with one ``bincount``. Ingest hands over the token
-  texts the chunker already split, so a chunk is never tokenized twice. A
-  bounded LRU cache of ``BUCKET_CACHE_SIZE`` entries keeps the buckets of
-  the frequent head of a Zipf vocabulary across calls, so that a single
-  text, such as a query, is bucketed token by token and seldom pays for an
-  FNV-1a loop; memory stays flat however large the vocabulary.
+  computable by hand in tests. A call with several texts hashes each
+  distinct token of them once, however often they repeat it, all together
+  in NumPy: one ``uint64`` xor and multiply per byte position over the
+  tokens still that long, which a token past ``_KERNEL_MAX_BYTES`` bytes
+  leaves to the scalar loop. It counts each text's buckets with one
+  ``bincount``. Ingest hands over the token texts the chunker already
+  split, so a chunk is never tokenized twice. A single text, such as a
+  query, is bucketed token by token through a bounded LRU cache of
+  ``BUCKET_CACHE_SIZE`` entries, which keeps the buckets of the frequent
+  head of a Zipf vocabulary across calls; batches leave it alone, so
+  memory stays flat however large the vocabulary.
 * ``http`` — remote embedding service speaking a small JSON protocol:
   ``POST endpoint_url {"inputs": [...]}`` returning
   ``{"embeddings": [[...], ...]}``. Requests are batched and sent through
@@ -45,6 +48,14 @@ DEFAULT_DIM = 384
 FNV_SEED = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+# NumPy 1.x promotes uint64 with a Python int to float64, so every array
+# operand is a uint64 scalar.
+_FNV_PRIME64 = np.uint64(_FNV_PRIME)
+
+# Fixed: the batch kernel makes a few NumPy calls per byte position, so a
+# token longer than this (a 100 KB hex blob, say) is hashed by ``_fnv1a``
+# alone rather than costing a call per byte for the whole batch.
+_KERNEL_MAX_BYTES = 64
 
 # Fixed: holds the frequent head of a Zipf vocabulary in about half a megabyte.
 BUCKET_CACHE_SIZE = 2048
@@ -104,9 +115,38 @@ def bucket_index(token: str, dim: int) -> int:
     return _fnv1a(token.encode("utf-8")) % dim
 
 
+def _fnv1a_buckets(tokens: list[str], dim: int) -> np.ndarray:
+    """``bucket_index(t.lower(), dim)`` for each token, as uint64, from one
+    FNV-1a pass over all of them: the hashes of the tokens still longer than
+    each byte position are updated together. Touches no LRU."""
+    lowered = list(map(str.lower, tokens))
+    data = np.frombuffer("\n".join(lowered).encode("utf-8"), np.uint8)
+    seps = np.flatnonzero(data == 10)
+    if len(seps) != len(lowered) - 1:
+        # No tokens, or a caller's token holds "\n": hash each on its own.
+        return np.array([_fnv1a(t.encode("utf-8")) for t in lowered], np.uint64) % np.uint64(dim)
+    starts = np.append(0, seps + 1)
+    lengths = np.append(seps, data.size) - starts
+    order = np.argsort(-lengths, kind="stable")
+    starts, lengths = starts[order], lengths[order]
+    n_long = int(np.count_nonzero(lengths > _KERNEL_MAX_BYTES))
+    h = np.full(len(lowered), np.uint64(FNV_SEED))
+    for i in range(n_long):
+        h[i] = _fnv1a(lowered[order[i]].encode("utf-8"))
+    data = data.astype(np.uint64)
+    # Before byte position p, the tokens longer than p are the first active[p].
+    active = np.searchsorted(-lengths, -np.arange(lengths[n_long:].max(initial=0)))
+    for p, k in enumerate(active.tolist()):
+        h[n_long:k] ^= data[starts[n_long:k] + p]
+        h[n_long:k] *= _FNV_PRIME64
+    out = np.empty_like(h)
+    out[order] = h
+    return out % np.uint64(dim)
+
+
 def _hashed_bow(token_lists: Sequence[Sequence[str]], dim: int) -> list[np.ndarray]:
-    """One unit-norm count vector per token list. Across several lists each
-    distinct token is lowercased and bucketed once per call; one list's
+    """One unit-norm count vector per token list. Across several lists the
+    distinct tokens are bucketed together by ``_fnv1a_buckets``; one list's
     tokens go through the LRU one by one.
 
     Raises:
@@ -116,20 +156,20 @@ def _hashed_bow(token_lists: Sequence[Sequence[str]], dim: int) -> list[np.ndarr
     """
     try:
         if len(token_lists) == 1:
-            # The LRU keeps one text's tokens between their occurrences, so
-            # a pass that finds the distinct ones would cost more than it
-            # saves. Across a batch the LRU would evict them in between.
+            # The LRU keeps one text's tokens between their occurrences, and
+            # a query's few tokens cost less through it than through the
+            # NumPy calls of the batch kernel.
             ids = [bucket_index(tok.lower(), dim) for tok in token_lists[0]]
         else:
-            buckets = {tok: bucket_index(tok.lower(), dim)
-                       for tok in dict.fromkeys(chain.from_iterable(token_lists))}
+            distinct = dict.fromkeys(chain.from_iterable(token_lists))
+            buckets = dict(zip(distinct, _fnv1a_buckets(list(distinct), dim).tolist()))
             ids = np.fromiter(map(buckets.__getitem__, chain.from_iterable(token_lists)),
                               np.intp)
     except UnicodeEncodeError as e:
-        # Tokens are bucketed in order of first occurrence, so the first
-        # list that holds the failing token is the first that holds any.
+        # A lone surrogate is the one character UTF-8 cannot encode, and
+        # lowercasing keeps it.
         i = next(i for i, tokens in enumerate(token_lists)
-                 if e.object in map(str.lower, tokens))
+                 if any("\ud800" <= c <= "\udfff" for c in "".join(tokens)))
         raise InvalidInput(f"cannot embed text at index {i}: not valid Unicode: "
                            f"{e.reason}") from None
     out = []

@@ -47,6 +47,7 @@ exactly as written (never re-normalized on load).
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 import stat
@@ -58,7 +59,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._http import log
 from .errors import (
     CorruptStore,
     DimensionMismatch,
@@ -67,6 +67,8 @@ from .errors import (
     ZeroVector,
     check_unicode,
 )
+
+log = logging.getLogger("gtr")
 
 STORE_FORMAT = "gtr-store"
 STORE_VERSION = 3

@@ -156,7 +156,12 @@ def profile_tables(
     db_path: str | Path, sample_limit: int = DEFAULT_SAMPLE_LIMIT
 ) -> list[TableProfile]:
     """One profile per user table, columns in schema order, in the order
-    tables are stored in the catalog. Internal sqlite_* tables are skipped."""
+    tables are stored in the catalog. Internal sqlite_* tables are skipped.
+
+    Raises:
+        SqlError: the engine could not read a table, such as a sampled
+            value that is not UTF-8; the message names the table.
+    """
     if sample_limit < 0:
         raise InvalidInput("sample_limit must be nonnegative")
     db_id = Path(db_path).stem
@@ -167,13 +172,16 @@ def profile_tables(
     )
     profiles = []
     for name, create_sql in schema:
-        columns = [
-            (str(row[1]), str(row[2]))
-            for row in _fetch_all(conn, f"PRAGMA table_info({_quote_ident(name)})")
-        ]
-        sample_rows = _fetch_all(
-            conn, f"SELECT * FROM {_quote_ident(name)} LIMIT ?", (sample_limit,)
-        )
+        try:
+            columns = [
+                (str(row[1]), str(row[2]))
+                for row in _fetch_all(conn, f"PRAGMA table_info({_quote_ident(name)})")
+            ]
+            sample_rows = _fetch_all(
+                conn, f"SELECT * FROM {_quote_ident(name)} LIMIT ?", (sample_limit,)
+            )
+        except sqlite3.Error as e:
+            raise SqlError(f"cannot profile table {name!r}: {e}") from None
         profiles.append(
             TableProfile(
                 db_id=db_id,

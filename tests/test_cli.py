@@ -1,4 +1,5 @@
 import json
+import sqlite3
 
 import pytest
 
@@ -201,6 +202,19 @@ class TestTables:
         assert code == 0
         assert "SQL: SELECT count(*) FROM singer" in out
         assert out.splitlines()[-1] == "6"
+
+    def test_ingest_of_text_that_is_not_utf8_exits_one(self, capsys, tmp_path):
+        db = tmp_path / "bad.sqlite"
+        conn = sqlite3.connect(db)
+        conn.execute("CREATE TABLE t (x TEXT)")
+        conn.execute("INSERT INTO t VALUES (CAST(x'ff' AS TEXT))")
+        conn.commit()
+        conn.close()
+        code, _, err = run(capsys, "tables", "ingest", "--db", str(db),
+                           "--store", str(tmp_path / "s.gtr"))
+        assert code == 1
+        assert err.startswith("error: cannot profile table 't': ")
+        assert not (tmp_path / "s.gtr").exists()
 
     def test_write_statement_exits_one(self, capsys, tmp_path, toy_db):
         store = tmp_path / "t.jsonl"

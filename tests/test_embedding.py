@@ -1,10 +1,14 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from gtr import embedding
 from gtr.embedding import (
+    _KERNEL_MAX_BYTES,
     EmbedderConfig,
+    _fnv1a_buckets,
     bucket_index,
     config_from_fingerprint,
     embed,
@@ -87,6 +91,77 @@ class TestEmbedBatch:
             embed_batch(texts, config, [t.split() for t in texts])
         with pytest.raises(InvalidInput, match="index 0: not valid Unicode"):
             embed("hello \udcff", config)
+
+
+def _random_token(rng: random.Random) -> str:
+    # Letters that change length or context when lowercased, non-BMP
+    # letters and combining marks, in tokens from 1 byte to past the cutoff.
+    pool = "aZ_9éÉßẞİıΣσςΟΔ漢字😀𝔘𝟘\u0301\u0308\u20dd"
+    return "".join(rng.choice(pool) for _ in range(rng.randint(1, 40)))
+
+
+def _kernel_tokens() -> list[str]:
+    rng = random.Random(18)
+    cut = _KERNEL_MAX_BYTES
+    edges = ["ΟΔΟΣ", "Σ", "İ", "ß", "𝔘𝔫𝔦", "e\u0301", "\u0301", "a", "Z", "%", "",
+             "x" * (cut - 1), "X" * cut, "x" * (cut + 1), "é" * (cut // 2),
+             "É" * (cut // 2) + "a", "f" * 100_000]
+    return edges + [_random_token(rng) for _ in range(3000)]
+
+
+class TestBatchKernel:
+    """The batch kernel against the scalar FNV-1a of ``bucket_index``."""
+
+    @pytest.mark.parametrize("dim", [1, 7, 384, 2**40 + 3])
+    def test_buckets_equal_the_scalar_hash(self, dim):
+        tokens = _kernel_tokens()
+        assert _fnv1a_buckets(tokens, dim).tolist() == [
+            bucket_index(t.lower(), dim) for t in tokens]
+
+    def test_only_tokens_past_the_cutoff_take_the_scalar_hash(self, monkeypatch):
+        scalar = embedding._fnv1a
+        hashed = []
+        monkeypatch.setattr(embedding, "_fnv1a", lambda data: hashed.append(data) or scalar(data))
+        cut = _KERNEL_MAX_BYTES
+        tokens = ["x" * cut, "Y" * (cut + 1), "é" * (cut // 2), "z" * 100_000, "a"]
+        want = [scalar(t.lower().encode("utf-8")) % 8 for t in tokens]
+        assert _fnv1a_buckets(tokens, 8).tolist() == want
+        assert sorted(hashed) == [b"y" * (cut + 1), b"z" * 100_000]
+
+    def test_batch_vectors_equal_single_text_vectors(self):
+        rng = random.Random(7)
+        tokens = [[_random_token(rng) for _ in range(rng.randint(1, 30))] for _ in range(50)]
+        texts = [" ".join(t) for t in tokens]
+        config = EmbedderConfig(dim=97)
+        for given in (None, tokens):
+            batch = embed_batch(texts, config, given)
+            for i, vec in enumerate(batch):
+                [alone] = embed_batch([texts[i]], config, given and [tokens[i]])
+                assert vec.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("texts", [[], ["Cat", "cat", "CAT cat"]])
+    def test_empty_and_one_token_batches_equal_embed(self, texts):
+        config = EmbedderConfig(dim=16)
+        batch = embed_batch(texts, config)
+        assert [v.tobytes() for v in batch] == [embed(t, config).tobytes() for t in texts]
+
+    def test_batch_leaves_the_query_lru_untouched(self):
+        config = EmbedderConfig(dim=384)
+        embed("warm the cache", config)
+        before = bucket_index.cache_info()
+        embed_batch([f"novel{i} words here" for i in range(100)], config)
+        assert bucket_index.cache_info() == before
+
+    def test_caller_token_holding_a_newline_is_hashed_as_given(self):
+        config = EmbedderConfig(dim=64)
+        tokens = [["a\nb", "c"], ["d"], ["\n", "e\n"]]
+        texts = ["a b c", "d", "e"]
+        batch = embed_batch(texts, config, tokens)
+        for i, vec in enumerate(batch):
+            counts = np.zeros(64)
+            for tok in tokens[i]:
+                counts[bucket_index(tok.lower(), 64)] += 1.0
+            assert vec.tobytes() == (counts / np.linalg.norm(counts)).tobytes()
 
 
 class TestConfig:

@@ -5,7 +5,8 @@ and one reader of text input files, a table is profiled at ingest only,
 asking takes the embedder the store names, search sums every score in the
 store's own order, execution accuracy has one rule that the suite and
 the single-pair scorer share, and every SQLite connection is opened in one
-function, whose callers never close it."""
+function, whose callers never close it, and the store imports no HTTP
+code."""
 
 import argparse
 import ast
@@ -313,3 +314,13 @@ def test_answer_builds_no_record_per_hit():
     called = {getattr(node.func, "attr", None) for node in ast.walk(func)
               if isinstance(node, ast.Call)}
     assert "row" in called and "get" not in called
+
+
+def test_store_imports_no_http_code():
+    # The store reads and writes local files; the "gtr" logger it warns on
+    # is taken by name, so the module pulls in no HTTP client.
+    [tree] = [tree for path, tree in _trees() if path.name == "store.py"]
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "_http" not in imported and "requests" not in imported, imported

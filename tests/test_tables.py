@@ -67,6 +67,17 @@ class TestProfiles:
         assert profile.create_sql == "CREATE TABLE t (x INTEGER)"
         assert profile.csv.splitlines() == ["x", "0", "1", "2", "3", "4"]
 
+    def test_text_that_is_not_utf8_is_a_sql_error_naming_the_table(self, tmp_path):
+        path = tmp_path / "bad.sqlite"
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE fine (x TEXT)")
+        conn.execute("CREATE TABLE garbled (x TEXT)")
+        conn.execute("INSERT INTO garbled VALUES (CAST(x'ff' AS TEXT))")
+        conn.commit()
+        conn.close()
+        with pytest.raises(SqlError, match="^cannot profile table 'garbled': .*UTF-8"):
+            profile_tables(path)
+
 
 class TestCsv:
     def test_simple_table(self):
