@@ -10,8 +10,6 @@ from __future__ import annotations
 import logging
 import time
 
-import requests
-
 from .errors import BackendUnavailable
 
 ATTEMPTS = 3
@@ -26,6 +24,7 @@ def post_json(url: str, payload: dict, timeout_s: float, backend: str):
     Raises:
         BackendUnavailable: the last attempt failed; names ``backend``.
     """
+    import requests  # here, so that importing gtr loads no HTTP client
     for attempt in range(1, ATTEMPTS + 1):
         if attempt > 1:
             wait = BACKOFF_S * 2 ** (attempt - 2)

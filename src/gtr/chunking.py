@@ -16,13 +16,12 @@ into the UTF-8 encoding are a contract of :func:`tokenize` alone.
 
 from __future__ import annotations
 
-import json
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import InvalidConfig, InvalidInput, check_unicode, read_lines
+from .errors import InvalidConfig, InvalidInput, check_unicode, read_json_lines, read_lines
 
 DEFAULT_CHUNK_SIZE = 512
 DEFAULT_OVERLAP = 64
@@ -153,13 +152,7 @@ def load_documents(path: str | Path) -> list[Document]:
     path = Path(path)
     if path.suffix == ".jsonl":
         docs = []
-        for lineno, line in enumerate(read_lines(path), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as e:  # JSONDecodeError, or an over-long integer
-                raise InvalidInput(f"{path}: malformed JSON on line {lineno}: {e}")
+        for lineno, record in read_json_lines(path):
             if not isinstance(record, dict) or not (
                 type(record.get("id")) is str and type(record.get("text")) is str
             ):

@@ -235,10 +235,7 @@ def main(argv: list[str] | None = None) -> int:
             pipeline.append_trace(e.trace, args.trace)
         print(f"error in stage {e}", file=sys.stderr)  # e starts with the stage
         return 1
-    except GtrError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (GtrError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

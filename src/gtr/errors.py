@@ -1,10 +1,11 @@
-"""Exception hierarchy shared by all gtr modules, and the text reader and
-check their loaders share."""
+"""Exception hierarchy shared by all gtr modules, and the text reader,
+check and JSON-lines reader and writer their loaders and reports share."""
 
 from __future__ import annotations
 
 import io
-from collections.abc import Iterator
+import json
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 
@@ -154,3 +155,26 @@ def read_lines(path: str | Path, what: str = "input") -> Iterator[str]:
             for line in io.StringIO(text, newline=None) if "\r" in text else (text,):
                 lineno += 1
                 yield line
+
+
+def read_json_lines(path: str | Path, what: str = "input") -> Iterator[tuple[int, object]]:
+    """(line number, decoded value) for each nonblank line that read_lines
+    yields; a line that is not JSON raises InvalidInput naming it."""
+    path = Path(path)
+    for lineno, line in enumerate(read_lines(path, what), start=1):
+        if not line.strip():
+            continue
+        try:
+            value = json.loads(line)
+        except ValueError as e:  # JSONDecodeError, or an over-long integer
+            raise InvalidInput(f"{path}: malformed JSON on line {lineno}: {e}")
+        yield lineno, value
+
+
+def write_json_lines(path: str | Path, rows: Iterable, mode: str = "w") -> None:
+    """Write (mode "w") or append (mode "a") one UTF-8 JSON line per row. A
+    lone surrogate is written as its JSON escape, so each line reads back to
+    its row (a high and a low surrogate in a row read back as one character)."""
+    with open(path, mode, encoding="utf-8", errors="backslashreplace", newline="\n") as f:
+        for row in rows:
+            f.write(json.dumps(row, ensure_ascii=False) + "\n")

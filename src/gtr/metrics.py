@@ -16,7 +16,6 @@ learned scorer when an HTTP embedder is configured.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from typing import Sequence
 
 from .chunking import token_count, token_texts
 from .embedding import EmbedderConfig, embed
-from .errors import InvalidInput, check_unicode, read_lines
+from .errors import InvalidInput, check_unicode, read_json_lines, write_json_lines
 from .store import cosine
 
 SUMMARY_COLUMNS = (
@@ -181,9 +180,8 @@ class TextEvalReport:
         }
 
     def write_jsonl(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            for item in self.items:
-                f.write(json.dumps(item.to_dict(), ensure_ascii=False) + "\n")
+        """One JSON line per item; see errors.write_json_lines."""
+        write_json_lines(path, (item.to_dict() for item in self.items))
 
     def format_summary(self) -> str:
         stats = self.summary()
@@ -237,13 +235,7 @@ def load_items_jsonl(path: str | Path) -> list[GtrEvalItem]:
     """
     path = Path(path)
     items = []
-    for lineno, line in enumerate(read_lines(path, "items"), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError as e:  # JSONDecodeError, or an over-long integer
-            raise InvalidInput(f"{path}: malformed JSON on line {lineno}: {e}")
+    for lineno, obj in read_json_lines(path, "items"):
         try:
             texts = {key: obj[key] for key in ("question", "reference", "candidate")}
             for key, value in texts.items():

@@ -15,7 +15,6 @@ completion can hold, is written as its JSON escape.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from itertools import islice
@@ -23,7 +22,8 @@ from typing import Iterable, Sequence
 
 from .chunking import Document, chunk_text, DEFAULT_CHUNK_SIZE, DEFAULT_OVERLAP
 from .embedding import EmbedderConfig, config_from_fingerprint, embed, embed_batch, fingerprint
-from .errors import DuplicateId, EmptyContext, FingerprintMismatch, InvalidInput, check_unicode
+from .errors import (DuplicateId, EmptyContext, FingerprintMismatch, InvalidInput, check_unicode,
+                     write_json_lines)
 from .llm import Completion, LlmConfig, complete
 from .store import VectorRecord, VectorStore
 
@@ -187,5 +187,4 @@ def answer(
 
 def append_trace(trace: AnswerTrace, path: str | Path) -> None:
     """Append one trace, documents' or tables', as a JSONL line."""
-    with open(path, "a", encoding="utf-8", errors="backslashreplace", newline="\n") as f:
-        f.write(json.dumps(asdict(trace), ensure_ascii=False) + "\n")
+    write_json_lines(path, [asdict(trace)], "a")

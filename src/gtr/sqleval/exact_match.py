@@ -29,6 +29,14 @@ class MatchResult:
         return self.match
 
 
+def parse_or_error(sql: str) -> tuple[ClauseSets | None, str | None]:
+    """(clause sets, None), or (None, the parse error's message)."""
+    try:
+        return parse_sql(sql), None
+    except ParseError as e:
+        return None, str(e)
+
+
 def compare_clauses(pred: ClauseSets, gold: ClauseSets) -> dict[str, bool]:
     """Per-clause equality; ORDER BY is order- and direction-sensitive."""
     return {
@@ -51,13 +59,11 @@ def exact_set_match(pred: str, gold: str) -> MatchResult:
     A parse failure on either side scores False with the reason recorded
     instead of raising.
     """
-    try:
-        pred_cs = parse_sql(pred)
-    except ParseError as e:
-        return MatchResult(False, error=f"pred parse error: {e}")
-    try:
-        gold_cs = parse_sql(gold)
-    except ParseError as e:
-        return MatchResult(False, error=f"gold parse error: {e}")
+    pred_cs, error = parse_or_error(pred)
+    if error is not None:
+        return MatchResult(False, error=f"pred parse error: {error}")
+    gold_cs, error = parse_or_error(gold)
+    if error is not None:
+        return MatchResult(False, error=f"gold parse error: {error}")
     clauses = compare_clauses(pred_cs, gold_cs)
     return MatchResult(all(clauses.values()), clauses)

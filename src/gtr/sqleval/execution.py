@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from functools import partial
 from pathlib import Path
 
 from ..errors import EvalError, GtrError
@@ -55,9 +56,7 @@ def _sort_key(row: tuple) -> tuple:
     for value in row:
         if value is None:
             key.append((0, ""))
-        elif isinstance(value, bool):
-            key.append((1, float(value)))
-        elif isinstance(value, (int, float)):
+        elif isinstance(value, (int, float)):  # bool included
             key.append((1, float(value)))
         elif isinstance(value, str):
             key.append((2, value))
@@ -75,6 +74,15 @@ def results_match(gold: ResultSet, pred: ResultSet, ordered: bool) -> bool:
     gold_rows = gold.rows if ordered else sorted(gold.rows, key=_sort_key)
     pred_rows = pred.rows if ordered else sorted(pred.rows, key=_sort_key)
     return all(_rows_equal(g, p) for g, p in zip(gold_rows, pred_rows))
+
+
+def run_or_error(sql: str, db_path: str | Path, timeout_ms: int) -> ResultSet | GtrError:
+    """A run as execution_verdicts takes it: every row the statement
+    returns, or the GtrError it raised."""
+    try:
+        return execute_sql(sql, db_path, timeout_ms=timeout_ms, row_limit=None)
+    except GtrError as e:
+        return e
 
 
 def execution_verdicts(
@@ -106,12 +114,6 @@ def execution_accuracy(
 ) -> bool:
     """True iff pred's output matches gold's on this database, by the rule
     of execution_verdicts. Pred runs only when gold ran."""
-
-    def run(sql: str) -> ResultSet | GtrError:
-        try:
-            return execute_sql(sql, db_path, timeout_ms=timeout_ms, row_limit=None)
-        except GtrError as e:
-            return e
-
+    run = partial(run_or_error, db_path=db_path, timeout_ms=timeout_ms)
     [verdict] = execution_verdicts(gold, run(gold), map(run, [pred]))
     return verdict

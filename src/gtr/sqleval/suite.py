@@ -10,18 +10,16 @@ group.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cache, partial
 from pathlib import Path
 
-from ..errors import EvalError, GtrError, InvalidInput, ParseError, read_lines
-from ..tables import ResultSet, execute_sql
-from .exact_match import compare_clauses
-from .execution import execution_verdicts
+from ..errors import EvalError, InvalidInput, read_lines, write_json_lines
+from .exact_match import compare_clauses, parse_or_error
+from .execution import execution_verdicts, run_or_error
 from .hardness import classify_hardness
-from .parser import HARDNESS_LEVELS, ClauseSets, parse_sql
+from .parser import HARDNESS_LEVELS
 
 
 @dataclass
@@ -37,20 +35,20 @@ class SqlEvalItem:
     error: str | None = None
 
 
+def _rates(items: list[SqlEvalItem]) -> dict:
+    """The item count, EM over every item, and EX over those whose gold ran."""
+    ran = [i.ex for i in items if i.ex is not None]
+    ex = sum(ran) / len(ran) if ran else 0.0
+    return {"count": len(items), "em": sum(i.em for i in items) / len(items), "ex": ex}
+
+
 @dataclass
 class SqlEvalReport:
     items: list[SqlEvalItem]
 
     def summary(self) -> dict:
-        n = len(self.items)
-        scored_ex = [i for i in self.items if i.ex is not None]
-        return {
-            "count": n,
-            "em": sum(i.em for i in self.items) / n,
-            "ex": (sum(i.ex for i in scored_ex) / len(scored_ex)) if scored_ex else 0.0,
-            "ex_scored": len(scored_ex),
-            "gold_errors": sum(1 for i in self.items if i.ex is None),
-        }
+        scored = sum(i.ex is not None for i in self.items)
+        return {**_rates(self.items), "ex_scored": scored, "gold_errors": len(self.items) - scored}
 
     def per_hardness(self) -> dict:
         buckets: dict[str, list[SqlEvalItem]] = {}
@@ -59,26 +57,13 @@ class SqlEvalReport:
         out = {}
         for level in (*HARDNESS_LEVELS, "unknown"):
             group = buckets.get(level)
-            if not group:
-                continue
-            scored_ex = [i for i in group if i.ex is not None]
-            out[level] = {
-                "count": len(group),
-                "em": sum(i.em for i in group) / len(group),
-                "ex": (sum(i.ex for i in scored_ex) / len(scored_ex))
-                if scored_ex
-                else 0.0,
-            }
+            if group:
+                out[level] = _rates(group)
         return out
 
     def write_jsonl(self, path: str | Path) -> None:
-        """One JSON line per item. A lone surrogate in a gold or pred is
-        written as its JSON escape, so each line reads back to its item (a
-        high surrogate directly followed by a low one reads back as the one
-        character the pair encodes)."""
-        with open(path, "w", encoding="utf-8", errors="backslashreplace", newline="\n") as f:
-            for item in self.items:
-                f.write(json.dumps(asdict(item), ensure_ascii=False) + "\n")
+        """One JSON line per item; see errors.write_json_lines."""
+        write_json_lines(path, (asdict(item) for item in self.items))
 
     def format_summary(self) -> str:
         overall = self.summary()
@@ -120,20 +105,6 @@ def resolve_db_path(db_dir: str | Path, db_id: str) -> Path | None:
     return None
 
 
-def _parse(sql: str) -> tuple[ClauseSets | None, str | None]:
-    try:
-        return parse_sql(sql), None
-    except ParseError as e:
-        return None, str(e)
-
-
-def _run(sql: str, db_path: Path, timeout_ms: int) -> ResultSet | GtrError:
-    try:
-        return execute_sql(sql, db_path, timeout_ms=timeout_ms, row_limit=None)
-    except GtrError as e:
-        return e
-
-
 def _evaluate_group(
     gold: str, db_id: str, pairs: list[dict], db_dir: str | Path, timeout_ms: int
 ) -> list[SqlEvalItem]:
@@ -143,7 +114,7 @@ def _evaluate_group(
     run at most once, so a pred equal to its gold reuses the gold's parse
     and result. Both are dropped when the group is scored.
     """
-    parse = cache(_parse)
+    parse = cache(parse_or_error)
     gold_cs, gold_error = parse(gold)
     hardness = None if gold_cs is None else classify_hardness(gold_cs)
     items = []
@@ -173,7 +144,7 @@ def _evaluate_group(
         for item in items:
             item.error = f"database not found for db_id {db_id!r}"
         return items
-    run = cache(partial(_run, db_path=db_path, timeout_ms=timeout_ms))
+    run = cache(partial(run_or_error, db_path=db_path, timeout_ms=timeout_ms))
     try:
         verdicts = execution_verdicts(gold, run(gold), (run(item.pred) for item in items))
     except EvalError as e:

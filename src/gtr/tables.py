@@ -52,7 +52,7 @@ from .errors import (
 from .llm import LlmConfig, complete
 from .pipeline import AnswerTrace, Query, build_store, check_store
 from .sqllex import tokenize
-from .store import VectorStore
+from .store import VectorStore, _stat_key
 
 DEFAULT_SAMPLE_LIMIT = 5
 DEFAULT_ROW_LIMIT = 1000
@@ -81,6 +81,11 @@ class ResultSet:
 class TabularAnswer:
     result: ResultSet  # the SQL that made it is trace.answer
     trace: AnswerTrace
+
+
+# Each user table's name and CREATE statement, in catalog order, without
+# SQLite's internal sqlite_* tables.
+_USER_TABLES = "SELECT name, sql FROM sqlite_master WHERE type='table' AND name NOT LIKE 'sqlite_%'"
 
 
 def _quote_ident(name: str) -> str:
@@ -115,7 +120,7 @@ def _connect_readonly(db_path: str | Path) -> sqlite3.Connection:
     lru = _connections.lru
     try:
         st = path.stat()  # before the open, so a later rewrite shows as a change
-        identity = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+        identity = _stat_key(st)
     except OSError:
         st = identity = None
     cached = lru.pop(key, None)
@@ -166,12 +171,8 @@ def profile_tables(
         raise InvalidInput("sample_limit must be nonnegative")
     db_id = Path(db_path).stem
     conn = _connect_readonly(db_path)
-    schema = _fetch_all(
-        conn,
-        "SELECT name, sql FROM sqlite_master WHERE type='table' AND name NOT LIKE 'sqlite_%'",
-    )
     profiles = []
-    for name, create_sql in schema:
+    for name, create_sql in _fetch_all(conn, _USER_TABLES):
         try:
             columns = [
                 (str(row[1]), str(row[2]))
@@ -422,8 +423,7 @@ def answer_tabular(
     """
     _check_limits(timeout_ms, row_limit)
     db_id = Path(db_path).stem
-    schema = dict(_fetch_all(_connect_readonly(db_path),
-                             "SELECT name, sql FROM sqlite_master WHERE type='table'"))
+    schema = dict(_fetch_all(_connect_readonly(db_path), _USER_TABLES))
     stored = dict(zip(store.ids, store.metadata))
     for record_id, meta in stored.items():
         name = meta.get("name")

@@ -192,6 +192,17 @@ class TestAggregate:
         record = json.loads(lines[0])
         assert record["rougeL"]["f1"] == 1.0
 
+    def test_write_jsonl_escapes_a_lone_surrogate_in_the_question(self, tmp_path):
+        # The question is carried, not scored, so nothing refuses it; it is
+        # written as its JSON escape, as the other JSON-lines outputs do.
+        [item] = self._items([1])
+        item.question = "why \ud800?"
+        out = tmp_path / "report.jsonl"
+        aggregate([item], CONFIG).write_jsonl(out)
+        assert b"why \\ud800?" in out.read_bytes()
+        [line] = out.read_text(encoding="utf-8").splitlines()
+        assert json.loads(line)["question"] == "why \ud800?"
+
 
 class TestLoadItems:
     def test_round_trip(self, tmp_path):

@@ -4,13 +4,18 @@ store entry encoder that whole saves and appends share, one store reader,
 and one reader of text input files, a table is profiled at ingest only,
 asking takes the embedder the store names, search sums every score in the
 store's own order, execution accuracy has one rule that the suite and
-the single-pair scorer share, and every SQLite connection is opened in one
+the single-pair scorer share, every SQLite connection is opened in one
 function, whose callers never close it, and the store imports no HTTP
-code."""
+code. JSON lines have one reader and one writer, SQL eval runs and parses
+each statement through one helper apiece, user tables are listed by one
+query, and importing the package loads no HTTP client."""
 
 import argparse
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gtr
@@ -324,3 +329,61 @@ def test_store_imports_no_http_code():
                 for alias in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "_http" not in imported and "requests" not in imported, imported
+
+
+def test_importing_gtr_loads_no_http_client():
+    # Only the http backends need requests; _http imports it when it posts.
+    code = "import sys, gtr, gtr.cli; print('requests' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), *sys.path])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout == "False\n"
+
+
+def test_one_json_lines_writer_and_reader():
+    # Traces and both eval reports write through errors.write_json_lines, so
+    # each escapes a lone surrogate the same way; every other file is opened
+    # in binary mode, and nothing writes through Path.
+    text_mode = [
+        f"{path.name}:{func.name}"
+        for path, tree in _trees()
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"
+        and not (len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                 and "b" in node.args[1].value)
+    ]
+    assert text_mode == ["errors.py:write_json_lines"]
+    text = "".join(path.read_text(encoding="utf-8") for path in SRC.rglob("*.py"))
+    assert "write_text" not in text and "write_bytes" not in text
+    # Documents and eval items share errors.read_json_lines and its message.
+    assert text.count("malformed JSON on line") == 1
+
+
+def test_sql_eval_runs_and_parses_through_one_helper_each():
+    # perfbench's tracer rebinds execute_sql and parse_sql in each module
+    # that binds them, so the helpers look them up as globals when called.
+    sites = {}
+    for path, tree in _trees():
+        if path.parent.name != "sqleval":
+            continue
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for name in _calls(func):
+                    if name in ("execute_sql", "parse_sql"):
+                        sites.setdefault(name, []).append(f"{path.name}:{func.name}")
+    assert sites == {"execute_sql": ["execution.py:run_or_error"],
+                     "parse_sql": ["exact_match.py:parse_or_error"]}
+
+
+def test_user_tables_are_listed_by_one_query():
+    text = "".join(path.read_text(encoding="utf-8") for path in SRC.rglob("*.py"))
+    assert text.count("sqlite_master WHERE type='table'") == 1
+    assert "NOT LIKE 'sqlite_%'" in text
+
+
+def test_a_files_identity_is_built_in_one_place():
+    # store._stat_key, which the store's append check and the cached
+    # SQLite connections both use.
+    text = "".join(path.read_text(encoding="utf-8") for path in SRC.rglob("*.py"))
+    assert text.count("st_mtime_ns") == 1

@@ -4,7 +4,7 @@ from dataclasses import asdict
 import pytest
 
 from gtr.errors import InvalidInput
-from gtr.sqleval import evaluate_suite, load_pairs, suite
+from gtr.sqleval import evaluate_suite, exact_match, execution, load_pairs, suite
 
 from conftest import build_toy_db
 
@@ -133,8 +133,8 @@ class TestEvaluateSuite:
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_is_refused_before_any_pair(self, db_dir, monkeypatch, jobs):
-        for name in ("execute_sql", "parse_sql"):
-            monkeypatch.setattr(suite, name, lambda *a, **k: pytest.fail("scored"))
+        for module, name in ((execution, "execute_sql"), (exact_match, "parse_sql")):
+            monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("scored"))
         with pytest.raises(InvalidInput, match=f"jobs must be positive, got {jobs}"):
             evaluate_suite([pair("SELECT name FROM singer")] * 2, db_dir, jobs=jobs)
 
@@ -173,8 +173,8 @@ class TestEvaluateSuite:
                 return fn(sql, *args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(suite, "execute_sql", counted(runs, suite.execute_sql))
-        monkeypatch.setattr(suite, "parse_sql", counted(parses, suite.parse_sql))
+        monkeypatch.setattr(execution, "execute_sql", counted(runs, execution.execute_sql))
+        monkeypatch.setattr(exact_match, "parse_sql", counted(parses, exact_match.parse_sql))
         g1, g2, bad = ("SELECT name FROM singer WHERE age > 30",
                        "SELECT count(*) FROM concert", "SELECT nope FROM nowhere")
         p1, p2 = "SELECT name FROM singer WHERE age > 40", "SELEC name FROM singer"
