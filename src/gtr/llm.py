@@ -27,6 +27,8 @@ from .errors import BackendUnavailable, InvalidConfig, InvalidInput, MalformedPr
 
 ENV_LLM_URL = "GTR_LLM_URL"
 
+# The prompt templates (pipeline.compose_prompt, tables.compose_sql_prompt)
+# are built from these delimiters, and the mock backends parse them back.
 CONTEXT_PREFIX = "Context:\n"
 _CONTEXT_PREFIX_TOKENS = token_count(CONTEXT_PREFIX)
 QUESTION_DELIMITER = "\n\nQuestion: "

@@ -169,6 +169,8 @@ class TextEvalReport:
 
     def summary(self) -> dict:
         n = len(self.items)
+        if not n:
+            raise InvalidInput("cannot summarize an empty TextEvalReport")
         return {
             "truthful_pct": 100.0 * sum(i.truthful for i in self.items) / n,
             "rouge1_p": sum(i.rouge1.precision for i in self.items) / n,

@@ -24,7 +24,7 @@ from .chunking import Document, chunk_text, DEFAULT_CHUNK_SIZE, DEFAULT_OVERLAP
 from .embedding import EmbedderConfig, config_from_fingerprint, embed, embed_batch, fingerprint
 from .errors import (DuplicateId, EmptyContext, FingerprintMismatch, InvalidInput, check_unicode,
                      write_json_lines)
-from .llm import Completion, LlmConfig, complete
+from .llm import CONTEXT_PREFIX, QUESTION_DELIMITER, Completion, LlmConfig, complete
 from .store import VectorRecord, VectorStore
 
 
@@ -148,13 +148,8 @@ def compose_prompt(query: Query, chunk_texts: Sequence[str]) -> str:
     """Instantiate the prompt template; byte-identical for identical inputs."""
     if not chunk_texts:
         raise EmptyContext("prompt composition needs at least one chunk")
-    return (
-        "Context:\n"
-        + "\n\n".join(chunk_texts)
-        + "\n\nQuestion: "
-        + query.text
-        + "\nAnswer:"
-    )
+    context = "\n\n".join(chunk_texts)
+    return CONTEXT_PREFIX + context + QUESTION_DELIMITER + query.text + "\nAnswer:"
 
 
 def answer(

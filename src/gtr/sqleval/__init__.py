@@ -3,10 +3,9 @@ and difficulty classification."""
 
 from .exact_match import CLAUSE_NAMES, MatchResult, compare_clauses, exact_set_match
 from .execution import execution_accuracy, has_top_level_order_by, results_match
-from .hardness import classify_hardness, component_counts
+from .hardness import HARDNESS_LEVELS, classify_hardness, component_counts
 from .parser import (
     AGG_FUNCS,
-    HARDNESS_LEVELS,
     VALUE,
     ClauseSets,
     ColumnRef,

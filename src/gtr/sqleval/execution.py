@@ -19,6 +19,9 @@ from ..tables import ResultSet, execute_sql
 
 _REL_TOL = 1e-6
 
+# Per-statement timeout of SQL evaluation, in milliseconds.
+EVAL_TIMEOUT_MS = 30_000
+
 
 def has_top_level_order_by(sql: str) -> bool:
     """True when ORDER BY appears outside any parentheses, quotes or comments."""
@@ -110,7 +113,7 @@ def execution_accuracy(
     gold: str,
     db_path: str | Path,
     *,
-    timeout_ms: int = 30_000,
+    timeout_ms: int = EVAL_TIMEOUT_MS,
 ) -> bool:
     """True iff pred's output matches gold's on this database, by the rule
     of execution_verdicts. Pred runs only when gold ran."""

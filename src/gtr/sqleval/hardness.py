@@ -37,39 +37,23 @@ that collapse under value anonymization count once.
 
 from __future__ import annotations
 
-from .parser import ClauseSets, ColumnTerm, Predicate, ValExpr
+from .parser import ClauseSets, ColumnTerm, Predicate, SelectTerm, ValExpr
+
+HARDNESS_LEVELS = ("easy", "medium", "hard", "extra")
 
 
-def _expr_agg_count(expr: ValExpr | None) -> int:
-    if expr is None:
-        return 0
-    count = 1 if expr.left.agg else 0
-    if expr.right is not None and expr.right.agg:
-        count += 1
-    return count
-
-
-def _value_agg_count(value) -> int:
-    return _expr_agg_count(value) if isinstance(value, ValExpr) else 0
-
-
-def _pred_agg_count(pred: Predicate) -> int:
-    return (
-        _expr_agg_count(pred.lhs)
-        + _value_agg_count(pred.rhs)
-        + _value_agg_count(pred.rhs2)
-    )
-
-
-def _aggregate_count(q: ClauseSets) -> int:
-    count = 0
-    for term in q.select:
-        count += (1 if term.agg else 0) + _expr_agg_count(term.expr)
-    for bucket in (q.join_conditions, q.where, q.having):
-        count += sum(_pred_agg_count(p) for p in bucket)
-    count += sum(1 for t in q.group_by if isinstance(t, ColumnTerm) and t.agg)
-    count += sum(_expr_agg_count(expr) for expr, _ in q.order_by)
-    return count
+def _aggs(value) -> int:
+    """The aggregates applied in a select term, predicate, expression or
+    column term; a placeholder, a subquery or None applies none."""
+    if isinstance(value, ColumnTerm):
+        return 1 if value.agg else 0
+    if isinstance(value, ValExpr):
+        return _aggs(value.left) + _aggs(value.right)
+    if isinstance(value, SelectTerm):
+        return (1 if value.agg else 0) + _aggs(value.expr)
+    if isinstance(value, Predicate):
+        return _aggs(value.lhs) + _aggs(value.rhs) + _aggs(value.rhs2)
+    return 0
 
 
 def component_counts(q: ClauseSets) -> tuple[int, int, int]:
@@ -84,15 +68,14 @@ def component_counts(q: ClauseSets) -> tuple[int, int, int]:
     for bucket in (q.join_conditions, q.where, q.having):
         structural += sum(1 for p in bucket if p.op == "like")
 
-    extras = 0
-    if _aggregate_count(q) > 1:
-        extras += 1
-    if len(q.select) > 1:
-        extras += 1
-    if len(q.where) > 1:
-        extras += 1
-    if len(q.group_by) > 1:
-        extras += 1
+    aggregates = sum(
+        _aggs(value)
+        for bucket in (q.select, q.join_conditions, q.where, q.having, q.group_by)
+        for value in bucket
+    ) + sum(_aggs(expr) for expr, _ in q.order_by)
+    extras = sum(
+        (aggregates > 1, len(q.select) > 1, len(q.where) > 1, len(q.group_by) > 1)
+    )
 
     nested = len(q.subqueries) + (1 if q.set_op is not None else 0)
     return structural, extras, nested

@@ -36,7 +36,6 @@ VALUE = "VALUE"
 
 AGG_FUNCS = ("max", "min", "count", "sum", "avg")
 SET_OPS = ("intersect", "union", "except", "union all")
-HARDNESS_LEVELS = ("easy", "medium", "hard", "extra")
 
 _ARITH = ("+", "-", "*", "/")
 _COMPARE = ("=", ">", "<", ">=", "<=", "!=", "<>")
@@ -161,6 +160,13 @@ class _RawQuery:
 
 
 class _Parser:
+    """Recursive descent over the tokens, one method per grammar rule.
+
+    Tokens are matched on their text alone: :mod:`gtr.sqllex` lowercases
+    names and keeps the quotes of strings, so no data token's text equals a
+    keyword or an operator.
+    """
+
     def __init__(self, text: str, toks: list[Token]):
         self.text = text
         self.toks = toks
@@ -171,33 +177,34 @@ class _Parser:
     def _peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
 
-    def _advance(self) -> Token:
-        tok = self.toks[self.i]
-        if tok.kind != "end":
+    def _accept(self, *texts: str) -> str | None:
+        tok = self._peek()
+        if tok.text in texts:
             self.i += 1
-        return tok
-
-    def _accept_name(self, *names: str) -> str | None:
-        tok = self._peek()
-        if tok.kind == "name" and tok.text in names:
-            self._advance()
             return tok.text
         return None
 
-    def _accept_sym(self, *syms: str) -> str | None:
+    def _expect(self, text: str):
+        if self._accept(text) is None:
+            self._fail(text.upper() if text.isalpha() else f"'{text}'")
+
+    def _name(self, what: str | None) -> str | None:
+        """Take a name that is not a keyword. Without one, fail expecting
+        ``what``, or take nothing and return None when ``what`` is None."""
         tok = self._peek()
-        if tok.kind == "sym" and tok.text in syms:
-            self._advance()
+        if tok.kind == "name" and tok.text not in _RESERVED:
+            self.i += 1
             return tok.text
+        if what is not None:
+            self._fail(what)
         return None
 
-    def _expect_name(self, name: str):
-        if self._accept_name(name) is None:
-            self._fail(name.upper())
-
-    def _expect_sym(self, sym: str):
-        if self._accept_sym(sym) is None:
-            self._fail(f"'{sym}'")
+    def _list(self, item) -> list:
+        """One or more ``item()`` separated by commas."""
+        items = [item()]
+        while self._accept(","):
+            items.append(item())
+        return items
 
     def _fail(self, *expected: str):
         tok = self._peek()
@@ -210,7 +217,7 @@ class _Parser:
 
     def parse(self) -> _RawQuery:
         raw = self._query()
-        while self._accept_sym(";"):
+        while self._accept(";"):
             pass
         if self._peek().kind != "end":
             self._fail("end of input")
@@ -218,61 +225,60 @@ class _Parser:
 
     def _query(self) -> _RawQuery:
         core = self._select_core()
-        op = self._accept_name("union", "intersect", "except")
+        op = self._accept("union", "intersect", "except")
         if op:
-            if op == "union" and self._accept_name("all"):
+            if op == "union" and self._accept("all"):
                 op = "union all"
             core.set_op = (op, self._query())
         return core
 
+    def _subquery(self) -> _RawQuery:
+        """The query of ``( SELECT ... )``, its ``(`` already taken."""
+        sub = self._query()
+        self._expect(")")
+        return sub
+
     def _select_core(self) -> _RawQuery:
         raw = _RawQuery()
-        self._expect_name("select")
-        raw.select_distinct = self._accept_name("distinct") is not None
-        raw.select.append(self._select_term())
-        while self._accept_sym(","):
-            raw.select.append(self._select_term())
+        self._expect("select")
+        raw.select_distinct = self._accept("distinct") is not None
+        raw.select = self._list(self._select_term)
         self._from_clause(raw)
-        if self._accept_name("where"):
+        if self._accept("where"):
             raw.where, ors = self._condition()
             raw.or_count += ors
-        if self._accept_name("group"):
-            self._expect_name("by")
-            raw.group_by.append(self._column_term())
-            while self._accept_sym(","):
-                raw.group_by.append(self._column_term())
-        if self._accept_name("having"):
+        if self._accept("group"):
+            self._expect("by")
+            raw.group_by = self._list(self._column_term)
+        if self._accept("having"):
             raw.having, ors = self._condition()
             raw.or_count += ors
-        if self._accept_name("order"):
-            self._expect_name("by")
-            while True:
-                expr = self._val_expr()
-                direction = self._accept_name("asc", "desc") or "asc"
-                raw.order_by.append((expr, direction))
-                if not self._accept_sym(","):
-                    break
-        if self._accept_name("limit"):
-            self._accept_sym("-")
+        if self._accept("order"):
+            self._expect("by")
+            raw.order_by = self._list(
+                lambda: (self._val_expr(), self._accept("asc", "desc") or "asc")
+            )
+        if self._accept("limit"):
+            self._accept("-")
             if self._peek().kind != "num":
                 self._fail("row count")
-            self._advance()
+            self.i += 1
             raw.limit = True
         return raw
 
     def _from_clause(self, raw: _RawQuery):
-        self._expect_name("from")
+        self._expect("from")
         raw.sources.append(self._table_source())
         while True:
-            if self._accept_sym(","):
+            if self._accept(","):
                 raw.sources.append(self._table_source())
                 continue
             saw_modifier = False
-            while self._accept_name("inner", "left", "right", "full", "outer", "cross"):
+            while self._accept("inner", "left", "right", "full", "outer", "cross"):
                 saw_modifier = True
-            if self._accept_name("join"):
+            if self._accept("join"):
                 raw.sources.append(self._table_source())
-                if self._accept_name("on"):
+                if self._accept("on"):
                     preds, ors = self._condition()
                     raw.join_conds.extend(preds)
                     raw.or_count += ors
@@ -282,66 +288,36 @@ class _Parser:
             break
 
     def _table_source(self) -> tuple:
-        if self._accept_sym("("):
-            if self._peek().text != "select":
-                self._fail("SELECT")
-            sub = self._query()
-            self._expect_sym(")")
-            return (sub, self._maybe_alias())
-        tok = self._peek()
-        if tok.kind != "name" or tok.text in _RESERVED:
-            self._fail("table name")
-        self._advance()
-        return (tok.text, self._maybe_alias())
-
-    def _maybe_alias(self) -> str | None:
-        if self._accept_name("as"):
-            tok = self._peek()
-            if tok.kind != "name" or tok.text in _RESERVED:
-                self._fail("alias name")
-            self._advance()
-            return tok.text
-        tok = self._peek()
-        if tok.kind == "name" and tok.text not in _RESERVED:
-            self._advance()
-            return tok.text
-        return None
+        source = self._subquery() if self._accept("(") else self._name("table name")
+        return (source, self._name("alias name" if self._accept("as") else None))
 
     def _column_ref(self) -> ColumnRef:
-        if self._accept_sym("*"):
+        if self._accept("*"):
             return ColumnRef(None, "*")
-        tok = self._peek()
-        if tok.kind != "name" or tok.text in _RESERVED:
-            self._fail("column name")
-        self._advance()
-        if self._accept_sym("."):
-            if self._accept_sym("*"):
-                return ColumnRef(tok.text, "*")
-            part = self._peek()
-            if part.kind != "name" or part.text in _RESERVED:
-                self._fail("column name")
-            self._advance()
-            return ColumnRef(tok.text, part.text)
-        return ColumnRef(None, tok.text)
+        name = self._name("column name")
+        if self._accept("."):
+            if self._accept("*"):
+                return ColumnRef(name, "*")
+            return ColumnRef(name, self._name("column name"))
+        return ColumnRef(None, name)
 
     def _column_term(self) -> ColumnTerm:
-        tok = self._peek()
-        if tok.kind == "name" and tok.text in AGG_FUNCS and self._peek(1).text == "(":
-            self._advance()
-            self._expect_sym("(")
-            distinct = self._accept_name("distinct") is not None
+        agg = self._peek().text
+        if agg in AGG_FUNCS and self._peek(1).text == "(":
+            self.i += 2
+            distinct = self._accept("distinct") is not None
             ref = self._column_ref()
-            self._expect_sym(")")
-            return ColumnTerm(tok.text, distinct, ref)
+            self._expect(")")
+            return ColumnTerm(agg, distinct, ref)
         return ColumnTerm("", False, self._column_ref())
 
     def _val_expr(self) -> ValExpr:
-        if self._accept_sym("("):
+        if self._accept("("):
             expr = self._val_expr()
-            self._expect_sym(")")
+            self._expect(")")
             return expr
         left = self._column_term()
-        op = self._accept_sym(*_ARITH)
+        op = self._accept(*_ARITH)
         if op:
             return ValExpr(op, left, self._column_term())
         return ValExpr("", left, None)
@@ -359,70 +335,58 @@ class _Parser:
         preds = [self._predicate()]
         ors = 0
         while True:
-            if self._accept_name("and"):
+            if self._accept("and"):
                 preds.append(self._predicate())
-            elif self._accept_name("or"):
+            elif self._accept("or"):
                 ors += 1
                 preds.append(self._predicate())
             else:
                 return preds, ors
 
     def _predicate(self) -> Predicate:
-        negated = self._accept_name("not") is not None
-        if self._accept_name("exists"):
-            self._expect_sym("(")
-            sub = self._query()
-            self._expect_sym(")")
-            return Predicate(negated, "exists", None, sub)
+        negated = self._accept("not") is not None
+        if self._accept("exists"):
+            self._expect("(")
+            return Predicate(negated, "exists", None, self._subquery())
         lhs = self._val_expr()
-        if self._accept_name("not"):
+        if self._accept("not"):
             negated = True
-        if self._accept_name("is"):
-            if self._accept_name("not"):
+        if self._accept("is"):
+            if self._accept("not"):
                 negated = True
-            self._expect_name("null")
+            self._expect("null")
             return Predicate(negated, "is", lhs, VALUE)
-        if self._accept_name("between"):
+        if self._accept("between"):
             low = self._value()
-            self._expect_name("and")
+            self._expect("and")
             return Predicate(negated, "between", lhs, low, self._value())
-        if self._accept_name("in"):
-            self._expect_sym("(")
+        if self._accept("in"):
+            self._expect("(")
             if self._peek().text == "select":
-                rhs = self._query()
-            else:
-                self._value()
-                while self._accept_sym(","):
-                    self._value()
-                rhs = VALUE
-            self._expect_sym(")")
-            return Predicate(negated, "in", lhs, rhs)
-        if self._accept_name("like"):
+                return Predicate(negated, "in", lhs, self._subquery())
+            self._list(self._value)
+            self._expect(")")
+            return Predicate(negated, "in", lhs, VALUE)
+        if self._accept("like"):
             return Predicate(negated, "like", lhs, self._value())
-        op = self._accept_sym(*_COMPARE)
+        op = self._accept(*_COMPARE)
         if op:
             return Predicate(negated, "!=" if op == "<>" else op, lhs, self._value())
         self._fail("comparison operator")
 
     def _value(self):
-        if self._accept_sym("("):
+        if self._accept("("):
             if self._peek().text == "select":
-                sub = self._query()
-                self._expect_sym(")")
-                return sub
+                return self._subquery()
             inner = self._value()
-            self._expect_sym(")")
+            self._expect(")")
             return inner
         tok = self._peek()
-        if tok.kind in ("num", "str"):
-            self._advance()
+        if tok.kind in ("num", "str") or tok.text in ("null", "true", "false"):
+            self.i += 1
             return VALUE
-        if tok.kind == "sym" and tok.text in ("-", "+") and self._peek(1).kind == "num":
-            self._advance()
-            self._advance()
-            return VALUE
-        if tok.kind == "name" and tok.text in ("null", "true", "false"):
-            self._advance()
+        if tok.text in ("-", "+") and self._peek(1).kind == "num":
+            self.i += 2
             return VALUE
         if tok.kind == "name" and tok.text not in _RESERVED:
             return ValExpr("", self._column_term(), None)
@@ -434,37 +398,25 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_ref(ref: ColumnRef, env: dict) -> ColumnRef:
-    if ref.table and ref.table in env:
-        return ColumnRef(env[ref.table], ref.name)
-    return ref
-
-
 def _resolve_term(term: ColumnTerm, env: dict) -> ColumnTerm:
-    return ColumnTerm(term.agg, term.distinct, _resolve_ref(term.ref, env))
-
-
-def _resolve_expr(expr: ValExpr, env: dict) -> ValExpr:
-    right = _resolve_term(expr.right, env) if expr.right is not None else None
-    return ValExpr(expr.op, _resolve_term(expr.left, env), right)
+    ref = ColumnRef(env.get(term.ref.table, term.ref.table), term.ref.name)
+    return ColumnTerm(term.agg, term.distinct, ref)
 
 
 def _resolve_value(value, env: dict):
+    """A subquery or expression with its aliases resolved; None and VALUE
+    pass through."""
     if isinstance(value, _RawQuery):
         return _resolve(value, env)
     if isinstance(value, ValExpr):
-        return _resolve_expr(value, env)
+        right = value.right and _resolve_term(value.right, env)
+        return ValExpr(value.op, _resolve_term(value.left, env), right)
     return value
 
 
 def _resolve_pred(pred: Predicate, env: dict) -> Predicate:
-    return Predicate(
-        pred.negated,
-        pred.op,
-        _resolve_expr(pred.lhs, env) if pred.lhs is not None else None,
-        _resolve_value(pred.rhs, env),
-        _resolve_value(pred.rhs2, env),
-    )
+    operands = (_resolve_value(v, env) for v in (pred.lhs, pred.rhs, pred.rhs2))
+    return Predicate(pred.negated, pred.op, *operands)
 
 
 def _resolve(raw: _RawQuery, parent_env: dict) -> ClauseSets:
@@ -483,7 +435,7 @@ def _resolve(raw: _RawQuery, parent_env: dict) -> ClauseSets:
             tables.append(_resolve(src, parent_env))
     return ClauseSets(
         select=frozenset(
-            SelectTerm(t.agg, t.distinct, _resolve_expr(t.expr, env))
+            SelectTerm(t.agg, t.distinct, _resolve_value(t.expr, env))
             for t in raw.select
         ),
         select_distinct=raw.select_distinct,
@@ -493,7 +445,7 @@ def _resolve(raw: _RawQuery, parent_env: dict) -> ClauseSets:
         group_by=frozenset(_resolve_term(t, env) for t in raw.group_by),
         having=frozenset(_resolve_pred(p, env) for p in raw.having),
         order_by=tuple(
-            (_resolve_expr(expr, env), direction) for expr, direction in raw.order_by
+            (_resolve_value(expr, env), direction) for expr, direction in raw.order_by
         ),
         limit=raw.limit,
         set_op=None

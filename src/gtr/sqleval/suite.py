@@ -17,9 +17,8 @@ from pathlib import Path
 
 from ..errors import EvalError, InvalidInput, read_lines, write_json_lines
 from .exact_match import compare_clauses, parse_or_error
-from .execution import execution_verdicts, run_or_error
-from .hardness import classify_hardness
-from .parser import HARDNESS_LEVELS
+from .execution import EVAL_TIMEOUT_MS, execution_verdicts, run_or_error
+from .hardness import HARDNESS_LEVELS, classify_hardness
 
 
 @dataclass
@@ -47,6 +46,8 @@ class SqlEvalReport:
     items: list[SqlEvalItem]
 
     def summary(self) -> dict:
+        if not self.items:
+            raise InvalidInput("cannot summarize an empty SqlEvalReport")
         scored = sum(i.ex is not None for i in self.items)
         return {**_rates(self.items), "ex_scored": scored, "gold_errors": len(self.items) - scored}
 
@@ -161,7 +162,7 @@ def evaluate_suite(
     db_dir: str | Path,
     *,
     jobs: int = 1,
-    timeout_ms: int = 30_000,
+    timeout_ms: int = EVAL_TIMEOUT_MS,
 ) -> SqlEvalReport:
     """Score every {question, pred, gold, db_id} pair; never aborts mid-suite.
 

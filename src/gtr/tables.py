@@ -49,7 +49,7 @@ from .errors import (
     StageError,
     check_unicode,
 )
-from .llm import LlmConfig, complete
+from .llm import QUESTION_LINE_PREFIX, LlmConfig, complete
 from .pipeline import AnswerTrace, Query, build_store, check_store
 from .sqllex import tokenize
 from .store import VectorStore, _stat_key
@@ -273,7 +273,7 @@ def compose_sql_prompt(blocks: Sequence[str], query: Query) -> str:
     blocks (see prompt_block)."""
     if not blocks:
         raise EmptySelection("sql prompt needs at least one table")
-    return "".join(blocks) + f"Question: {query.text}\nSQL:"
+    return "".join(blocks) + f"{QUESTION_LINE_PREFIX}{query.text}\nSQL:"
 
 
 _FENCE_RE = re.compile(r"```[\w+-]*\n(.*?)```", re.DOTALL)

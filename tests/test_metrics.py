@@ -9,6 +9,7 @@ from gtr.errors import InvalidInput
 from gtr.metrics import (
     GtrEvalItem,
     SUMMARY_COLUMNS,
+    TextEvalReport,
     aggregate,
     lcs_length,
     load_items_jsonl,
@@ -171,6 +172,12 @@ class TestAggregate:
     def test_empty_items_rejected(self):
         with pytest.raises(InvalidInput):
             aggregate([], CONFIG)
+
+    def test_empty_report_refuses_to_summarize(self):
+        report = TextEvalReport([])
+        for summarize in (report.summary, report.format_summary):
+            with pytest.raises(InvalidInput, match="empty TextEvalReport"):
+                summarize()
 
     def test_truthful_must_be_binary(self):
         with pytest.raises(InvalidInput):

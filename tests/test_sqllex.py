@@ -5,7 +5,9 @@ screen and ORDER BY detection) must give the verdicts of the old scanner in
 ``sql_oracles`` on every fixture query and on seeded random fragments. The
 differences made on purpose are each asserted on their own below; the
 random comparison neutralizes exactly those constructs in the text handed
-to the oracle.
+to the oracle. The same queries and fragments also hold the clause-set
+parser and the difficulty counters to their earlier versions in
+``sql_oracles``.
 """
 
 import random
@@ -15,7 +17,8 @@ import pytest
 import fixtures_sql
 import sql_oracles as oracle
 from gtr.errors import NonReadStatement, ParseError
-from gtr.sqleval import has_top_level_order_by, parse_sql
+from gtr.sqleval import component_counts, has_top_level_order_by, parse_sql
+from gtr.sqleval.parser import ClauseSets, _tokens
 from gtr.sqllex import Token, tokenize, unterminated
 from gtr.tables import assert_read_only
 
@@ -180,6 +183,62 @@ class TestAgainstOracles:
             assert new == old, sql
             parsed += new[0] == "ok"
         assert parsed > 100
+
+
+def _old_parse(sql):
+    """The earlier parser and resolver, fed the tokens parse_sql reads."""
+    return oracle._resolve(oracle._Parser(sql, _tokens(sql)).parse(), {})
+
+
+def _nested(cs: ClauseSets):
+    """The query and every query nested in it, derived tables included."""
+    yield cs
+    inner = [*cs.subqueries, *(t for t in cs.from_tables if isinstance(t, ClauseSets))]
+    if cs.set_op is not None:
+        inner.append(cs.set_op[1])
+    for sub in inner:
+        yield from _nested(sub)
+
+
+RANDOM_QUERIES = [_render(pieces, seps) for pieces, seps in FRAGMENTS]
+
+# Constructs that no fixture query holds, so that the comparisons below
+# reach every branch of the alias resolver and of the aggregate count.
+CONSTRUCTS = [
+    "SELECT T1.a + T2.b FROM t AS T1 JOIN u AS T2 ON T1.id = T2.id",
+    "SELECT a FROM t AS T1 WHERE T1.b NOT BETWEEN min(T1.c) AND max(T1.d)",
+    "SELECT count(a) - b FROM t GROUP BY count(b), a",
+    "SELECT a FROM t ORDER BY max(a) / min(b) DESC, a",
+    "SELECT a FROM t AS x WHERE x.b IN (SELECT x.c FROM u) "
+    "AND NOT EXISTS (SELECT * FROM u AS y WHERE y.a = x.a)",
+    "SELECT T1.a FROM (SELECT a FROM t) AS T1 JOIN u ON T1.a = u.a "
+    "HAVING count(*) > avg(u.b) OR T1.a LIKE 'x'",
+    "SELECT a FROM t WHERE b = - 1 AND c <> + 2.5 AND d IS NOT NULL "
+    "UNION ALL SELECT a FROM u LIMIT 3",
+]
+
+
+class TestAgainstEarlierParser:
+    def test_same_clause_sets_and_errors(self):
+        # A ParseError's text holds its message, offset and expected set.
+        outcomes = {"ok": 0, "ParseError": 0}
+        for sql in FIXTURE_QUERIES + CONSTRUCTS + RANDOM_QUERIES:
+            new = _outcome(parse_sql, sql)
+            assert new == _outcome(_old_parse, sql), sql
+            outcomes[new[0]] += 1
+        assert outcomes["ok"] > 300 and outcomes["ParseError"] > 1000
+
+    def test_same_difficulty_counts(self):
+        queries = 0
+        for sql in FIXTURE_QUERIES + CONSTRUCTS + RANDOM_QUERIES:
+            try:
+                parsed = parse_sql(sql)
+            except ParseError:
+                continue
+            for cs in _nested(parsed):
+                assert component_counts(cs) == oracle.component_counts(cs), sql
+                queries += 1
+        assert queries > 400
 
 
 class TestDeliberateDifferences:

@@ -56,7 +56,10 @@ def test_one_trace_class():
 def test_replaced_names_are_gone():
     text = "".join(path.read_text(encoding="utf-8") for path in SRC.rglob("*.py"))
     for name in ("TabularTrace", "_post_with_retries", "_complete_http", "retry_backoff_s",
-                 "row_count", "SqlQuery", "export_embeddings_csv"):
+                 "row_count", "SqlQuery", "export_embeddings_csv",
+                 "_accept_name", "_accept_sym", "_expect_name", "_expect_sym", "_advance",
+                 "_resolve_expr", "_resolve_ref", "_expr_agg_count", "_value_agg_count",
+                 "_pred_agg_count", "_aggregate_count"):
         assert name not in text
     assert "COUNT(*)" not in (SRC / "tables.py").read_text(encoding="utf-8")
 

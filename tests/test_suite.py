@@ -4,7 +4,9 @@ from dataclasses import asdict
 import pytest
 
 from gtr.errors import InvalidInput
-from gtr.sqleval import evaluate_suite, exact_match, execution, load_pairs, suite
+from gtr.sqleval import (
+    SqlEvalReport, evaluate_suite, exact_match, execution, load_pairs, suite,
+)
 
 from conftest import build_toy_db
 
@@ -38,6 +40,12 @@ class TestEvaluateSuite:
     def test_empty_pairs_rejected(self, db_dir):
         with pytest.raises(InvalidInput):
             evaluate_suite([], db_dir)
+
+    def test_empty_report_refuses_to_summarize(self):
+        report = SqlEvalReport([])
+        for summarize in (report.summary, report.format_summary):
+            with pytest.raises(InvalidInput, match="empty SqlEvalReport"):
+                summarize()
 
     def test_missing_key_rejected(self, db_dir):
         with pytest.raises(InvalidInput):
