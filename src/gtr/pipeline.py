@@ -164,12 +164,17 @@ def answer(
     no embedder_config the query is embedded as the store's header names.
 
     Raises:
-        InvalidInput: empty store.
+        InvalidInput: empty store, or a retrieved record that is not a chunk.
         FingerprintMismatch: store built with a different embedder.
     """
     embedder_config = check_store(store, embedder_config)
     retrieved = store.query_top_k(embed(query.text, embedder_config), k)
-    prompt = compose_prompt(query, [store.texts[store.row(rid)] for rid, _ in retrieved])
+    rows = [store.row(rid) for rid, _ in retrieved]
+    for row in rows:
+        if store.kinds[row] != "chunk":
+            raise InvalidInput(f"retrieved record {store.ids[row]!r} is a {store.kinds[row]} "
+                               "record, not a chunk; ask about tables with `gtr tables ask`")
+    prompt = compose_prompt(query, [store.texts[row] for row in rows])
     completion = complete(prompt, llm_config)
     return AnswerTrace(
         query=query.text,

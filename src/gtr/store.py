@@ -339,21 +339,25 @@ class VectorStore:
                 raise DuplicateId(f"record id {record.id!r} already present")
             new_ids.add(record.id)
             vectors[i] = vector
-        n, capacity = len(self), self._matrix.shape[0]
-        if n + len(records) > capacity:
-            while capacity < n + len(records):
-                # Bit 3 set: no capacity is a multiple of 16 rows, so no
-                # column stride is a multiple of 4 KB, which would put one
-                # row's writes to all its columns into the same cache sets.
-                capacity = max(16, 2 * capacity) | 8
-            matrix = np.empty((capacity, self.dim), dtype=np.float64, order="F")
-            matrix[:n] = self._matrix[:n]
-            norms = np.empty(capacity, dtype=np.float64)
-            norms[: self._normed] = self._norms[: self._normed]
-            self._matrix, self._norms = matrix, norms
+        self._reserve((n := len(self)) + len(records))
         for record in records:
             self._add(record.id, record.kind, record.text, dict(record.metadata))
         self._matrix[n:n + len(records)] = vectors
+
+    def _reserve(self, rows: int) -> None:
+        """Grow the matrix, zeroed, and its norms to the smallest 2**k - 8 >= rows,
+        k >= 5 (24, 56, 120, ...): never a multiple of 16 rows, so no column
+        stride is a multiple of 4 KB, which maps a row's writes to one cache set."""
+        if rows > self._matrix.shape[0]:
+            capacity = (1 << max(5, (rows + 7).bit_length())) - 8
+            matrix = np.zeros((capacity, self.dim), dtype=np.float64, order="F")
+            matrix[:len(self)] = self._matrix[:len(self)]
+            norms = np.empty(capacity, dtype=np.float64)
+            norms[: self._normed] = self._norms[: self._normed]
+            if self._matrix.shape[0]:
+                log.debug("store matrix grows from %d to %d rows, copying %d",
+                          self._matrix.shape[0], capacity, len(self))
+            self._matrix, self._norms = matrix, norms
 
     def _add(self, id_: str, kind: str, text: str, metadata: dict[str, str]) -> None:
         """Append one record's fields, or raise DuplicateId for a known id."""
@@ -552,10 +556,10 @@ class VectorStore:
     @classmethod
     def load(cls, path: str | Path) -> "VectorStore":
         """Read a store file that ``save`` wrote; validation failures name
-        line 1 or the row. The matrix is made once, at ``count`` rows; the
-        entries are then read a block of rows at a time, their record lines
-        filling the columns and their set entries the matrix. Bytes after
-        the last entry are ignored, with a warning on the ``gtr`` logger.
+        line 1 or the row. The matrix is made once, with a spare row (see
+        ``_reserve``); the entries are read a block of rows at a time, their
+        record lines filling the columns and their set entries the matrix.
+        Bytes after the last entry are ignored, with a warning on ``gtr``.
 
         Raises:
             CorruptStore: bad header, another version, wrong dim, duplicate
@@ -597,6 +601,7 @@ class VectorStore:
                 raise CorruptStore(f"{path}: line 1: not the header a save writes, "
                                    f"padded to {len(_header(dim, embedder, 0)) - 1} bytes")
             store = cls(dim, embedder)
+            store._reserve(count + 1)
             end = store._read_entries(f, count, str(path))
         if end < st.st_size:
             log.warning("store %s: ignoring %d bytes after the last of its %d records, "
@@ -605,15 +610,13 @@ class VectorStore:
         return store
 
     def _read_entries(self, f, count: int, where: str) -> int:
-        """Fill the columns and a new matrix of ``count`` rows from the
-        entries ``f`` reads next, a block of rows at a time, and return the
-        offset just past the last. Pad bits and stored +0.0 entries are
-        refused: they would load, but not save back to the same bytes."""
+        """Fill the columns and the reserved matrix's first ``count`` rows
+        from the entries ``f`` reads next, a block of rows at a time, and
+        return the offset just past the last. Pad bits and stored +0.0 entries
+        are refused: they would load, but not save back to the same bytes."""
         width = (self.dim + 7) // 8
         pad = (1 << (8 * width - self.dim)) - 1  # the bitmap's bits past dim
         readline, read, add, from_bytes = f.readline, f.read, self._add, int.from_bytes
-        self._matrix = np.zeros((count, self.dim), dtype=np.float64, order="F")
-        self._norms = np.empty(count, dtype=np.float64)
         for start in range(0, count, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, count)
             bitmaps, values = [], []

@@ -116,6 +116,17 @@ class TestAsk:
             assert code == 0
         assert t1.read_bytes() == t2.read_bytes()
 
+    def test_table_store_is_refused_naming_the_record(self, capsys, tmp_path, toy_db):
+        # The table's embedding text would otherwise be printed as the answer.
+        store = tmp_path / "t.gtr"
+        run(capsys, "tables", "ingest", "--db", str(toy_db), "--store", str(store))
+        [(top, _)] = tables.select_tables(Query("singer age"), VectorStore.load(store), 1)
+        code, out, err = run(capsys, "ask", "singer age", "--store", str(store),
+                             "--llm", "echo", "--k", "2")
+        assert (code, out) == (1, "")
+        assert err == (f"error: retrieved record {top!r} is a table record, not a chunk; "
+                       "ask about tables with `gtr tables ask`\n")
+
 
 class TestAskTakesTheStoresEmbedder:
     """ask and tables ask take no embedder flag. They embed with the one the

@@ -13,7 +13,7 @@ from gtr.errors import (
 from gtr.chunking import Document
 from gtr.llm import Completion, LlmConfig
 from gtr.pipeline import AnswerTrace, Query, answer, append_trace, compose_prompt, ingest
-from gtr.store import VectorStore
+from gtr.store import VectorRecord, VectorStore
 from gtr.tables import index_tables, profile_tables, select_tables
 
 from test_store import brute_force_top_k
@@ -126,6 +126,17 @@ class TestAnswer:
                        embedder_config=CONFIG, llm_config=ECHO)
         texts = [store.get(rid).text for rid, _ in trace.retrieved]
         assert trace.prompt == compose_prompt(Query("fish"), texts)
+
+    def test_retrieved_record_that_is_not_a_chunk_is_refused(self, tmp_path):
+        store = self._store(tmp_path, ["cats purr", "dogs bark"])
+        store.insert(VectorRecord("t", embed("fish swim", CONFIG), "table", "fish swim"))
+        # Only the k retrieved records are checked.
+        trace = answer(Query("cats purr"), store, k=1, embedder_config=CONFIG,
+                       llm_config=ECHO)
+        assert trace.answer == "cats purr"
+        for query, k in (("fish swim", 1), ("cats purr", 3)):
+            with pytest.raises(InvalidInput, match="^retrieved record 't' is a table record"):
+                answer(Query(query), store, k=k, embedder_config=CONFIG, llm_config=ECHO)
 
     def test_empty_store_rejected(self, tmp_path):
         store = VectorStore(CONFIG.dim, "wrong")

@@ -424,6 +424,22 @@ class TestConcurrentReaders:
         assert all(math.isfinite(score) for _, score in expected)
 
 
+def matrices_made(monkeypatch) -> list[int]:
+    """A list that gets the capacity of each matrix a store makes from now
+    on; every store matrix is made in VectorStore._reserve."""
+    made = []
+    reserve = VectorStore._reserve
+
+    def spy(self, rows):
+        before = self._matrix
+        reserve(self, rows)
+        if self._matrix is not before:
+            made.append(self._matrix.shape[0])
+
+    monkeypatch.setattr(VectorStore, "_reserve", spy)
+    return made
+
+
 class TestMatrixStorage:
     def test_get_vector_is_a_read_only_view_of_the_matrix(self):
         store = VectorStore(2, "test")
@@ -463,7 +479,7 @@ class TestMatrixStorage:
             with pytest.raises(ValueError):
                 record.vector[0] = 0.0
 
-    def test_no_capacity_is_a_multiple_of_512_rows(self, tmp_path):
+    def test_no_capacity_is_a_multiple_of_512_rows(self, tmp_path, monkeypatch):
         # A capacity of 512k rows makes each column's stride a multiple of
         # 4 KB, so one row's writes to all its columns share cache sets.
         store = VectorStore(1, "test")
@@ -476,17 +492,29 @@ class TestMatrixStorage:
         assert capacities[:4] == [0, 24, 56, 120]
         assert capacities[-1] >= 100_000 > capacities[-2]
         assert all(2 * a < b <= 2 * a + 24 for a, b in zip(capacities[1:], capacities[2:]))
-        assert not [c for c in capacities[1:] if c % 512 == 0]
-        # A loaded store is full; its first growth obeys the same rule.
+        assert not [c for c in capacities[1:] if c % 16 == 0]
+        # The same capacities as doubling from 16 with bit 3 set.
+        doubled = [0]
+        while doubled[-1] < 100_000:
+            doubled.append(max(16, 2 * doubled[-1]) | 8)
+        assert capacities == doubled
+        # A load takes the same rule at one row past its count: one matrix,
+        # zero past the count, and room for the first insert.
         path = tmp_path / "s.gtr"
-        for n in (512, 1024, 4096):
+        made = matrices_made(monkeypatch)
+        for n in (0, 23, 24, 512, 1024, 4096):
             full = VectorStore(1, "test")
             full.insert_many([VectorRecord(str(i), vector, "chunk", "") for i in range(n)])
             full.save(path)
+            made.clear()
             loaded = VectorStore.load(path)
-            assert loaded._matrix.shape[0] == n
+            capacity = next(c for c in capacities if c >= n + 1)
+            assert made == [capacity]
+            assert loaded._matrix.shape == (capacity, 1)
+            assert not loaded._matrix[n:].view(np.uint64).any()
+            matrix = loaded._matrix
             loaded.insert(VectorRecord("new", vector, "chunk", ""))
-            assert loaded._matrix.shape[0] == 2 * n + 8
+            assert loaded._matrix is matrix and made == [capacity]
 
     def test_loaded_record_vectors_are_read_only_views(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -506,6 +534,40 @@ class TestMatrixStorage:
             store.insert(VectorRecord(f"r{i}", [0.0, 1.0, float(i)], "chunk", "t"))
         assert before.vector.tolist() == [1.0, 2.0, 3.0]
         assert not np.shares_memory(before.vector, store._matrix)
+
+    @pytest.mark.parametrize("count", [0, 23, 24, 55, 56, 1000])
+    def test_first_insert_after_a_load_copies_no_row(self, tmp_path, count):
+        # 24 and 56 rows fill a capacity exactly: a matrix sized at the count
+        # would have no spare row, and the first insert would copy every row
+        # into a second matrix while both were alive.
+        rng = np.random.default_rng(count)
+        path = tmp_path / "s.gtr"
+        random_store(rng, count, 3).save(path)
+        loaded = VectorStore.load(path)
+        matrix = loaded._matrix
+        before = loaded.records
+        values = [record.vector.copy() for record in before]
+        loaded.insert(VectorRecord("new", [1.0, 2.0, 3.0], "chunk", "t"))
+        assert loaded._matrix is matrix
+        for record, value in zip(before, values, strict=True):
+            assert np.shares_memory(record.vector, matrix)
+            assert record.vector.tobytes() == value.tobytes()
+        assert loaded.get("new").vector.tolist() == [1.0, 2.0, 3.0]
+
+    def test_growth_is_logged_once_and_a_load_logs_none(self, tmp_path, caplog):
+        path = tmp_path / "s.gtr"
+        full = random_store(np.random.default_rng(5), 24, 3)
+        assert full._matrix.shape[0] == 24
+        full.save(path)
+        with caplog.at_level(logging.DEBUG, logger="gtr"):
+            loaded = VectorStore.load(path)
+            loaded.insert(VectorRecord("new", [1.0, 0.0, 0.0], "chunk", "t"))
+        assert caplog.records == []
+        with caplog.at_level(logging.DEBUG, logger="gtr"):
+            full.insert(VectorRecord("new", [1.0, 0.0, 0.0], "chunk", "t"))
+        [record] = caplog.records
+        assert (record.name, record.levelname) == ("gtr", "DEBUG")
+        assert record.getMessage() == "store matrix grows from 24 to 56 rows, copying 24"
 
     def test_id_with_trailing_nul_is_returned_whole(self):
         # Ids are compared and returned as Python strings; a NumPy string
@@ -914,17 +976,25 @@ def whole_bytes(store, tmp_path) -> bytes:
 
 
 class TestFormatV3:
-    def test_hand_written_file_loads_and_saves_to_the_same_bytes(self, tmp_path):
+    def test_hand_written_file_loads_and_saves_to_the_same_bytes(self, tmp_path,
+                                                                 monkeypatch):
         path = v3_file(tmp_path / "s.gtr")
+        made = matrices_made(monkeypatch)
         store = VectorStore.load(path)
+        assert made == [24]
         assert [(r.id, r.kind, r.text, r.metadata) for r in store.records] == [
             ("a", "chunk", "t", {}), ("b", "table", "é", {"k": "v"})]
         assert store.get("a").vector.tolist() == [1.0, 0.0]
         assert np.signbit(store.get("b").vector).tolist() == [True, False]
-        assert store._matrix.shape == (2, 2)  # allocated once, at the count
+        # Made once, with room for one more record, and zero past the count.
+        assert store._matrix.shape == (24, 2)
+        assert not store._matrix[2:].view(np.uint64).any()
         store.save(tmp_path / "again.gtr")
         assert (tmp_path / "again.gtr").read_bytes() == path.read_bytes()
         assert path.read_bytes() == v3_bytes(2, "fp", store.records)
+        matrix = store._matrix
+        store.insert(VectorRecord("c", [0.0, 1.0], "chunk", "u"))
+        assert store._matrix is matrix and made == [24]
 
     @pytest.mark.parametrize("case, parts, message", CORRUPT_V3,
                              ids=[case for case, _, _ in CORRUPT_V3])
@@ -1005,9 +1075,15 @@ class TestFormatV3:
         records = store.records
         assert path.read_bytes() == v3_bytes(dim, "fp", records)
         loaded = VectorStore.load(path)
-        assert loaded._matrix.tobytes() == store._matrix[:n].tobytes()
+        # 1016 = 2**10 - 8, the smallest capacity of the rule past n + 1 = 550.
+        expected = np.zeros((1016, dim))
+        expected[:n] = store._matrix[:n]
+        assert loaded._matrix.tobytes() == expected.tobytes()
         query = rng.standard_normal(dim)
         assert loaded.query_top_k(query, 7) == store.query_top_k(query, 7)
+        matrix = loaded._matrix
+        loaded.insert(VectorRecord("new", np.ones(dim), "chunk", "t"))
+        assert loaded._matrix is matrix
 
         row = store_module._BLOCK_ROWS + 5
         while not np.count_nonzero(records[row].vector):

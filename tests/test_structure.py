@@ -8,7 +8,8 @@ the single-pair scorer share, every SQLite connection is opened in one
 function, whose callers never close it, and the store imports no HTTP
 code. JSON lines have one reader and one writer, SQL eval runs and parses
 each statement through one helper apiece, user tables are listed by one
-query, and importing the package loads no HTTP client."""
+query, importing the package loads no HTTP client, and the store's matrix
+has one capacity rule, applied in the one function that makes the matrix."""
 
 import argparse
 import ast
@@ -390,3 +391,40 @@ def test_a_files_identity_is_built_in_one_place():
     # SQLite connections both use.
     text = "".join(path.read_text(encoding="utf-8") for path in SRC.rglob("*.py"))
     assert text.count("st_mtime_ns") == 1
+
+
+def test_one_capacity_rule_and_one_matrix_allocation():
+    # Only VectorStore._reserve computes a capacity and makes the matrix
+    # and its norms (beside the empty store's zero rows); insert_many and
+    # load reach it, so a load has no sizing policy of its own.
+    [tree] = [tree for path, tree in _trees() if path.name == "store.py"]
+    funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+    def assigned(func):
+        return {getattr(node, "id", None) or getattr(node, "attr", None)
+                for node in ast.walk(func)
+                if isinstance(getattr(node, "ctx", None), ast.Store)}
+
+    assert [f.name for f in funcs if "capacity" in assigned(f)] == ["_reserve"]
+    assert {f.name for f in funcs if assigned(f) & {"_matrix", "_norms"}} == {
+        "__init__", "_reserve"}
+    # Every 2-D array of dim columns the store makes: the empty store's,
+    # insert_many's staging rows (checked before any record is added), and
+    # the matrix, in _reserve alone.
+    shapes = sorted(
+        (func.name, ast.unparse(node.args[0]))
+        for func in funcs for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("zeros", "empty", "ones", "full", "ndarray")
+        and node.args and isinstance(node.args[0], ast.Tuple)
+        and ast.unparse(node.args[0].elts[-1]) in ("dim", "self.dim")
+    )
+    assert shapes == [("__init__", "(0, dim)"), ("_reserve", "(capacity, self.dim)"),
+                      ("insert_many", "(len(records), self.dim)")]
+    reserves = sorted(
+        (func.name, ast.unparse(node))
+        for func in funcs for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_reserve"
+    )
+    assert [name for name, _ in reserves] == ["insert_many", "load"]
+    assert reserves[1][1] == "store._reserve(count + 1)"
