@@ -35,7 +35,6 @@ from ..sqllex import Token, tokenize, unterminated
 VALUE = "VALUE"
 
 AGG_FUNCS = ("max", "min", "count", "sum", "avg")
-SET_OPS = ("intersect", "union", "except", "union all")
 
 _ARITH = ("+", "-", "*", "/")
 _COMPARE = ("=", ">", "<", ">=", "<=", "!=", "<>")

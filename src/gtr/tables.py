@@ -2,12 +2,13 @@
 relevant ones for a question, prompt for SQL, and execute it read-only.
 
 Databases are SQLite files (the layout used by multi-database text-to-SQL
-benchmarks). Execution opens the file in read-only mode AND rejects any
-statement whose keywords include a write or DDL verb, so a run can never
-mutate the database. Keywords are the ``name`` tokens of :mod:`gtr.sqllex`,
-so words inside strings, quoted identifiers and comments are data, and
-``replace(`` is SQLite's string function rather than the REPLACE statement.
-Each thread reuses its read-only connections (see _connect_readonly).
+benchmarks). Each connection opens the file in read-only mode AND carries
+an authorizer that lets SQLite compile only the actions of a read (see
+_authorize_read), so a run can never mutate the database. SQLite asks the
+authorizer about every table, column, function and pragma a statement
+uses, when it compiles the statement, so strings, quoted identifiers and
+comments are data, and a column named ``release`` is a column. Each thread
+reuses its read-only connections (see _connect_readonly).
 
 SQL prompt template (bit-exact), one block per selected table in score
 order, then the question::
@@ -107,8 +108,28 @@ _connections = _Connections()
 os.register_at_fork(after_in_child=lambda: _connections.lru.clear())
 
 
+# The actions a read may ask of SQLite. Besides reading, profile_tables
+# reads PRAGMA table_info, and SQLite asks to UPDATE sqlite_master itself
+# when it declares a table-valued function such as json_each; it refuses a
+# statement that writes sqlite_master before it asks the authorizer.
+_READ_ACTIONS = frozenset(
+    {sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION,
+     sqlite3.SQLITE_RECURSIVE}
+)
+
+
+def _authorize_read(action: int, arg1, arg2, db_name, source) -> int:
+    allowed = (
+        action in _READ_ACTIONS
+        or (action == sqlite3.SQLITE_PRAGMA and arg1.lower() == "table_info")
+        or (action == sqlite3.SQLITE_UPDATE and arg1 == "sqlite_master")
+    )
+    return sqlite3.SQLITE_OK if allowed else sqlite3.SQLITE_DENY
+
+
 def _connect_readonly(db_path: str | Path) -> sqlite3.Connection:
-    """This thread's read-only connection to db_path, opened on first use.
+    """This thread's read-only connection to db_path, opened on first use,
+    with _authorize_read as its authorizer.
 
     A cached connection is reused while the file keeps its (device, inode,
     size, mtime): a file replaced or rewritten by something other than
@@ -136,6 +157,7 @@ def _connect_readonly(db_path: str | Path) -> sqlite3.Connection:
         conn = sqlite3.connect(f"file:{quote(path.as_posix())}?mode=ro", uri=True)
     except sqlite3.Error as e:
         raise DbUnreadable(f"cannot open {path}: {e}")
+    conn.set_authorizer(_authorize_read)
     try:
         _fetch_all(conn, "SELECT 1 FROM sqlite_master LIMIT 1")
     except sqlite3.Error as e:
@@ -276,7 +298,9 @@ def compose_sql_prompt(blocks: Sequence[str], query: Query) -> str:
     return "".join(blocks) + f"{QUESTION_LINE_PREFIX}{query.text}\nSQL:"
 
 
-_FENCE_RE = re.compile(r"```[\w+-]*\n(.*?)```", re.DOTALL)
+# A language tag, if any, ends at the fence's first newline; a fence on one
+# line has none.
+_FENCE_RE = re.compile(r"```(?:[\w+-]*\n)?(.*?)```", re.DOTALL)
 
 
 def extract_sql(completion_text: str) -> str:
@@ -299,41 +323,6 @@ def extract_sql(completion_text: str) -> str:
     return statement
 
 
-# Keywords that can only belong to a mutating or schema-changing statement.
-_WRITE_KEYWORDS = frozenset(
-    """insert update delete drop create alter replace attach detach pragma
-    vacuum reindex analyze begin commit rollback savepoint release""".split()
-)
-
-# Statement-initial keywords of valid non-SELECT statements; anything else
-# unrecognized is left to the engine so typos surface as SqlError.
-_NON_SELECT_STARTERS = _WRITE_KEYWORDS | {"explain", "values"}
-
-def assert_read_only(sql: str) -> None:
-    """Reject anything but a SELECT (or WITH ... SELECT) statement.
-
-    The database file is additionally opened read-only, so even a statement
-    that slips past this keyword screen cannot mutate anything.
-    """
-    toks = list(tokenize(sql))
-    following = [tok.text for tok in toks[1:]] + [""]
-    # replace( is SQLite's string function; the REPLACE statement has INTO.
-    words = [
-        tok.text
-        for tok, nxt in zip(toks, following)
-        if tok.kind == "name" and not (tok.text == "replace" and nxt == "(")
-    ]
-    if not words:
-        raise NonReadStatement("statement is empty")
-    if words[0] in _NON_SELECT_STARTERS:
-        raise NonReadStatement(f"only SELECT statements may run, got {words[0]!r}")
-    offending = _WRITE_KEYWORDS.intersection(words)
-    if offending:
-        raise NonReadStatement(
-            f"statement contains write keyword {sorted(offending)[0]!r}"
-        )
-
-
 def _check_limits(timeout_ms: int, row_limit: int | None) -> None:
     # The deadline is checked every 5,000 steps, so a short statement would
     # outrun a budget below 1 ms; fetchmany(0) would fetch every row.
@@ -341,6 +330,11 @@ def _check_limits(timeout_ms: int, row_limit: int | None) -> None:
         raise InvalidInput(f"timeout_ms must be positive, got {timeout_ms}")
     if row_limit is not None and row_limit < 1:
         raise InvalidInput(f"row_limit must be positive or None, got {row_limit}")
+
+
+# SQLite's own refusals of a write to a table it protects or to a view,
+# which it makes before it asks the authorizer.
+_WRITE_REFUSALS = ("may not be modified", "because it is a view")
 
 
 def execute_sql(
@@ -357,7 +351,10 @@ def execute_sql(
 
     Raises:
         InvalidInput: timeout_ms or row_limit below 1.
-        NonReadStatement: statement is not SELECT-class.
+        NonReadStatement: the statement has no result columns (it is
+            empty or only a comment), or SQLite refused it as more than a
+            read: the authorizer denied one of its actions, or it writes a
+            view or a table SQLite protects, such as sqlite_master.
         SqlError: the engine rejected the statement (engine message kept),
             or it holds a lone surrogate, which SQLite cannot be sent.
         QueryTimeout: execution exceeded timeout_ms.
@@ -368,26 +365,29 @@ def execute_sql(
         check_unicode(sql)
     except InvalidInput as e:
         raise SqlError(str(e)) from None
-    assert_read_only(sql)
     conn = _connect_readonly(db_path)
     deadline = time.monotonic() + timeout_ms / 1000.0
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 5000)
     cursor = conn.cursor()
     try:
         cursor.execute(sql)
+        if cursor.description is None:
+            raise NonReadStatement("statement is empty or has no result columns")
         if row_limit is None:
-            rows = [tuple(r) for r in cursor.fetchall()]
+            rows = cursor.fetchall()
             truncated = False
         else:
-            rows = [tuple(r) for r in cursor.fetchmany(row_limit)]
+            rows = cursor.fetchmany(row_limit)
             truncated = cursor.fetchone() is not None
-        columns = [d[0] for d in cursor.description] if cursor.description else []
+        columns = [d[0] for d in cursor.description]
         return ResultSet(columns=columns, rows=rows, truncated=truncated)
-    except sqlite3.OperationalError as e:
-        if "interrupt" in str(e).lower():
-            raise QueryTimeout(f"statement exceeded {timeout_ms} ms")
-        raise SqlError(str(e))
     except sqlite3.Error as e:
+        if getattr(e, "sqlite_errorcode", None) == sqlite3.SQLITE_AUTH or any(
+            refusal in str(e) for refusal in _WRITE_REFUSALS
+        ):
+            raise NonReadStatement(f"statement may only read: {e}")
+        if isinstance(e, sqlite3.OperationalError) and "interrupt" in str(e).lower():
+            raise QueryTimeout(f"statement exceeded {timeout_ms} ms")
         raise SqlError(str(e))
     finally:
         # The connection is shared: no statement may keep its shared lock,

@@ -1,10 +1,8 @@
 """The SQL code that later versions of ``gtr`` replaced, kept verbatim as
 test oracles:
 
-* the scanners ``gtr.sqllex`` replaced: the parser's ``_lex``, the
-  read-only screen's ``_statement_keywords`` with the verdict logic of
-  ``assert_read_only``, and the character loop of
-  ``has_top_level_order_by``;
+* the scanners ``gtr.sqllex`` replaced: the parser's ``_lex`` and the
+  character loop of ``has_top_level_order_by``;
 * the clause-set parser and alias resolver from when they matched tokens
   by kind, with separate name and symbol helpers; ``parse_sql`` runs them
   on ``_lex``'s tokens, so it shares no parsing code with ``gtr``;
@@ -25,7 +23,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from gtr.errors import EvalError, GtrError, NonReadStatement, ParseError
+from gtr.errors import EvalError, GtrError, ParseError
 from gtr.sqleval import parse_sql as _parse_sql
 from gtr.sqleval.exact_match import compare_clauses
 from gtr.sqleval.execution import execution_accuracy
@@ -40,7 +38,6 @@ from gtr.sqleval.parser import (
     ValExpr,
 )
 from gtr.sqleval.suite import SqlEvalItem, SqlEvalReport, resolve_db_path
-from gtr.tables import _NON_SELECT_STARTERS, _WRITE_KEYWORDS
 
 # -- gtr.sqleval.parser ------------------------------------------------------
 
@@ -476,65 +473,6 @@ def parse_sql(text: str):
     """``gtr.sqleval.parse_sql`` as it was before its parser matched tokens
     by text, with its tokens taken from ``_lex``."""
     return _resolve(_Parser(text, _lex(text)).parse(), {})
-
-
-# -- gtr.tables ---------------------------------------------------------------
-
-_SQL_WORD_RE = re.compile(r"[A-Za-z_]\w*")
-
-
-def _statement_keywords(sql: str) -> list[str]:
-    """Lowercased word tokens outside string/identifier quotes and comments."""
-    words = []
-    i, n = 0, len(sql)
-    while i < n:
-        c = sql[i]
-        if c == "'" or c == '"' or c == "`":
-            quote = c
-            i += 1
-            while i < n:
-                if sql[i] == quote:
-                    if i + 1 < n and sql[i + 1] == quote:  # doubled quote escape
-                        i += 2
-                        continue
-                    break
-                i += 1
-            i += 1
-        elif c == "[":
-            end = sql.find("]", i + 1)
-            i = n if end < 0 else end + 1
-        elif sql.startswith("--", i):
-            end = sql.find("\n", i)
-            i = n if end < 0 else end + 1
-        elif sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            i = n if end < 0 else end + 2
-        else:
-            m = _SQL_WORD_RE.match(sql, i)
-            if m:
-                words.append(m.group().lower())
-                i = m.end()
-            else:
-                i += 1
-    return words
-
-
-def assert_read_only(sql: str) -> None:
-    """Reject anything but a SELECT (or WITH ... SELECT) statement.
-
-    The database file is additionally opened read-only, so even a statement
-    that slips past this keyword screen cannot mutate anything.
-    """
-    words = _statement_keywords(sql)
-    if not words:
-        raise NonReadStatement("statement is empty")
-    if words[0] in _NON_SELECT_STARTERS:
-        raise NonReadStatement(f"only SELECT statements may run, got {words[0]!r}")
-    offending = _WRITE_KEYWORDS.intersection(words)
-    if offending:
-        raise NonReadStatement(
-            f"statement contains write keyword {sorted(offending)[0]!r}"
-        )
 
 
 # -- gtr.sqleval.hardness -----------------------------------------------------

@@ -1,7 +1,7 @@
 """The shared SQL tokenizer against the scanners it replaced.
 
-Every consumer of ``gtr.sqllex`` (the clause-set parser, the read-only
-screen and ORDER BY detection) must give the verdicts of the old scanner in
+Both consumers of ``gtr.sqllex`` that replaced a scanner (the clause-set
+parser and ORDER BY detection) must give the verdicts of the old scanner in
 ``sql_oracles`` on every fixture query and on seeded random fragments. The
 differences made on purpose are each asserted on their own below; the
 random comparison neutralizes exactly those constructs in the text handed
@@ -16,11 +16,10 @@ import pytest
 
 import fixtures_sql
 import sql_oracles as oracle
-from gtr.errors import NonReadStatement, ParseError
+from gtr.errors import ParseError
 from gtr.sqleval import component_counts, has_top_level_order_by, parse_sql
 from gtr.sqleval.parser import ClauseSets, _tokens
 from gtr.sqllex import Token, tokenize, unterminated
-from gtr.tables import assert_read_only
 
 
 def _fixture_queries() -> list[str]:
@@ -41,7 +40,7 @@ def _outcome(fn, sql):
     """What a call did: its result, or the error it raised."""
     try:
         return ("ok", fn(sql))
-    except (NonReadStatement, ParseError) as e:
+    except ParseError as e:
         return (type(e).__name__, str(e))
 
 
@@ -134,37 +133,14 @@ def _fragments(n: int, seed: int = 20240614):
         yield pieces, seps
 
 
-def _mark_replace_calls(pieces):
-    """Retag ``replace`` followed by ``(`` (comments between) as a call."""
-    marked = list(pieces)
-    for i, (kind, text) in enumerate(pieces):
-        if text.lower() != "replace":
-            continue
-        rest = [p for p in pieces[i + 1 :] if p[0] != "comment"]
-        if rest and rest[0][1] == "(":
-            marked[i] = ("call", text)
-    return marked
-
-
 FRAGMENTS = list(_fragments(3000))
 
 
 class TestAgainstOracles:
     @pytest.mark.parametrize("sql", FIXTURE_QUERIES)
     def test_fixture_queries(self, sql):
-        assert _outcome(assert_read_only, sql) == _outcome(oracle.assert_read_only, sql)
         assert has_top_level_order_by(sql) is oracle.has_top_level_order_by(sql)
         assert _outcome(parse_sql, sql) == _outcome(oracle.parse_sql, sql)
-
-    def test_random_read_only_verdicts(self):
-        # The old screen read a number's exponent as a word and replace( as
-        # the REPLACE statement; both are neutralized for the oracle.
-        for pieces, seps in FRAGMENTS:
-            sql = _render(pieces, seps)
-            old = _render(_mark_replace_calls(pieces), seps, {"exp": " ", "call": " "})
-            assert _outcome(assert_read_only, sql) == _outcome(
-                oracle.assert_read_only, old
-            ), sql
 
     def test_random_order_by(self):
         # The old loop scanned comments and quoted identifiers as SQL.
@@ -243,18 +219,6 @@ class TestAgainstEarlierParser:
 
 class TestDeliberateDifferences:
     """Each place the new scanners part from the old ones on purpose."""
-
-    def test_replace_function_is_a_read(self):
-        sql = "SELECT replace(name, 'a', 'b') FROM singer"
-        assert_read_only(sql)
-        with pytest.raises(NonReadStatement):
-            oracle.assert_read_only(sql)
-
-    def test_exponent_is_not_a_keyword(self):
-        # The old screen found the word "e5" in 1e5.
-        with pytest.raises(NonReadStatement, match="empty"):
-            assert_read_only("1e5")
-        oracle.assert_read_only("1e5")
 
     def test_parser_skips_comments(self):
         sql = "SELECT a -- the column\nFROM t /* it's here */ WHERE b = 1"

@@ -5,7 +5,8 @@ and one reader of text input files, a table is profiled at ingest only,
 asking takes the embedder the store names, search sums every score in the
 store's own order, execution accuracy has one rule that the suite and
 the single-pair scorer share, every SQLite connection is opened in one
-function, whose callers never close it, and the store imports no HTTP
+function, which alone sets its authorizer and whose callers never close
+it, and the store imports no HTTP
 code. JSON lines have one reader and one writer, SQL eval runs and parses
 each statement through one helper apiece, user tables are listed by one
 query, importing the package loads no HTTP client, and the store's matrix
@@ -60,7 +61,8 @@ def test_replaced_names_are_gone():
                  "row_count", "SqlQuery", "export_embeddings_csv",
                  "_accept_name", "_accept_sym", "_expect_name", "_expect_sym", "_advance",
                  "_resolve_expr", "_resolve_ref", "_expr_agg_count", "_value_agg_count",
-                 "_pred_agg_count", "_aggregate_count"):
+                 "_pred_agg_count", "_aggregate_count", "assert_read_only",
+                 "_WRITE_KEYWORDS", "_NON_SELECT_STARTERS", "SET_OPS"):
         assert name not in text
     assert "COUNT(*)" not in (SRC / "tables.py").read_text(encoding="utf-8")
 
@@ -200,6 +202,19 @@ def test_connections_are_opened_in_one_place_and_never_closed_by_users():
                    if ast.unparse(node.func) in ("closing", "contextlib.closing")
                    for arg in node.args}
         assert not closed & conns, func.name
+
+
+def test_the_authorizer_is_set_where_connections_are_opened():
+    # SQLite's authorizer decides what SQL may run, so no other code may
+    # replace or clear it.
+    sites = [
+        (path.name, func.name)
+        for path, tree in _trees()
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "set_authorizer"
+    ]
+    assert sites == [("tables.py", "_connect_readonly")]
 
 
 def test_input_files_are_read_in_one_place():

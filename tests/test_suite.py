@@ -78,6 +78,12 @@ class TestEvaluateSuite:
         report = evaluate_suite(pairs, db_dir)
         assert [item.ex for item in report.items] == [False, True]
 
+    def test_comment_only_pred_scores_false_against_an_empty_gold(self, db_dir):
+        # A statement that compiles to nothing returns no rows; it must not
+        # match a gold that returns none either.
+        pairs = [pair("SELECT name FROM singer WHERE age > 100", pred="-- no SQL")]
+        assert evaluate_suite(pairs, db_dir).items[0].ex is False
+
     def test_lone_surrogate_items_are_written_escaped(self, db_dir, tmp_path):
         pairs = [pair("SELECT name FROM singer WHERE name = 'a\ud800'",
                       pred="SELECT name FROM singer", question="a\ud800"),

@@ -21,7 +21,6 @@ from gtr.pipeline import Query
 from gtr.store import VectorRecord, VectorStore
 from gtr.tables import (
     answer_tabular,
-    assert_read_only,
     compose_sql_prompt,
     embedding_text,
     execute_sql,
@@ -216,6 +215,10 @@ class TestExtractSql:
     def test_plain_fence(self):
         assert extract_sql("```\nSELECT a FROM t\n```") == "SELECT a FROM t"
 
+    @pytest.mark.parametrize("completion", ["```SELECT 1```", "```SELECT 1;``` done"])
+    def test_one_line_fence(self, completion):
+        assert extract_sql(completion) == "SELECT 1"
+
     def test_first_statement_only(self):
         assert extract_sql("SELECT a FROM t; DROP TABLE t;") == "SELECT a FROM t"
 
@@ -238,6 +241,24 @@ class TestExtractSql:
             extract_sql("   ")
 
 
+@pytest.fixture
+def guard_db(tmp_path, monkeypatch):
+    """The toy database plus a column named like a write keyword and a
+    view, alone in the working directory, so that a file a statement names
+    by a relative path would appear beside it."""
+    path = tmp_path / "concerts.sqlite"
+    build_toy_db(path)
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        "CREATE TABLE albums (title TEXT, release INTEGER);"
+        "INSERT INTO albums VALUES ('Shadows', 2014), ('Encore', 2017);"
+        "CREATE VIEW adults AS SELECT name FROM singer WHERE age >= 30;"
+    )
+    conn.close()
+    monkeypatch.chdir(tmp_path)
+    return path
+
+
 class TestReadOnlyGuard:
     @pytest.mark.parametrize(
         "sql",
@@ -247,10 +268,27 @@ class TestReadOnlyGuard:
             "WITH t AS (SELECT 1 AS x) SELECT x FROM t",
             "SELECT 'insert' FROM singer",  # keyword inside a string is data
             "SELECT replace(name, 'a', 'b') FROM singer",  # string function
+            "SELECT title, release FROM albums",  # a column named like a write verb
+            "SELECT key, value FROM json_each('[10, 20]')",
+            "SELECT name, type FROM pragma_table_info('albums')",
+            "WITH RECURSIVE n(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM n WHERE x < 4) "
+            "SELECT x FROM n",
+            "SELECT name, rank() OVER (ORDER BY age DESC) FROM singer",
+            "SELECT name FROM adults",
+            "VALUES (1, 'a'), (2, 'b')",
+            "PRAGMA table_info(singer)",
+            "PRAGMA TABLE_INFO(albums)",
         ],
     )
-    def test_reads_allowed(self, sql):
-        assert_read_only(sql)
+    def test_reads_allowed(self, guard_db, sql):
+        conn = sqlite3.connect(guard_db)
+        try:
+            cursor = conn.execute(sql)
+            expected = ([d[0] for d in cursor.description], cursor.fetchall())
+        finally:
+            conn.close()
+        result = execute_sql(sql, guard_db)
+        assert (result.columns, result.rows) == expected
 
     @pytest.mark.parametrize(
         "sql",
@@ -265,11 +303,32 @@ class TestReadOnlyGuard:
             "INSERT OR REPLACE INTO singer VALUES (1)",
             "PRAGMA journal_mode = DELETE",
             "VACUUM",
+            "ATTACH 'file:x.db?mode=rwc' AS x",
+            "VACUUM INTO 'copy.db'",
+            "CREATE TEMP TABLE t(a)",
+            "PRAGMA user_version = 5",
+            "PRAGMA user_version",
+            "BEGIN",
+            "EXPLAIN DELETE FROM singer",
+            "REINDEX",
+            "UPDATE sqlite_master SET sql = ''",
+            "UPDATE adults SET name = 'x'",
+            "",
+            "-- c",
         ],
     )
-    def test_writes_rejected(self, sql):
+    def test_writes_rejected(self, guard_db, sql):
+        before = hashlib.sha256(guard_db.read_bytes()).hexdigest()
+        files = sorted(guard_db.parent.iterdir())
         with pytest.raises(NonReadStatement):
-            assert_read_only(sql)
+            execute_sql(sql, guard_db)
+        assert hashlib.sha256(guard_db.read_bytes()).hexdigest() == before
+        assert sorted(guard_db.parent.iterdir()) == files
+
+    @pytest.mark.parametrize("sql", ["", "-- c", "/* c */"])
+    def test_empty_statement_says_so(self, toy_db, sql):
+        with pytest.raises(NonReadStatement, match="statement is empty"):
+            execute_sql(sql, toy_db)
 
 
 class TestExecuteSql:
@@ -279,12 +338,14 @@ class TestExecuteSql:
         assert result.columns == ["COUNT(*)"]
         assert result.truncated is False
 
-    def test_syntax_error(self, toy_db):
+    @pytest.mark.parametrize("sql", ["SELEC name FROM singer", "1e5",
+                                     "SELECT 1; DROP TABLE singer"])
+    def test_syntax_error(self, toy_db, sql):
         with pytest.raises(SqlError):
-            execute_sql("SELEC name FROM singer", toy_db)
+            execute_sql(sql, toy_db)
 
     def test_write_rejected(self, toy_db):
-        with pytest.raises(NonReadStatement):
+        with pytest.raises(NonReadStatement, match="statement may only read"):
             execute_sql("DELETE FROM singer", toy_db)
 
     def test_lone_surrogate_is_sql_error(self, toy_db):
@@ -332,8 +393,12 @@ class TestExecuteSql:
         assert execute_sql("SELECT count(*) FROM singer", db).rows == [(6,)]
         # The connection is this thread's shared one: it stays open.
         conn = tables._connect_readonly(db)
-        with pytest.raises(sqlite3.OperationalError, match="readonly"):
-            conn.execute("CREATE TABLE t (x)")
+        conn.set_authorizer(None)  # so that mode=ro alone must refuse the write
+        try:
+            with pytest.raises(sqlite3.OperationalError, match="readonly"):
+                conn.execute("CREATE TABLE t (x)")
+        finally:
+            conn.set_authorizer(tables._authorize_read)
         assert sorted(tmp_path.iterdir()) == files
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == before
 
