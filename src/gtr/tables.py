@@ -298,9 +298,10 @@ def compose_sql_prompt(blocks: Sequence[str], query: Query) -> str:
     return "".join(blocks) + f"{QUESTION_LINE_PREFIX}{query.text}\nSQL:"
 
 
-# A language tag, if any, ends at the fence's first newline; a fence on one
-# line has none.
-_FENCE_RE = re.compile(r"```(?:[\w+-]*\n)?(.*?)```", re.DOTALL)
+# A language tag, if any, ends at the fence's first newline. A one-line fence
+# counts only when there is no other, as it may just quote a name.
+_FENCE_RE = re.compile(r"```[\w+-]*\n(.*?)```", re.DOTALL)
+_ONE_LINE_FENCE_RE = re.compile(r"```(.*?)```")
 
 
 def extract_sql(completion_text: str) -> str:
@@ -313,7 +314,7 @@ def extract_sql(completion_text: str) -> str:
         EmptyGeneration: nothing remains.
     """
     text = completion_text.strip()
-    fenced = _FENCE_RE.search(text)
+    fenced = _FENCE_RE.search(text) or _ONE_LINE_FENCE_RE.search(text)
     if fenced:
         text = fenced.group(1).strip()
     end = next((tok.pos for tok in tokenize(text) if tok.text == ";"), len(text))
@@ -332,9 +333,11 @@ def _check_limits(timeout_ms: int, row_limit: int | None) -> None:
         raise InvalidInput(f"row_limit must be positive or None, got {row_limit}")
 
 
-# SQLite's own refusals of a write to a table it protects or to a view,
-# which it makes before it asks the authorizer.
-_WRITE_REFUSALS = ("may not be modified", "because it is a view")
+# SQLite's whole message when the authorizer denies an action, or when it
+# refuses, before asking, to write a table it protects or a view. Python
+# before 3.11 gives no SQLITE_AUTH code with it, so the message is matched.
+_REFUSAL_RE = re.compile(r"not authorized|authorization denied"
+                         r"|table \S+ may not be modified|cannot modify .+ because it is a view")
 
 
 def execute_sql(
@@ -379,12 +382,9 @@ def execute_sql(
         else:
             rows = cursor.fetchmany(row_limit)
             truncated = cursor.fetchone() is not None
-        columns = [d[0] for d in cursor.description]
-        return ResultSet(columns=columns, rows=rows, truncated=truncated)
+        return ResultSet([d[0] for d in cursor.description], rows, truncated)
     except sqlite3.Error as e:
-        if getattr(e, "sqlite_errorcode", None) == sqlite3.SQLITE_AUTH or any(
-            refusal in str(e) for refusal in _WRITE_REFUSALS
-        ):
+        if _REFUSAL_RE.fullmatch(str(e)):
             raise NonReadStatement(f"statement may only read: {e}")
         if isinstance(e, sqlite3.OperationalError) and "interrupt" in str(e).lower():
             raise QueryTimeout(f"statement exceeded {timeout_ms} ms")

@@ -219,6 +219,10 @@ class TestExtractSql:
     def test_one_line_fence(self, completion):
         assert extract_sql(completion) == "SELECT 1"
 
+    def test_one_line_fence_before_the_sql_fence_is_not_the_sql(self):
+        completion = "The table ```singer``` holds it:\n```sql\nSELECT name FROM singer\n```"
+        assert extract_sql(completion) == "SELECT name FROM singer"
+
     def test_first_statement_only(self):
         assert extract_sql("SELECT a FROM t; DROP TABLE t;") == "SELECT a FROM t"
 
@@ -342,6 +346,15 @@ class TestExecuteSql:
                                      "SELECT 1; DROP TABLE singer"])
     def test_syntax_error(self, toy_db, sql):
         with pytest.raises(SqlError):
+            execute_sql(sql, toy_db)
+
+    @pytest.mark.parametrize("sql", ["SELECT [may not be modified] FROM singer",
+                                     "SELECT [not authorized] FROM singer",
+                                     "SELECT * FROM [because it is a view]"])
+    def test_read_error_quoting_a_refusal_is_sql_error(self, toy_db, sql):
+        # The engine's message quotes the name; only SQLite's whole refusal
+        # message marks a statement as more than a read.
+        with pytest.raises(SqlError, match="^no such"):
             execute_sql(sql, toy_db)
 
     def test_write_rejected(self, toy_db):
