@@ -24,7 +24,8 @@ print(f"sas(candidate, reference) = {sas(candidate, reference, config):.3f}")
 print(f"sas('cats', 'finance')    = {sas('cats', 'finance', config):.3f}")
 
 # Batch aggregation over labeled items produces the summary columns
-# truthful_pct / rouge1_p / rouge2_p / rougeL_p / sas / resp_ms / tokens.
+# truthful_pct / rouge1_p / rouge2_p / rougeL_p / rougeL_f1 / sas / resp_ms /
+# tokens.
 items = [
     GtrEvalItem("q1", reference, candidate, truthful=1, response_time_ms=120.0),
     GtrEvalItem("q2", "titan orbits saturn", "titan orbits saturn",

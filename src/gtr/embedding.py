@@ -242,10 +242,13 @@ def embed_batch(
     """Embed many texts; element i equals embed(texts[i], config).
 
     tokens, if given, holds ``token_texts(texts[i])`` for each i, as the
-    chunks of ``chunk_text`` carry them; the hashed backend then buckets
-    those instead of tokenizing the texts again. The http backend sends the
-    texts, in ceil(len/batch_size) wire requests. The first invalid element
-    fails the whole batch with its index in the message.
+    chunks of ``chunk_text`` carry them, or those tokens lowercased, as
+    ``metrics`` memoizes them: the hashed backend lowercases every token,
+    and ``str.lower`` is idempotent, so the buckets are the same. That
+    backend then buckets them instead of tokenizing the texts again. The
+    http backend sends the texts, in ceil(len/batch_size) wire requests.
+    The first invalid element fails the whole batch with its index in the
+    message.
 
     Raises:
         InvalidInput: tokens and texts differ in length, or (hashed

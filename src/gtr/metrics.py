@@ -11,7 +11,12 @@ sequences of n and m ≤ n tokens, where the plain dynamic program takes n·m
 interpreter steps. Semantic answer similarity (SAS) is the cosine of the
 two texts' embeddings through the configured embedder, so
 it runs offline with the hashed bag-of-words backend and approximates a
-learned scorer when an HTTP embedder is configured.
+learned scorer when an HTTP embedder is configured. ``aggregate`` scores
+items in slices of ``SAS_SLICE_ITEMS``: ROUGE item by item, then one
+``embed_batch`` call over the slice's distinct texts, handed the memo's
+tokens, so no text is tokenized again or embedded twice and the http
+backend sends ceil(texts / batch_size) requests per slice rather than two
+per item.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .chunking import token_count, token_texts
-from .embedding import EmbedderConfig, embed
+from .embedding import EmbedderConfig, embed_batch
 from .errors import InvalidInput, check_unicode, read_json_lines, write_json_lines
 from .store import cosine
 
@@ -33,10 +38,15 @@ SUMMARY_COLUMNS = (
     "rouge1_p",
     "rouge2_p",
     "rougeL_p",
+    "rougeL_f1",
     "sas",
     "resp_ms",
     "tokens",
 )
+
+# Fixed: aggregate embeds the texts of this many items per embed_batch
+# call, so its memory stays bounded however many items it scores.
+SAS_SLICE_ITEMS = 256
 
 
 @dataclass(frozen=True)
@@ -114,10 +124,38 @@ def rouge_l(candidate: str, reference: str) -> RougeScore:
 def sas(candidate: str, reference: str, config: EmbedderConfig | None = None) -> float:
     """Embedding cosine between candidate and reference, in [-1, 1];
     either side without tokens scores zero, as in ROUGE."""
-    if not _tokens(candidate) or not _tokens(reference):
-        return 0.0
-    config = config or EmbedderConfig()
-    return cosine(embed(candidate, config), embed(reference, config))
+    pair = ((candidate, _tokens(candidate)), (reference, _tokens(reference)))
+    return _sas_scores([pair], config or EmbedderConfig())[0]
+
+
+def _sas_scores(pairs, config: EmbedderConfig, first: int = 0) -> list[float]:
+    """SAS of each ((candidate, tokens), (reference, tokens)) pair, the
+    tokens being ``_tokens`` of the text. One ``embed_batch`` call embeds
+    the distinct texts of the pairs whose sides both have tokens.
+
+    Raises:
+        InvalidInput: a text holds a lone surrogate; the message names its
+            pair, counting from ``first``, and side.
+    """
+    first_use: dict[str, tuple[int, str]] = {}
+    tokens = []
+    for k, pair in enumerate(pairs, first):
+        if pair[0][1] and pair[1][1]:
+            for side, (text, text_tokens) in zip(("candidate", "reference"), pair):
+                if text not in first_use:
+                    first_use[text] = (k, side)
+                    tokens.append(text_tokens)
+    try:
+        vectors = dict(zip(first_use, embed_batch(list(first_use), config, tokens)))
+    except InvalidInput:
+        for text, (k, side) in first_use.items():
+            try:
+                check_unicode(text)
+            except InvalidInput as e:
+                raise InvalidInput(f"item {k} {side}: {e}") from None
+        raise
+    return [cosine(vectors[cand], vectors[ref]) if cand_tokens and ref_tokens else 0.0
+            for (cand, cand_tokens), (ref, ref_tokens) in pairs]
 
 
 @dataclass
@@ -176,6 +214,7 @@ class TextEvalReport:
             "rouge1_p": sum(i.rouge1.precision for i in self.items) / n,
             "rouge2_p": sum(i.rouge2.precision for i in self.items) / n,
             "rougeL_p": sum(i.rougeL.precision for i in self.items) / n,
+            "rougeL_f1": sum(i.rougeL.f1 for i in self.items) / n,
             "sas": sum(i.sas for i in self.items) / n,
             "resp_ms": sum(i.response_time_ms for i in self.items) / n,
             "tokens": sum(i.candidate_tokens for i in self.items) / n,
@@ -195,27 +234,32 @@ class TextEvalReport:
 def aggregate(
     items: list[GtrEvalItem], config: EmbedderConfig | None = None
 ) -> TextEvalReport:
-    """Score every item and average into the report columns.
+    """Score every item and average into the report columns. Each slice of
+    ``SAS_SLICE_ITEMS`` items is scored by ROUGE item by item, then by SAS
+    in one ``embed_batch`` call.
 
     Raises:
-        InvalidInput: empty item list.
+        InvalidInput: empty item list, or a text that reaches the embedder
+            holds a lone surrogate (named by item index and side).
     """
     if not items:
         raise InvalidInput("need at least one item to aggregate")
     config = config or EmbedderConfig()
-    results = [
-        TextEvalItemResult(
-            question=item.question,
-            rouge1=rouge_n(item.candidate, item.reference, 1),
-            rouge2=rouge_n(item.candidate, item.reference, 2),
-            rougeL=rouge_l(item.candidate, item.reference),
-            sas=sas(item.candidate, item.reference, config),
-            truthful=item.truthful,
-            response_time_ms=item.response_time_ms,
-            candidate_tokens=item.candidate_tokens,
-        )
-        for item in items
-    ]
+    results = []
+    for first in range(0, len(items), SAS_SLICE_ITEMS):
+        part = items[first : first + SAS_SLICE_ITEMS]
+        rouge = []
+        pairs = []
+        for item in part:
+            cand, ref = item.candidate, item.reference
+            rouge.append((rouge_n(cand, ref, 1), rouge_n(cand, ref, 2), rouge_l(cand, ref)))
+            # The memo still holds both sides' tokens from the ROUGE calls.
+            pairs.append(((cand, _tokens(cand)), (ref, _tokens(ref))))
+        for item, scores, sas_score in zip(part, rouge, _sas_scores(pairs, config, first)):
+            results.append(TextEvalItemResult(
+                item.question, *scores, sas_score, item.truthful,
+                item.response_time_ms, item.candidate_tokens,
+            ))
     return TextEvalReport(results)
 
 

@@ -298,10 +298,11 @@ def compose_sql_prompt(blocks: Sequence[str], query: Query) -> str:
     return "".join(blocks) + f"{QUESTION_LINE_PREFIX}{query.text}\nSQL:"
 
 
-# A language tag, if any, ends at the fence's first newline. A one-line fence
-# counts only when there is no other, as it may just quote a name.
+# A language tag, if any, ends at the fence's first newline; in a one-line
+# fence only a leading word "sql", in any case, is taken for one. A one-line
+# fence counts only when there is no other, as it may just quote a name.
 _FENCE_RE = re.compile(r"```[\w+-]*\n(.*?)```", re.DOTALL)
-_ONE_LINE_FENCE_RE = re.compile(r"```(.*?)```")
+_ONE_LINE_FENCE_RE = re.compile(r"```(?:(?i:sql)\b)?(.*?)```")
 
 
 def extract_sql(completion_text: str) -> str:

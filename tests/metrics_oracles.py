@@ -1,9 +1,12 @@
 """ROUGE, SAS and ``aggregate`` as ``gtr.metrics`` had them before the
 bit-parallel LCS and the token memo, kept verbatim as a test oracle: the
 O(n·m) dynamic-programming ``lcs_length``, and scoring functions that
-tokenize each text on every call. ``sas`` calls the ``cosine`` kept in
-``store_oracles``. The report classes are the production ones, so
-``tests/test_metrics_equivalence.py`` compares report files byte for byte.
+tokenize each text on every call. ``sas`` is the per-item scorer
+``aggregate`` called before SAS embedded a slice of items in one batch:
+two ``embed`` calls, or zero when a side has no tokens. It calls the
+``cosine`` kept in ``store_oracles``. The report classes are the
+production ones, so ``tests/test_metrics_equivalence.py`` compares report
+files byte for byte.
 """
 
 from __future__ import annotations
@@ -74,7 +77,10 @@ def rouge_l(candidate: str, reference: str) -> RougeScore:
 
 
 def sas(candidate: str, reference: str, config: EmbedderConfig | None = None) -> float:
-    """Embedding cosine between candidate and reference, in [-1, 1]."""
+    """Embedding cosine between candidate and reference, in [-1, 1];
+    either side without tokens scores zero, as in ROUGE."""
+    if not _tokens(candidate) or not _tokens(reference):
+        return 0.0
     config = config or EmbedderConfig()
     return cosine(embed(candidate, config), embed(reference, config))
 

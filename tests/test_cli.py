@@ -392,7 +392,7 @@ class TestEval:
         assert (code, out) == (1, "")
         assert err == f"error: jobs must be positive, got {jobs}\n"
 
-    def test_eval_text_summary_has_seven_columns(self, capsys, tmp_path):
+    def test_eval_text_summary_has_eight_columns(self, capsys, tmp_path):
         items = tmp_path / "items.jsonl"
         items.write_text(
             json.dumps({"question": "q", "reference": "a b", "candidate": "a b",
@@ -403,7 +403,8 @@ class TestEval:
         assert code == 0
         header = out.splitlines()[0].split()
         assert header == [
-            "truthful_pct", "rouge1_p", "rouge2_p", "rougeL_p", "sas", "resp_ms", "tokens",
+            "truthful_pct", "rouge1_p", "rouge2_p", "rougeL_p", "rougeL_f1", "sas",
+            "resp_ms", "tokens",
         ]
 
     def test_eval_text_with_an_empty_candidate_completes(self, capsys, tmp_path):

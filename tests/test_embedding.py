@@ -152,6 +152,27 @@ class TestBatchKernel:
         embed_batch([f"novel{i} words here" for i in range(100)], config)
         assert bucket_index.cache_info() == before
 
+    def test_str_lower_is_idempotent_on_every_code_point(self):
+        """Every character ``str.lower`` makes lowercases to itself, and
+        none is the one letter lowered by context (Σ), so lowering a
+        lowered string changes nothing: lowercased tokens bucket as the
+        tokens themselves do."""
+        made = set()
+        for c in range(0x110000):
+            made.update(chr(c).lower())
+        assert "Σ" not in made
+        assert [d for d in made | {"ς"} if d.lower() != d] == []
+
+    def test_lowercased_tokens_give_embed_vectors(self):
+        rng = random.Random(23)
+        texts = [" ".join(_random_token(rng) for _ in range(rng.randint(1, 30)))
+                 for _ in range(50)] + ["ΟΔΟΣ ΣΟΦΟΣ Σ", "İSTANBUL ẞ"]
+        config = EmbedderConfig(dim=97)
+        lowered = [[t.lower() for t in embedding.token_texts(text)] for text in texts]
+        for batch in (embed_batch(texts, config, lowered),
+                      [embed_batch([t], config, [toks])[0] for t, toks in zip(texts, lowered)]):
+            assert [v.tobytes() for v in batch] == [embed(t, config).tobytes() for t in texts]
+
     def test_caller_token_holding_a_newline_is_hashed_as_given(self):
         config = EmbedderConfig(dim=64)
         tokens = [["a\nb", "c"], ["d"], ["\n", "e\n"]]

@@ -1,11 +1,17 @@
 """Integration tests driving the pipelines through the HTTP wire protocols
 with local servers standing in for remote embedding and completion services."""
 
-import numpy as np
+import math
 
+import numpy as np
+import pytest
+
+import metrics_oracles as oracle
+from gtr import metrics
 from gtr.chunking import Document
 from gtr.embedding import EmbedderConfig, embed
 from gtr.llm import LlmConfig
+from gtr.metrics import GtrEvalItem, aggregate
 from gtr.pipeline import Query, answer, ingest
 from gtr.tables import answer_tabular, index_tables, profile_tables
 
@@ -42,6 +48,36 @@ class TestRemoteEmbedder:
         local = embed("gamma delta", LOCAL)
         stored = store.get(trace.retrieved[0][0]).vector
         assert np.allclose(stored, local, atol=1e-12)
+
+
+class TestRemoteSas:
+    @pytest.mark.parametrize("slice_items", [5, metrics.SAS_SLICE_ITEMS])
+    def test_one_request_per_batch_of_distinct_texts(self, json_server, monkeypatch,
+                                                     tmp_path, slice_items):
+        monkeypatch.setattr(metrics, "SAS_SLICE_ITEMS", slice_items)
+        server = json_server(embedding_responder)
+        config = EmbedderConfig(
+            backend="http", dim=DIM, endpoint_url=server.url + "embed", batch_size=3
+        )
+        answers = ["titan orbits saturn", "Titan orbits Saturn.", "europa", "no idea", ""]
+        items = [GtrEvalItem(f"q{i}", answers[i % 3], answers[i % 5], 1, float(i))
+                 for i in range(17)]
+        report = aggregate(items, config)
+        expected_requests = 0
+        for first in range(0, len(items), slice_items):
+            texts = {t for i in items[first : first + slice_items] if i.candidate
+                     for t in (i.candidate, i.reference)}
+            expected_requests += math.ceil(len(texts) / config.batch_size)
+        assert len(server.requests) == expected_requests
+        assert all(len(body["inputs"]) <= 3 for _, body in server.requests)
+
+        per_item = oracle.aggregate(items, config)  # two requests per scored item
+        assert len(server.requests) == expected_requests + 2 * sum(
+            1 for i in items if i.candidate)
+        report.write_jsonl(tmp_path / "batched.jsonl")
+        per_item.write_jsonl(tmp_path / "per_item.jsonl")
+        assert ((tmp_path / "batched.jsonl").read_bytes()
+                == (tmp_path / "per_item.jsonl").read_bytes())
 
 
 class TestRemoteCompletions:

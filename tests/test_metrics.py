@@ -166,12 +166,26 @@ class TestAggregate:
         summary = report.summary()
         assert summary["rouge1_p"] == 1.0
         assert summary["rougeL_p"] == 1.0
+        assert summary["rougeL_f1"] == 1.0
         assert summary["sas"] == 1.0
         assert summary["tokens"] == 2.0  # "the answer"
 
     def test_empty_items_rejected(self):
         with pytest.raises(InvalidInput):
             aggregate([], CONFIG)
+
+    @pytest.mark.parametrize("index, side", [(5, "candidate"), (290, "reference")])
+    def test_lone_surrogate_is_named_by_item_and_side(self, index, side):
+        """Item 290 is in the second slice of 256 items: the message counts
+        from the start of the list, not of the slice's embedding batch."""
+        items = self._items([1] * 300)
+        setattr(items[index], side, "the \ud800 answer")
+        with pytest.raises(InvalidInput, match=f"^item {index} {side}: not valid Unicode"):
+            aggregate(items, CONFIG)
+
+    def test_lone_surrogate_beside_a_side_without_tokens_scores_zero(self):
+        items = self._items([1]) + [GtrEvalItem("q", "", "a \ud800", 1, 0.0)]
+        assert [r.sas for r in aggregate(items, CONFIG).items] == [1.0, 0.0]
 
     def test_empty_report_refuses_to_summarize(self):
         report = TextEvalReport([])

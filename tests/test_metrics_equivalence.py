@@ -3,10 +3,12 @@
 
 LCS lengths must equal the dynamic program's on seeded random token lists
 of lengths around int digit and word boundaries, on Unicode text, and on
-empty and identical sides; ``aggregate`` must write byte-identical report files.
-``aggregate`` must also keep calling the module-level ``rouge_n``,
-``rouge_l`` and ``sas`` for every item, since per-layer tracing wraps
-exactly those names, and must tokenize each text once per item.
+empty and identical sides; ``aggregate`` must write byte-identical report
+files, also over several slices of items with texts repeated across them.
+``aggregate`` must also keep calling the module-level ``rouge_n`` and
+``rouge_l`` for every item and ``embed_batch`` once per slice, since
+per-layer tracing wraps exactly those names, and must tokenize each text
+once per item.
 """
 
 from __future__ import annotations
@@ -144,21 +146,56 @@ def _items(seed: int) -> list[GtrEvalItem]:
     return items
 
 
+def _slice_items(seed: int, n: int) -> list[GtrEvalItem]:
+    """Short items whose sides come from a small pool, so texts repeat
+    within and across slices: whitespace-only and empty sides, punctuation
+    alone, Unicode, case variants and identical pairs."""
+    rng = random.Random(seed)
+    pool = UNICODE_TEXTS + ["", " \n\t", "  ", "?!", "¿qué?", "The answer.", "the ANSWER"]
+    pool += [" ".join(_zipf_tokens(rng, 40, rng.randint(1, 25))) for _ in range(60)]
+    items = []
+    for i in range(n):
+        reference = rng.choice(pool)
+        candidate = reference if i % 7 == 0 else rng.choice(pool)
+        items.append(GtrEvalItem(question=f"q{i}", reference=reference, candidate=candidate,
+                                 truthful=i % 2, response_time_ms=float(i)))
+    return items
+
+
+def _assert_report_bytes_equal(items, tmp_path, config=CONFIG):
+    report = aggregate(items, config)
+    expected = oracle.aggregate(items, config)
+    report.write_jsonl(tmp_path / "new.jsonl")
+    expected.write_jsonl(tmp_path / "old.jsonl")
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+    assert report.format_summary() == expected.format_summary()
+
+
 class TestAggregate:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_report_bytes_equal_oracle(self, seed, tmp_path):
         items = _items(seed)
         assert any(len(oracle._tokens(i.candidate)) >= 1000 for i in items)
-        report = aggregate(items, CONFIG)
-        expected = oracle.aggregate(items, CONFIG)
-        report.write_jsonl(tmp_path / "new.jsonl")
-        expected.write_jsonl(tmp_path / "old.jsonl")
-        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
-        assert report.format_summary() == expected.format_summary()
+        _assert_report_bytes_equal(items, tmp_path)
 
-    def test_scorers_called_through_module_names(self, monkeypatch):
+    @pytest.mark.parametrize("seed, n", [(5, 600), (6, 257), (7, 256)])
+    def test_report_bytes_equal_oracle_over_slices(self, seed, n, tmp_path):
+        items = _slice_items(seed, n)
+        assert {"", " \n\t"} <= {i.candidate for i in items}
+        _assert_report_bytes_equal(items, tmp_path)
+
+    def test_small_slices_equal_oracle(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(metrics, "SAS_SLICE_ITEMS", 5)
+        _assert_report_bytes_equal(_items(8), tmp_path)
+        _assert_report_bytes_equal(_slice_items(9, 101), tmp_path)
+
+    @pytest.mark.parametrize("slice_items", [7, metrics.SAS_SLICE_ITEMS])
+    def test_scorers_called_through_module_names(self, monkeypatch, slice_items):
         """Per-layer tracing replaces these module attributes, so aggregate
-        must look each up at call time, once per item."""
+        must look each up at call time: the ROUGE scorers once per item,
+        ``embed_batch`` once per slice with each distinct text of the
+        slice's items whose sides both have tokens."""
+        monkeypatch.setattr(metrics, "SAS_SLICE_ITEMS", slice_items)
         calls = Counter()
 
         def counting(name):
@@ -171,9 +208,17 @@ class TestAggregate:
 
             return counted
 
-        for name in ("rouge_n", "rouge_l", "sas"):
+        for name in ("rouge_n", "rouge_l"):
             monkeypatch.setattr(metrics, name, counting(name))
-        items = _items(3)
+        batches = []
+        embed_batch = metrics.embed_batch
+
+        def counted_batch(texts, config, tokens):
+            batches.append(texts)
+            return embed_batch(texts, config, tokens)
+
+        monkeypatch.setattr(metrics, "embed_batch", counted_batch)
+        items = _items(3) + _slice_items(3, 40)
         aggregate(items, CONFIG)
         pairs = Counter((i.candidate, i.reference) for i in items)
         expected = Counter()
@@ -181,8 +226,16 @@ class TestAggregate:
             expected["rouge_n", 1, cand, ref] = count
             expected["rouge_n", 2, cand, ref] = count
             expected["rouge_l", None, cand, ref] = count
-            expected["sas", None, cand, ref] = count
         assert calls == expected
+        expected_batches = []
+        for first in range(0, len(items), slice_items):
+            texts = {}
+            for item in items[first : first + slice_items]:
+                if oracle._tokens(item.candidate) and oracle._tokens(item.reference):
+                    texts.update(dict.fromkeys((item.candidate, item.reference)))
+            expected_batches.append(list(texts))
+        assert batches == expected_batches
+        assert len(batches) == -(-len(items) // slice_items)
 
     def test_each_text_tokenized_once_per_item(self, monkeypatch):
         calls = Counter()

@@ -219,6 +219,19 @@ class TestExtractSql:
     def test_one_line_fence(self, completion):
         assert extract_sql(completion) == "SELECT 1"
 
+    @pytest.mark.parametrize("completion", ["```sql SELECT 1```", "```SQL SELECT 1;```",
+                                            "say ```Sql  SELECT 1``` ok"])
+    def test_one_line_fence_drops_an_sql_tag(self, completion):
+        assert extract_sql(completion) == "SELECT 1"
+
+    @pytest.mark.parametrize("completion", ["```sql```", "```SQL ;```"])
+    def test_one_line_fence_holding_only_a_tag_is_empty(self, completion):
+        with pytest.raises(EmptyGeneration):
+            extract_sql(completion)
+
+    def test_one_line_fence_keeps_a_name_starting_with_sql(self):
+        assert extract_sql("```sqlite_version()```") == "sqlite_version()"
+
     def test_one_line_fence_before_the_sql_fence_is_not_the_sql(self):
         completion = "The table ```singer``` holds it:\n```sql\nSELECT name FROM singer\n```"
         assert extract_sql(completion) == "SELECT name FROM singer"
