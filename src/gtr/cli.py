@@ -2,15 +2,17 @@
 database tables, and run the evaluation harnesses.
 
 Configuration precedence is flags > environment (GTR_STORE, GTR_EMBED_URL,
-GTR_LLM_URL) > defaults; ``ask`` and ``tables ask`` embed with the embedder
-the store names. Diagnostics go to stderr, data to stdout or files; the
-exit code is 0 only when no error was recorded.
+GTR_LLM_URL, GTR_LOG) > defaults; ``ask`` and ``tables ask`` embed with the
+embedder the store names. Diagnostics go to stderr, data to stdout or files;
+``--log-level`` (default warning) sets which records of the ``gtr`` logger
+reach stderr. The exit code is 0 only when no error was recorded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from pathlib import Path
@@ -25,6 +27,8 @@ from .store import VectorStore
 
 ENV_STORE = "GTR_STORE"
 ENV_EMBED_URL = "GTR_EMBED_URL"
+ENV_LOG = "GTR_LOG"
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 def _embedder_config(args) -> EmbedderConfig:
@@ -166,6 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Retrieval-augmented answering over documents and database "
         "tables, with evaluation harnesses.",
     )
+    parser.add_argument(
+        "--log-level", choices=LOG_LEVELS, default=None,
+        help=f"least severe record of the gtr logger shown on stderr "
+        f"(default: {ENV_LOG}, else warning)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="chunk and embed documents into a store")
@@ -228,6 +237,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    level = args.log_level or os.environ.get(ENV_LOG) or "warning"
+    if level not in LOG_LEVELS:
+        parser.error(f"{ENV_LOG} must be one of {', '.join(LOG_LEVELS)}, got {level!r}")
+    # The records go to stderr as the message alone, as Python prints a
+    # warning when no handler is set; the logger is left as it was found.
+    log = logging.getLogger("gtr")
+    handler, previous = logging.StreamHandler(sys.stderr), log.level
+    log.addHandler(handler)
+    log.setLevel(level.upper())
+    try:
+        return _run(args)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(previous)
+
+
+def _run(args) -> int:
     try:
         return args.handler(args)
     except StageError as e:

@@ -19,6 +19,14 @@ as an oracle too: ``v2_bytes`` writes it and ``load_v2``, the production
 reader it had, reads it back. The records a version-3 file loads to must
 equal those ``load_v2`` reads from ``v2_bytes`` of the same records.
 
+``load_v3`` is the version-3 ``load`` as it was while it parsed each record
+line by itself, with ``json.loads``: its ``_read_entries`` is kept verbatim,
+and it and ``load_v2`` parse lines with their own copies of ``_json_line``,
+``_parse_record`` and ``_check_fields``, so no oracle shares parsing code
+with ``gtr.store``. ``tests/test_store_load.py`` checks that the production
+``load``, which parses a block of lines at a time, leaves the same store or
+raises the same message on every file.
+
 ``naive_row`` and ``naive_top_k`` are a naive scan in the order the
 production store defines for its sums, one Python float operation at a
 time: a dot product adds the products over the query's nonzero entries
@@ -29,6 +37,7 @@ half. Production scores must equal theirs bit for bit.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 import struct
@@ -43,8 +52,9 @@ from gtr.errors import (
     DuplicateId,
     InvalidInput,
     ZeroVector,
+    check_unicode,
 )
-from gtr.store import STORE_FORMAT, VectorRecord, _json_line, _parse_record
+from gtr.store import STORE_FORMAT, RECORD_KINDS, VectorRecord, _Committed, _stat_key
 
 STORE_VERSION = 1
 
@@ -402,6 +412,164 @@ def _read_exactly(f, size: int, where: str) -> bytes:
     if len(data) != size:
         raise CorruptStore(f"{where}: truncated, {size - len(data)} of {size} bytes missing")
     return data
+
+
+_HEADER_FIELDS = ("format", "version", "dim", "embedder", "count")
+_RECORD_FIELDS = ("id", "kind", "text", "metadata")
+_BLOCK_ROWS = 256
+log = logging.getLogger("gtr")
+
+
+def load_v3(path) -> gtr.store.VectorStore:
+    """Read a version-3 store file, as the production ``load`` did while it
+    parsed each record line by itself: the parsing is this module's own."""
+    path = Path(path)
+    with open(path, "rb") as f:
+        st = os.fstat(f.fileno())
+        line = f.readline()
+        if not line:
+            raise CorruptStore(f"{path}: line 1: empty file, missing header")
+        try:
+            header = _json_line(line)
+        except InvalidInput as e:
+            raise CorruptStore(f"{path}: line 1: {e}") from None
+        if not isinstance(header, dict) or header.get("format") != STORE_FORMAT:
+            raise CorruptStore(f"{path}: line 1: not a {STORE_FORMAT} file")
+        version = header.get("version")
+        if type(version) is not int or version != 3:
+            raise CorruptStore(f"{path}: line 1: unsupported version {version!r}; "
+                               "re-run `gtr ingest` or `gtr tables ingest`")
+        dim = header.get("dim")
+        if type(dim) is not int or dim < 1:
+            raise CorruptStore(f"{path}: line 1: bad dim {dim!r}")
+        # Each record takes at least a line break and its bitmap, so a
+        # count the file cannot hold is refused before any allocation.
+        count = header.get("count")
+        if type(count) is not int or not 0 <= count <= st.st_size // ((dim + 7) // 8 + 1):
+            raise CorruptStore(f"{path}: line 1: bad count {count!r}")
+        embedder = header.get("embedder")
+        if type(embedder) is not str:
+            raise CorruptStore(f"{path}: line 1: bad embedder {embedder!r}")
+        if len(header) != len(_HEADER_FIELDS):
+            unknown = next(k for k in header if k not in _HEADER_FIELDS)
+            raise CorruptStore(f"{path}: line 1: unknown field {unknown!r}")
+        if line != _header(dim, embedder, count):
+            raise CorruptStore(f"{path}: line 1: not the header a save writes, "
+                               f"padded to {len(_header(dim, embedder, 0)) - 1} bytes")
+        store = gtr.store.VectorStore(dim, embedder)
+        store._reserve(count + 1)
+        end = _read_entries(store, f, count, str(path))
+    if end < st.st_size:
+        log.warning("store %s: ignoring %d bytes after the last of its %d records, "
+                    "left by an interrupted save", path, st.st_size - end, count)
+    store._file = _Committed(os.path.abspath(path), _stat_key(st), count, end, len(line))
+    return store
+
+
+def _read_entries(self, f, count: int, where: str) -> int:
+    """Fill the columns and the reserved matrix's first ``count`` rows
+    from the entries ``f`` reads next, a block of rows at a time, and
+    return the offset just past the last. Pad bits and stored +0.0 entries
+    are refused: they would load, but not save back to the same bytes."""
+    width = (self.dim + 7) // 8
+    pad = (1 << (8 * width - self.dim)) - 1  # the bitmap's bits past dim
+    readline, read, add, from_bytes = f.readline, f.read, self._add, int.from_bytes
+    for start in range(0, count, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, count)
+        bitmaps, values = [], []
+        for row in range(start, stop):
+            line = readline()
+            if not line.endswith(b"\n"):
+                raise CorruptStore(f"{where}: row {row}: file ends before record "
+                                   f"{row + 1} of {count}")
+            try:
+                add(*_parse_record(_json_line(line[:-1])))
+            except KeyError as e:
+                raise CorruptStore(f"{where}: row {row}: missing field {e}") from None
+            except (InvalidInput, DuplicateId) as e:
+                raise CorruptStore(f"{where}: row {row}: {e}") from None
+            bitmap = read(width)
+            bits = from_bytes(bitmap, "big")
+            if bits & pad and len(bitmap) == width:
+                raise CorruptStore(f"{where}: {self._row_name(row)}: "
+                                   f"bits set past dim {self.dim}")
+            size = 8 * bits.bit_count()
+            value = read(size)
+            if len(bitmap) < width or len(value) < size:
+                missing = width - len(bitmap) + size - len(value)
+                raise CorruptStore(f"{where}: {self._row_name(row)}: truncated, "
+                                   f"{missing} of its bytes missing")
+            bitmaps.append(bitmap)
+            values.append(value)
+        packed = np.frombuffer(b"".join(bitmaps), np.uint8)
+        mask = np.unpackbits(packed.reshape(-1, width), axis=1, count=self.dim)
+        mask = mask.view(bool)
+        block = np.frombuffer(b"".join(values), "<f8")
+        for bad, what in ((~np.isfinite(block), "a NaN or infinite value"),
+                          (block.view("<u8") == 0, "a stored +0.0")):
+            if bad.any():
+                counts = np.cumsum(np.count_nonzero(mask, axis=1))
+                row = start + int(np.searchsorted(counts, np.argmax(bad), side="right"))
+                raise CorruptStore(f"{where}: {self._row_name(row)}: {what}")
+        self._matrix[start:stop][mask] = block
+    return f.tell()
+
+
+def _header(dim: int, embedder: str, count: int) -> bytes:
+    """Line 1 of a version-3 store file, padded to a 20-digit count's width."""
+    line = _dumps({"format": STORE_FORMAT, "version": 3, "dim": dim,
+                   "embedder": embedder, "count": count}).encode("utf-8")
+    return line.ljust(len(line) - len(str(count)) + 20) + b"\n"
+
+
+def _json_line(line: bytes):
+    """The JSON value of one store-file line, decoded as strict UTF-8 (the
+    bytes form of ``json.loads`` would let an encoded lone surrogate pass).
+
+    Raises:
+        InvalidInput: not UTF-8, or not JSON.
+    """
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise InvalidInput(f"not UTF-8: {e.reason} at byte {e.start}") from None
+    try:
+        return json.loads(text)
+    except ValueError as e:  # JSONDecodeError, or an over-long integer
+        raise InvalidInput(f"malformed JSON: {e}") from None
+
+
+def _parse_record(obj) -> tuple[str, str, str, dict[str, str]]:
+    """The id, kind, text and metadata a line after the header holds. Only
+    what a save writes is accepted: the four fields and no other, each a
+    string, and metadata mapping strings to strings, so the record saves
+    back to the same line."""
+    if not isinstance(obj, dict):
+        raise InvalidInput("record must be a JSON object")
+    id_, kind, text, metadata = map(obj.__getitem__, _RECORD_FIELDS)
+    if len(obj) != len(_RECORD_FIELDS):
+        raise InvalidInput(f"unknown field {next(k for k in obj if k not in _RECORD_FIELDS)!r}")
+    _check_fields(id_, kind, text, metadata)
+    return id_, kind, text, metadata
+
+
+def _check_fields(id_, kind, text, metadata) -> None:
+    """Raise InvalidInput, naming the field, unless the id is nonempty, the
+    kind known, and every field a string (metadata a dict of them) that
+    UTF-8 can encode: what the file format holds exactly."""
+    if not isinstance(metadata, dict):
+        raise InvalidInput("record metadata must be a JSON object")
+    try:  # one pass over all the fields, as a record is checked per insert
+        check_unicode("".join((id_, kind, text, *metadata, *metadata.values())))
+    except TypeError:
+        named = [("id", id_), ("kind", kind), ("text", text),
+                 *((f"metadata {k!r}", x) for k, v in metadata.items() for x in (k, v))]
+        name, value = next((n, v) for n, v in named if not isinstance(v, str))
+        raise InvalidInput(f"record {name} must be a string, got {value!r}") from None
+    if not id_:
+        raise InvalidInput("record id must be nonempty")
+    if kind not in RECORD_KINDS:
+        raise InvalidInput(f"record kind must be one of {RECORD_KINDS}")
 
 
 # A row norm below this had its square fall out of the normal float range.

@@ -436,3 +436,43 @@ class TestEval:
         assert code == 1
         assert "line 1" in err and field in err
         assert out == ""
+
+
+class TestLogLevel:
+    @pytest.fixture
+    def ingest(self, tmp_path, doc_file):
+        return ("ingest", "--input", str(doc_file), "--store", str(tmp_path / "s.gtr"),
+                "--dim", "32")
+
+    def test_debug_shows_a_whole_file_save(self, capsys, ingest):
+        assert run(capsys, *ingest)[0] == 0
+        code, _, err = run(capsys, "--log-level", "debug", *ingest)
+        assert code == 0
+        assert "writing the whole file: the store has saved or loaded no file" in err
+
+    def test_default_shows_no_debug_record(self, capsys, ingest, monkeypatch):
+        monkeypatch.delenv("GTR_LOG", raising=False)
+        assert run(capsys, *ingest)[0] == 0
+        assert run(capsys, *ingest)[::2] == (0, "")
+
+    def test_environment_sets_the_level_and_the_flag_overrides_it(
+            self, capsys, ingest, monkeypatch):
+        monkeypatch.setenv("GTR_LOG", "debug")
+        assert "writing the whole file" in run(capsys, *ingest)[2]
+        assert run(capsys, "--log-level", "warning", *ingest)[2] == ""
+
+    def test_a_tail_warning_prints_as_before(self, capsys, tmp_path, ingest):
+        assert run(capsys, *ingest)[0] == 0
+        with open(tmp_path / "s.gtr", "ab") as f:
+            f.write(b"xy")
+        code, _, err = run(capsys, "ask", "w1", "--store", str(tmp_path / "s.gtr"))
+        assert code == 0
+        assert err == (f"store {tmp_path / 's.gtr'}: ignoring 2 bytes after the last of its "
+                       "1 records, left by an interrupted save\n")
+
+    def test_an_unknown_level_is_refused(self, capsys, ingest, monkeypatch):
+        monkeypatch.setenv("GTR_LOG", "loud")
+        with pytest.raises(SystemExit) as exit_:
+            main(list(ingest))
+        assert exit_.value.code == 2
+        assert "GTR_LOG must be one of debug, info, warning, error" in capsys.readouterr().err
