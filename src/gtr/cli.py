@@ -2,8 +2,8 @@
 database tables, and run the evaluation harnesses.
 
 Configuration precedence is flags > environment (GTR_STORE, GTR_EMBED_URL,
-GTR_LLM_URL, GTR_LOG) > defaults; ``ask`` and ``tables ask`` embed with the
-embedder the store names. Diagnostics go to stderr, data to stdout or files;
+GTR_LLM_URL) > defaults; ``ask`` and ``tables ask`` embed with the embedder
+the store names. Diagnostics go to stderr, data to stdout or files;
 ``--log-level`` (default warning) sets which records of the ``gtr`` logger
 reach stderr. The exit code is 0 only when no error was recorded.
 """
@@ -27,8 +27,6 @@ from .store import VectorStore
 
 ENV_STORE = "GTR_STORE"
 ENV_EMBED_URL = "GTR_EMBED_URL"
-ENV_LOG = "GTR_LOG"
-LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 def _embedder_config(args) -> EmbedderConfig:
@@ -171,9 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
         "tables, with evaluation harnesses.",
     )
     parser.add_argument(
-        "--log-level", choices=LOG_LEVELS, default=None,
-        help=f"least severe record of the gtr logger shown on stderr "
-        f"(default: {ENV_LOG}, else warning)",
+        "--log-level", choices=("debug", "info", "warning", "error"), default="warning",
+        help="least severe record of the gtr logger shown on stderr (default: warning)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -237,15 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    level = args.log_level or os.environ.get(ENV_LOG) or "warning"
-    if level not in LOG_LEVELS:
-        parser.error(f"{ENV_LOG} must be one of {', '.join(LOG_LEVELS)}, got {level!r}")
     # The records go to stderr as the message alone, as Python prints a
     # warning when no handler is set; the logger is left as it was found.
     log = logging.getLogger("gtr")
     handler, previous = logging.StreamHandler(sys.stderr), log.level
     log.addHandler(handler)
-    log.setLevel(level.upper())
+    log.setLevel(args.log_level.upper())
     try:
         return _run(args)
     finally:

@@ -28,18 +28,15 @@ File format, version 3 (one store per file):
 A row's bitmap has bit j (most significant first) set when entry j's bits
 are not all zero, so -0.0 is stored and +0.0 is not. As in FAISS's
 ``IndexFlatIP`` the vectors are read straight into the matrix, with no
-per-value parsing. The record lines of a block of rows are added
-together, and a line holding no backslash and no control character is
-split at its quotes: it is taken when the pieces between its strings are
-those a save writes, which makes it the very line a save writes. Any other
-line (one with an escape, other spacing or key order, or malformed) is
-parsed as JSON by itself, as is every line of a block in which one is
-refused, so that the refusal names its row. A load reads only what a save
-writes: it refuses any other version, a header not padded as shown, a
-header or record line with a field beyond those shown, and a record whose
-id, kind, text or metadata value is not a string. Bytes after the n-th
-entry are a tail left by an interrupted append: a load ignores them and
-logs a warning.
+per-value parsing. A record line holding no backslash and no control
+character is split at its quotes and taken when it is laid out exactly as
+a save writes it; any other line (a text with a newline, tab, quote or
+backslash, which a save writes as an escape, or a line laid out otherwise)
+is parsed as JSON. A load reads only what a save writes: it refuses any
+other version, a header not padded as shown, a header or record line with
+a field beyond those shown, and a record whose id, kind, text or metadata
+value is not a string. Bytes after the n-th entry are a tail left by an
+interrupted append: a load ignores them and logs a warning.
 
 A save appends when the file at its path is the one the store last saved
 or loaded, unchanged since (the log-structured commit of Rosenblum and
@@ -53,6 +50,7 @@ exactly as written (never re-normalized on load).
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -566,10 +564,9 @@ class VectorStore:
         line 1 or the row. The matrix is made once, with a spare row (see
         ``_reserve``); the entries are read a block of rows at a time, their
         record lines filling the columns and their set entries the matrix.
-        Record lines laid out as a save writes them, with no backslash or
-        control character, are split at their quotes; the rest are parsed
-        as JSON (see ``_add_block``).
-        Bytes after the last entry are ignored, with a warning on ``gtr``.
+        A record line with no escape is split at its quotes, the rest are
+        parsed as JSON (see ``_split_record``). Bytes after the last entry
+        are ignored, with a warning on ``gtr``.
 
         Raises:
             CorruptStore: bad header, another version, wrong dim, duplicate
@@ -623,42 +620,39 @@ class VectorStore:
         """Fill the columns and the reserved matrix's first ``count`` rows
         from the entries ``f`` reads next, a block of rows at a time, and
         return the offset just past the last. Pad bits and stored +0.0 entries
-        are refused: they would load, but not save back to the same bytes.
-        A block's record lines are added together (``_add_block``), or one
-        at a time when one is refused (``_add_lines``), before a refusal of
-        an entry is raised, so the first fault in row order is the one named."""
+        are refused: they would load, but not save back to the same bytes."""
         width = (self.dim + 7) // 8
         pad = (1 << (8 * width - self.dim)) - 1  # the bitmap's bits past dim
-        readline, read, from_bytes = f.readline, f.read, int.from_bytes
+        readline, read, add, from_bytes = f.readline, f.read, self._add, int.from_bytes
         for start in range(0, count, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, count)
-            lines, bitmaps, values = [], [], []
-            refused = None  # (row, why) for the first entry cut short or padded
+            bitmaps, values = [], []
             for row in range(start, stop):
                 line = readline()
                 if not line.endswith(b"\n"):
-                    refused = row, f"file ends before record {row + 1} of {count}"
-                    break
-                lines.append(line)
+                    raise CorruptStore(f"{where}: row {row}: file ends before record "
+                                       f"{row + 1} of {count}")
+                record = line[:-1]
+                try:  # a line _split_record does not take is parsed as JSON
+                    add(*(_BACKSLASH not in record and _split_record(record)
+                          or _parse_record(_json_line(record))))
+                except KeyError as e:
+                    raise CorruptStore(f"{where}: row {row}: missing field {e}") from None
+                except (InvalidInput, DuplicateId) as e:
+                    raise CorruptStore(f"{where}: row {row}: {e}") from None
                 bitmap = read(width)
                 bits = from_bytes(bitmap, "big")
                 if bits & pad and len(bitmap) == width:
-                    refused = row, f"bits set past dim {self.dim}"
-                    break
+                    raise CorruptStore(f"{where}: {self._row_name(row)}: "
+                                       f"bits set past dim {self.dim}")
                 size = 8 * bits.bit_count()
                 value = read(size)
                 if len(bitmap) < width or len(value) < size:
                     missing = width - len(bitmap) + size - len(value)
-                    refused = row, f"truncated, {missing} of its bytes missing"
-                    break
+                    raise CorruptStore(f"{where}: {self._row_name(row)}: truncated, "
+                                       f"{missing} of its bytes missing")
                 bitmaps.append(bitmap)
                 values.append(value)
-            if not self._add_block(lines):
-                self._add_lines(lines, start, where)
-            if refused:
-                row, why = refused
-                name = self._row_name(row) if row < len(self) else f"row {row}"
-                raise CorruptStore(f"{where}: {name}: {why}")
             packed = np.frombuffer(b"".join(bitmaps), np.uint8)
             mask = np.unpackbits(packed.reshape(-1, width), axis=1, count=self.dim)
             mask = mask.view(bool)
@@ -671,61 +665,6 @@ class VectorStore:
                     raise CorruptStore(f"{where}: {self._row_name(row)}: {what}")
             self._matrix[start:stop][mask] = block
         return f.tell()
-
-    def _add_block(self, lines: list[bytes]) -> bool:
-        """Add the records of a block's lines, each ending in its line break,
-        and return True; or add none and return False when any of them is
-        refused. A line holding no backslash and no control character is
-        split at its quotes, and taken when its pieces between the strings
-        are those ``_dumps`` writes (``_skeleton``): no string in it holds
-        an escape or a quote, so it is then exactly the line a save writes
-        for those strings. Any other line is parsed as JSON. The fields are
-        checked, and the ids added, once for the whole block."""
-        odd = _odd_lines(lines)
-        ids, kinds, texts, metadata = [], [], [], []
-        for i, raw in enumerate(lines):
-            try:
-                line = raw[:-1].decode("utf-8")
-            except UnicodeDecodeError:
-                return False
-            parts = None if i in odd else line.split('"')
-            if parts and parts[1:14:4] == _RECORD_KEYS and parts[::2] == (
-                    _SKELETONS.get(len(parts)) or _skeleton(len(parts))):
-                pairs = iter(parts[15::2])  # key, value, key, value, ...
-                id_, kind, text, meta = parts[3], parts[7], parts[11], dict(zip(pairs, pairs))
-            else:
-                try:
-                    id_, kind, text, meta = _parse_record(json.loads(line))
-                except (ValueError, KeyError, RecursionError, InvalidInput):
-                    return False
-            ids.append(id_)
-            kinds.append(kind)
-            texts.append(text)
-            metadata.append(MappingProxyType(meta))
-        if "" in ids or not _KINDS.issuperset(kinds):
-            return False
-        n = len(self)
-        rows = self._rows
-        rows.update(zip(ids, range(n, n + len(ids))))
-        if len(rows) != n + len(ids):  # a duplicate id: take the block's ids back
-            self._rows = dict(zip(self._ids, range(n)))
-            return False
-        self._ids += ids
-        self._kinds += kinds
-        self._texts += texts
-        self._metadata += metadata
-        return True
-
-    def _add_lines(self, lines: list[bytes], start: int, where: str) -> None:
-        """Add the records of a block's lines one at a time, as JSON; the
-        first line refused raises CorruptStore naming its row."""
-        for row, line in enumerate(lines, start):
-            try:
-                self._add(*_parse_record(_json_line(line[:-1])))
-            except KeyError as e:
-                raise CorruptStore(f"{where}: row {row}: missing field {e}") from None
-            except (InvalidInput, DuplicateId) as e:
-                raise CorruptStore(f"{where}: row {row}: {e}") from None
 
     def _row_name(self, row: int) -> str:
         return f"row {row} (id {self._ids[row]!r})"
@@ -772,6 +711,48 @@ def _json_line(line: bytes):
         raise InvalidInput(f"malformed JSON: {e}") from None
 
 
+def _split_record(line: bytes) -> tuple[str, str, str, dict[str, str]] | None:
+    """The id, kind, text and metadata of a record line that holds no
+    backslash, its line break cut, when it is laid out as ``_dumps`` writes
+    it; else None. With no backslash and no control byte the line holds no
+    escape, so it is split at its quotes, and taken when the pieces between
+    its strings are those of ``_skeleton``: it is then the very line a save
+    writes for those strings."""
+    if len(line.translate(None, _CONTROL_BYTES)) != len(line):
+        return None
+    try:
+        parts = line.decode("utf-8").split('"')
+    except UnicodeDecodeError:
+        return None
+    if (parts[1:14:4] == _RECORD_KEYS and parts[3] and parts[7] in RECORD_KINDS
+            and parts[::2] == _skeleton(len(parts))):
+        pairs = iter(parts[15::2])  # key, value, key, value, ...
+        return parts[3], parts[7], parts[11], dict(zip(pairs, pairs))
+    return None
+
+
+@functools.lru_cache(maxsize=64)
+def _skeleton(parts: int) -> list[str] | None:
+    """Pieces 0, 2, 4, ... of a record line that ``_dumps`` writes, split at
+    its quotes into ``parts`` pieces, where no string holds a quote:
+    ``{"id":"…","kind":"…","text":"…","metadata":{"…":"…",…}}`` gives
+    ``{``, then ``:`` and ``,`` in turn, with ``:{`` before the metadata's
+    first key and ``}}`` at the end. None when no such line has ``parts``
+    pieces. The list is cached, so it is compared, never changed."""
+    pairs, rest = divmod(parts - 15, 4)
+    if rest or pairs < 0:
+        return None
+    head = ["{", ":", ",", ":", ",", ":", ","]
+    if not pairs:
+        return [*head, ":{}}"]
+    return [*head, ":{", *[":", ","] * (pairs - 1), ":", "}}"]
+
+
+_RECORD_KEYS = list(_RECORD_FIELDS)
+_CONTROL_BYTES = bytes(range(32))  # JSON refuses them raw in a string
+_BACKSLASH = ord("\\")  # bytes find an int faster than a one-byte bytes
+
+
 def _parse_record(obj) -> tuple[str, str, str, dict[str, str]]:
     """The id, kind, text and metadata a line after the header holds. Only
     what a save writes is accepted: the four fields and no other, each a
@@ -784,41 +765,6 @@ def _parse_record(obj) -> tuple[str, str, str, dict[str, str]]:
         raise InvalidInput(f"unknown field {next(k for k in obj if k not in _RECORD_FIELDS)!r}")
     _check_fields(id_, kind, text, metadata)
     return id_, kind, text, metadata
-
-
-def _odd_lines(lines: list[bytes]) -> set[int]:
-    """The indices of the lines holding a backslash, which starts an escape,
-    or a control byte other than their closing line break, which JSON
-    refuses in a string; found with one pass over the joined lines."""
-    data = b"".join(lines)
-    codes = np.frombuffer(data, np.uint8)
-    if b"\\" not in data and np.count_nonzero(codes < 32) == len(lines):
-        return set()
-    at = np.flatnonzero((codes == 92) | ((codes < 32) & (codes != 10)))
-    ends = np.cumsum([len(line) for line in lines])
-    return set(np.searchsorted(ends, at, side="right").tolist())
-
-
-def _skeleton(parts: int) -> list[str] | None:
-    """Pieces 0, 2, 4, ... of a record line that ``_dumps`` writes, split at
-    its quotes into ``parts`` pieces, where every odd piece is a string:
-    ``{"id":"…","kind":"…","text":"…","metadata":{"…":"…",…}}`` gives
-    ``{``, then ``:`` and ``,`` in turn, with ``:{`` before the metadata's
-    first key and ``}}`` at the end. None when no such line has ``parts``
-    pieces."""
-    pairs, rest = divmod(parts - 15, 4)
-    if rest or pairs < 0:
-        return None
-    head = ["{", ":", ",", ":", ",", ":", ","]
-    if not pairs:
-        return [*head, ":{}}"]
-    return [*head, ":{", *[":", ","] * (pairs - 1), ":", "}}"]
-
-
-# _skeleton for the lines with up to 15 metadata pairs, made once.
-_SKELETONS = {parts: _skeleton(parts) for parts in range(15, 75, 4)}
-_RECORD_KEYS = list(_RECORD_FIELDS)
-_KINDS = frozenset(RECORD_KINDS)
 
 
 # json.dumps with these options, without building an encoder per line.

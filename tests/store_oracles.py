@@ -24,8 +24,8 @@ line by itself, with ``json.loads``: its ``_read_entries`` is kept verbatim,
 and it and ``load_v2`` parse lines with their own copies of ``_json_line``,
 ``_parse_record`` and ``_check_fields``, so no oracle shares parsing code
 with ``gtr.store``. ``tests/test_store_load.py`` checks that the production
-``load``, which parses a block of lines at a time, leaves the same store or
-raises the same message on every file.
+``load``, which splits a line with no escape at its quotes, leaves the same
+store or raises the same message on every file.
 
 ``naive_row`` and ``naive_top_k`` are a naive scan in the order the
 production store defines for its sums, one Python float operation at a

@@ -450,16 +450,9 @@ class TestLogLevel:
         assert code == 0
         assert "writing the whole file: the store has saved or loaded no file" in err
 
-    def test_default_shows_no_debug_record(self, capsys, ingest, monkeypatch):
-        monkeypatch.delenv("GTR_LOG", raising=False)
+    def test_default_shows_no_debug_record(self, capsys, ingest):
         assert run(capsys, *ingest)[0] == 0
         assert run(capsys, *ingest)[::2] == (0, "")
-
-    def test_environment_sets_the_level_and_the_flag_overrides_it(
-            self, capsys, ingest, monkeypatch):
-        monkeypatch.setenv("GTR_LOG", "debug")
-        assert "writing the whole file" in run(capsys, *ingest)[2]
-        assert run(capsys, "--log-level", "warning", *ingest)[2] == ""
 
     def test_a_tail_warning_prints_as_before(self, capsys, tmp_path, ingest):
         assert run(capsys, *ingest)[0] == 0
@@ -470,9 +463,8 @@ class TestLogLevel:
         assert err == (f"store {tmp_path / 's.gtr'}: ignoring 2 bytes after the last of its "
                        "1 records, left by an interrupted save\n")
 
-    def test_an_unknown_level_is_refused(self, capsys, ingest, monkeypatch):
-        monkeypatch.setenv("GTR_LOG", "loud")
+    def test_an_unknown_level_is_refused(self, capsys, ingest):
         with pytest.raises(SystemExit) as exit_:
-            main(list(ingest))
+            main(["--log-level", "loud", *ingest])
         assert exit_.value.code == 2
-        assert "GTR_LOG must be one of debug, info, warning, error" in capsys.readouterr().err
+        assert "invalid choice: 'loud'" in capsys.readouterr().err

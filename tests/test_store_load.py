@@ -1,16 +1,16 @@
-"""The store's block loader against the per-line loader it replaced.
+"""The store's loader against the per-line JSON loader it replaced.
 
-``VectorStore.load`` adds a block of record lines at a time: a line that
-holds no backslash and no control character is split at its quotes, and
-any other is parsed as JSON. ``store_oracles.load_v3`` is the loader as it
+``VectorStore.load`` splits a record line that holds no backslash and no
+control byte at its quotes (``store._split_record``), and parses any other
+line as JSON. ``store_oracles.load_v3`` is the loader as it
 was, parsing every line with ``json.loads`` as it read it. On every file,
 seeded random stores and byte mutants of them included, the two must leave
 the same store (columns, metadata key order, row index, matrix bytes,
 capacity and committed file) or raise the same message.
 
-Most cases shrink the block to 4 rows in both loaders, so a store of a few
-dozen rows spans several blocks and 3,000 mutants load in a second or
-two; one case keeps the 256-row block with 600-row stores.
+Most cases shrink the block of rows read at a time to 4 in both loaders,
+so a store of a few dozen rows spans several blocks and 3,000 mutants load
+in a second or two; one case keeps the 256-row block with 600-row stores.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def test_fixed_cases_load_as_before(tmp_path, small_blocks, case):
 
 
 def test_lines_a_save_writes_take_no_json_parse(tmp_path, monkeypatch):
-    # Without this, a block loader that quietly parsed every line as JSON
+    # Without this, a loader that quietly parsed every line as JSON
     # would pass every test above.
     rng = random.Random(3)
     lines = [record_line(f"r{i}", rng.choice(("chunk", "table")), " ".join(
