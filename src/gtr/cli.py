@@ -11,7 +11,6 @@ reach stderr. The exit code is 0 only when no error was recorded.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -20,7 +19,7 @@ from pathlib import Path
 from . import metrics, pipeline, sqleval, tables
 from .chunking import DEFAULT_CHUNK_SIZE, DEFAULT_OVERLAP, load_documents
 from .embedding import DEFAULT_DIM, EmbedderConfig
-from .errors import GtrError, InvalidConfig, InvalidInput, StageError, read_lines
+from .errors import GtrError, InvalidConfig, InvalidInput, StageError, loads_json, read_lines
 from .llm import LlmConfig
 from .pipeline import Query
 from .store import VectorStore
@@ -56,7 +55,7 @@ def _llm_config(value: str) -> LlmConfig:
             return LlmConfig(backend="template_sql")
         path = Path(rest)
         try:
-            mapping = json.loads("".join(read_lines(path, "template mapping")))
+            mapping = loads_json("".join(read_lines(path, "template mapping")))
         except ValueError as e:  # JSONDecodeError, or an over-long integer
             raise InvalidInput(f"{path}: malformed JSON: {e}")
         if not isinstance(mapping, dict):
@@ -225,7 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--db-dir", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="most threads to score groups on, capped at the group count "
+                        "and at the CPUs this process may use; at 1 (the default) "
+                        "groups are scored inline")
     p.set_defaults(handler=_cmd_eval_sql)
 
     return parser

@@ -89,7 +89,11 @@ def run_or_error(sql: str, db_path: str | Path, timeout_ms: int) -> ResultSet | 
 
 
 def execution_verdicts(
-    gold: str, gold_run: ResultSet | GtrError, pred_runs: Iterable[ResultSet | GtrError]
+    gold: str,
+    gold_run: ResultSet | GtrError,
+    pred_runs: Iterable[ResultSet | GtrError],
+    *,
+    ordered: bool | None = None,
 ) -> list[bool]:
     """The EX rule: each pred's run scored against one run of the gold.
 
@@ -97,11 +101,14 @@ def execution_verdicts(
     gold raises EvalError, since the defect is in the dataset rather than
     the model, before pred_runs is read, so a lazy iterable runs no pred. A
     failing pred scores False; otherwise rows compare by results_match, in
-    order only when the gold orders its output.
+    order only when the gold orders its output. ``ordered`` says whether it
+    does, as a caller that parsed the gold knows (``ClauseSets.ordered``);
+    None reads it from the gold's text with has_top_level_order_by.
     """
     if isinstance(gold_run, GtrError):
         raise EvalError(f"gold query failed: {gold_run}") from gold_run
-    ordered = has_top_level_order_by(gold)
+    if ordered is None:
+        ordered = has_top_level_order_by(gold)
     return [
         not isinstance(run, GtrError) and results_match(gold_run, run, ordered)
         for run in pred_runs

@@ -101,6 +101,18 @@ class ClauseSets:
     or_count: int = field(default=0, compare=False)
 
     @property
+    def ordered(self) -> bool:
+        """True when some core of the set-op chain has an ORDER BY: the
+        query then orders its output, as an ORDER BY outside parentheses
+        in its text says."""
+        cs = self
+        while not cs.order_by:
+            if cs.set_op is None:
+                return False
+            cs = cs.set_op[1]
+        return True
+
+    @property
     def subqueries(self) -> tuple:
         """Nested queries used as comparison values: those of the join
         conditions, then WHERE, then HAVING, each clause's in set order."""
@@ -119,8 +131,9 @@ class ClauseSets:
 
 
 def _tokens(text: str) -> list[Token]:
-    """The text's tokens plus an end marker; a token the grammar has no use
-    for fails here, before parsing starts."""
+    """The text's tokens plus two end markers, so a look-ahead of one past
+    the first marker still finds one; a token the grammar has no use for
+    fails here, before parsing starts."""
     toks = []
     for tok in tokenize(text):
         if tok.kind == "str" and unterminated(tok):
@@ -130,7 +143,8 @@ def _tokens(text: str) -> list[Token]:
                 f"unexpected character {tok.text[0]!r}", _byte_offset(text, tok.pos)
             )
         toks.append(tok)
-    toks.append(Token("end", "", len(text)))
+    end = Token("end", "", len(text))
+    toks += (end, end)
     return toks
 
 
@@ -174,10 +188,12 @@ class _Parser:
     # -- token helpers ------------------------------------------------------
 
     def _peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        # The parser never moves past the first end marker, and looks at
+        # most one token ahead, so the second marker bounds every index.
+        return self.toks[self.i + ahead]
 
     def _accept(self, *texts: str) -> str | None:
-        tok = self._peek()
+        tok = self.toks[self.i]
         if tok.text in texts:
             self.i += 1
             return tok.text

@@ -10,6 +10,8 @@ group.
 
 from __future__ import annotations
 
+import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cache, partial
@@ -19,6 +21,8 @@ from ..errors import EvalError, InvalidInput, read_lines, write_json_lines
 from .exact_match import compare_clauses, parse_or_error
 from .execution import EVAL_TIMEOUT_MS, execution_verdicts, run_or_error
 from .hardness import HARDNESS_LEVELS, classify_hardness
+
+log = logging.getLogger("gtr")
 
 
 @dataclass
@@ -106,14 +110,26 @@ def resolve_db_path(db_dir: str | Path, db_id: str) -> Path | None:
     return None
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, or the machine's
+    CPU count where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _evaluate_group(
-    gold: str, db_id: str, pairs: list[dict], db_dir: str | Path, timeout_ms: int
+    gold: str, db_id: str, pairs: list[dict], db_path: Path | None, timeout_ms: int
 ) -> list[SqlEvalItem]:
-    """Score the pairs that share one gold and db_id.
+    """Score the pairs that share one gold and db_id, whose database file is
+    db_path (None when db_id resolves to none).
 
     Each distinct text is parsed at most once and each distinct statement
     run at most once, so a pred equal to its gold reuses the gold's parse
-    and result. Both are dropped when the group is scored.
+    and result. Both are dropped when the group is scored. EX ordering is
+    read from the gold's parse; only a gold that fails to parse is lexed
+    again for it.
     """
     parse = cache(parse_or_error)
     gold_cs, gold_error = parse(gold)
@@ -140,14 +156,16 @@ def _evaluate_group(
                 item.em = all(item.em_clauses.values())
         items.append(item)
 
-    db_path = resolve_db_path(db_dir, db_id)
     if db_path is None:
         for item in items:
             item.error = f"database not found for db_id {db_id!r}"
         return items
     run = cache(partial(run_or_error, db_path=db_path, timeout_ms=timeout_ms))
     try:
-        verdicts = execution_verdicts(gold, run(gold), (run(item.pred) for item in items))
+        verdicts = execution_verdicts(
+            gold, run(gold), (run(item.pred) for item in items),
+            ordered=None if gold_cs is None else gold_cs.ordered,
+        )
     except EvalError as e:
         for item in items:
             item.error = str(e)
@@ -167,8 +185,10 @@ def evaluate_suite(
     """Score every {question, pred, gold, db_id} pair; never aborts mid-suite.
 
     Pairs are scored in groups that share a gold and a db_id (see
-    _evaluate_group); with jobs above 1, groups run on a thread pool. Items
-    come back in input order.
+    _evaluate_group), each db_id resolved once. Groups run on as many
+    threads as the least of jobs, the group count and the CPUs the process
+    may use; when that is 1, they run inline and no thread pool starts.
+    Items come back in input order.
 
     Item-level failures (parse errors, missing databases, failing gold
     queries) are recorded on the item. EX for items whose gold query fails
@@ -190,14 +210,24 @@ def evaluate_suite(
     for i, pair in enumerate(pairs):
         groups.setdefault((pair["gold"], pair["db_id"]), []).append(i)
 
+    db_ids = {db_id for _, db_id in groups}
+    db_paths = {db_id: resolve_db_path(db_dir, db_id) for db_id in db_ids}
+
     def score(group: tuple[tuple[str, str], list[int]]) -> list[SqlEvalItem]:
         (gold, db_id), indices = group
-        return _evaluate_group(gold, db_id, [pairs[i] for i in indices], db_dir, timeout_ms)
+        return _evaluate_group(
+            gold, db_id, [pairs[i] for i in indices], db_paths[db_id], timeout_ms
+        )
 
-    if jobs == 1 or len(groups) == 1:
+    cpus = _usable_cpus()
+    threads = min(jobs, len(groups), cpus)
+    log.debug("sql eval: %d pairs in %d groups on %d thread(s), the least of "
+              "jobs %d, the group count and %d usable CPUs",
+              len(pairs), len(groups), threads, jobs, cpus)
+    if threads == 1:
         scored = list(map(score, groups.items()))
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             scored = list(pool.map(score, groups.items()))
     items: list[SqlEvalItem] = [None] * len(pairs)
     for indices, group_items in zip(groups.values(), scored):

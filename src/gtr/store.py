@@ -71,6 +71,7 @@ from .errors import (
     InvalidInput,
     ZeroVector,
     check_unicode,
+    loads_json,
 )
 
 log = logging.getLogger("gtr")
@@ -706,7 +707,7 @@ def _json_line(line: bytes):
     except UnicodeDecodeError as e:
         raise InvalidInput(f"not UTF-8: {e.reason} at byte {e.start}") from None
     try:
-        return json.loads(text)
+        return loads_json(text)
     except ValueError as e:  # JSONDecodeError, or an over-long integer
         raise InvalidInput(f"malformed JSON: {e}") from None
 

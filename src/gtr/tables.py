@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import io
+import logging
 import os
 import re
 import sqlite3
@@ -54,6 +55,8 @@ from .llm import QUESTION_LINE_PREFIX, LlmConfig, complete
 from .pipeline import AnswerTrace, Query, build_store, check_store
 from .sqllex import tokenize
 from .store import VectorStore, _stat_key
+
+log = logging.getLogger("gtr")
 
 DEFAULT_SAMPLE_LIMIT = 5
 DEFAULT_ROW_LIMIT = 1000
@@ -361,7 +364,8 @@ def execute_sql(
             view or a table SQLite protects, such as sqlite_master.
         SqlError: the engine rejected the statement (engine message kept),
             or it holds a lone surrogate, which SQLite cannot be sent.
-        QueryTimeout: execution exceeded timeout_ms.
+        QueryTimeout: execution exceeded timeout_ms; one WARNING on the
+            ``gtr`` logger names the database and the limit.
         DbUnreadable: missing or unopenable database file.
     """
     _check_limits(timeout_ms, row_limit)
@@ -388,6 +392,7 @@ def execute_sql(
         if _REFUSAL_RE.fullmatch(str(e)):
             raise NonReadStatement(f"statement may only read: {e}")
         if isinstance(e, sqlite3.OperationalError) and "interrupt" in str(e).lower():
+            log.warning("sql on %s: statement exceeded its %d ms limit", db_path, timeout_ms)
             raise QueryTimeout(f"statement exceeded {timeout_ms} ms")
         raise SqlError(str(e))
     finally:

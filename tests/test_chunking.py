@@ -160,6 +160,14 @@ class TestLoadDocuments:
         with pytest.raises(InvalidInput, match="malformed JSON on line 2"):
             load_documents(path)
 
+    def test_deep_nesting_names_line(self, tmp_path):
+        # json.loads raises RecursionError here; it used to escape.
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"id": "a", "text": "x"}\n' + "[" * 5000 + "\n", encoding="utf-8")
+        with pytest.raises(InvalidInput, match=f"^{path}: malformed JSON on line 2: "
+                           r"nested too deeply: line 1 column 5000 \(char 4999\)$"):
+            load_documents(path)
+
     @pytest.mark.parametrize("line", [
         '{"id": null, "text": "x"}',
         '{"id": 7, "text": "x"}',

@@ -290,6 +290,13 @@ class TestLoadItems:
         with pytest.raises(InvalidInput, match=f"{path}: malformed JSON on line 2"):
             load_items_jsonl(path)
 
+    def test_deep_nesting_names_file_and_line(self, tmp_path):
+        path = tmp_path / "items.jsonl"
+        path.write_text("\n" + '{"question": ' + "[" * 5000 + "\n", encoding="utf-8")
+        with pytest.raises(InvalidInput, match=f"{path}: malformed JSON on line 2: "
+                           "nested too deeply: line 1 column 5013"):
+            load_items_jsonl(path)
+
     @pytest.mark.parametrize("field", ["question", "reference", "candidate"])
     @pytest.mark.parametrize("raw", ["null", "7", "true", '["a"]', '{"t": "a"}'])
     def test_text_must_be_a_json_string(self, tmp_path, field, raw):

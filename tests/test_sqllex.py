@@ -217,6 +217,34 @@ class TestAgainstEarlierParser:
         assert queries > 400
 
 
+class TestOrderingFromTheParse:
+    """EX compares rows in order when the gold orders its output. The suite
+    reads that from the gold's parse (``ClauseSets.ordered``), the text rule
+    ``has_top_level_order_by`` being kept for a gold that does not parse."""
+
+    def test_equals_the_text_rule_on_every_parseable_query(self):
+        seen = {True: 0, False: 0}
+        for sql in FIXTURE_QUERIES + CONSTRUCTS + RANDOM_QUERIES:
+            try:
+                cs = parse_sql(sql)
+            except ParseError:
+                continue
+            assert cs.ordered is has_top_level_order_by(sql), sql
+            seen[cs.ordered] += 1
+        assert seen[True] > 20 and seen[False] > 200
+
+    @pytest.mark.parametrize("sql,expected", [
+        ("SELECT a FROM t ORDER BY a UNION SELECT a FROM u", True),
+        ("SELECT a FROM t UNION SELECT a FROM u EXCEPT SELECT a FROM v ORDER BY a", True),
+        ("SELECT a FROM (SELECT a FROM t ORDER BY a) UNION SELECT a FROM u", False),
+        ("SELECT a FROM t WHERE a IN (SELECT a FROM u ORDER BY a LIMIT 1)", False),
+        ("SELECT a FROM t WHERE a > (SELECT a FROM u UNION SELECT a FROM v ORDER BY a)", False),
+    ])
+    def test_set_op_chain_and_nested_queries(self, sql, expected):
+        assert parse_sql(sql).ordered is expected
+        assert has_top_level_order_by(sql) is expected
+
+
 class TestDeliberateDifferences:
     """Each place the new scanners part from the old ones on purpose."""
 

@@ -191,8 +191,6 @@ FIXED = {
     "unknown_kind": _with_lines(_line("b"), _line("a", kind="row")),
     "lone_surrogate": _with_lines(_line("b"), _line("a", text=f"x{SURROGATE}")),
     "not_utf8": _with_lines(_line("b"), _line("a", text="é").replace(b"\xc3", b"\xff")),
-    "duplicate_then_deep_nesting": _with_lines(_line("a"), _line("a"), b"[" * 5000),
-    "deep_nesting": _with_lines(_line("a"), b"[" * 5000),
     "duplicate_in_a_later_block": _with_lines(*map(_line, "abcdefghia")),
     "duplicate_within_a_block": _with_lines(*map(_line, "abcdefgg")),
 }
@@ -207,6 +205,27 @@ def test_fixed_cases_load_as_before(tmp_path, small_blocks, case):
     if case in ("space_after_id", "reordered_keys", "escaped_letter", "duplicated_id_key",
                 "cr_between_tokens", "duplicated_metadata_key", "many_metadata_pairs"):
         assert isinstance(result[0], list)
+
+
+# Lines nested past the JSON decoder's recursion limit. The per-line
+# loader let its RecursionError escape; each file is now refused naming
+# its row, with the first fault in the file reported.
+DEEP = {
+    "duplicate_then_deep_nesting": (
+        _with_lines(_line("a"), _line("a"), b"[" * 5000),
+        "row 1: record id 'a' already present"),
+    "deep_nesting": (
+        _with_lines(_line("a"), b"[" * 5000),
+        "row 1: malformed JSON: nested too deeply: line 1 column 5000 (char 4999)"),
+}
+
+
+@pytest.mark.parametrize("case", DEEP)
+def test_deep_nesting_is_refused_naming_its_row(tmp_path, small_blocks, case):
+    data, message = DEEP[case]
+    path = tmp_path / "s.gtr"
+    path.write_bytes(data)
+    assert outcome(VectorStore.load, path) == ("CorruptStore", f"{path}: {message}")
 
 
 def test_lines_a_save_writes_take_no_json_parse(tmp_path, monkeypatch):

@@ -1,12 +1,16 @@
 import json
+import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import pytest
 
+from gtr import tables
 from gtr.errors import InvalidInput
 from gtr.sqleval import (
-    SqlEvalReport, evaluate_suite, exact_match, execution, load_pairs, suite,
+    SqlEvalReport, evaluate_suite, exact_match, execution, load_pairs, parser, suite,
 )
+from gtr.sqllex import tokenize
 
 from conftest import build_toy_db
 
@@ -144,6 +148,67 @@ class TestEvaluateSuite:
                             lambda *a, **k: pytest.fail("a thread pool was started"))
         report = evaluate_suite([pair("SELECT name FROM singer")] * 3, db_dir)
         assert report.summary()["em"] == 1.0
+
+    def test_one_usable_cpu_starts_no_thread_pool(self, db_dir, monkeypatch, caplog):
+        monkeypatch.setattr(suite, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(suite, "ThreadPoolExecutor",
+                            lambda *a, **k: pytest.fail("a thread pool was started"))
+        pairs = [pair("SELECT name FROM singer"), pair("SELECT count(*) FROM stadium"),
+                 pair("SELECT age FROM singer")] * 2
+        with caplog.at_level(logging.DEBUG, logger="gtr"):
+            report = evaluate_suite(pairs, db_dir, jobs=4)
+        assert report.summary()["ex"] == 1.0
+        assert [r.getMessage() for r in caplog.records] == [
+            "sql eval: 6 pairs in 3 groups on 1 thread(s), the least of jobs 4, "
+            "the group count and 1 usable CPUs"]
+
+    @pytest.mark.parametrize("jobs, groups, workers", [(2, 3, [2]), (4, 3, [3]), (4, 1, [])])
+    def test_threads_are_the_least_of_jobs_groups_and_cpus(
+            self, db_dir, monkeypatch, jobs, groups, workers):
+        monkeypatch.setattr(suite, "_usable_cpus", lambda: 4)
+        started = []
+
+        def pool(max_workers):
+            started.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(suite, "ThreadPoolExecutor", pool)
+        golds = ["SELECT name FROM singer", "SELECT count(*) FROM stadium",
+                 "SELECT age FROM singer"][:groups]
+        report = evaluate_suite([pair(g) for g in golds] * 2, db_dir, jobs=jobs)
+        assert report.summary()["ex"] == 1.0
+        assert started == workers
+
+    def test_usable_cpus_reads_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(suite.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert suite._usable_cpus() == 2
+        monkeypatch.delattr(suite.os, "sched_getaffinity")
+        monkeypatch.setattr(suite.os, "cpu_count", lambda: 6)
+        assert suite._usable_cpus() == 6
+
+    def test_a_gold_that_parses_is_lexed_once_per_group(self, db_dir, monkeypatch):
+        lexed = []
+
+        def counted(sql):
+            lexed.append(sql)
+            return tokenize(sql)
+
+        for module in (parser, execution, tables):
+            monkeypatch.setattr(module, "tokenize", counted)
+        ordered = "SELECT name FROM singer ORDER BY age"
+        unparsed = "SELECT name FROM singer ORDER BY name COLLATE nocase"
+        pairs = [pair(ordered, "SELECT name FROM singer ORDER BY age DESC"),
+                 pair(ordered, "SELECT name FROM singer ORDER BY singer_id"),
+                 pair(ordered),
+                 pair("SELECT name FROM singer"),
+                 pair(unparsed, "SELECT name FROM singer ORDER BY name DESC"),
+                 pair(unparsed)]
+        report = evaluate_suite(pairs, db_dir)
+        assert [item.ex for item in report.items] == [False, False, True, True, False, True]
+        assert lexed.count(ordered) == 1 and lexed.count("SELECT name FROM singer") == 1
+        # A gold that fails to parse is lexed again for its ordering.
+        assert lexed.count(unparsed) == 2
+        assert "gold parse error" in report.items[4].error
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_is_refused_before_any_pair(self, db_dir, monkeypatch, jobs):

@@ -5,7 +5,8 @@ together, parsing and running each distinct statement once.
 ``sql_oracles.evaluate_suite`` parses and runs both queries of every pair.
 Their ``write_jsonl`` bytes must agree on every fixture list, on n-best
 suites whose golds have four preds each, and on items that end in errors,
-for one job and for two. No database file may change.
+for one job and for two, and for one usable CPU and for four. No database
+file may change.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fixtures_sql import (
     REFORMULATION_CASES,
     TABULAR_QUESTIONS,
 )
-from gtr.sqleval import evaluate_suite
+from gtr.sqleval import evaluate_suite, suite
 
 from conftest import build_toy_db
 
@@ -154,6 +155,19 @@ def test_report_bytes_equal_the_per_pair_scorer(db_dir, tmp_path, name, jobs):
     report.write_jsonl(tmp_path / "grouped.jsonl")
     assert (tmp_path / "grouped.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
     assert report.format_summary() == expected.format_summary()
+
+
+def test_report_bytes_do_not_depend_on_jobs_or_cpus(db_dir, tmp_path, monkeypatch):
+    # Every suite in one call, so groups of several golds, databases and
+    # errors are spread over the threads.
+    pairs = [p for name in sorted(SUITES) for p in SUITES[name]]
+    oracle.evaluate_suite(pairs, db_dir).write_jsonl(tmp_path / "oracle.jsonl")
+    expected = (tmp_path / "oracle.jsonl").read_bytes()
+    for cpus in (1, 4):
+        monkeypatch.setattr(suite, "_usable_cpus", lambda: cpus, raising=False)
+        for jobs in (1, 2, 4):
+            evaluate_suite(pairs, db_dir, jobs=jobs).write_jsonl(tmp_path / "got.jsonl")
+            assert (tmp_path / "got.jsonl").read_bytes() == expected, (cpus, jobs)
 
 
 def test_the_error_suite_reaches_every_error(db_dir):

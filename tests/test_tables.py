@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import logging
 import sqlite3
 from pathlib import Path
 
@@ -435,6 +436,16 @@ class TestExecuteSql:
         )
         with pytest.raises(QueryTimeout):
             execute_sql(heavy, toy_db, timeout_ms=5)
+
+    def test_timeout_logs_one_warning_naming_database_and_limit(self, toy_db, caplog):
+        heavy = "SELECT count(*) FROM " + ", ".join(f"singer t{i}" for i in range(9))
+        with caplog.at_level(logging.DEBUG, logger="gtr"):
+            execute_sql("SELECT count(*) FROM singer", toy_db, timeout_ms=5)
+            assert caplog.records == []
+            with pytest.raises(QueryTimeout):
+                execute_sql(heavy, toy_db, timeout_ms=5)
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("gtr", logging.WARNING, f"sql on {toy_db}: statement exceeded its 5 ms limit")]
 
     def test_database_file_never_mutates(self, toy_db):
         before = hashlib.sha256(toy_db.read_bytes()).hexdigest()
