@@ -1,8 +1,8 @@
 """The JSON POST both HTTP backends share, with one retry policy: a failed
-connection, a status other than 200, or a body that is not JSON is retried
-after ``BACKOFF_S``, then twice that, up to ``ATTEMPTS`` tries. Each retry
-logs one WARNING on the ``gtr`` logger, which Python's last-resort handler
-prints to stderr when no handler is configured.
+connection, a status other than 200, or a body that is not JSON, one nested
+too deeply included, is retried after ``BACKOFF_S``, then twice that, up to
+``ATTEMPTS`` tries. Each retry logs one WARNING on the ``gtr`` logger, which
+Python's last-resort handler prints to stderr when no handler is configured.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import time
 
-from .errors import BackendUnavailable
+from .errors import BackendUnavailable, loads_json
 
 ATTEMPTS = 3
 BACKOFF_S = 0.5
@@ -42,8 +42,8 @@ def post_json(url: str, payload: dict, timeout_s: float, backend: str):
             problem = f"returned HTTP {resp.status_code}"
             continue
         try:
-            return resp.json()
-        except ValueError as e:
+            return loads_json(resp.text)
+        except ValueError as e:  # JSONDecodeError, also for nesting too deep
             problem = f"returned a body that is not JSON: {e}"
     raise BackendUnavailable(
         f"{backend} backend failed after {ATTEMPTS} attempts: {problem}"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from functools import partial
 from pathlib import Path
 
 from ..errors import EvalError, GtrError
@@ -79,13 +78,28 @@ def results_match(gold: ResultSet, pred: ResultSet, ordered: bool) -> bool:
     return all(_rows_equal(g, p) for g, p in zip(gold_rows, pred_rows))
 
 
-def run_or_error(sql: str, db_path: str | Path, timeout_ms: int) -> ResultSet | GtrError:
-    """A run as execution_verdicts takes it: every row the statement
-    returns, or the GtrError it raised."""
+def run_or_error(
+    sql: str, db_path: str | Path, timeout_ms: int, row_limit: int | None = None
+) -> ResultSet | GtrError:
+    """A run as execution_verdicts takes it: the statement's rows, up to
+    row_limit (None: every row), or the GtrError it raised."""
     try:
-        return execute_sql(sql, db_path, timeout_ms=timeout_ms, row_limit=None)
+        return execute_sql(sql, db_path, timeout_ms=timeout_ms, row_limit=row_limit)
     except GtrError as e:
         return e
+
+
+def run_pred(
+    pred: str, gold: str, gold_run: ResultSet, db_path: str | Path, timeout_ms: int
+) -> ResultSet | GtrError:
+    """A pred's run against a gold that ran: the gold's own run when the
+    texts are equal, else at most one row more than the gold returned.
+    results_match refuses a run of another length first, so the rows past
+    that one would not change the verdict; a Cartesian product costs one
+    row more than the gold, not every row until the timeout."""
+    if pred == gold:
+        return gold_run
+    return run_or_error(pred, db_path, timeout_ms, row_limit=len(gold_run.rows) + 1)
 
 
 def execution_verdicts(
@@ -123,7 +137,9 @@ def execution_accuracy(
     timeout_ms: int = EVAL_TIMEOUT_MS,
 ) -> bool:
     """True iff pred's output matches gold's on this database, by the rule
-    of execution_verdicts. Pred runs only when gold ran."""
-    run = partial(run_or_error, db_path=db_path, timeout_ms=timeout_ms)
-    [verdict] = execution_verdicts(gold, run(gold), map(run, [pred]))
+    of execution_verdicts. Pred runs only when gold ran (see run_pred)."""
+    gold_run = run_or_error(gold, db_path, timeout_ms)
+    [verdict] = execution_verdicts(
+        gold, gold_run, (run_pred(text, gold, gold_run, db_path, timeout_ms) for text in [pred])
+    )
     return verdict

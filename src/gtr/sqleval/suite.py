@@ -19,7 +19,7 @@ from pathlib import Path
 
 from ..errors import EvalError, InvalidInput, read_lines, write_json_lines
 from .exact_match import compare_clauses, parse_or_error
-from .execution import EVAL_TIMEOUT_MS, execution_verdicts, run_or_error
+from .execution import EVAL_TIMEOUT_MS, execution_verdicts, run_or_error, run_pred
 from .hardness import HARDNESS_LEVELS, classify_hardness
 
 log = logging.getLogger("gtr")
@@ -127,7 +127,8 @@ def _evaluate_group(
 
     Each distinct text is parsed at most once and each distinct statement
     run at most once, so a pred equal to its gold reuses the gold's parse
-    and result. Both are dropped when the group is scored. EX ordering is
+    and result. A pred fetches at most one row more than the gold returned
+    (see run_pred). Both are dropped when the group is scored. EX ordering is
     read from the gold's parse; only a gold that fails to parse is lexed
     again for it.
     """
@@ -160,10 +161,12 @@ def _evaluate_group(
         for item in items:
             item.error = f"database not found for db_id {db_id!r}"
         return items
-    run = cache(partial(run_or_error, db_path=db_path, timeout_ms=timeout_ms))
+    gold_run = run_or_error(gold, db_path, timeout_ms)
+    run = cache(partial(run_pred, gold=gold, gold_run=gold_run, db_path=db_path,
+                        timeout_ms=timeout_ms))
     try:
         verdicts = execution_verdicts(
-            gold, run(gold), (run(item.pred) for item in items),
+            gold, gold_run, (run(item.pred) for item in items),
             ordered=None if gold_cs is None else gold_cs.ordered,
         )
     except EvalError as e:

@@ -8,7 +8,9 @@ _authorize_read), so a run can never mutate the database. SQLite asks the
 authorizer about every table, column, function and pragma a statement
 uses, when it compiles the statement, so strings, quoted identifiers and
 comments are data, and a column named ``release`` is a column. Each thread
-reuses its read-only connections (see _connect_readonly).
+reuses its read-only connections, across other connections' commits too,
+and reopens one only for a rewrite SQLite itself cannot see, such as a
+file copied over in place (see _connect_readonly).
 
 SQL prompt template (bit-exact), one block per selected table in score
 order, then the question::
@@ -97,13 +99,17 @@ def _quote_ident(name: str) -> str:
 
 
 # Each thread keeps its most recently used read-only connections, keyed by
-# absolute path, each beside the stat identity its file had when opened.
+# absolute path: (stat identity when last checked, connection, its PRAGMA
+# data_version then, its catalog as read when opened).
 _MAX_CONNECTIONS = 8
+
+# The catalog _connect_readonly compares across a commit it did not make.
+_CATALOG = "SELECT type, name, tbl_name, rootpage, sql FROM sqlite_master"
 
 
 class _Connections(threading.local):
     def __init__(self):
-        self.lru: OrderedDict[str, tuple[tuple, sqlite3.Connection]] = OrderedDict()
+        self.lru: OrderedDict[str, tuple[tuple, sqlite3.Connection, int, list]] = OrderedDict()
 
 
 _connections = _Connections()
@@ -112,9 +118,10 @@ os.register_at_fork(after_in_child=lambda: _connections.lru.clear())
 
 
 # The actions a read may ask of SQLite. Besides reading, profile_tables
-# reads PRAGMA table_info, and SQLite asks to UPDATE sqlite_master itself
-# when it declares a table-valued function such as json_each; it refuses a
-# statement that writes sqlite_master before it asks the authorizer.
+# reads PRAGMA table_info, _connect_readonly reads PRAGMA data_version, and
+# SQLite asks to UPDATE sqlite_master itself when it declares a
+# table-valued function such as json_each; it refuses a statement that
+# writes sqlite_master before it asks the authorizer.
 _READ_ACTIONS = frozenset(
     {sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION,
      sqlite3.SQLITE_RECURSIVE}
@@ -124,7 +131,7 @@ _READ_ACTIONS = frozenset(
 def _authorize_read(action: int, arg1, arg2, db_name, source) -> int:
     allowed = (
         action in _READ_ACTIONS
-        or (action == sqlite3.SQLITE_PRAGMA and arg1.lower() == "table_info")
+        or (action == sqlite3.SQLITE_PRAGMA and arg1.lower() in ("table_info", "data_version"))
         or (action == sqlite3.SQLITE_UPDATE and arg1 == "sqlite_master")
     )
     return sqlite3.SQLITE_OK if allowed else sqlite3.SQLITE_DENY
@@ -132,12 +139,22 @@ def _authorize_read(action: int, arg1, arg2, db_name, source) -> int:
 
 def _connect_readonly(db_path: str | Path) -> sqlite3.Connection:
     """This thread's read-only connection to db_path, opened on first use,
-    with _authorize_read as its authorizer.
+    with _authorize_read as its authorizer. Callers must not close it.
 
-    A cached connection is reused while the file keeps its (device, inode,
-    size, mtime): a file replaced or rewritten by something other than
-    SQLite gets a new connection. Commits made through SQLite are seen
-    anyway, when each read begins. Callers must not close it.
+    A cached connection is reused as it is while the file keeps its
+    (device, inode, size, mtime). SQLite sees commits anyway, when each
+    read begins. When only the size or mtime changed, the connection is
+    kept if SQLite saw a commit (its PRAGMA data_version moved, so it
+    reset its page cache) and its catalog reads as when it was opened (so
+    the schema it parsed then still holds). Otherwise, and for a new
+    (device, inode) such as after os.replace, it is closed, with one DEBUG
+    record on ``gtr`` naming the path and why, and a new one is opened.
+
+    The checks run before the caller's statement, so a change landing
+    between the stat and the statement is not checked for that statement.
+    A SQLite commit landing there moves data_version unrecorded; a later
+    rewrite from outside SQLite that leaves the same header bytes then
+    passes the check, and the connection serves stale pages.
     """
     path = Path(db_path)
     key = os.path.abspath(path)
@@ -149,10 +166,25 @@ def _connect_readonly(db_path: str | Path) -> sqlite3.Connection:
         st = identity = None
     cached = lru.pop(key, None)
     if cached is not None:
-        if cached[0] == identity:
+        old_identity, conn, version, catalog = cached
+        if old_identity == identity:
             lru[key] = cached
-            return cached[1]
-        cached[1].close()
+            return conn
+        reason = "file removed" if identity is None else "file replaced"
+        if identity is not None and identity[:2] == old_identity[:2]:
+            try:
+                [(new_version,)] = _fetch_all(conn, "PRAGMA data_version")
+                if new_version == version:
+                    reason = "file changed without a SQLite commit"
+                elif _fetch_all(conn, _CATALOG) != catalog:
+                    reason = "schema changed"
+                else:
+                    lru[key] = (identity, conn, new_version, catalog)
+                    return conn
+            except sqlite3.Error as e:
+                reason = f"file unreadable: {e}"
+        log.debug("sql connection to %s dropped: %s", path, reason)
+        conn.close()
     if st is None or not stat.S_ISREG(st.st_mode):
         raise DbUnreadable(f"database file not found: {path}")
     try:
@@ -162,11 +194,15 @@ def _connect_readonly(db_path: str | Path) -> sqlite3.Connection:
         raise DbUnreadable(f"cannot open {path}: {e}")
     conn.set_authorizer(_authorize_read)
     try:
-        _fetch_all(conn, "SELECT 1 FROM sqlite_master LIMIT 1")
+        # The catalog first: a rewrite landing between the two reads is
+        # then in the recorded version, so no later check can take it for
+        # a commit and keep a catalog older than it.
+        catalog = _fetch_all(conn, _CATALOG)
+        [(version,)] = _fetch_all(conn, "PRAGMA data_version")
     except sqlite3.Error as e:
         conn.close()  # else the error's traceback keeps the file open
         raise DbUnreadable(f"cannot open {path}: {e}")
-    lru[key] = (identity, conn)
+    lru[key] = (identity, conn, version, catalog)
     if len(lru) > _MAX_CONNECTIONS:
         lru.popitem(last=False)[1][1].close()
     return conn

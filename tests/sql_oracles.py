@@ -9,7 +9,9 @@ test oracles:
 * the difficulty counters from before one walker counted aggregates
   (``component_counts``);
 * the per-pair scorer that grouped scoring replaced in ``evaluate_suite``:
-  it parses and runs both queries of every pair.
+  it parses and runs both queries of every pair, each to its last row, as
+  ``execution_accuracy`` did before a pred's fetch was capped at one row
+  past its gold's (``full_fetch_accuracy``).
 
 Last, ``serialize``, which renders clause sets back to parseable SQL
 (placeholders as the stand-in literal ``1``), so that
@@ -21,12 +23,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from gtr.errors import EvalError, GtrError, ParseError
 from gtr.sqleval import parse_sql as _parse_sql
 from gtr.sqleval.exact_match import compare_clauses
-from gtr.sqleval.execution import execution_accuracy
+from gtr.sqleval.execution import execution_verdicts, run_or_error
 from gtr.sqleval.hardness import classify_hardness
 from gtr.sqleval.parser import (
     VALUE,
@@ -610,13 +613,21 @@ def _evaluate_one(pair: dict, db_dir: str | Path, timeout_ms: int) -> SqlEvalIte
         item.error = f"database not found for db_id {item.db_id!r}"
         return item
     try:
-        item.ex = execution_accuracy(pred, gold, db_path, timeout_ms=timeout_ms)
+        item.ex = full_fetch_accuracy(pred, gold, db_path, timeout_ms=timeout_ms)
     except EvalError as e:
         item.error = str(e)
     except GtrError as e:  # defensive: executor errors on pred score False
         item.ex = False
         item.error = str(e)
     return item
+
+
+def full_fetch_accuracy(pred: str, gold: str, db_path, *, timeout_ms: int = 30_000) -> bool:
+    """``execution_accuracy`` as it was: both statements run to their last
+    row, a pred equal to its gold run again."""
+    run = partial(run_or_error, db_path=db_path, timeout_ms=timeout_ms)
+    [verdict] = execution_verdicts(gold, run(gold), map(run, [pred]))
+    return verdict
 
 
 def evaluate_suite(pairs: list[dict], db_dir: str | Path,

@@ -1,9 +1,11 @@
 """Each thread reuses its read-only connections while a database file keeps
-its stat identity. These tests hold the cache's invariants: commits and
-rewrites are seen, no statement or deadline outlives its call, the cache is
-bounded, and neither a failed open nor a fork keeps a connection it should
-not."""
+its stat identity, and across a commit SQLite saw that leaves the catalog
+as it was. These tests hold the cache's invariants: commits and rewrites
+are seen, a commit opens no connection, each dropped connection is logged,
+no statement or deadline outlives its call, the cache is bounded, and
+neither a failed open nor a fork keeps a connection it should not."""
 
+import logging
 import os
 import shutil
 import sqlite3
@@ -57,6 +59,37 @@ def make_db(path, names) -> None:
     conn.executemany("INSERT INTO singer VALUES (?)", [(n,) for n in names])
     conn.commit()
     conn.close()
+
+
+def counted_db(path, table, names, commits) -> None:
+    """One table of names whose file has seen `commits` write transactions,
+    the first creating the table, with schema cookie 1 and one page of
+    rows, so files made alike differ only in their rows, the table's name
+    and the change counter."""
+    conn = sqlite3.connect(path)
+    conn.execute(f"CREATE TABLE {table} (name TEXT)")
+    conn.executemany(f"INSERT INTO {table} VALUES (?)", [(n,) for n in names])
+    conn.commit()
+    for version in range(1, commits - 1):
+        conn.execute(f"PRAGMA user_version = {version}")  # one transaction each
+    conn.close()
+
+
+def header(path) -> tuple:
+    """The file's (change counter, schema cookie), from its header."""
+    head = path.read_bytes()[:44]
+    return head[24:28], head[40:44]
+
+
+def rewrite_in_place(src, db) -> None:
+    """Copy src over db through db's own inode, asserting that only the
+    mtime tells the file has changed."""
+    before = os.stat(db)
+    time.sleep(0.05)  # past the file system's timestamp tick
+    shutil.copyfile(src, db)
+    after = os.stat(db)
+    assert (after.st_ino, after.st_size) == (before.st_ino, before.st_size)
+    assert after.st_mtime_ns != before.st_mtime_ns, "file system kept the mtime"
 
 
 def names(db) -> list:
@@ -238,3 +271,106 @@ def test_a_forked_child_opens_its_own_connection(toy_db):
     assert verdict == b"1"
     assert execute_sql("SELECT count(*) FROM singer", toy_db).rows == [(6,)]
     assert tables._connect_readonly(toy_db) is parent_conn
+
+
+def test_commits_keep_one_connection_and_each_is_seen(tmp_path, monkeypatch):
+    db = tmp_path / "db.sqlite"
+    make_db(db, ["ann"])
+    writer = sqlite3.connect(db)
+    opened = []
+    connect = sqlite3.connect
+    monkeypatch.setattr(sqlite3, "connect", lambda *a, **kw: opened.append(a) or connect(*a, **kw))
+    sizes = set()
+    for i in range(10):
+        # A name longer than a page grows the file at every commit.
+        writer.execute("INSERT INTO singer VALUES (?)", (str(i) * 5000,))
+        writer.commit()
+        sizes.add(os.stat(db).st_size)
+        last = "SELECT name FROM singer ORDER BY rowid DESC LIMIT 1"
+        assert execute_sql(last, db).rows == [(str(i) * 5000,)]
+    writer.close()
+    assert len(sizes) == 10
+    assert len(opened) == 1
+
+
+def test_a_rewrite_with_another_schema_is_seen(tmp_path):
+    db, other = tmp_path / "db.sqlite", tmp_path / "other.sqlite"
+    counted_db(db, "singer", ["ann", "bob"], commits=2)
+    counted_db(other, "band", ["cat", "dan"], commits=3)
+    (db_counter, db_cookie), (other_counter, other_cookie) = header(db), header(other)
+    # SQLite resets its pages on the new counter, but keeps the schema it
+    # parsed, as the cookie is equal: singer would read band's rows.
+    assert db_counter != other_counter and db_cookie == other_cookie
+    assert names(db) == ["ann", "bob"]
+    rewrite_in_place(other, db)
+    with pytest.raises(SqlError, match="no such table: singer"):
+        names(db)
+    assert execute_sql("SELECT name FROM band", db).rows == [("cat",), ("dan",)]
+
+
+def test_a_rewrite_with_other_rows_and_a_new_counter_keeps_the_connection(tmp_path):
+    db, other = tmp_path / "db.sqlite", tmp_path / "other.sqlite"
+    counted_db(db, "singer", ["ann", "bob"], commits=2)
+    counted_db(other, "singer", ["cat", "dan"], commits=3)
+    assert header(db)[0] != header(other)[0]
+    assert names(db) == ["ann", "bob"]
+    conn = tables._connect_readonly(db)
+    rewrite_in_place(other, db)
+    assert names(db) == ["cat", "dan"]
+    assert tables._connect_readonly(db) is conn
+
+
+def test_a_table_added_through_sqlite_can_be_read(tmp_path):
+    db = tmp_path / "db.sqlite"
+    make_db(db, ["ann"])
+    assert names(db) == ["ann"]
+    writer = sqlite3.connect(db)
+    writer.execute("CREATE TABLE band (name TEXT)")
+    writer.execute("INSERT INTO band VALUES ('cat')")
+    writer.commit()
+    writer.close()
+    assert execute_sql("SELECT name FROM band", db).rows == [("cat",)]
+    assert names(db) == ["ann"]
+
+
+def test_each_dropped_connection_logs_why(tmp_path, caplog):
+    db = tmp_path / "db.sqlite"
+    made = {}
+    for name, rows in {"first": ["ann", "bob"], "second": ["cat", "dan"],
+                       "third": ["eve", "fay"]}.items():
+        made[name] = tmp_path / f"{name}.sqlite"
+        counted_db(made[name], "singer", rows, commits=2)
+    shutil.copyfile(made["first"], db)
+    with caplog.at_level(logging.DEBUG, logger="gtr"):
+        assert names(db) == ["ann", "bob"]
+        before = os.stat(db)
+        time.sleep(0.05)
+        writer = sqlite3.connect(db)
+        writer.execute("UPDATE singer SET name = 'amy' WHERE name = 'ann'")
+        writer.commit()
+        writer.close()
+        assert os.stat(db).st_mtime_ns != before.st_mtime_ns
+        assert names(db) == ["amy", "bob"]  # kept across the commit, unlogged
+        os.replace(made["second"], db)
+        assert names(db) == ["cat", "dan"]
+        rewrite_in_place(made["third"], db)  # the same change counter
+        assert names(db) == ["eve", "fay"]
+        writer = sqlite3.connect(db)
+        writer.execute("CREATE TABLE band (name TEXT)")
+        writer.commit()
+        writer.close()
+        assert names(db) == ["eve", "fay"]
+        db.write_bytes(b"not a database, only text\n" * 20)
+        with pytest.raises(DbUnreadable, match="cannot open"):
+            names(db)
+        shutil.copyfile(made["first"], db)
+        assert names(db) == ["ann", "bob"]  # nothing cached to drop
+        db.unlink()
+        with pytest.raises(DbUnreadable, match="not found"):
+            names(db)
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("gtr", logging.DEBUG, f"sql connection to {db} dropped: {reason}")
+        for reason in ("file replaced", "file changed without a SQLite commit",
+                       "schema changed", "file unreadable: file is not a database",
+                       "file removed")
+    ]

@@ -1,11 +1,16 @@
 import hashlib
+import sqlite3
+import time
+import tracemalloc
 
 import pytest
 
 from gtr.errors import EvalError
-from gtr.sqleval import exact_set_match, execution_accuracy, has_top_level_order_by
+from gtr.sqleval import (evaluate_suite, exact_set_match, execution, execution_accuracy,
+                         has_top_level_order_by)
 
 from fixtures_sql import EX_CASES, REFORMULATION_CASES
+from sql_oracles import full_fetch_accuracy
 
 
 class TestExecutionAccuracy:
@@ -35,6 +40,74 @@ class TestExecutionAccuracy:
         for pred, gold, _, _ in EX_CASES:
             execution_accuracy(pred, gold, toy_db)
         assert hashlib.sha256(toy_db.read_bytes()).hexdigest() == before
+
+
+# A join that forgot its condition: 20,000 x 20,000 rows.
+CARTESIAN = "SELECT a.a FROM t a, t b"
+
+
+@pytest.fixture
+def big_db(tmp_path):
+    path = tmp_path / "big.sqlite"
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE t (a INTEGER)")
+    conn.executemany("INSERT INTO t VALUES (?)", ((i,) for i in range(20_000)))
+    conn.commit()
+    conn.close()
+    return path
+
+
+class TestPredFetchesOneRowPastTheGold:
+    @pytest.mark.parametrize("gold", ["SELECT a FROM t WHERE a < 10",
+                                      "SELECT a FROM t WHERE a < 0"],
+                             ids=["ten rows", "no rows"])
+    def test_a_cartesian_product_scores_false_at_once(self, big_db, gold):
+        pair = {"question": "q", "gold": gold, "pred": CARTESIAN, "db_id": "big"}
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            # Fetched to the end, each would run until its 500 ms timeout.
+            accurate = execution_accuracy(CARTESIAN, gold, big_db, timeout_ms=500)
+            [item] = evaluate_suite([pair], big_db.parent, timeout_ms=500).items
+        finally:
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert accurate is False and (item.ex, item.error) == (False, None)
+        assert elapsed < 0.5
+        assert peak < 2 * 2**20
+
+    def test_a_pred_equal_to_its_gold_reuses_the_gold_run(self, toy_db, monkeypatch):
+        calls = []
+        execute_sql = execution.execute_sql
+        monkeypatch.setattr(execution, "execute_sql", lambda sql, db, **kw: (
+            calls.append((sql, kw["row_limit"])) or execute_sql(sql, db, **kw)))
+        gold = "SELECT name FROM singer"
+        assert execution_accuracy(gold, gold, toy_db) is True
+        assert calls == [(gold, None)]
+        calls.clear()
+        pred = "SELECT name FROM singer WHERE age > 40"
+        assert execution_accuracy(pred, gold, toy_db) is False
+        assert calls == [(gold, None), (pred, 7)]  # the gold has 6 rows
+
+    @pytest.mark.parametrize("pred,gold,expected,label", EX_CASES,
+                             ids=[case[3] for case in EX_CASES])
+    def test_verdicts_equal_the_full_fetch(self, toy_db, pred, gold, expected, label):
+        assert (execution_accuracy(pred, gold, toy_db)
+                is full_fetch_accuracy(pred, gold, toy_db) is expected), label
+
+    @pytest.mark.parametrize("pred", [
+        "SELECT a FROM t WHERE a < 11", "SELECT a FROM t WHERE a < 10",
+        "SELECT a FROM t WHERE a < 9", "SELECT a FROM t WHERE a BETWEEN 1 AND 10",
+        "SELECT a FROM t WHERE a < 10 UNION ALL SELECT 0", CARTESIAN + " LIMIT 10",
+        "SELECT a FROM t WHERE a < 0",
+    ])
+    @pytest.mark.parametrize("gold", ["SELECT a FROM t WHERE a < 10",
+                                      "SELECT a FROM t WHERE a < 10 ORDER BY a DESC",
+                                      "SELECT a FROM t WHERE a < 0"])
+    def test_verdicts_near_the_limit_equal_the_full_fetch(self, big_db, pred, gold):
+        assert (execution_accuracy(pred, gold, big_db)
+                is full_fetch_accuracy(pred, gold, big_db))
 
 
 class TestStructuralMatchImpliesExecutionMatch:

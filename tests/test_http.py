@@ -44,6 +44,15 @@ class TestLlmRetries:
         assert complete("x", llm(server)).text == "ok"
         assert len(server.requests) == 2
 
+    def test_deeply_nested_json_is_retried_then_unavailable(self, json_server, monkeypatch):
+        monkeypatch.setattr(_http, "BACKOFF_S", 0)
+        server = json_server(lambda path, body: (200, b"[" * 5000))
+        with pytest.raises(BackendUnavailable,
+                           match="after 3 attempts: returned a body that is not JSON: "
+                                 "nested too deeply"):
+            complete("x", llm(server))
+        assert len(server.requests) == 3
+
     def test_malformed_json_is_not_retried(self, json_server):
         server = json_server(lambda path, body: (200, {"nope": 1}))
         with pytest.raises(BackendUnavailable, match="malformed body"):

@@ -296,6 +296,7 @@ class TestReadOnlyGuard:
             "VALUES (1, 'a'), (2, 'b')",
             "PRAGMA table_info(singer)",
             "PRAGMA TABLE_INFO(albums)",
+            "PRAGMA data_version",
         ],
     )
     def test_reads_allowed(self, guard_db, sql):
