@@ -87,8 +87,10 @@ def extract_question(prompt: str) -> str:
 
     Templates place the question after the context blocks, so the last
     matching line is the template's own even if quoted data contains one.
+    Lines end at ``\n`` only, as the templates end them, so a question
+    holding another line boundary of str.splitlines is read whole.
     """
-    for line in reversed(prompt.splitlines()):
+    for line in reversed(prompt.split("\n")):
         if line.startswith(QUESTION_LINE_PREFIX):
             return line[len(QUESTION_LINE_PREFIX) :]
     raise MalformedPrompt("prompt has no 'Question: ' line")

@@ -28,7 +28,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
-from .chunking import token_count, token_texts
+from .chunking import token_texts
 from .embedding import EmbedderConfig, embed_batch
 from .errors import InvalidInput, check_unicode, read_json_lines, write_json_lines
 from .store import cosine
@@ -165,13 +165,10 @@ class GtrEvalItem:
     candidate: str
     truthful: int
     response_time_ms: float
-    candidate_tokens: int | None = None
 
     def __post_init__(self):
         if self.truthful not in (0, 1):
             raise InvalidInput(f"truthful must be 0 or 1, got {self.truthful!r}")
-        if self.candidate_tokens is None:
-            self.candidate_tokens = token_count(self.candidate)
 
 
 @dataclass
@@ -255,10 +252,11 @@ def aggregate(
             rouge.append((rouge_n(cand, ref, 1), rouge_n(cand, ref, 2), rouge_l(cand, ref)))
             # The memo still holds both sides' tokens from the ROUGE calls.
             pairs.append(((cand, _tokens(cand)), (ref, _tokens(ref))))
-        for item, scores, sas_score in zip(part, rouge, _sas_scores(pairs, config, first)):
+        sas_scores = _sas_scores(pairs, config, first)
+        for item, scores, sas_score, ((_, cand_tokens), _) in zip(part, rouge, sas_scores, pairs):
             results.append(TextEvalItemResult(
                 item.question, *scores, sas_score, item.truthful,
-                item.response_time_ms, item.candidate_tokens,
+                item.response_time_ms, len(cand_tokens),
             ))
     return TextEvalReport(results)
 

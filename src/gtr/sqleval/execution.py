@@ -1,6 +1,7 @@
 """Execution accuracy: compare what two queries actually return.
 
-Both statements run through the read-only executor. Rows compare as
+execution_verdicts is the whole rule: it runs the gold and each pred
+through the read-only executor and compares their rows. Rows compare as
 multisets unless the gold query orders its output, in which case sequences
 compare positionally. Numbers compare with 1e-6 relative tolerance, text
 case-sensitively, and NULL equals NULL.
@@ -9,7 +10,7 @@ case-sensitively, and NULL equals NULL.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Sequence
 from pathlib import Path
 
 from ..errors import EvalError, GtrError
@@ -78,55 +79,45 @@ def results_match(gold: ResultSet, pred: ResultSet, ordered: bool) -> bool:
     return all(_rows_equal(g, p) for g, p in zip(gold_rows, pred_rows))
 
 
-def run_or_error(
-    sql: str, db_path: str | Path, timeout_ms: int, row_limit: int | None = None
-) -> ResultSet | GtrError:
-    """A run as execution_verdicts takes it: the statement's rows, up to
-    row_limit (None: every row), or the GtrError it raised."""
-    try:
-        return execute_sql(sql, db_path, timeout_ms=timeout_ms, row_limit=row_limit)
-    except GtrError as e:
-        return e
-
-
-def run_pred(
-    pred: str, gold: str, gold_run: ResultSet, db_path: str | Path, timeout_ms: int
-) -> ResultSet | GtrError:
-    """A pred's run against a gold that ran: the gold's own run when the
-    texts are equal, else at most one row more than the gold returned.
-    results_match refuses a run of another length first, so the rows past
-    that one would not change the verdict; a Cartesian product costs one
-    row more than the gold, not every row until the timeout."""
-    if pred == gold:
-        return gold_run
-    return run_or_error(pred, db_path, timeout_ms, row_limit=len(gold_run.rows) + 1)
-
-
 def execution_verdicts(
     gold: str,
-    gold_run: ResultSet | GtrError,
-    pred_runs: Iterable[ResultSet | GtrError],
+    preds: Sequence[str],
+    db_path: str | Path,
+    timeout_ms: int = EVAL_TIMEOUT_MS,
     *,
     ordered: bool | None = None,
 ) -> list[bool]:
-    """The EX rule: each pred's run scored against one run of the gold.
+    """The EX rule: each pred's rows scored against the gold's on db_path.
 
-    A run is the statement's ResultSet, or the GtrError it raised. A failing
-    gold raises EvalError, since the defect is in the dataset rather than
-    the model, before pred_runs is read, so a lazy iterable runs no pred. A
-    failing pred scores False; otherwise rows compare by results_match, in
+    The gold runs first, to its last row; a failing gold raises EvalError,
+    since the defect is in the dataset rather than the model, and no pred
+    runs. Each distinct pred then runs once, fetching at most one row more
+    than the gold returned: results_match refuses a run of another length
+    first, so a Cartesian product costs one row more than the gold, not
+    every row until the timeout. A pred equal to the gold reuses its run.
+    A failing pred scores False; otherwise rows compare by results_match, in
     order only when the gold orders its output. ``ordered`` says whether it
     does, as a caller that parsed the gold knows (``ClauseSets.ordered``);
     None reads it from the gold's text with has_top_level_order_by.
     """
-    if isinstance(gold_run, GtrError):
-        raise EvalError(f"gold query failed: {gold_run}") from gold_run
     if ordered is None:
         ordered = has_top_level_order_by(gold)
-    return [
-        not isinstance(run, GtrError) and results_match(gold_run, run, ordered)
-        for run in pred_runs
-    ]
+    gold_run = None
+    verdicts: dict[str, bool] = {}
+    for sql in dict.fromkeys([gold, *preds]):
+        try:
+            run = execute_sql(sql, db_path, timeout_ms=timeout_ms,
+                              row_limit=None if gold_run is None else len(gold_run.rows) + 1)
+        except GtrError as e:
+            if gold_run is None:
+                raise EvalError(f"gold query failed: {e}") from e
+            verdicts[sql] = False
+            continue
+        if gold_run is None:
+            gold_run = run
+        # The gold's own run, which a pred equal to it reuses, matches.
+        verdicts[sql] = run is gold_run or results_match(gold_run, run, ordered)
+    return [verdicts[pred] for pred in preds]
 
 
 def execution_accuracy(
@@ -136,10 +127,7 @@ def execution_accuracy(
     *,
     timeout_ms: int = EVAL_TIMEOUT_MS,
 ) -> bool:
-    """True iff pred's output matches gold's on this database, by the rule
-    of execution_verdicts. Pred runs only when gold ran (see run_pred)."""
-    gold_run = run_or_error(gold, db_path, timeout_ms)
-    [verdict] = execution_verdicts(
-        gold, gold_run, (run_pred(text, gold, gold_run, db_path, timeout_ms) for text in [pred])
-    )
+    """True iff pred's output matches gold's on this database: the rule of
+    execution_verdicts applied to one pred."""
+    [verdict] = execution_verdicts(gold, [pred], db_path, timeout_ms)
     return verdict

@@ -4,8 +4,8 @@ Input files follow the usual text-to-SQL layout: one query per line, with a
 tab-separated database id on each gold line. Databases resolve inside a
 directory as ``<db_id>/<db_id>.sqlite``, ``<db_id>.sqlite``, or
 ``<db_id>.db``; a db_id must be a plain name. Pairs that share a gold and a
-database are scored together, so each distinct statement runs once per
-group.
+database are scored together by one execution_verdicts call, so each
+distinct statement runs once per group.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 from ..errors import EvalError, InvalidInput, read_lines, write_json_lines
 from .exact_match import compare_clauses, parse_or_error
-from .execution import EVAL_TIMEOUT_MS, execution_verdicts, run_or_error, run_pred
+from .execution import EVAL_TIMEOUT_MS, execution_verdicts
 from .hardness import HARDNESS_LEVELS, classify_hardness
 
 log = logging.getLogger("gtr")
@@ -125,12 +125,11 @@ def _evaluate_group(
     """Score the pairs that share one gold and db_id, whose database file is
     db_path (None when db_id resolves to none).
 
-    Each distinct text is parsed at most once and each distinct statement
-    run at most once, so a pred equal to its gold reuses the gold's parse
-    and result. A pred fetches at most one row more than the gold returned
-    (see run_pred). Both are dropped when the group is scored. EX ordering is
-    read from the gold's parse; only a gold that fails to parse is lexed
-    again for it.
+    Each distinct text is parsed at most once, so a pred equal to its gold
+    reuses the gold's parse; the parses are dropped when the group is
+    scored. EX is one execution_verdicts call over the group's preds, which
+    runs each distinct statement once. EX ordering is read from the gold's
+    parse; only a gold that fails to parse is lexed again for it.
     """
     parse = cache(parse_or_error)
     gold_cs, gold_error = parse(gold)
@@ -161,12 +160,9 @@ def _evaluate_group(
         for item in items:
             item.error = f"database not found for db_id {db_id!r}"
         return items
-    gold_run = run_or_error(gold, db_path, timeout_ms)
-    run = cache(partial(run_pred, gold=gold, gold_run=gold_run, db_path=db_path,
-                        timeout_ms=timeout_ms))
     try:
         verdicts = execution_verdicts(
-            gold, gold_run, (run(item.pred) for item in items),
+            gold, [item.pred for item in items], db_path, timeout_ms,
             ordered=None if gold_cs is None else gold_cs.ordered,
         )
     except EvalError as e:

@@ -90,8 +90,9 @@ class TabularAnswer:
 
 
 # Each user table's name and CREATE statement, in catalog order, without
-# SQLite's internal sqlite_* tables.
-_USER_TABLES = "SELECT name, sql FROM sqlite_master WHERE type='table' AND name NOT LIKE 'sqlite_%'"
+# SQLite's internal sqlite_* tables (LIKE is case-blind; its _ is escaped).
+_USER_TABLES = (r"SELECT name, sql FROM sqlite_master WHERE type='table' "
+                r"AND name NOT LIKE 'sqlite\_%' ESCAPE '\'")
 
 
 def _quote_ident(name: str) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from gtr.chunking import token_texts
+from gtr.chunking import token_count, token_texts
 from gtr.embedding import EmbedderConfig, embed
 from gtr.errors import InvalidInput
 from gtr.metrics import (
@@ -105,7 +105,7 @@ def aggregate(
             sas=sas(item.candidate, item.reference, config),
             truthful=item.truthful,
             response_time_ms=item.response_time_ms,
-            candidate_tokens=item.candidate_tokens,
+            candidate_tokens=token_count(item.candidate),
         )
         for item in items
     ]

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 from gtr.errors import EvalError, GtrError, ParseError
 from gtr.sqleval import parse_sql as _parse_sql
 from gtr.sqleval.exact_match import compare_clauses
-from gtr.sqleval.execution import execution_verdicts, run_or_error
+from gtr.sqleval.execution import results_match
 from gtr.sqleval.hardness import classify_hardness
 from gtr.sqleval.parser import (
     VALUE,
@@ -41,6 +40,7 @@ from gtr.sqleval.parser import (
     ValExpr,
 )
 from gtr.sqleval.suite import SqlEvalItem, SqlEvalReport, resolve_db_path
+from gtr.tables import execute_sql
 
 # -- gtr.sqleval.parser ------------------------------------------------------
 
@@ -624,10 +624,19 @@ def _evaluate_one(pair: dict, db_dir: str | Path, timeout_ms: int) -> SqlEvalIte
 
 def full_fetch_accuracy(pred: str, gold: str, db_path, *, timeout_ms: int = 30_000) -> bool:
     """``execution_accuracy`` as it was: both statements run to their last
-    row, a pred equal to its gold run again."""
-    run = partial(run_or_error, db_path=db_path, timeout_ms=timeout_ms)
-    [verdict] = execution_verdicts(gold, run(gold), map(run, [pred]))
-    return verdict
+    row, a pred equal to its gold run again. A failing gold raises
+    EvalError; a failing pred scores False. It shares only results_match
+    with ``gtr.sqleval.execution``; ordering is read by the character loop
+    above."""
+    try:
+        gold_run = execute_sql(gold, db_path, timeout_ms=timeout_ms, row_limit=None)
+    except GtrError as e:
+        raise EvalError(f"gold query failed: {e}") from e
+    try:
+        pred_run = execute_sql(pred, db_path, timeout_ms=timeout_ms, row_limit=None)
+    except GtrError:
+        return False
+    return results_match(gold_run, pred_run, has_top_level_order_by(gold))
 
 
 def evaluate_suite(pairs: list[dict], db_dir: str | Path,

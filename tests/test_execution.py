@@ -57,6 +57,16 @@ def big_db(tmp_path):
     return path
 
 
+@pytest.fixture
+def execute_calls(monkeypatch):
+    """Each (sql, row_limit) that execution's execute_sql is called with."""
+    calls = []
+    execute_sql = execution.execute_sql
+    monkeypatch.setattr(execution, "execute_sql", lambda sql, db, **kw: (
+        calls.append((sql, kw["row_limit"])) or execute_sql(sql, db, **kw)))
+    return calls
+
+
 class TestPredFetchesOneRowPastTheGold:
     @pytest.mark.parametrize("gold", ["SELECT a FROM t WHERE a < 10",
                                       "SELECT a FROM t WHERE a < 0"],
@@ -77,18 +87,14 @@ class TestPredFetchesOneRowPastTheGold:
         assert elapsed < 0.5
         assert peak < 2 * 2**20
 
-    def test_a_pred_equal_to_its_gold_reuses_the_gold_run(self, toy_db, monkeypatch):
-        calls = []
-        execute_sql = execution.execute_sql
-        monkeypatch.setattr(execution, "execute_sql", lambda sql, db, **kw: (
-            calls.append((sql, kw["row_limit"])) or execute_sql(sql, db, **kw)))
+    def test_a_pred_equal_to_its_gold_reuses_the_gold_run(self, toy_db, execute_calls):
         gold = "SELECT name FROM singer"
         assert execution_accuracy(gold, gold, toy_db) is True
-        assert calls == [(gold, None)]
-        calls.clear()
+        assert execute_calls == [(gold, None)]
+        execute_calls.clear()
         pred = "SELECT name FROM singer WHERE age > 40"
         assert execution_accuracy(pred, gold, toy_db) is False
-        assert calls == [(gold, None), (pred, 7)]  # the gold has 6 rows
+        assert execute_calls == [(gold, None), (pred, 7)]  # the gold has 6 rows
 
     @pytest.mark.parametrize("pred,gold,expected,label", EX_CASES,
                              ids=[case[3] for case in EX_CASES])
@@ -108,6 +114,29 @@ class TestPredFetchesOneRowPastTheGold:
     def test_verdicts_near_the_limit_equal_the_full_fetch(self, big_db, pred, gold):
         assert (execution_accuracy(pred, gold, big_db)
                 is full_fetch_accuracy(pred, gold, big_db))
+
+
+class TestExecutionVerdictsRunEachStatementOnce:
+    def test_the_gold_once_and_each_distinct_pred_once_capped(self, toy_db, execute_calls):
+        gold = "SELECT name FROM singer"  # 6 rows
+        older = "SELECT name FROM singer WHERE age > 40"
+        broken = "SELECT nope FROM singer"
+        sorted_ = "SELECT name FROM singer ORDER BY name"
+        preds = [older, gold, broken, older, sorted_, gold, broken]
+        verdicts = execution.execution_verdicts(gold, preds, toy_db)
+        assert verdicts == [False, True, False, False, True, True, False]
+        assert execute_calls == [(gold, None), (older, 7), (broken, 7), (sorted_, 7)]
+
+    def test_no_preds_runs_the_gold_alone(self, toy_db, execute_calls):
+        gold = "SELECT name FROM singer"
+        assert execution.execution_verdicts(gold, [], toy_db) == []
+        assert execute_calls == [(gold, None)]
+
+    def test_a_failing_gold_runs_no_pred(self, toy_db, execute_calls):
+        gold = "SELECT nope FROM nowhere"
+        with pytest.raises(EvalError, match="^gold query failed: "):
+            execution.execution_verdicts(gold, ["SELECT name FROM singer", gold], toy_db)
+        assert execute_calls == [(gold, None)]
 
 
 class TestStructuralMatchImpliesExecutionMatch:

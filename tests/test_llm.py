@@ -54,6 +54,17 @@ class TestTemplateSql:
     def test_extract_question(self):
         assert extract_question("a\nQuestion: who?\nSQL:") == "who?"
 
+    # Every line boundary of str.splitlines other than \n, \r and \r\n.
+    @pytest.mark.parametrize("boundary", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c",
+                                          "\x1c", "\x1d", "\x1e"])
+    def test_a_question_holding_another_line_boundary_is_read_whole(self, boundary):
+        question = f"how many singers{boundary}are there"
+        config = LlmConfig(backend="template_sql",
+                           sql_templates={question: "SELECT count(*) FROM singer"})
+        prompt = f"Table singer(name text)\nname\n\nQuestion: {question}\nSQL:"
+        assert extract_question(prompt) == question
+        assert complete(prompt, config).text == "SELECT count(*) FROM singer"
+
 
 class TestContract:
     def test_mock_determinism_and_zero_latency(self):

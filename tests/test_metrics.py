@@ -237,7 +237,7 @@ class TestLoadItems:
         path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
         items = load_items_jsonl(path)
         assert len(items) == 2
-        assert items[0].candidate_tokens == 2
+        assert aggregate(items, CONFIG).items[0].candidate_tokens == 2
 
     def test_malformed_line_three(self, tmp_path):
         path = tmp_path / "items.jsonl"

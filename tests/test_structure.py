@@ -159,7 +159,7 @@ def test_one_execution_accuracy_rule():
     assert "gold query failed" in ast.unparse(rule)
     assert {"results_match", "has_top_level_order_by"} <= set(_calls(rule))
     assert "execution_verdicts" in _calls(functions["execution.py", "execution_accuracy"])
-    # The suite runs statements and hands the runs to the rule; it makes no
+    # The suite hands its preds to the rule, which runs them; it makes no
     # verdict of its own.
     [suite_tree] = [tree for path, tree in _trees() if path.name == "suite.py"]
     called = set(_calls(suite_tree))
@@ -391,14 +391,14 @@ def test_sql_eval_runs_and_parses_through_one_helper_each():
                 for name in _calls(func):
                     if name in ("execute_sql", "parse_sql"):
                         sites.setdefault(name, []).append(f"{path.name}:{func.name}")
-    assert sites == {"execute_sql": ["execution.py:run_or_error"],
+    assert sites == {"execute_sql": ["execution.py:execution_verdicts"],
                      "parse_sql": ["exact_match.py:parse_or_error"]}
 
 
 def test_user_tables_are_listed_by_one_query():
     text = "".join(path.read_text(encoding="utf-8") for path in SRC.rglob("*.py"))
     assert text.count("sqlite_master WHERE type='table'") == 1
-    assert "NOT LIKE 'sqlite_%'" in text
+    assert r"NOT LIKE 'sqlite\_%' ESCAPE '\'" in text
 
 
 def test_a_files_identity_is_built_in_one_place():

@@ -78,6 +78,35 @@ class TestProfiles:
         with pytest.raises(SqlError, match="^cannot profile table 'garbled': .*UTF-8"):
             profile_tables(path)
 
+    def test_tables_named_almost_like_sqlites_own_are_profiled_indexed_and_answered(
+            self, tmp_path):
+        # SQLite reserves only the names that start with sqlite_, in any case.
+        path = tmp_path / "odd.sqlite"
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE sqlitefoo (x INTEGER PRIMARY KEY AUTOINCREMENT)")
+        conn.execute("CREATE TABLE SQLite1 (y TEXT)")
+        conn.execute("CREATE TABLE singer (name TEXT)")
+        conn.executemany("INSERT INTO sqlitefoo (x) VALUES (?)", [(1,), (2,)])
+        conn.execute("INSERT INTO SQLite1 VALUES ('a')")
+        conn.execute("ANALYZE")
+        conn.commit()
+        internal = {name for (name,) in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type='table' AND name LIKE 'sqlite!_%' "
+            "ESCAPE '!'")}
+        conn.close()
+        assert internal == {"sqlite_sequence", "sqlite_stat1"}
+        profiles = profile_tables(path)
+        assert [p.name for p in profiles] == ["sqlitefoo", "SQLite1", "singer"]
+        store = index_tables(profiles, CONFIG)
+        assert sorted(store.ids) == ["odd.SQLite1", "odd.singer", "odd.sqlitefoo"]
+        question = "how many rows has sqlitefoo?"
+        llm = LlmConfig(backend="template_sql",
+                        sql_templates={question: "SELECT count(*) FROM sqlitefoo"})
+        result = answer_tabular(Query(question), path, store, embedder_config=CONFIG,
+                                llm_config=llm)
+        assert result.result.rows == [(2,)]
+        assert "odd.sqlitefoo" in [rid for rid, _ in result.trace.retrieved]
+
 
 class TestCsv:
     def test_simple_table(self):
