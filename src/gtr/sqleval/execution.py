@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from ..errors import EvalError, GtrError
-from ..sqllex import tokenize
+from ..sqllex import texts
 from ..tables import ResultSet, execute_sql
 
 _REL_TOL = 1e-6
@@ -27,14 +27,14 @@ def has_top_level_order_by(sql: str) -> bool:
     """True when ORDER BY appears outside any parentheses, quotes or comments."""
     depth = 0
     prev = ""
-    for tok in tokenize(sql):
-        if tok.text == "(":
+    for tok in texts(sql):
+        if tok == "(":
             depth += 1
-        elif tok.text == ")":
+        elif tok == ")":
             depth = max(depth - 1, 0)
-        elif depth == 0 and prev == "order" and tok.text == "by":
+        elif depth == 0 and prev == "order" and tok == "by":
             return True
-        prev = tok.text
+        prev = tok
     return False
 
 

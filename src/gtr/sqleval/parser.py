@@ -6,8 +6,9 @@ with DISTINCT, one binary arithmetic step per expression, nested subqueries
 as comparison values, and INTERSECT / UNION / EXCEPT chains. Window
 functions, CTEs, and vendor extensions are out of scope and raise
 :class:`~gtr.errors.ParseError` (byte offset plus the expected-token set).
-Tokens come from :mod:`gtr.sqllex`, so ``--`` and ``/* */`` comments are
-accepted anywhere; backtick- and bracket-quoted identifiers are rejected.
+The parse walks the token texts of :mod:`gtr.sqllex`, so ``--`` and ``/* */``
+comments are accepted anywhere; backtick- and bracket-quoted identifiers are
+rejected. Token positions are lexed again only to report an error.
 
 Normal form produced by :func:`parse_sql`:
 
@@ -22,15 +23,17 @@ Normal form produced by :func:`parse_sql`:
 Clauses live in frozen sets (ORDER BY stays an ordered list), so two
 queries are structurally equal exactly when their :class:`ClauseSets`
 compare equal. OR-connector counts are carried for difficulty scoring but
-excluded from equality.
+excluded from equality. The terms in the clauses are named tuples, equal to
+plain tuples of the same fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..errors import ParseError
-from ..sqllex import Token, tokenize, unterminated
+from ..sqllex import Token, kind, texts, tokenize, unterminated
 
 VALUE = "VALUE"
 
@@ -50,35 +53,30 @@ _RESERVED = frozenset(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ColumnRef:
+class ColumnRef(NamedTuple):
     table: str | None
     name: str
 
 
-@dataclass(frozen=True)
-class ColumnTerm:
+class ColumnTerm(NamedTuple):
     agg: str  # "" or one of AGG_FUNCS
     distinct: bool
     ref: ColumnRef
 
 
-@dataclass(frozen=True)
-class ValExpr:
+class ValExpr(NamedTuple):
     op: str  # "" or one of + - * /
     left: ColumnTerm
     right: ColumnTerm | None
 
 
-@dataclass(frozen=True)
-class SelectTerm:
+class SelectTerm(NamedTuple):
     agg: str
     distinct: bool
     expr: ValExpr
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(NamedTuple):
     negated: bool
     op: str  # = > < >= <= != in like between is exists
     lhs: ValExpr | None  # None only for exists
@@ -126,26 +124,23 @@ class ClauseSets:
 
 
 # ---------------------------------------------------------------------------
-# Tokens
+# Errors
 # ---------------------------------------------------------------------------
 
 
-def _tokens(text: str) -> list[Token]:
-    """The text's tokens plus two end markers, so a look-ahead of one past
-    the first marker still finds one; a token the grammar has no use for
-    fails here, before parsing starts."""
-    toks = []
-    for tok in tokenize(text):
-        if tok.kind == "str" and unterminated(tok):
-            raise ParseError("unterminated string literal", _byte_offset(text, tok.pos))
+def _error(text: str, index: int, expected: tuple) -> ParseError:
+    """The error of a parse of ``text`` that failed at token ``index``. A
+    token the grammar has no use for, which no parse accepts, comes first."""
+    toks = [*tokenize(text), Token("end", "", len(text))]
+    for tok in toks:
+        if tok.kind == "str" and unterminated(tok.text):
+            return ParseError("unterminated string literal", _byte_offset(text, tok.pos))
         if tok.kind in ("qid", "other") or tok.text in ("||", "%"):
-            raise ParseError(
+            return ParseError(
                 f"unexpected character {tok.text[0]!r}", _byte_offset(text, tok.pos)
             )
-        toks.append(tok)
-    end = Token("end", "", len(text))
-    toks += (end, end)
-    return toks
+    what = "end of input" if toks[index].kind == "end" else repr(toks[index].text)
+    return ParseError(f"unexpected {what}", _byte_offset(text, toks[index].pos), expected)
 
 
 def _byte_offset(text: str, pos: int) -> int:
@@ -173,30 +168,30 @@ class _RawQuery:
 
 
 class _Parser:
-    """Recursive descent over the tokens, one method per grammar rule.
+    """Recursive descent over the token texts, one method per grammar rule.
 
     Tokens are matched on their text alone: :mod:`gtr.sqllex` lowercases
-    names and keeps the quotes of strings, so no data token's text equals a
-    keyword or an operator.
+    names and keeps the quotes of strings, so no text of a data token, or of
+    a token the grammar has no use for, equals a keyword or an operator.
     """
 
-    def __init__(self, text: str, toks: list[Token]):
+    def __init__(self, text: str):
         self.text = text
-        self.toks = toks
+        self.toks = [*texts(text), "", ""]
         self.i = 0
 
     # -- token helpers ------------------------------------------------------
 
-    def _peek(self, ahead: int = 0) -> Token:
-        # The parser never moves past the first end marker, and looks at
-        # most one token ahead, so the second marker bounds every index.
+    def _peek(self, ahead: int = 0) -> str:
+        # The parser never moves past the first of the two "" end markers,
+        # and looks at most one token ahead, so the second bounds every index.
         return self.toks[self.i + ahead]
 
-    def _accept(self, *texts: str) -> str | None:
+    def _accept(self, *options: str) -> str | None:
         tok = self.toks[self.i]
-        if tok.text in texts:
+        if tok in options:
             self.i += 1
-            return tok.text
+            return tok
         return None
 
     def _expect(self, text: str):
@@ -207,9 +202,9 @@ class _Parser:
         """Take a name that is not a keyword. Without one, fail expecting
         ``what``, or take nothing and return None when ``what`` is None."""
         tok = self._peek()
-        if tok.kind == "name" and tok.text not in _RESERVED:
+        if kind(tok) == "name" and tok not in _RESERVED:
             self.i += 1
-            return tok.text
+            return tok
         if what is not None:
             self._fail(what)
         return None
@@ -222,11 +217,7 @@ class _Parser:
         return items
 
     def _fail(self, *expected: str):
-        tok = self._peek()
-        what = "end of input" if tok.kind == "end" else f"{tok.text!r}"
-        raise ParseError(
-            f"unexpected {what}", _byte_offset(self.text, tok.pos), expected
-        )
+        raise _error(self.text, self.i, expected)
 
     # -- grammar ------------------------------------------------------------
 
@@ -234,7 +225,7 @@ class _Parser:
         raw = self._query()
         while self._accept(";"):
             pass
-        if self._peek().kind != "end":
+        if self._peek() != "":
             self._fail("end of input")
         return raw
 
@@ -275,7 +266,7 @@ class _Parser:
             )
         if self._accept("limit"):
             self._accept("-")
-            if self._peek().kind != "num":
+            if kind(self._peek()) != "num":
                 self._fail("row count")
             self.i += 1
             raw.limit = True
@@ -317,8 +308,8 @@ class _Parser:
         return ColumnRef(None, name)
 
     def _column_term(self) -> ColumnTerm:
-        agg = self._peek().text
-        if agg in AGG_FUNCS and self._peek(1).text == "(":
+        agg = self._peek()
+        if agg in AGG_FUNCS and self._peek(1) == "(":
             self.i += 2
             distinct = self._accept("distinct") is not None
             ref = self._column_ref()
@@ -377,7 +368,7 @@ class _Parser:
             return Predicate(negated, "between", lhs, low, self._value())
         if self._accept("in"):
             self._expect("(")
-            if self._peek().text == "select":
+            if self._peek() == "select":
                 return Predicate(negated, "in", lhs, self._subquery())
             self._list(self._value)
             self._expect(")")
@@ -391,19 +382,22 @@ class _Parser:
 
     def _value(self):
         if self._accept("("):
-            if self._peek().text == "select":
+            if self._peek() == "select":
                 return self._subquery()
             inner = self._value()
             self._expect(")")
             return inner
         tok = self._peek()
-        if tok.kind in ("num", "str") or tok.text in ("null", "true", "false"):
+        tok_kind = kind(tok)
+        # An unterminated string is left for _fail to report.
+        if (tok_kind == "num" or tok_kind == "str" and not unterminated(tok)
+                or tok in ("null", "true", "false")):
             self.i += 1
             return VALUE
-        if tok.text in ("-", "+") and self._peek(1).kind == "num":
+        if tok in ("-", "+") and kind(self._peek(1)) == "num":
             self.i += 2
             return VALUE
-        if tok.kind == "name" and tok.text not in _RESERVED:
+        if tok_kind == "name" and tok not in _RESERVED:
             return ValExpr("", self._column_term(), None)
         self._fail("value")
 
@@ -414,8 +408,10 @@ class _Parser:
 
 
 def _resolve_term(term: ColumnTerm, env: dict) -> ColumnTerm:
-    ref = ColumnRef(env.get(term.ref.table, term.ref.table), term.ref.name)
-    return ColumnTerm(term.agg, term.distinct, ref)
+    """The term itself when no alias maps its table elsewhere."""
+    ref = term.ref
+    target = env.get(ref.table, ref.table)
+    return term if target == ref.table else term._replace(ref=ColumnRef(target, ref.name))
 
 
 def _resolve_value(value, env: dict):
@@ -477,4 +473,4 @@ def parse_sql(text: str) -> ClauseSets:
         ParseError: unsupported or malformed SQL; carries the byte offset
             and the token descriptions that would have been accepted.
     """
-    return _resolve(_Parser(text, _tokens(text)).parse(), {})
+    return _resolve(_Parser(text).parse(), {})

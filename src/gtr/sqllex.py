@@ -1,7 +1,8 @@
 """The SQL tokenizer shared by every part of gtr that reads SQL text.
 
-:func:`tokenize` yields ``(kind, text, pos)`` tokens, ``pos`` being a
-character offset. The kinds:
+:func:`texts` lists a statement's token texts (one ``findall``), :func:`kind`
+reads a token's kind from its text, and :func:`tokenize` yields ``(kind,
+text, pos)`` tokens, ``pos`` being a character offset. The kinds:
 
 * ``str``: ``'...'`` or ``"..."``, where a doubled quote escapes itself.
   An unterminated string runs to the end of the text (see
@@ -15,26 +16,30 @@ character offset. The kinds:
 
 Whitespace and ``--`` / ``/* */`` comments are skipped. Strings keep their
 quotes and names are lowercased, so a token's text alone tells a keyword or
-an operator from data: ``tok.text == ";"`` holds only for the ``;`` symbol.
+an operator from data: ``text == ";"`` holds only for the ``;`` symbol.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from typing import Iterator, NamedTuple
 
-_TOKEN_RE = re.compile(
+# Group 1 is the token; skipped text leaves it empty.
+TOKEN_RE = re.compile(
     r"""
-    (?P<skip>\s+|--[^\n]*|/\*.*?(?:\*/|\Z))
-    |(?P<str>'[^']*(?:''[^']*)*'?|"[^"]*(?:""[^"]*)*"?)
-    |(?P<qid>`[^`]*(?:``[^`]*)*`?|\[[^\]]*\]?)
-    |(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+)
-    |(?P<name>[A-Za-z_]\w*)
-    |(?P<sym><=|>=|!=|<>|\|\||[=<>(),.;*+\-/%])
-    |(?P<other>.)
+    \s+|--[^\n]*|/\*.*?(?:\*/|\Z)
+    |('[^']*(?:''[^']*)*'?|"[^"]*(?:""[^"]*)*"?
+     |`[^`]*(?:``[^`]*)*`?|\[[^\]]*\]?
+     |\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+
+     |[A-Za-z_]\w*
+     |<=|>=|!=|<>|\|\||[=<>(),.;*+\-/%]
+     |.)
     """,
     re.VERBOSE | re.DOTALL,
 )
+_NAME_START = frozenset(string.ascii_letters + "_")
+_SYMS = frozenset("<= >= != <> || = < > ( ) , . ; * + - / %".split())
 
 
 class Token(NamedTuple):
@@ -43,19 +48,35 @@ class Token(NamedTuple):
     pos: int
 
 
+def kind(text: str) -> str:
+    """The kind of the token whose text, as lexed or lowercased, is ``text``."""
+    first = text[:1]
+    if first in _NAME_START:
+        return "name"
+    if first in ("'", '"'):
+        return "str"
+    if first in ("`", "["):
+        return "qid"
+    if first.isdecimal() or first == "." and len(text) > 1:
+        return "num"
+    return "sym" if text in _SYMS else "other"
+
+
+def texts(sql: str) -> list[str]:
+    """The token texts of ``sql`` in order, names lowercased."""
+    return [t.lower() if t[0] in _NAME_START else t for t in TOKEN_RE.findall(sql) if t]
+
+
 def tokenize(sql: str) -> Iterator[Token]:
     """The tokens of ``sql`` in order; any text tokenizes."""
-    for m in _TOKEN_RE.finditer(sql):
-        kind = m.lastgroup
-        if kind == "name":
-            yield Token(kind, m.group().lower(), m.start())
-        elif kind != "skip":
-            yield Token(kind, m.group(), m.start())
+    starts = (m.start(1) for m in TOKEN_RE.finditer(sql) if m.group(1))
+    for text, pos in zip(texts(sql), starts):
+        yield Token(kind(text), text, pos)
 
 
-def unterminated(tok: Token) -> bool:
-    """True for a ``str`` token that lacks its closing quote."""
-    body = tok.text[1:]
+def unterminated(text: str) -> bool:
+    """True for the text of a ``str`` token that lacks its closing quote."""
+    body = text[1:]
     # Escaped quotes come in pairs, so only a closing quote leaves the run
     # of quotes at the end of the body odd.
-    return (len(body) - len(body.rstrip(tok.text[0]))) % 2 == 0
+    return (len(body) - len(body.rstrip(text[0]))) % 2 == 0

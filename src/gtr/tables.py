@@ -55,7 +55,7 @@ from .errors import (
 )
 from .llm import QUESTION_LINE_PREFIX, LlmConfig, complete
 from .pipeline import AnswerTrace, Query, build_store, check_store
-from .sqllex import tokenize
+from .sqllex import TOKEN_RE
 from .store import VectorStore, _stat_key
 
 log = logging.getLogger("gtr")
@@ -358,7 +358,7 @@ def extract_sql(completion_text: str) -> str:
     fenced = _FENCE_RE.search(text) or _ONE_LINE_FENCE_RE.search(text)
     if fenced:
         text = fenced.group(1).strip()
-    end = next((tok.pos for tok in tokenize(text) if tok.text == ";"), len(text))
+    end = next((m.start(1) for m in TOKEN_RE.finditer(text) if m.group(1) == ";"), len(text))
     statement = text[:end].strip()
     if not statement:
         raise EmptyGeneration("completion contained no SQL statement")
@@ -454,6 +454,7 @@ def answer_tabular(
 
     A stage failure raises StageError carrying the stage name and the
     partial trace (with trace.error set); the original error is chained.
+    A truncated result logs one INFO record naming the database and limit.
 
     Raises:
         InvalidInput: timeout_ms or row_limit below 1, store not indexed
@@ -508,4 +509,6 @@ def answer_tabular(
     except GtrError as e:
         fail("execute_sql", e)
 
+    if result.truncated:
+        log.info("tables ask on %s: result truncated at row_limit %d", db_path, row_limit)
     return TabularAnswer(result=result, trace=trace)

@@ -3,6 +3,10 @@ test oracles:
 
 * the scanners ``gtr.sqllex`` replaced: the parser's ``_lex`` and the
   character loop of ``has_top_level_order_by``;
+* ``gtr.sqllex``'s own tokenizer from before it read a token's kind from
+  its text, one named group per kind (``tokenize``), and the parser's
+  token list of that time, each token checked before parsing started
+  (``checked_tokens``);
 * the clause-set parser and alias resolver from when they matched tokens
   by kind, with separate name and symbol helpers; ``parse_sql`` runs them
   on ``_lex``'s tokens, so it shares no parsing code with ``gtr``;
@@ -40,7 +44,54 @@ from gtr.sqleval.parser import (
     ValExpr,
 )
 from gtr.sqleval.suite import SqlEvalItem, SqlEvalReport, resolve_db_path
+from gtr.sqllex import Token
+from gtr.sqllex import tokenize as _tokenize
+from gtr.sqllex import unterminated
 from gtr.tables import execute_sql
+
+# -- gtr.sqllex ----------------------------------------------------------------
+
+TOKEN_RE = re.compile(
+    r"""
+    (?P<skip>\s+|--[^\n]*|/\*.*?(?:\*/|\Z))
+    |(?P<str>'[^']*(?:''[^']*)*'?|"[^"]*(?:""[^"]*)*"?)
+    |(?P<qid>`[^`]*(?:``[^`]*)*`?|\[[^\]]*\]?)
+    |(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+)
+    |(?P<name>[A-Za-z_]\w*)
+    |(?P<sym><=|>=|!=|<>|\|\||[=<>(),.;*+\-/%])
+    |(?P<other>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def tokenize(sql: str) -> list[Token]:
+    tokens = []
+    for m in TOKEN_RE.finditer(sql):
+        kind = m.lastgroup
+        if kind == "name":
+            tokens.append(Token(kind, m.group().lower(), m.start()))
+        elif kind != "skip":
+            tokens.append(Token(kind, m.group(), m.start()))
+    return tokens
+
+
+def checked_tokens(text: str) -> list[Token]:
+    """The text's tokens (from ``gtr.sqllex.tokenize``) plus two end
+    markers; a token the grammar has no use for fails here, before
+    parsing starts."""
+    toks = []
+    for tok in _tokenize(text):
+        if tok.kind == "str" and unterminated(tok.text):
+            raise ParseError("unterminated string literal", _byte_offset(text, tok.pos))
+        if tok.kind in ("qid", "other") or tok.text in ("||", "%"):
+            raise ParseError(
+                f"unexpected character {tok.text[0]!r}", _byte_offset(text, tok.pos)
+            )
+        toks.append(tok)
+    end = Token("end", "", len(text))
+    return [*toks, end, end]
+
 
 # -- gtr.sqleval.parser ------------------------------------------------------
 

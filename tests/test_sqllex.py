@@ -11,6 +11,7 @@ parser and the difficulty counters to their earlier versions in
 """
 
 import random
+import unicodedata
 
 import pytest
 
@@ -18,8 +19,8 @@ import fixtures_sql
 import sql_oracles as oracle
 from gtr.errors import ParseError
 from gtr.sqleval import component_counts, has_top_level_order_by, parse_sql
-from gtr.sqleval.parser import ClauseSets, _tokens
-from gtr.sqllex import Token, tokenize, unterminated
+from gtr.sqleval.parser import ClauseSets
+from gtr.sqllex import Token, kind, texts, tokenize, unterminated
 
 
 def _fixture_queries() -> list[str]:
@@ -162,8 +163,8 @@ class TestAgainstOracles:
 
 
 def _old_parse(sql):
-    """The earlier parser and resolver, fed the tokens parse_sql reads."""
-    return oracle._resolve(oracle._Parser(sql, _tokens(sql)).parse(), {})
+    """The earlier parser and resolver, fed the tokens of gtr's lexer."""
+    return oracle._resolve(oracle._Parser(sql, oracle.checked_tokens(sql)).parse(), {})
 
 
 def _nested(cs: ClauseSets):
@@ -274,8 +275,8 @@ class TestDeliberateDifferences:
         assert oracle.has_top_level_order_by(sql) is True
 
     def test_order_by_after_case_folding_text(self):
-        # "İ".lower() is two characters, which shifted the old loop's offsets.
-        sql = "SELECT 'İ' FROM t ORDER BY a"
+        # "\u0130".lower() is two characters, which shifted the old loop's offsets.
+        sql = "SELECT '\u0130' FROM t ORDER BY a"
         assert has_top_level_order_by(sql) is True
         assert oracle.has_top_level_order_by(sql) is False
 
@@ -315,4 +316,43 @@ class TestTokenize:
     )
     def test_unterminated(self, text, expected):
         (tok,) = tokenize(text)
-        assert unterminated(tok) is expected
+        assert unterminated(tok.text) is expected
+
+
+class TestKindFromText:
+    """``kind`` against the kind the named-group regex in ``sql_oracles``
+    gives, and ``texts`` and ``tokenize`` against that regex's tokens."""
+
+    @staticmethod
+    def _oracle_kind(text):
+        return oracle.TOKEN_RE.match(text).lastgroup
+
+    def test_every_ascii_character(self):
+        for c in map(chr, range(128)):
+            if self._oracle_kind(c) == "skip":
+                assert texts(c) == [], repr(c)
+            else:
+                assert kind(c) == self._oracle_kind(c), repr(c)
+
+    def test_every_decimal_digit_and_case_folding_letters(self):
+        digits = [chr(c) for c in range(0x110000) if unicodedata.category(chr(c)) == "Nd"]
+        assert len(digits) > 600
+        # U+212A KELVIN SIGN and U+0130 lowercase to ASCII letters, yet are no names.
+        for c in digits + ["\u212a", "\u0130"]:
+            assert kind(c) == self._oracle_kind(c), repr(c)
+            assert texts(c) == [c]
+        assert kind("\u212a") == "other" and kind("\u0130") == "other"
+
+    def test_every_token_of_the_fragments(self):
+        for sql in RANDOM_QUERIES:
+            for m in oracle.TOKEN_RE.finditer(sql):
+                if m.lastgroup != "skip":
+                    assert kind(m.group()) == m.lastgroup, sql
+            assert list(tokenize(sql)) == oracle.tokenize(sql), sql
+            assert texts(sql) == [t.text for t in tokenize(sql)], sql
+
+    def test_a_kelvin_sign_is_reported_as_itself(self):
+        # Lowercased, the sign would read as the name "k".
+        with pytest.raises(ParseError) as err:
+            parse_sql("SELECT \u212ax FROM t")
+        assert str(err.value) == "unexpected character '\u212a' at byte 7"

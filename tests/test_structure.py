@@ -9,8 +9,9 @@ function, which alone sets its authorizer and whose callers never close
 it, and the store imports no HTTP
 code. JSON lines have one reader and one writer, SQL eval runs and parses
 each statement through one helper apiece, user tables are listed by one
-query, importing the package loads no HTTP client, and the store's matrix
-has one capacity rule, applied in the one function that makes the matrix."""
+query, importing the package loads no HTTP client, the store's matrix
+has one capacity rule, applied in the one function that makes the matrix,
+and the SQL token pattern is compiled in the SQL tokenizer alone."""
 
 import argparse
 import ast
@@ -443,3 +444,20 @@ def test_one_capacity_rule_and_one_matrix_allocation():
     )
     assert [name for name, _ in reserves] == ["insert_many", "load"]
     assert reserves[1][1] == "store._reserve(count + 1)"
+
+
+def test_the_sql_token_pattern_is_compiled_only_in_sqllex():
+    # Every SQL reader lexes through gtr.sqllex, so only its pattern knows
+    # how SQL quotes a string or starts a comment.
+    markers = ("''[^']*", r"--[^\n]*")
+    sites = [
+        f"{path.name}:{call.func.attr}"
+        for path, tree in _trees()
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+        and getattr(call.func.value, "id", None) == "re"
+        and any(isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and any(marker in node.value for marker in markers)
+                for node in ast.walk(call))
+    ]
+    assert sites == ["sqllex.py:compile"]

@@ -5,12 +5,11 @@ from dataclasses import asdict
 
 import pytest
 
-from gtr import tables
 from gtr.errors import InvalidInput
 from gtr.sqleval import (
     SqlEvalReport, evaluate_suite, exact_match, execution, load_pairs, parser, suite,
 )
-from gtr.sqllex import tokenize
+from gtr.sqllex import texts
 
 from conftest import build_toy_db
 
@@ -191,10 +190,10 @@ class TestEvaluateSuite:
 
         def counted(sql):
             lexed.append(sql)
-            return tokenize(sql)
+            return texts(sql)
 
-        for module in (parser, execution, tables):
-            monkeypatch.setattr(module, "tokenize", counted)
+        for module in (parser, execution):
+            monkeypatch.setattr(module, "texts", counted)
         ordered = "SELECT name FROM singer ORDER BY age"
         unparsed = "SELECT name FROM singer ORDER BY name COLLATE nocase"
         pairs = [pair(ordered, "SELECT name FROM singer ORDER BY age DESC"),

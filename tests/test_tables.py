@@ -19,6 +19,7 @@ from gtr.errors import (
 )
 from gtr.llm import LlmConfig
 from gtr.pipeline import Query
+from gtr.sqleval.execution import execution_verdicts
 from gtr.store import VectorRecord, VectorStore
 from gtr.tables import (
     answer_tabular,
@@ -504,6 +505,23 @@ class TestAnswerTabular:
         assert result.result.rows == [(6,)]
         assert result.trace.error is None
         assert len(result.trace.retrieved) == 3
+
+    def test_a_truncated_result_logs_one_info_record(self, toy_db, caplog):
+        llm = LlmConfig(backend="fixed", fixed_text="SELECT name FROM singer")
+        store = self._store(toy_db)
+        with caplog.at_level(logging.DEBUG, logger="gtr"):
+            for row_limit in (6, None):
+                answer_tabular(Query("q?"), toy_db, store, embedder_config=CONFIG,
+                               llm_config=llm, row_limit=row_limit)
+            # EX caps a pred's fetch at one row past its gold's, silently.
+            assert execution_verdicts("SELECT name FROM singer LIMIT 1",
+                                      ["SELECT name FROM singer"], toy_db) == [False]
+            assert caplog.records == []
+            result = answer_tabular(Query("q?"), toy_db, store, embedder_config=CONFIG,
+                                    llm_config=llm, row_limit=2)
+        assert result.result.truncated and len(result.result.rows) == 2
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("gtr", logging.INFO, f"tables ask on {toy_db}: result truncated at row_limit 2")]
 
     def test_invalid_sql_is_stage_labeled(self, toy_db):
         llm = LlmConfig(backend="fixed", fixed_text="SELEC nope FROM singer")
