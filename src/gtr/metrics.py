@@ -2,21 +2,21 @@
 and batch aggregation over labeled evaluation items.
 
 All ROUGE variants run over lowercased tokens from the shared tokenizer,
-without stemming or stopword removal. A small memo keeps the last few
-texts' tokens, so ``aggregate`` tokenizes each candidate and reference once
-per item although ROUGE-1, ROUGE-2 and ROUGE-L each ask for them. ROUGE-L's
-longest common subsequence is computed bit-parallel (Allison and Dix, 1986,
-in Hyyrö's form, 2004): O(n·⌈m/w⌉) word operations on Python ints for
+without stemming or stopword removal. Small memos keep the last texts'
+tokens and the last two items' n-gram counts, so ``aggregate`` tokenizes a
+text once per item and n-best candidates share their reference's counts;
+ROUGE-N sums the clipped overlap over the n-grams both sides hold. ROUGE-L's
+longest common subsequence is bit-parallel (Allison and Dix, 1986, in
+Hyyrö's form, 2004): O(n·⌈m/w⌉) word operations on Python ints for
 sequences of n and m ≤ n tokens, where the plain dynamic program takes n·m
 interpreter steps. Semantic answer similarity (SAS) is the cosine of the
-two texts' embeddings through the configured embedder, so
-it runs offline with the hashed bag-of-words backend and approximates a
-learned scorer when an HTTP embedder is configured. ``aggregate`` scores
-items in slices of ``SAS_SLICE_ITEMS``: ROUGE item by item, then one
-``embed_batch`` call over the slice's distinct texts, handed the memo's
-tokens, so no text is tokenized again or embedded twice and the http
-backend sends ceil(texts / batch_size) requests per slice rather than two
-per item.
+two texts' embeddings through the configured embedder, so it runs offline
+with the hashed bag-of-words backend and approximates a learned scorer
+when an HTTP embedder is configured. ``aggregate`` scores items in slices
+of ``SAS_SLICE_ITEMS``: ROUGE item by item, then one ``embed_batch`` call
+over the slice's distinct texts, handed the memo's tokens, and one cosine
+preparation of each text's vector, so the http backend sends
+ceil(texts / batch_size) requests per slice rather than two per item.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Sequence
 from .chunking import token_texts
 from .embedding import EmbedderConfig, embed_batch
 from .errors import InvalidInput, check_unicode, read_json_lines, write_json_lines
-from .store import cosine
+from .store import _cosine_pair, _cosine_side
 
 SUMMARY_COLUMNS = (
     "truthful_pct",
@@ -67,20 +67,24 @@ def _tokens(text: str) -> tuple[str, ...]:
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(zip(*(tokens[i:] for i in range(n))))
+    return Counter(tokens if n == 1 else zip(*(tokens[i:] for i in range(n))))
+
+
+# Two items' unigram and bigram counts, as n-best candidates share a reference.
+@lru_cache(maxsize=8)
+def _ngram_counts(text: str, n: int) -> Counter:
+    return _ngrams(_tokens(text), n)
 
 
 def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
     """Clipped n-gram overlap; either side empty scores zero."""
     if n < 1:
         raise InvalidInput(f"n must be positive, got {n}")
-    cand = _ngrams(_tokens(candidate), n)
-    ref = _ngrams(_tokens(reference), n)
-    cand_total = sum(cand.values())
-    ref_total = sum(ref.values())
-    # Counter & walks its left operand; put the side with fewer n-grams there.
-    smaller, larger = sorted((cand, ref), key=len)
-    overlap = sum((smaller & larger).values())
+    cand_total = max(len(_tokens(candidate)) - n + 1, 0)
+    ref_total = max(len(_tokens(reference)) - n + 1, 0)
+    cand, ref = _ngram_counts(candidate, n), _ngram_counts(reference, n)
+    # The key views intersect in C, walking the side with fewer n-grams.
+    overlap = sum(min(cand[gram], ref[gram]) for gram in cand.keys() & ref.keys())
     precision = overlap / cand_total if cand_total else 0.0
     recall = overlap / ref_total if ref_total else 0.0
     return RougeScore(precision, recall, _f1(precision, recall))
@@ -146,7 +150,7 @@ def _sas_scores(pairs, config: EmbedderConfig, first: int = 0) -> list[float]:
                     first_use[text] = (k, side)
                     tokens.append(text_tokens)
     try:
-        vectors = dict(zip(first_use, embed_batch(list(first_use), config, tokens)))
+        vectors = embed_batch(list(first_use), config, tokens)
     except InvalidInput:
         for text, (k, side) in first_use.items():
             try:
@@ -154,7 +158,8 @@ def _sas_scores(pairs, config: EmbedderConfig, first: int = 0) -> list[float]:
             except InvalidInput as e:
                 raise InvalidInput(f"item {k} {side}: {e}") from None
         raise
-    return [cosine(vectors[cand], vectors[ref]) if cand_tokens and ref_tokens else 0.0
+    sides = dict(zip(first_use, map(_cosine_side, vectors)))
+    return [_cosine_pair(sides[cand], sides[ref]) if cand_tokens and ref_tokens else 0.0
             for (cand, cand_tokens), (ref, ref_tokens) in pairs]
 
 

@@ -471,6 +471,17 @@ def parse_sql(text: str) -> ClauseSets:
 
     Raises:
         ParseError: unsupported or malformed SQL; carries the byte offset
-            and the token descriptions that would have been accepted.
+            and the token descriptions that would have been accepted. A
+            statement nested past the interpreter's recursion limit is
+            "nested too deeply" at its deepest ``(``.
     """
-    return _resolve(_Parser(text).parse(), {})
+    try:
+        return _resolve(_Parser(text).parse(), {})
+    except RecursionError:
+        pass
+    depth = deepest = at = 0
+    for tok in tokenize(text):
+        depth += {"(": 1, ")": -1}.get(tok.text, 0)
+        if depth > deepest:
+            deepest, at = depth, tok.pos
+    raise ParseError("nested too deeply", _byte_offset(text, at))

@@ -191,7 +191,8 @@ def evaluate_suite(
 
     Item-level failures (parse errors, missing databases, failing gold
     queries) are recorded on the item. EX for items whose gold query fails
-    is None and excluded from the aggregate.
+    or whose database is not found is None and excluded from the
+    aggregate; each such item logs one INFO record naming its pair index.
 
     Raises:
         InvalidInput: empty pair list, a pair missing a required key, or
@@ -232,6 +233,9 @@ def evaluate_suite(
     for indices, group_items in zip(groups.values(), scored):
         for i, item in zip(indices, group_items):
             items[i] = item
+    for i, item in enumerate(items):
+        if item.ex is None:
+            log.info("sql eval: EX skips pair %d on db_id %r: %s", i, item.db_id, item.error)
     return SqlEvalReport(items)
 
 

@@ -100,21 +100,31 @@ def cosine(u, v) -> float:
     largest entry into [0.5, 1), so no square, product or norm overflows or
     underflows and huge and tiny vectors score like any others. The scaling
     is exact, so a pair whose arithmetic stays in the normal float range
-    keeps the bits of the unscaled formula.
+    keeps the bits of the unscaled formula. Each side is prepared alone
+    (``_cosine_side``, after both are converted), so SAS prepares it once.
 
     Raises:
         DimensionMismatch: different lengths.
         ZeroVector: either argument has zero norm.
         InvalidInput: an entry is NaN, infinite or not a real number.
     """
-    u = _vector(u, "cosine")
-    v = _vector(v, "cosine")
-    if u.ndim != 1 or v.ndim != 1:
+    u, v = _vector(u, "cosine"), _vector(v, "cosine")
+    return _cosine_pair(_cosine_side(u), _cosine_side(v))
+
+
+def _cosine_side(x) -> tuple:
+    """(x as a 1-D float64 array, its ``_scaled`` copy, that copy's norm)."""
+    x = _vector(x, "cosine")
+    if x.ndim != 1:
         raise InvalidInput("cosine expects 1-D vectors")
+    scaled = _scaled(x)
+    return x, scaled, np.linalg.norm(scaled)
+
+
+def _cosine_pair(side_u: tuple, side_v: tuple) -> float:
+    (u, su, nu), (v, sv, nv) = side_u, side_v
     if u.shape[0] != v.shape[0]:
         raise DimensionMismatch(f"dim {u.shape[0]} vs {v.shape[0]}")
-    su, sv = _scaled(u), _scaled(v)
-    nu, nv = np.linalg.norm(su), np.linalg.norm(sv)
     if not math.isfinite(nu * nv):
         raise InvalidInput("cosine is undefined for a non-finite vector")
     if nu == 0.0 or nv == 0.0:

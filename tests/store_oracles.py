@@ -10,7 +10,9 @@ version-1 files it writes, inserted into a production store
 ``load`` reads version 3 only. ``cosine`` is the function as it was before
 it learned to scale vectors by a power of two; ``tests/test_store.py``
 checks that every pair whose arithmetic stays in the normal float range
-still gets the same bits.
+still gets the same bits. ``scaled_cosine`` is the scaling one as it was
+before its per-vector and per-pair steps were split: production must
+return its bits and raise its exceptions, messages included.
 
 ``v3_bytes`` spells out store format version 3 one entry at a time, apart
 from the production writer, so the tests can pin that layout byte for byte.
@@ -54,7 +56,9 @@ from gtr.errors import (
     ZeroVector,
     check_unicode,
 )
-from gtr.store import STORE_FORMAT, RECORD_KINDS, VectorRecord, _Committed, _stat_key
+from gtr.store import (
+    STORE_FORMAT, RECORD_KINDS, VectorRecord, _Committed, _scaled, _stat_key, _vector,
+)
 
 STORE_VERSION = 1
 
@@ -82,6 +86,33 @@ def cosine(u, v) -> float:
     if np.array_equal(u, v):
         return 1.0
     return float(min(1.0, max(-1.0, float(u @ v) / (nu * nv))))
+
+
+def scaled_cosine(u, v) -> float:
+    """``gtr.store.cosine`` as it was before it was split into a step that
+    prepares one vector and a step that scores a prepared pair, with every
+    check in one function.
+
+    Raises:
+        DimensionMismatch: different lengths.
+        ZeroVector: either argument has zero norm.
+        InvalidInput: an entry is NaN, infinite or not a real number.
+    """
+    u = _vector(u, "cosine")
+    v = _vector(v, "cosine")
+    if u.ndim != 1 or v.ndim != 1:
+        raise InvalidInput("cosine expects 1-D vectors")
+    if u.shape[0] != v.shape[0]:
+        raise DimensionMismatch(f"dim {u.shape[0]} vs {v.shape[0]}")
+    su, sv = _scaled(u), _scaled(v)
+    nu, nv = np.linalg.norm(su), np.linalg.norm(sv)
+    if not math.isfinite(nu * nv):
+        raise InvalidInput("cosine is undefined for a non-finite vector")
+    if nu == 0.0 or nv == 0.0:
+        raise ZeroVector("cosine is undefined for a zero vector")
+    if np.array_equal(u, v):
+        return 1.0
+    return float(min(1.0, max(-1.0, float(su @ sv) / (nu * nv))))
 
 
 class VectorStore:

@@ -381,6 +381,18 @@ class TestEval:
                            "--db-dir", str(toy_db.parent))
         assert code == 0 and "1.000" in out
 
+    def test_eval_sql_goes_on_past_a_pred_nested_too_deeply(self, capsys, tmp_path, toy_db):
+        gold, pred, report = tmp_path / "gold.sql", tmp_path / "pred.sql", tmp_path / "r.jsonl"
+        gold.write_text("SELECT name FROM singer\tconcerts\n" * 2, encoding="utf-8")
+        deep = "SELECT name FROM singer WHERE age = " + "(" * 1200 + "1" + ")" * 1200
+        pred.write_text(f"{deep}\nSELECT name FROM singer\n", encoding="utf-8")
+        code, out, err = run(capsys, "eval", "sql", "--gold", str(gold), "--pred", str(pred),
+                             "--db-dir", str(toy_db.parent), "--out", str(report))
+        assert (code, err) == (0, "")
+        first, second = map(json.loads, report.read_text(encoding="utf-8").splitlines())
+        assert first["error"] == f"pred parse error: nested too deeply at byte {deep.rindex('(')}"
+        assert (second["em"], second["ex"], second["error"]) == (True, True, None)
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_eval_sql_jobs_below_one_exits_one(self, capsys, tmp_path, toy_db, jobs):
         # -1 used to end in a ValueError traceback from the thread pool, and
@@ -464,6 +476,22 @@ class TestLogLevel:
         assert code == 0
         assert err == (f"store {tmp_path / 's.gtr'}: ignoring 2 bytes after the last of its "
                        "1 records, left by an interrupted save\n")
+
+    def test_info_shows_each_sql_item_left_out_of_ex(self, capsys, tmp_path, toy_db):
+        sql = tmp_path / "q.sql"
+        sql.write_text("SELECT name FROM singer\tconcerts\nSELECT nope FROM nowhere\tconcerts\n"
+                       "SELECT 1\tghost\n", encoding="utf-8")
+        argv = ("eval", "sql", "--gold", str(sql), "--pred", str(sql),
+                "--db-dir", str(toy_db.parent))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        code, info_out, err = run(capsys, "--log-level", "info", *argv)
+        assert (code, info_out) == (0, out)
+        first, second = err.splitlines()
+        assert first.startswith("sql eval: EX skips pair 1 on db_id 'concerts': "
+                                "gold query failed: ")
+        assert second == ("sql eval: EX skips pair 2 on db_id 'ghost': "
+                          "database not found for db_id 'ghost'")
 
     def test_an_unknown_level_is_refused(self, capsys, ingest):
         with pytest.raises(SystemExit) as exit_:

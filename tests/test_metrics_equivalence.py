@@ -258,3 +258,105 @@ class TestAggregate:
         # n-best candidates come one after another with their reference
         shared = [r for r, n in Counter(i.reference for i in items).items() if n > 1]
         assert shared and all(calls[r] == 1 for r in shared)
+
+
+ODD_TEXTS = ["İ", "ß", "👍", "İstanbul STRASSE ß 👍🏽", " \n\t", "", "one", "Straße"]
+
+
+def _nbest_items(seed: int, n: int) -> list[GtrEvalItem]:
+    """n items in runs of 2–6 candidates sharing one reference, as n-best
+    answers are scored: repeated candidates, candidates equal to their
+    reference, whitespace-only and empty sides, one-token texts, which have
+    no bigrams, and İ, ß and emoji."""
+    rng = random.Random(seed)
+    items = []
+    while len(items) < n:
+        if rng.random() < 0.3:
+            reference = rng.choice(ODD_TEXTS)
+        else:
+            reference = " ".join(_zipf_tokens(rng, 60, rng.randint(1, 40)))
+        words = reference.split() + ["İ", "ß", "👍", "x"]
+        candidates = []
+        for _ in range(rng.randint(2, 6)):
+            shape = rng.randrange(5)
+            if shape == 0:
+                candidates.append(reference)
+            elif shape == 1 and candidates:
+                candidates.append(candidates[-1])
+            elif shape == 2:
+                candidates.append(rng.choice(ODD_TEXTS))
+            else:
+                candidates.append(" ".join(rng.choices(words, k=rng.randint(1, 30))))
+        for candidate in candidates:
+            k = len(items)
+            items.append(GtrEvalItem(question=f"q{k}", reference=reference, candidate=candidate,
+                                     truthful=k % 2, response_time_ms=k / 3))
+    return items[:n]
+
+
+class TestNbestScoring:
+    """Candidates that share a reference share its n-gram counts and its
+    prepared SAS vector; nothing they score changes."""
+
+    @pytest.mark.parametrize("seed, n, slice_items", [
+        (11, 600, metrics.SAS_SLICE_ITEMS), (12, 300, 1), (13, 101, 5), (14, 68, 7),
+    ])
+    def test_report_bytes_equal_oracle(self, monkeypatch, tmp_path, seed, n, slice_items):
+        monkeypatch.setattr(metrics, "SAS_SLICE_ITEMS", slice_items)
+        items = _nbest_items(seed, n)
+        texts = {i.candidate for i in items} | {i.reference for i in items}
+        assert {"İ", "ß", "👍", " \n\t", "one"} <= texts
+        assert any(i.candidate == i.reference for i in items)
+        assert any(a.candidate == b.candidate and a.reference == b.reference
+                   for a, b in zip(items, items[1:]))
+        _assert_report_bytes_equal(items, tmp_path)
+
+    def test_ngram_counts_are_built_once_per_run_of_items_sharing_a_text(self, monkeypatch):
+        calls = Counter()
+        ngrams = metrics._ngrams
+
+        def counted(tokens, n):
+            calls[tuple(tokens), n] += 1
+            return ngrams(tokens, n)
+
+        monkeypatch.setattr(metrics, "_ngrams", counted)
+        metrics._ngram_counts.cache_clear()
+        items = _nbest_items(15, 300)
+        aggregate(items, CONFIG)
+        # Keyed by tokens, which distinct texts ("" and " \n\t") can share.
+        runs = Counter()
+        texts: set = set()
+        for item in items:
+            item_texts = {item.candidate, item.reference}
+            for text in item_texts - texts:
+                for n in (1, 2):
+                    runs[tuple(oracle._tokens(text)), n] += 1
+            texts = item_texts
+        assert set(calls) == set(runs)
+        assert all(calls[key] <= runs[key] for key in runs)
+        assert sum(calls.values()) < 2 * len(items)  # four per item without the memo
+        assert metrics._ngram_counts.cache_info().maxsize == 8
+
+    @pytest.mark.parametrize("slice_items", [7, metrics.SAS_SLICE_ITEMS])
+    def test_each_distinct_vector_is_prepared_once_per_slice(self, monkeypatch, slice_items):
+        monkeypatch.setattr(metrics, "SAS_SLICE_ITEMS", slice_items)
+        events = []
+        prepare, embed_batch = metrics._cosine_side, metrics.embed_batch
+
+        def counted_prepare(vector):
+            events[-1][1] += 1
+            return prepare(vector)
+
+        def counted_batch(texts, config, tokens):
+            events.append([len(texts), 0])
+            return embed_batch(texts, config, tokens)
+
+        monkeypatch.setattr(metrics, "_cosine_side", counted_prepare)
+        monkeypatch.setattr(metrics, "embed_batch", counted_batch)
+        items = _nbest_items(16, 300)
+        aggregate(items, CONFIG)
+        assert len(events) == -(-len(items) // slice_items)
+        assert all(embedded == prepared for embedded, prepared in events)
+        scored = sum(bool(oracle._tokens(i.candidate) and oracle._tokens(i.reference))
+                     for i in items)
+        assert sum(prepared for _, prepared in events) < scored  # two per pair without

@@ -200,6 +200,22 @@ class TestParseErrors:
             parse_sql("SELECT a FROM t WHERE b = $1")
 
 
+    @pytest.mark.parametrize("depth", [1200, 5000])
+    def test_nested_too_deeply_at_the_deepest_parenthesis(self, depth):
+        # Parentheses in a string or comment do not nest; é is two bytes.
+        sql = ("SELECT a FROM t /* ( */ WHERE d = 'é(' AND a = (1) AND b = "
+               + "(" * depth + "1" + ")" * depth + " AND c = (2)")
+        with pytest.raises(ParseError) as exc_info:
+            parse_sql(sql)
+        offset = len(sql[: sql.index("(1)" + ")" * (depth - 1))].encode("utf-8"))
+        assert str(exc_info.value) == f"nested too deeply at byte {offset}"
+        assert (exc_info.value.offset, exc_info.value.expected) == (offset, ())
+
+    def test_a_deep_statement_below_the_limit_still_parses(self):
+        value = "(" * 400 + "1" + ")" * 400
+        assert (parse_sql(f"SELECT a FROM t WHERE b = {value}")
+                == parse_sql("SELECT a FROM t WHERE b = 1"))
+
 class TestIdempotence:
     CORPUS = ALL_EM_QUERIES + [sql for sql, _, _ in HARDNESS_CASES] + [
         "SELECT a FROM t WHERE b NOT IN (SELECT c FROM u WHERE d LIKE 'x%')",

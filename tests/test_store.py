@@ -14,6 +14,7 @@ from gtr.errors import (
     CorruptStore,
     DimensionMismatch,
     DuplicateId,
+    GtrError,
     InvalidInput,
     ZeroVector,
 )
@@ -21,6 +22,7 @@ from gtr.store import VectorRecord, VectorStore, cosine
 from store_oracles import VectorStore as OracleStore
 from store_oracles import as_production, load_v2, v2_bytes, v3_bytes
 from store_oracles import cosine as oracle_cosine
+from store_oracles import scaled_cosine
 
 
 def fsum_cosine(u, v):
@@ -50,6 +52,51 @@ def random_store(rng, n, dim, prefix="r"):
         vec = rng.standard_normal(dim)
         store.insert(VectorRecord(f"{prefix}{i:05d}", vec, "chunk", f"text {i}"))
     return store
+
+
+def _in_range_pairs() -> list:
+    """1,700 vector pairs: random ones scaled by 10**-150 to 10**150, each
+    also beside itself, its negation and zeros, and hashed embeddings of
+    short texts."""
+    rng = np.random.default_rng(19)
+    config = EmbedderConfig(dim=64)
+    words = ["alpha", "beta", "gamma", "delta", "épsilon", "中文"]
+    pairs = []
+    for _ in range(400):
+        dim = int(rng.choice([1, 2, 3, 7, 64, 384]))
+        u = rng.standard_normal(dim) * 10.0 ** rng.uniform(-150, 150)
+        v = rng.standard_normal(dim) * 10.0 ** rng.uniform(-150, 150)
+        pairs += [(u, v), (u, u.copy()), (u, -u), (u, np.zeros(dim))]
+    for _ in range(100):
+        a = " ".join(rng.choice(words, size=int(rng.integers(1, 9))))
+        b = " ".join(rng.choice(words, size=int(rng.integers(1, 9))))
+        pairs.append((embed(a, config), embed(b, config)))
+    return pairs
+
+
+def _outcome(cosine_fn, u, v):
+    """The score's bits, or the exception's type and message."""
+    try:
+        return cosine_fn(u, v).hex()
+    except GtrError as e:
+        return type(e), str(e)
+
+
+# Every error cosine raises, alone and two at once: each pair is also tried
+# the other way round.
+COSINE_FAULTS = [
+    ((1, 2), (1, 2, 3)), ((0.0, 0.0), (1.0, 2.0)), ((), ()), ((), (0.0,)),
+    *(((bad, 1.0), (1.0, 1.0)) for bad in (math.nan, math.inf, -math.inf)),
+    ([[1.0, 2.0]], [1.0, 2.0]), (1.0, (1.0,)), ([[1.0], [2.0, 3.0]], [1.0, 0.0]),
+    (["x", "y"], [1.0, 0.0]), ([1 + 2j, 0], [1.0, 0.0]), ([True, False], [1.0, 0.0]),
+    ([10 ** 400, 0], [1.0, 0.0]),
+    # two faults
+    ([[1.0, 2.0]], [[1.0], [2.0, 3.0]]), ([[1.0, 2.0]], ["x", "y"]),
+    ([[1.0, 2.0]], (1.0, 2.0, 3.0)), (["x"], [[1.0], [2.0, 3.0]]),
+    ((math.nan, 1.0), (1.0, 2.0, 3.0)), ((math.nan, 0.0), (0.0, 0.0)),
+    ((0.0, 0.0), (1.0, 2.0, 3.0)),
+    ((math.nan, math.inf), (math.inf, 1.0)), ((0.0,), [[0.0]]),
+]
 
 
 class TestCosine:
@@ -124,20 +171,7 @@ class TestCosine:
     def test_in_range_pairs_keep_their_bits(self):
         """Every pair whose arithmetic stays in the normal float range
         scores exactly as the unscaled formula does."""
-        rng = np.random.default_rng(19)
-        config = EmbedderConfig(dim=64)
-        words = ["alpha", "beta", "gamma", "delta", "épsilon", "中文"]
-        pairs = []
-        for _ in range(400):
-            dim = int(rng.choice([1, 2, 3, 7, 64, 384]))
-            u = rng.standard_normal(dim) * 10.0 ** rng.uniform(-150, 150)
-            v = rng.standard_normal(dim) * 10.0 ** rng.uniform(-150, 150)
-            pairs += [(u, v), (u, u.copy()), (u, -u), (u, np.zeros(dim))]
-        for _ in range(100):
-            a = " ".join(rng.choice(words, size=int(rng.integers(1, 9))))
-            b = " ".join(rng.choice(words, size=int(rng.integers(1, 9))))
-            pairs.append((embed(a, config), embed(b, config)))
-        for u, v in pairs:
+        for u, v in _in_range_pairs():
             try:
                 expected = oracle_cosine(u, v)
             except ZeroVector:
@@ -152,6 +186,21 @@ class TestCosine:
             cosine((bad, 1.0), (1.0, 1.0))
         with pytest.raises(InvalidInput, match="non-finite"):
             cosine((1.0, 1.0), (1.0, bad))
+
+    def test_bits_equal_the_unsplit_cosine(self):
+        pairs = _in_range_pairs()
+        assert len(pairs) == 1700
+        for u, v in pairs:
+            assert _outcome(cosine, u, v) == _outcome(scaled_cosine, u, v)
+
+    @pytest.mark.parametrize("u, v", COSINE_FAULTS)
+    def test_errors_equal_the_unsplit_cosine(self, u, v):
+        """The same exception and message as the one-function cosine, also
+        where both sides are at fault or one side at two."""
+        for a, b in ((u, v), (v, u)):
+            expected = _outcome(scaled_cosine, a, b)
+            assert isinstance(expected, tuple)
+            assert _outcome(cosine, a, b) == expected
 
 
 class TestInsertAndQuery:

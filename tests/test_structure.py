@@ -11,7 +11,8 @@ code. JSON lines have one reader and one writer, SQL eval runs and parses
 each statement through one helper apiece, user tables are listed by one
 query, importing the package loads no HTTP client, the store's matrix
 has one capacity rule, applied in the one function that makes the matrix,
-and the SQL token pattern is compiled in the SQL tokenizer alone."""
+the SQL token pattern is compiled in the SQL tokenizer alone, n-gram counts
+are built by one function, and cosine and SAS share one cosine arithmetic."""
 
 import argparse
 import ast
@@ -461,3 +462,37 @@ def test_the_sql_token_pattern_is_compiled_only_in_sqllex():
                 for node in ast.walk(call))
     ]
     assert sites == ["sqllex.py:compile"]
+
+
+def test_metrics_builds_ngram_counters_only_in_ngrams():
+    # rouge_n reads its counts from the _ngram_counts memo over _ngrams, so
+    # one function says what an n-gram is.
+    [tree] = [tree for path, tree in _trees() if path.name == "metrics.py"]
+    funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert [f.name for f in funcs if "Counter" in _calls(f)] == ["_ngrams"]
+    assert [f.name for f in funcs if "_ngrams" in _calls(f)] == ["_ngram_counts"]
+
+
+def test_one_cosine_arithmetic():
+    # store.cosine and the SAS scorer both prepare each vector with
+    # _cosine_side and score a pair with _cosine_pair, which holds the
+    # package's one matrix product.
+    def users(name):
+        return sorted(
+            f"{path.name}:{func.name}"
+            for path, tree in _trees()
+            for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+            if any(isinstance(node, ast.Name) and node.id == name for node in ast.walk(func))
+        )
+
+    assert users("_cosine_pair") == users("_cosine_side") == [
+        "metrics.py:_sas_scores", "store.py:cosine"]
+    assert users("cosine") == []
+    products = [
+        f"{path.name}:{func.name}"
+        for path, tree in _trees()
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+    ]
+    assert products == ["store.py:_cosine_pair"]

@@ -117,6 +117,46 @@ class TestEvaluateSuite:
         assert report.items[0].ex is None
         assert "database not found" in report.items[0].error
 
+    def test_each_item_left_out_of_ex_logs_one_info_record(self, db_dir, caplog):
+        pairs = [pair("SELECT name FROM singer", pred="SELEC name FROM singer"),
+                 pair("SELECT nope FROM nowhere", pred="SELECT name FROM singer"),
+                 {"question": "", "gold": "SELECT 1", "pred": "SELEC 1", "db_id": "ghost"},
+                 pair("SELECT nope FROM nowhere")]
+        with caplog.at_level(logging.INFO, logger="gtr"):
+            report = evaluate_suite(pairs, db_dir, jobs=2)
+        # A pred that fails to parse is still scored by EX, and logs nothing.
+        assert [item.ex for item in report.items] == [False, None, None, None]
+        assert report.items[0].error.startswith("pred parse error")
+        gold_error = report.items[1].error
+        assert gold_error.startswith("gold query failed")
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("gtr", logging.INFO, f"sql eval: EX skips pair 1 on db_id 'concerts': {gold_error}"),
+            ("gtr", logging.INFO, "sql eval: EX skips pair 2 on db_id 'ghost': "
+                                  "database not found for db_id 'ghost'"),
+            ("gtr", logging.INFO, f"sql eval: EX skips pair 3 on db_id 'concerts': {gold_error}"),
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_statement_nested_too_deeply_is_an_item_error(self, db_dir, jobs):
+        # Each used to end the whole suite with a RecursionError.
+        deep = ["SELECT name FROM singer WHERE age = " + "(" * n + "1" + ")" * n
+                for n in (400, 1200, 5000)]
+        nested_in = ("SELECT name FROM singer"
+                     + " WHERE singer_id IN (SELECT singer_id FROM singer" * 1000
+                     + ")" * 1000)
+        golds = ("SELECT name FROM singer WHERE age = 1", "SELECT name FROM singer")
+        pairs = [pair(gold, pred=p) for gold in golds
+                 for p in (deep[0], gold, deep[1], deep[2], nested_in, gold)]
+        items = evaluate_suite(pairs, db_dir, jobs=jobs).items
+        for shallow, scored, *too_deep, last in (items[:6], items[6:]):
+            assert (shallow.error, shallow.ex is None) == (None, False)
+            assert all((i.em, i.ex, i.error) == (True, True, None) for i in (scored, last))
+            for item in too_deep:  # the deepest "(" is the last one
+                assert (item.em, item.ex) == (False, False)
+                assert item.error == ("pred parse error: nested too deeply at byte "
+                                      f"{item.pred.rindex('(')}")
+        assert items[0].em and not items[6].em
+
     def test_per_hardness_breakdown(self, db_dir):
         pairs = [
             pair("SELECT name FROM singer"),  # easy
