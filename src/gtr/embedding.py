@@ -10,13 +10,13 @@ dimension):
   distinct token of them once, however often they repeat it, all together
   in NumPy: one ``uint64`` xor and multiply per byte position over the
   tokens still that long, which a token past ``_KERNEL_MAX_BYTES`` bytes
-  leaves to the scalar loop. It counts each text's buckets with one
-  ``bincount``. Ingest hands over the token texts the chunker already
-  split, so a chunk is never tokenized twice. A single text, such as a
-  query, is bucketed token by token through a bounded LRU cache of
-  ``BUCKET_CACHE_SIZE`` entries, which keeps the buckets of the frequent
-  head of a Zipf vocabulary across calls; batches leave it alone, so
-  memory stays flat however large the vocabulary.
+  leaves to the scalar loop. One ``bincount`` counts the call into a
+  matrix, a row per text. Ingest hands over 256 chunks a call with the
+  token texts the chunker split, so no chunk is tokenized twice. A single
+  text, such as a query, is bucketed token by token through a bounded LRU
+  cache of ``BUCKET_CACHE_SIZE`` entries, which keeps the buckets of the
+  frequent head of a Zipf vocabulary across calls; batches leave it alone,
+  so memory stays flat however large the vocabulary.
 * ``http`` — remote embedding service speaking a small JSON protocol:
   ``POST endpoint_url {"inputs": [...]}`` returning
   ``{"embeddings": [[...], ...]}``. Requests are batched and sent through
@@ -144,10 +144,10 @@ def _fnv1a_buckets(tokens: list[str], dim: int) -> np.ndarray:
     return out % np.uint64(dim)
 
 
-def _hashed_bow(token_lists: Sequence[Sequence[str]], dim: int) -> list[np.ndarray]:
-    """One unit-norm count vector per token list. Across several lists the
-    distinct tokens are bucketed together by ``_fnv1a_buckets``; one list's
-    tokens go through the LRU one by one.
+def _hashed_bow(token_lists: Sequence[Sequence[str]], dim: int) -> np.ndarray:
+    """A matrix whose row i is token list i's unit-norm count vector. Across
+    several lists the distinct tokens are bucketed together by
+    ``_fnv1a_buckets``; one list's tokens go through the LRU one by one.
 
     Raises:
         InvalidInput: a token holds a lone surrogate; the message names the
@@ -165,6 +165,9 @@ def _hashed_bow(token_lists: Sequence[Sequence[str]], dim: int) -> list[np.ndarr
             buckets = dict(zip(distinct, _fnv1a_buckets(list(distinct), dim).tolist()))
             ids = np.fromiter(map(buckets.__getitem__, chain.from_iterable(token_lists)),
                               np.intp)
+            # Row r counts its buckets at r * dim onward: one bincount for all.
+            ids += np.repeat(np.arange(0, len(token_lists) * dim, dim),
+                             list(map(len, token_lists)))
     except UnicodeEncodeError as e:
         # A lone surrogate is the one character UTF-8 cannot encode, and
         # lowercasing keeps it.
@@ -172,20 +175,15 @@ def _hashed_bow(token_lists: Sequence[Sequence[str]], dim: int) -> list[np.ndarr
                  if any("\ud800" <= c <= "\udfff" for c in "".join(tokens)))
         raise InvalidInput(f"cannot embed text at index {i}: not valid Unicode: "
                            f"{e.reason}") from None
-    out = []
-    end = 0
-    for tokens in token_lists:
-        start, end = end, end + len(tokens)
-        # Counts are small exact integers, so the float64 vector equals the
-        # one accumulated by adding 1.0 per token.
-        counts = np.bincount(ids[start:end], minlength=dim).astype(np.float64)
-        norm = np.linalg.norm(counts)
-        if norm == 0.0:
-            # Unreachable for the tokens of nonempty trimmed text: every
-            # non-space character is in some token.
-            raise ZeroVector("text produced no tokens")
-        out.append(counts / norm)
-    return out
+    if not all(token_lists):
+        # Unreachable for the tokens of nonempty trimmed text: every
+        # non-space character is in some token.
+        raise ZeroVector("text produced no tokens")
+    # Counts are small exact integers, so a row's sum of squares is exact
+    # below 2**53, and its square root is np.linalg.norm's bit for bit.
+    counts = np.bincount(ids, minlength=len(token_lists) * dim).astype(np.float64).reshape(-1, dim)
+    counts /= np.sqrt(np.einsum("ij,ij->i", counts, counts))[:, None]
+    return counts
 
 
 def _embed_http_batch(texts: list[str], config: EmbedderConfig) -> list[np.ndarray]:
@@ -245,10 +243,10 @@ def embed_batch(
     chunks of ``chunk_text`` carry them, or those tokens lowercased, as
     ``metrics`` memoizes them: the hashed backend lowercases every token,
     and ``str.lower`` is idempotent, so the buckets are the same. That
-    backend then buckets them instead of tokenizing the texts again. The
-    http backend sends the texts, in ceil(len/batch_size) wire requests.
-    The first invalid element fails the whole batch with its index in the
-    message.
+    backend then buckets them instead of tokenizing the texts again, and
+    one call's vectors are rows of one matrix, sharing one buffer. The http
+    backend sends ceil(len/batch_size) wire requests. The first invalid
+    element fails the whole batch with its index in the message.
 
     Raises:
         InvalidInput: tokens and texts differ in length, or (hashed
@@ -263,7 +261,7 @@ def embed_batch(
     if config.backend == "hashed_bow":
         if tokens is None:
             tokens = [token_texts(text) for text in texts]
-        return _hashed_bow(tokens, config.dim)
+        return list(_hashed_bow(tokens, config.dim))
     out: list[np.ndarray] = []
     for start in range(0, len(texts), config.batch_size):
         out.extend(_embed_http_batch(texts[start : start + config.batch_size], config))

@@ -1,6 +1,6 @@
 """End-to-end retrieval pipeline for unstructured text.
 
-Ingestion chunks each document when a batch of chunks to embed reaches it,
+Ingestion chunks each document when a call embedding 256 chunks reaches it,
 and persists the vectors; answering embeds the query, retrieves the top-k
 chunks by exact cosine search, composes a fixed-template prompt, and runs the
 completion backend.
@@ -26,6 +26,10 @@ from .errors import (DuplicateId, EmptyContext, FingerprintMismatch, InvalidInpu
                      write_json_lines)
 from .llm import CONTEXT_PREFIX, QUESTION_DELIMITER, Completion, LlmConfig, complete
 from .store import VectorRecord, VectorStore
+
+# Fixed: build_store embeds about this many items per embed_batch call, a
+# whole number of http requests of batch_size.
+INGEST_DRAW_ITEMS = 256
 
 
 @dataclass(frozen=True)
@@ -71,8 +75,8 @@ def ingest(
     """Chunk and embed documents into a new store saved at store_path.
 
     One record per chunk, id ``<doc_id>:<index>``, kind ``chunk``. Each
-    document is chunked only when the batch that needs its first chunk is
-    drawn, so one document's chunks are alive at a time, not the corpus's.
+    document is chunked only when the embed_batch call that needs its first
+    chunk is filled, so one call's and one document's chunks are alive.
 
     Raises:
         InvalidInput: empty document list.
@@ -105,12 +109,12 @@ def build_store(
     """A new store of ``kind`` records from ``(id, text, metadata, tokens)``
     items, saved at store_path if given. ``tokens`` is the text's token
     texts, as a chunk carries them, or None for every item. Items are drawn
-    and embedded one batch of ``batch_size`` at a time, so one batch's own
-    arrays are alive at once."""
+    and embedded about INGEST_DRAW_ITEMS per call, a whole number of http
+    requests of ``batch_size``, so one call's own arrays are alive at once."""
     embedder_config = embedder_config or EmbedderConfig()
     store = VectorStore(embedder_config.dim, fingerprint(embedder_config))
-    items = iter(items)
-    while batch := list(islice(items, embedder_config.batch_size)):
+    items, size = iter(items), embedder_config.batch_size
+    while batch := list(islice(items, size * max(1, INGEST_DRAW_ITEMS // size))):
         texts = [text for _, text, _, _ in batch]
         tokens = [text_tokens for *_, text_tokens in batch]
         vectors = embed_batch(texts, embedder_config,

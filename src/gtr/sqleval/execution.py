@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from dataclasses import replace
 from pathlib import Path
 
 from ..errors import EvalError, GtrError
@@ -102,7 +103,7 @@ def execution_verdicts(
     """
     if ordered is None:
         ordered = has_top_level_order_by(gold)
-    gold_run = None
+    gold_run = sorted_gold = None
     verdicts: dict[str, bool] = {}
     for sql in dict.fromkeys([gold, *preds]):
         try:
@@ -115,8 +116,12 @@ def execution_verdicts(
             continue
         if gold_run is None:
             gold_run = run
+        elif not ordered and len(run.rows) == len(gold_run.rows):
+            # Sorted as results_match would, the gold's once; then compared in order.
+            sorted_gold = sorted_gold or replace(gold_run, rows=sorted(gold_run.rows, key=_sort_key))
+            run = replace(run, rows=sorted(run.rows, key=_sort_key))
         # The gold's own run, which a pred equal to it reuses, matches.
-        verdicts[sql] = run is gold_run or results_match(gold_run, run, ordered)
+        verdicts[sql] = run is gold_run or results_match(sorted_gold or gold_run, run, True)
     return [verdicts[pred] for pred in preds]
 
 

@@ -473,15 +473,22 @@ def parse_sql(text: str) -> ClauseSets:
         ParseError: unsupported or malformed SQL; carries the byte offset
             and the token descriptions that would have been accepted. A
             statement nested past the interpreter's recursion limit is
-            "nested too deeply" at its deepest ``(``.
+            "nested too deeply" at its deepest ``(`` or set operator; a
+            chain's operators nest until the ``)`` that ends the chain.
     """
     try:
         return _resolve(_Parser(text).parse(), {})
     except RecursionError:
         pass
     depth = deepest = at = 0
+    opened = []  # the depth before each ``(`` still open
     for tok in tokenize(text):
-        depth += {"(": 1, ")": -1}.get(tok.text, 0)
-        if depth > deepest:
-            deepest, at = depth, tok.pos
+        if tok.text == ")" and opened:
+            depth = opened.pop()
+        elif tok.text in ("(", "union", "intersect", "except"):
+            if tok.text == "(":
+                opened.append(depth)
+            depth += 1
+            if depth > deepest:
+                deepest, at = depth, tok.pos
     raise ParseError("nested too deeply", _byte_offset(text, at))

@@ -129,7 +129,8 @@ def _evaluate_group(
     reuses the gold's parse; the parses are dropped when the group is
     scored. EX is one execution_verdicts call over the group's preds, which
     runs each distinct statement once. EX ordering is read from the gold's
-    parse; only a gold that fails to parse is lexed again for it.
+    parse; only a gold that fails to parse is lexed again for it. An item's
+    error keeps each of its reasons in the order they arose, joined by "; ".
     """
     parse = cache(parse_or_error)
     gold_cs, gold_error = parse(gold)
@@ -156,21 +157,21 @@ def _evaluate_group(
                 item.em = all(item.em_clauses.values())
         items.append(item)
 
-    if db_path is None:
-        for item in items:
-            item.error = f"database not found for db_id {db_id!r}"
-        return items
-    try:
-        verdicts = execution_verdicts(
-            gold, [item.pred for item in items], db_path, timeout_ms,
-            ordered=None if gold_cs is None else gold_cs.ordered,
-        )
-    except EvalError as e:
-        for item in items:
-            item.error = str(e)
-    else:
-        for item, ex in zip(items, verdicts):
-            item.ex = ex
+    reason = f"database not found for db_id {db_id!r}"
+    if db_path is not None:
+        try:
+            verdicts = execution_verdicts(
+                gold, [item.pred for item in items], db_path, timeout_ms,
+                ordered=None if gold_cs is None else gold_cs.ordered,
+            )
+        except EvalError as e:
+            reason = str(e)
+        else:
+            for item, ex in zip(items, verdicts):
+                item.ex = ex
+            return items
+    for item in items:
+        item.error = "; ".join(filter(None, (item.error, reason)))
     return items
 
 

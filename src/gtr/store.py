@@ -125,7 +125,7 @@ def _cosine_pair(side_u: tuple, side_v: tuple) -> float:
     (u, su, nu), (v, sv, nv) = side_u, side_v
     if u.shape[0] != v.shape[0]:
         raise DimensionMismatch(f"dim {u.shape[0]} vs {v.shape[0]}")
-    if not math.isfinite(nu * nv):
+    if not (math.isfinite(nu) and math.isfinite(nv)):  # inf * 0 would warn
         raise InvalidInput("cosine is undefined for a non-finite vector")
     if nu == 0.0 or nv == 0.0:
         raise ZeroVector("cosine is undefined for a zero vector")

@@ -644,32 +644,35 @@ def _evaluate_one(pair: dict, db_dir: str | Path, timeout_ms: int) -> SqlEvalIte
         em=False,
         ex=None,
     )
+    reasons = []  # every reason is kept: a parse error, then why EX did not run
     try:
         gold_cs = _parse_sql(gold)
         item.hardness = classify_hardness(gold_cs)
     except ParseError as e:
         gold_cs = None
-        item.error = f"gold parse error: {e}"
+        reasons.append(f"gold parse error: {e}")
     try:
         pred_cs = _parse_sql(pred)
     except ParseError as e:
         pred_cs = None
-        item.error = item.error or f"pred parse error: {e}"
+        if gold_cs is not None:
+            reasons.append(f"pred parse error: {e}")
     if gold_cs is not None and pred_cs is not None:
         item.em_clauses = compare_clauses(pred_cs, gold_cs)
         item.em = all(item.em_clauses.values())
 
     db_path = resolve_db_path(db_dir, item.db_id)
     if db_path is None:
-        item.error = f"database not found for db_id {item.db_id!r}"
-        return item
-    try:
-        item.ex = full_fetch_accuracy(pred, gold, db_path, timeout_ms=timeout_ms)
-    except EvalError as e:
-        item.error = str(e)
-    except GtrError as e:  # defensive: executor errors on pred score False
-        item.ex = False
-        item.error = str(e)
+        reasons.append(f"database not found for db_id {item.db_id!r}")
+    else:
+        try:
+            item.ex = full_fetch_accuracy(pred, gold, db_path, timeout_ms=timeout_ms)
+        except EvalError as e:
+            reasons.append(str(e))
+        except GtrError as e:  # defensive: executor errors on pred score False
+            item.ex = False
+            reasons.append(str(e))
+    item.error = "; ".join(reasons) or None
     return item
 
 

@@ -491,6 +491,7 @@ class TestLogLevel:
         assert first.startswith("sql eval: EX skips pair 1 on db_id 'concerts': "
                                 "gold query failed: ")
         assert second == ("sql eval: EX skips pair 2 on db_id 'ghost': "
+                          "gold parse error: unexpected '1' at byte 7 (expected column name); "
                           "database not found for db_id 'ghost'")
 
     def test_an_unknown_level_is_refused(self, capsys, ingest):

@@ -127,6 +127,23 @@ class TestExecutionVerdictsRunEachStatementOnce:
         assert verdicts == [False, True, False, False, True, True, False]
         assert execute_calls == [(gold, None), (older, 7), (broken, 7), (sorted_, 7)]
 
+    def test_an_unordered_golds_rows_are_sorted_once(self, toy_db, monkeypatch):
+        keyed = []
+        sort_key = execution._sort_key
+        monkeypatch.setattr(execution, "_sort_key",
+                            lambda row: keyed.append(row) or sort_key(row))
+        gold = "SELECT name FROM singer"  # 6 rows
+        preds = ["SELECT name FROM singer ORDER BY name", "SELECT DISTINCT name FROM singer",
+                 "SELECT name FROM singer WHERE age > 40", "SELECT country FROM singer"]
+        assert execution.execution_verdicts(gold, preds, toy_db) == [True, True, False, False]
+        # The gold's 6 rows once, then the 6 rows of each pred as long as the
+        # gold. Sorting the gold again for each of those three would make 36.
+        assert len(keyed) == 6 + 3 * 6
+        # No pred of the gold's length, or only the gold itself: no sort.
+        keyed.clear()
+        assert execution.execution_verdicts(gold, [preds[2], gold], toy_db) == [False, True]
+        assert keyed == []
+
     def test_no_preds_runs_the_gold_alone(self, toy_db, execute_calls):
         gold = "SELECT name FROM singer"
         assert execution.execution_verdicts(gold, [], toy_db) == []

@@ -18,9 +18,9 @@ import pytest
 
 import ingest_oracles as oracle
 from gtr import pipeline
-from gtr.chunking import Document, chunk_text, tokenize
+from gtr.chunking import Document, chunk_text, token_texts, tokenize
 from gtr.embedding import BUCKET_CACHE_SIZE, EmbedderConfig, bucket_index, embed, embed_batch
-from gtr.errors import DuplicateId, InvalidInput
+from gtr.errors import DuplicateId, InvalidInput, ZeroVector
 from gtr.pipeline import ingest
 from gtr.store import VectorRecord, VectorStore
 from store_oracles import VectorStore as OracleStore
@@ -193,6 +193,44 @@ class TestEmbedBatchTokens:
             embed_batch(["a", "b"], EmbedderConfig(dim=8), [["a"]])
 
 
+class TestOneMatrixPerCall:
+    """embed_batch counts a whole call in one matrix; each row must keep the
+    bytes of embedding its text alone, whatever the call's size."""
+
+    WORDS = ["a", "The", "the", "THE", "İ", "i̇", "ı", "ß", "SS", "ẞ", "😀", "👍🏽",
+             "naïve", "x" * 70, "_under_", "٣٤٥", "ﬁ"]
+
+    def _texts(self, rng, n):
+        texts = []
+        for _ in range(n):
+            shape = rng.randrange(4)
+            if shape == 0:  # one token
+                texts.append(rng.choice(self.WORDS))
+            elif shape == 1:  # one token repeated
+                texts.append(" ".join([rng.choice(self.WORDS)] * rng.randint(2, 40)))
+            else:
+                texts.append(" ".join(rng.choices(self.WORDS, k=rng.randint(1, 60))))
+        return texts
+
+    @pytest.mark.parametrize("size", [1, 2, 31, 32, 33, 255, 256, 257, 600])
+    def test_rows_equal_each_texts_embed(self, size):
+        rng = random.Random(size)
+        texts = self._texts(rng, size)
+        if size == 600:
+            texts[rng.randrange(size)] = " ".join(rng.choices(self.WORDS, k=50_000))
+        for dim in (7, 384):
+            config = EmbedderConfig(dim=dim)
+            alone = [embed(text, config).tobytes() for text in texts]
+            lowered = [[t.lower() for t in token_texts(text)] for text in texts]
+            for tokens in (None, lowered):
+                got = embed_batch(texts, config, tokens)
+                assert [v.tobytes() for v in got] == alone
+
+    def test_a_call_with_an_empty_token_list_is_refused(self):
+        with pytest.raises(ZeroVector):
+            embed_batch(["a", "b"], EmbedderConfig(dim=8), [["a"], []])
+
+
 class TestIngestOrder:
     def _record(self, monkeypatch):
         events = []
@@ -211,6 +249,7 @@ class TestIngestOrder:
 
     def test_each_document_is_chunked_when_a_batch_needs_it(self, monkeypatch, tmp_path):
         events = self._record(monkeypatch)
+        monkeypatch.setattr(pipeline, "INGEST_DRAW_ITEMS", 3)
         docs = [Document(f"d{i}", " ".join(f"w{i}{j}" for j in range(8))) for i in range(4)]
         path = tmp_path / "s"
         ingest(docs, chunk_size=2, overlap=0,
@@ -221,6 +260,52 @@ class TestIngestOrder:
                           ("embed", 3), ("embed", 1)]
         oracle_chunks = [c for d in docs for c in oracle.chunk_text(d, 2, 0)]
         assert list(VectorStore.load(path).texts) == [c.text for c in oracle_chunks]
+
+    @pytest.mark.parametrize("batch_size, sizes", [
+        (32, [256, 256, 88]), (7, [252, 252, 96]), (100, [200, 200, 200]), (300, [300, 300]),
+    ])
+    def test_a_call_embeds_a_whole_number_of_batches_near_256(self, monkeypatch, tmp_path,
+                                                             batch_size, sizes):
+        events = self._record(monkeypatch)
+        # 30 documents of 20 chunks each.
+        docs = [Document(f"d{i}", " ".join(f"w{i}_{j}" for j in range(40))) for i in range(30)]
+        ingest(docs, chunk_size=2, overlap=0,
+               embedder_config=EmbedderConfig(dim=16, batch_size=batch_size),
+               store_path=tmp_path / "s")
+        assert [n for kind, n in events if kind == "embed"] == sizes
+        # Each document is chunked while the call that needs its first chunk
+        # is filled: before that call, and after the one before it.
+        drawn = 0
+        chunked = []
+        for kind, value in events:
+            if kind == "chunk":
+                chunked.append(value)
+            else:
+                drawn += value
+                assert chunked == [f"d{i}" for i in range(30) if 20 * i < drawn]
+
+    def test_an_http_ingest_sends_the_requests_of_one_call_per_batch(
+            self, monkeypatch, tmp_path, json_server):
+        def responder(path, body):
+            return 200, {"embeddings": [[len(t), 1.0, t.count("1"), 0.5] for t in body["inputs"]]}
+
+        docs = [Document(f"d{i}", " ".join(f"w{i}_{j}" for j in range(40))) for i in range(30)]
+        chunks = [c.text for d in docs for c in chunk_text(d, 2, 0)]
+        assert len(chunks) == 600
+        server = json_server(responder)
+        config = EmbedderConfig("http", 4, server.url + "embed", batch_size=3)
+        stores = []
+        for draw in (pipeline.INGEST_DRAW_ITEMS, 3):  # 3: one call per request
+            monkeypatch.setattr(pipeline, "INGEST_DRAW_ITEMS", draw)
+            server.requests.clear()
+            ingest(docs, chunk_size=2, overlap=0, embedder_config=config,
+                   store_path=tmp_path / f"s{draw}")
+            inputs = [body["inputs"] for _, body in server.requests]
+            assert len(inputs) == 200
+            assert all(len(batch) == 3 for batch in inputs)
+            assert [text for batch in inputs for text in batch] == chunks
+            stores.append((tmp_path / f"s{draw}").read_bytes())
+        assert stores[0] == stores[1]
 
     def test_duplicate_ids_are_refused_before_any_work(self, monkeypatch, tmp_path):
         events = self._record(monkeypatch)

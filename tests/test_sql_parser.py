@@ -211,6 +211,30 @@ class TestParseErrors:
         assert str(exc_info.value) == f"nested too deeply at byte {offset}"
         assert (exc_info.value.offset, exc_info.value.expected) == (offset, ())
 
+    @pytest.mark.parametrize("op", ["UNION", "union all", "INTERSECT", "Except"])
+    def test_nested_too_deeply_at_the_last_operator_of_a_flat_chain(self, op):
+        # Each set operator nests the rest of its chain one level deeper,
+        # until the parenthesis around the chain closes.
+        chain = f" {op} ".join(["SELECT a FROM t"] * 1000)
+        last = chain.rindex(f" {op} ") + 1
+        for head, tail in (("", ""),
+                           ("SELECT a FROM t WHERE d = 'é' AND b IN (",
+                            ") AND c IN (SELECT a FROM u UNION SELECT a FROM v) UNION "
+                            "SELECT a FROM w")):
+            sql = head + chain + tail
+            with pytest.raises(ParseError) as exc_info:
+                parse_sql(sql)
+            offset = len((head + chain[:last]).encode("utf-8"))
+            assert str(exc_info.value) == f"nested too deeply at byte {offset}"
+            assert exc_info.value.offset == offset
+
+    def test_a_flat_chain_below_the_limit_still_parses(self):
+        cs = parse_sql(" UNION ".join(["SELECT a FROM t"] * 600))
+        for _ in range(599):
+            op, cs = cs.set_op
+            assert op == "union"
+        assert cs.set_op is None
+
     def test_a_deep_statement_below_the_limit_still_parses(self):
         value = "(" * 400 + "1" + ")" * 400
         assert (parse_sql(f"SELECT a FROM t WHERE b = {value}")

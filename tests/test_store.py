@@ -187,6 +187,15 @@ class TestCosine:
         with pytest.raises(InvalidInput, match="non-finite"):
             cosine((1.0, 1.0), (1.0, bad))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_side_against_a_zero_side_refuses_without_a_warning(self, bad):
+        # Its norm times the zero side's is inf * 0, which NumPy warns about.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u, v in (((bad, 1.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, bad))):
+                with pytest.raises(InvalidInput, match="non-finite"):
+                    cosine(u, v)
+
     def test_bits_equal_the_unsplit_cosine(self):
         pairs = _in_range_pairs()
         assert len(pairs) == 1700

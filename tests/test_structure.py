@@ -12,7 +12,9 @@ each statement through one helper apiece, user tables are listed by one
 query, importing the package loads no HTTP client, the store's matrix
 has one capacity rule, applied in the one function that makes the matrix,
 the SQL token pattern is compiled in the SQL tokenizer alone, n-gram counts
-are built by one function, and cosine and SAS share one cosine arithmetic."""
+are built by one function, cosine and SAS share one cosine arithmetic, the
+hashed embedder counts a call with one bincount, and the store builder alone
+sizes the embedding calls of an ingest."""
 
 import argparse
 import ast
@@ -496,3 +498,21 @@ def test_one_cosine_arithmetic():
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
     ]
     assert products == ["store.py:_cosine_pair"]
+
+
+def test_one_bincount_and_one_ingest_call_size():
+    # _hashed_bow counts every text of a call in one matrix, and build_store
+    # alone decides how many items each ingest embed_batch call gets.
+    [tree] = [tree for path, tree in _trees() if path.name == "embedding.py"]
+    assert _calls(tree).count("bincount") == 1
+
+    def users(*names):
+        return sorted(
+            f"{path.name}:{func.name}"
+            for path, tree in _trees()
+            for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+            if any(isinstance(node, ast.Name) and node.id in names for node in ast.walk(func))
+        )
+
+    assert users("INGEST_DRAW_ITEMS", "islice") == ["pipeline.py:build_store"]
+    assert users("embed_batch") == ["metrics.py:_sas_scores", "pipeline.py:build_store"]

@@ -117,6 +117,31 @@ class TestEvaluateSuite:
         assert report.items[0].ex is None
         assert "database not found" in report.items[0].error
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_an_item_keeps_every_reason_in_order(self, db_dir, tmp_path, caplog, jobs):
+        backtick = "SELECT `name` FROM singer"
+        pairs = [pair("SELECT `x` FROM nosuch", pred="SELECT name FROM singer"),
+                 {"question": "", "gold": "SELECT name FROM singer", "pred": backtick,
+                  "db_id": "missing"},
+                 pair("SELECT name FROM singer", pred=backtick)]
+        with caplog.at_level(logging.INFO, logger="gtr"):
+            report = evaluate_suite(pairs, db_dir, jobs=jobs)
+        gold_error = ("gold parse error: unexpected character '`' at byte 7; "
+                      "gold query failed: no such table: nosuch")
+        pred_error = ("pred parse error: unexpected character '`' at byte 7; "
+                      "database not found for db_id 'missing'")
+        # EM and EX are as before; only the error text holds more.
+        assert [(i.em, i.ex, i.error) for i in report.items] == [
+            (False, None, gold_error), (False, None, pred_error),
+            (False, True, "pred parse error: unexpected character '`' at byte 7")]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"sql eval: EX skips pair 0 on db_id 'concerts': {gold_error}",
+            f"sql eval: EX skips pair 1 on db_id 'missing': {pred_error}"]
+        report.write_jsonl(tmp_path / "report.jsonl")
+        lines = (tmp_path / "report.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["error"] for line in lines] == [i.error for i in report.items]
+        assert lines[0] == json.dumps(asdict(report.items[0]), ensure_ascii=False)
+
     def test_each_item_left_out_of_ex_logs_one_info_record(self, db_dir, caplog):
         pairs = [pair("SELECT name FROM singer", pred="SELEC name FROM singer"),
                  pair("SELECT nope FROM nowhere", pred="SELECT name FROM singer"),
@@ -132,7 +157,8 @@ class TestEvaluateSuite:
         assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
             ("gtr", logging.INFO, f"sql eval: EX skips pair 1 on db_id 'concerts': {gold_error}"),
             ("gtr", logging.INFO, "sql eval: EX skips pair 2 on db_id 'ghost': "
-                                  "database not found for db_id 'ghost'"),
+                                  "gold parse error: unexpected '1' at byte 7 (expected "
+                                  "column name); database not found for db_id 'ghost'"),
             ("gtr", logging.INFO, f"sql eval: EX skips pair 3 on db_id 'concerts': {gold_error}"),
         ]
 
@@ -266,7 +292,9 @@ class TestEvaluateSuite:
             [{"question": "", "gold": "SELECT 1", "pred": "SELECT 1", "db_id": db_id}],
             db_dir).items
         assert item.ex is None
-        assert item.error == f"database not found for db_id {db_id!r}"
+        # "SELECT 1" has no FROM, so it fails to parse too, and keeps both reasons.
+        assert item.error == ("gold parse error: unexpected '1' at byte 7 (expected column "
+                              f"name); database not found for db_id {db_id!r}")
 
     def test_absolute_db_id_does_not_escape_the_directory(self, db_dir):
         (db_dir.parent / "outside").mkdir()
