@@ -43,7 +43,7 @@ def post_json(url: str, payload: dict, timeout_s: float, backend: str):
             continue
         try:
             return loads_json(resp.text)
-        except ValueError as e:  # JSONDecodeError, also for nesting too deep
+        except ValueError as e:  # JSONDecodeError, or loads_json's "nested too deeply"
             problem = f"returned a body that is not JSON: {e}"
     raise BackendUnavailable(
         f"{backend} backend failed after {ATTEMPTS} attempts: {problem}"

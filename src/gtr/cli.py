@@ -56,7 +56,7 @@ def _llm_config(value: str) -> LlmConfig:
         path = Path(rest)
         try:
             mapping = loads_json("".join(read_lines(path, "template mapping")))
-        except ValueError as e:  # JSONDecodeError, or an over-long integer
+        except ValueError as e:  # JSONDecodeError, an over-long integer, or nesting too deep
             raise InvalidInput(f"{path}: malformed JSON: {e}")
         if not isinstance(mapping, dict):
             raise InvalidInput(f"{path} must hold a JSON object of question -> SQL")

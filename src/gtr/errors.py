@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import io
 import json
-import re
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -158,25 +157,14 @@ def read_lines(path: str | Path, what: str = "input") -> Iterator[str]:
                 yield line
 
 
-# A JSON string (its closing quote optional), or one bracket.
-_JSON_NESTING_RE = re.compile(r'"(?:[^"\\]|\\.)*"?|[][{}]')
-_NESTING_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
-
-
 def loads_json(text: str):
     """``json.loads``, except that a value nested past the decoder's
-    recursion limit raises JSONDecodeError at its deepest bracket, as any
-    other text that is not JSON raises it, instead of RecursionError."""
+    recursion limit raises ValueError("nested too deeply"), as other text
+    that is not JSON raises a ValueError, instead of RecursionError."""
     try:
         return json.loads(text)
     except RecursionError:
-        pass
-    depth = deepest = at = 0
-    for m in _JSON_NESTING_RE.finditer(text):
-        depth += _NESTING_STEP.get(m.group(), 0)
-        if depth > deepest:
-            deepest, at = depth, m.start()
-    raise json.JSONDecodeError("nested too deeply", text, at)
+        raise ValueError("nested too deeply") from None
 
 
 def read_json_lines(path: str | Path, what: str = "input") -> Iterator[tuple[int, object]]:
@@ -188,7 +176,7 @@ def read_json_lines(path: str | Path, what: str = "input") -> Iterator[tuple[int
             continue
         try:
             value = loads_json(line)
-        except ValueError as e:  # JSONDecodeError, or an over-long integer
+        except ValueError as e:  # JSONDecodeError, an over-long integer, or nesting too deep
             raise InvalidInput(f"{path}: malformed JSON on line {lineno}: {e}")
         yield lineno, value
 

@@ -303,6 +303,8 @@ def load_items_jsonl(path: str | Path) -> list[GtrEvalItem]:
             items.append(
                 GtrEvalItem(**texts, truthful=truthful, response_time_ms=float(ms))
             )
-        except (KeyError, TypeError, ValueError, InvalidInput) as e:
+        except KeyError as e:
+            raise InvalidInput(f"{path}: bad item on line {lineno}: missing field {e}") from None
+        except (TypeError, ValueError, InvalidInput) as e:
             raise InvalidInput(f"{path}: bad item on line {lineno}: {e}")
     return items

@@ -85,8 +85,6 @@ def execution_verdicts(
     preds: Sequence[str],
     db_path: str | Path,
     timeout_ms: int = EVAL_TIMEOUT_MS,
-    *,
-    ordered: bool | None = None,
 ) -> list[bool]:
     """The EX rule: each pred's rows scored against the gold's on db_path.
 
@@ -97,13 +95,13 @@ def execution_verdicts(
     first, so a Cartesian product costs one row more than the gold, not
     every row until the timeout. A pred equal to the gold reuses its run.
     A failing pred scores False; otherwise rows compare by results_match, in
-    order only when the gold orders its output. ``ordered`` says whether it
-    does, as a caller that parsed the gold knows (``ClauseSets.ordered``);
-    None reads it from the gold's text with has_top_level_order_by.
+    order only when the gold orders its output. Only a pred whose run has
+    as many rows as the gold's, two or more, needs that answer: any other
+    run compares the same either way. The first such pred reads it from the
+    gold's text with has_top_level_order_by, and an unordered gold's rows
+    are then sorted once for the group.
     """
-    if ordered is None:
-        ordered = has_top_level_order_by(gold)
-    gold_run = sorted_gold = None
+    gold_run = sorted_gold = ordered = None
     verdicts: dict[str, bool] = {}
     for sql in dict.fromkeys([gold, *preds]):
         try:
@@ -116,10 +114,14 @@ def execution_verdicts(
             continue
         if gold_run is None:
             gold_run = run
-        elif not ordered and len(run.rows) == len(gold_run.rows):
-            # Sorted as results_match would, the gold's once; then compared in order.
-            sorted_gold = sorted_gold or replace(gold_run, rows=sorted(gold_run.rows, key=_sort_key))
-            run = replace(run, rows=sorted(run.rows, key=_sort_key))
+        elif len(run.rows) == len(gold_run.rows) > 1:
+            if ordered is None:
+                ordered = has_top_level_order_by(gold)
+            if not ordered:
+                # Sorted as results_match would, the gold's once; then compared in order.
+                sorted_gold = sorted_gold or replace(
+                    gold_run, rows=sorted(gold_run.rows, key=_sort_key))
+                run = replace(run, rows=sorted(run.rows, key=_sort_key))
         # The gold's own run, which a pred equal to it reuses, matches.
         verdicts[sql] = run is gold_run or results_match(sorted_gold or gold_run, run, True)
     return [verdicts[pred] for pred in preds]

@@ -99,18 +99,6 @@ class ClauseSets:
     or_count: int = field(default=0, compare=False)
 
     @property
-    def ordered(self) -> bool:
-        """True when some core of the set-op chain has an ORDER BY: the
-        query then orders its output, as an ORDER BY outside parentheses
-        in its text says."""
-        cs = self
-        while not cs.order_by:
-            if cs.set_op is None:
-                return False
-            cs = cs.set_op[1]
-        return True
-
-    @property
     def subqueries(self) -> tuple:
         """Nested queries used as comparison values: those of the join
         conditions, then WHERE, then HAVING, each clause's in set order."""

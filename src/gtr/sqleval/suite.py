@@ -84,8 +84,8 @@ class SqlEvalReport:
         )
         if overall["gold_errors"]:
             lines.append(
-                f"(excluded {overall['gold_errors']} item(s) with failing gold "
-                "queries from EX)"
+                f"(excluded {overall['gold_errors']} item(s) from EX whose gold query "
+                "failed or whose database was not found; see each item's error)"
             )
         return "\n".join(lines)
 
@@ -128,9 +128,10 @@ def _evaluate_group(
     Each distinct text is parsed at most once, so a pred equal to its gold
     reuses the gold's parse; the parses are dropped when the group is
     scored. EX is one execution_verdicts call over the group's preds, which
-    runs each distinct statement once. EX ordering is read from the gold's
-    parse; only a gold that fails to parse is lexed again for it. An item's
-    error keeps each of its reasons in the order they arose, joined by "; ".
+    runs each distinct statement once and lexes the gold again, for its
+    ORDER BY, only when a pred returns as many rows as the gold, two or
+    more. An item's error keeps each of its reasons in the order they
+    arose, joined by "; ".
     """
     parse = cache(parse_or_error)
     gold_cs, gold_error = parse(gold)
@@ -160,10 +161,7 @@ def _evaluate_group(
     reason = f"database not found for db_id {db_id!r}"
     if db_path is not None:
         try:
-            verdicts = execution_verdicts(
-                gold, [item.pred for item in items], db_path, timeout_ms,
-                ordered=None if gold_cs is None else gold_cs.ordered,
-            )
+            verdicts = execution_verdicts(gold, [item.pred for item in items], db_path, timeout_ms)
         except EvalError as e:
             reason = str(e)
         else:

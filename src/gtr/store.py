@@ -718,7 +718,7 @@ def _json_line(line: bytes):
         raise InvalidInput(f"not UTF-8: {e.reason} at byte {e.start}") from None
     try:
         return loads_json(text)
-    except ValueError as e:  # JSONDecodeError, or an over-long integer
+    except ValueError as e:  # JSONDecodeError, an over-long integer, or nesting too deep
         raise InvalidInput(f"malformed JSON: {e}") from None
 
 

@@ -164,8 +164,8 @@ class TestLoadDocuments:
         # json.loads raises RecursionError here; it used to escape.
         path = tmp_path / "docs.jsonl"
         path.write_text('{"id": "a", "text": "x"}\n' + "[" * 5000 + "\n", encoding="utf-8")
-        with pytest.raises(InvalidInput, match=f"^{path}: malformed JSON on line 2: "
-                           r"nested too deeply: line 1 column 5000 \(char 4999\)$"):
+        with pytest.raises(InvalidInput,
+                           match=f"^{path}: malformed JSON on line 2: nested too deeply$"):
             load_documents(path)
 
     @pytest.mark.parametrize("line", [

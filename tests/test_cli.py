@@ -242,7 +242,7 @@ class TestTables:
     @pytest.mark.parametrize("text, message", [
         ("{oops", "malformed JSON"),
         pytest.param('{"q?":\n ' + "[" * 5000,
-                     "malformed JSON: nested too deeply: line 2 column 5001", id="deep_nesting"),
+                     "malformed JSON: nested too deeply", id="deep_nesting"),
         ('{"q?": null}', "question 'q?' must be a string, got None"),
         ('{"q?": 7}', "question 'q?' must be a string, got 7"),
     ])

@@ -144,6 +144,14 @@ class TestExecutionVerdictsRunEachStatementOnce:
         assert execution.execution_verdicts(gold, [preds[2], gold], toy_db) == [False, True]
         assert keyed == []
 
+    def test_runs_of_one_row_are_never_sorted(self, toy_db, monkeypatch):
+        # One row compares the same in order or as a multiset.
+        monkeypatch.setattr(execution, "_sort_key", lambda row: pytest.fail(f"sorted {row}"))
+        gold = "SELECT count(*) FROM singer"  # 1 row, in no stated order
+        preds = ["SELECT count(*) FROM singer WHERE age > 20", "SELECT max(age) FROM singer",
+                 "SELECT name FROM singer WHERE age > 50", "SELECT name FROM singer"]
+        assert execution.execution_verdicts(gold, preds, toy_db) == [True, False, False, False]
+
     def test_no_preds_runs_the_gold_alone(self, toy_db, execute_calls):
         gold = "SELECT name FROM singer"
         assert execution.execution_verdicts(gold, [], toy_db) == []
@@ -180,6 +188,13 @@ class TestOrderByDetection:
             ("SELECT a FROM t WHERE b = 'order by'", False),
             ("SELECT a FROM t UNION SELECT a FROM u ORDER BY a", True),
             ("SELECT reorder FROM t", False),
+            # An ORDER BY in any query of a set-op chain orders the output;
+            # one in a nested query does not.
+            ("SELECT a FROM t ORDER BY a UNION SELECT a FROM u", True),
+            ("SELECT a FROM t UNION SELECT a FROM u EXCEPT SELECT a FROM v ORDER BY a", True),
+            ("SELECT a FROM (SELECT a FROM t ORDER BY a) UNION SELECT a FROM u", False),
+            ("SELECT a FROM t WHERE a IN (SELECT a FROM u ORDER BY a LIMIT 1)", False),
+            ("SELECT a FROM t WHERE a > (SELECT a FROM u UNION SELECT a FROM v ORDER BY a)", False),
         ],
     )
     def test_detection(self, sql, expected):

@@ -293,9 +293,21 @@ class TestLoadItems:
     def test_deep_nesting_names_file_and_line(self, tmp_path):
         path = tmp_path / "items.jsonl"
         path.write_text("\n" + '{"question": ' + "[" * 5000 + "\n", encoding="utf-8")
-        with pytest.raises(InvalidInput, match=f"{path}: malformed JSON on line 2: "
-                           "nested too deeply: line 1 column 5013"):
+        with pytest.raises(InvalidInput,
+                           match=f"^{path}: malformed JSON on line 2: nested too deeply$"):
             load_items_jsonl(path)
+
+    @pytest.mark.parametrize("field", ["question", "reference", "candidate", "truthful",
+                                       "response_time_ms"])
+    def test_a_missing_field_is_named(self, tmp_path, field):
+        row = {"question": "q", "reference": "r", "candidate": "c",
+               "truthful": 0, "response_time_ms": 3}
+        del row[field]
+        path = tmp_path / "items.jsonl"
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        with pytest.raises(InvalidInput) as info:
+            load_items_jsonl(path)
+        assert str(info.value) == f"{path}: bad item on line 1: missing field {field!r}"
 
     @pytest.mark.parametrize("field", ["question", "reference", "candidate"])
     @pytest.mark.parametrize("raw", ["null", "7", "true", '["a"]', '{"t": "a"}'])

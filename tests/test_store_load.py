@@ -216,7 +216,7 @@ DEEP = {
         "row 1: record id 'a' already present"),
     "deep_nesting": (
         _with_lines(_line("a"), b"[" * 5000),
-        "row 1: malformed JSON: nested too deeply: line 1 column 5000 (char 4999)"),
+        "row 1: malformed JSON: nested too deeply"),
 }
 
 

@@ -4,7 +4,8 @@ store entry encoder that whole saves and appends share, one store reader,
 and one reader of text input files, a table is profiled at ingest only,
 asking takes the embedder the store names, search sums every score in the
 store's own order, execution accuracy has one rule that the suite and
-the single-pair scorer share, every SQLite connection is opened in one
+the single-pair scorer share, whether a gold orders its output is read
+from its text by that rule alone, every SQLite connection is opened in one
 function, which alone sets its authorizer and whose callers never close
 it, and the store imports no HTTP
 code. JSON lines have one reader and one writer, SQL eval runs and parses
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import gtr
 from gtr import cli, store
+from gtr.sqleval.parser import ClauseSets
 
 SRC = Path(gtr.__file__).parent
 
@@ -170,6 +172,25 @@ def test_one_execution_accuracy_rule():
     assert "execution_verdicts" in called
     assert not called & {"results_match", "has_top_level_order_by", "execution_accuracy",
                          "EvalError", "_values_equal", "_rows_equal"}
+
+
+def test_one_order_rule_and_only_the_ex_rule_reads_it():
+    # Whether a gold orders its output is read from its text, by
+    # execution_verdicts alone; the parse carries no answer of its own, and
+    # no caller hands one in.
+    functions = [
+        (path.name, node)
+        for path, tree in _trees()
+        for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+    ]
+    callers = {(name, node.name) for name, node in functions
+               if "has_top_level_order_by" in _calls(node)}
+    assert callers == {("execution.py", "execution_verdicts")}
+    takes_ordered = {(name, node.name) for name, node in functions
+                     for arg in ast.walk(node.args) if isinstance(arg, ast.arg)
+                     and arg.arg == "ordered"}
+    assert takes_ordered == {("execution.py", "results_match")}
+    assert not hasattr(ClauseSets, "ordered")
 
 
 def test_connections_are_opened_in_one_place_and_never_closed_by_users():

@@ -111,6 +111,19 @@ class TestEvaluateSuite:
         assert "gold query failed: not valid Unicode" in report.items[0].error
         assert report.summary()["gold_errors"] == 1
 
+    @pytest.mark.parametrize("gold,db_id,error", [
+        ("SELECT nope FROM nowhere", "concerts", "gold query failed: "),
+        ("SELECT name FROM singer", "ghost", "database not found for db_id 'ghost'"),
+    ], ids=["failing_gold", "missing_database"])
+    def test_the_summary_names_both_reasons_an_item_leaves_ex(self, db_dir, gold, db_id, error):
+        pairs = [{"question": "", "gold": gold, "pred": gold, "db_id": db_id},
+                 pair("SELECT name FROM singer")]
+        report = evaluate_suite(pairs, db_dir)
+        assert report.items[0].error.startswith(error)
+        assert report.format_summary().splitlines()[-1] == (
+            "(excluded 1 item(s) from EX whose gold query failed or whose database "
+            "was not found; see each item's error)")
+
     def test_missing_database_recorded(self, db_dir):
         pairs = [{"question": "", "gold": "SELECT 1", "pred": "SELECT 1", "db_id": "ghost"}]
         report = evaluate_suite(pairs, db_dir)
@@ -251,8 +264,9 @@ class TestEvaluateSuite:
         monkeypatch.setattr(suite.os, "cpu_count", lambda: 6)
         assert suite._usable_cpus() == 6
 
-    def test_a_gold_that_parses_is_lexed_once_per_group(self, db_dir, monkeypatch):
-        lexed = []
+    def test_a_gold_is_lexed_for_its_order_only_when_a_pred_has_its_row_count(
+            self, db_dir, monkeypatch):
+        lexed, order_read = [], []
 
         def counted(sql):
             lexed.append(sql)
@@ -260,20 +274,31 @@ class TestEvaluateSuite:
 
         for module in (parser, execution):
             monkeypatch.setattr(module, "texts", counted)
-        ordered = "SELECT name FROM singer ORDER BY age"
+        order_rule = execution.has_top_level_order_by
+        monkeypatch.setattr(execution, "has_top_level_order_by",
+                            lambda sql: order_read.append(sql) or order_rule(sql))
+        ordered = "SELECT name FROM singer ORDER BY age"  # 6 rows
+        unordered = "SELECT name FROM singer"
+        one_row = "SELECT count(*) FROM singer"
         unparsed = "SELECT name FROM singer ORDER BY name COLLATE nocase"
         pairs = [pair(ordered, "SELECT name FROM singer ORDER BY age DESC"),
                  pair(ordered, "SELECT name FROM singer ORDER BY singer_id"),
                  pair(ordered),
-                 pair("SELECT name FROM singer"),
+                 pair(unordered, "SELECT name FROM singer WHERE age > 40"),
+                 pair(unordered),
+                 pair(one_row, "SELECT count(*) FROM singer WHERE age > 20"),
+                 pair(one_row, "SELECT max(age) FROM singer"),
                  pair(unparsed, "SELECT name FROM singer ORDER BY name DESC"),
                  pair(unparsed)]
         report = evaluate_suite(pairs, db_dir)
-        assert [item.ex for item in report.items] == [False, False, True, True, False, True]
-        assert lexed.count(ordered) == 1 and lexed.count("SELECT name FROM singer") == 1
-        # A gold that fails to parse is lexed again for its ordering.
-        assert lexed.count(unparsed) == 2
-        assert "gold parse error" in report.items[4].error
+        assert [item.ex for item in report.items] == [
+            False, False, True, False, True, True, False, False, True]
+        assert "gold parse error" in report.items[7].error
+        # Once for the parse, and once more for the order only in the groups
+        # where a pred returns as many rows as the gold, two or more.
+        assert [lexed.count(gold) for gold in (ordered, unordered, one_row, unparsed)] == [
+            2, 1, 1, 2]
+        assert order_read == [ordered, unparsed]
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_is_refused_before_any_pair(self, db_dir, monkeypatch, jobs):
