@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import InvalidConfig, InvalidInput, check_unicode, read_json_lines, read_lines
+from .errors import InvalidConfig, InvalidInput, read_json_lines, read_lines
 
 DEFAULT_CHUNK_SIZE = 512
 DEFAULT_OVERLAP = 64
@@ -144,26 +144,17 @@ def load_documents(path: str | Path) -> list[Document]:
     stem.
 
     Raises:
-        InvalidInput: missing file, a byte that is not UTF-8, or a
-            malformed JSONL record, including one whose id or text is not a
-            string or holds a lone surrogate (the message names the line
-            number).
+        InvalidInput: missing file, a byte that is not UTF-8, or a JSONL
+            line that is not an object whose id and text are strings
+            without lone surrogates, or whose id is empty (the message names
+            the line).
     """
     path = Path(path)
     if path.suffix == ".jsonl":
         docs = []
-        for lineno, record in read_json_lines(path):
-            if not isinstance(record, dict) or not (
-                type(record.get("id")) is str and type(record.get("text")) is str
-            ):
-                raise InvalidInput(
-                    f"{path}: line {lineno} must be an object whose 'id' and "
-                    "'text' are strings"
-                )
-            try:
-                check_unicode(record["id"], record["text"])
-            except InvalidInput as e:
-                raise InvalidInput(f"{path}: line {lineno}: {e}") from None
+        for lineno, record in read_json_lines(path, fields=("id", "text")):
+            if not record["id"]:
+                raise InvalidInput(f"{path}: line {lineno}: document id must be nonempty")
             docs.append(Document(record["id"], record["text"], source_path=str(path)))
         return docs
     return [Document(path.stem, "".join(read_lines(path)), source_path=str(path))]

@@ -26,6 +26,7 @@ from .store import VectorStore
 
 ENV_STORE = "GTR_STORE"
 ENV_EMBED_URL = "GTR_EMBED_URL"
+ENV_LLM_URL = "GTR_LLM_URL"
 
 
 def _embedder_config(args) -> EmbedderConfig:
@@ -43,7 +44,8 @@ def _embedder_config(args) -> EmbedderConfig:
 
 
 def _llm_config(value: str) -> LlmConfig:
-    """Parse an --llm value: echo | fixed:TEXT | template:PATH | http[:URL]."""
+    """Parse an --llm value: echo | fixed:TEXT | template:PATH | http[:URL],
+    where http's URL defaults to GTR_LLM_URL."""
     kind, _, rest = value.partition(":")
     if kind == "echo":
         return LlmConfig(backend="echo_context")
@@ -68,7 +70,10 @@ def _llm_config(value: str) -> LlmConfig:
                 )
         return LlmConfig(backend="template_sql", sql_templates=mapping)
     if kind == "http":
-        return LlmConfig(backend="http", endpoint_url=rest or None)
+        endpoint = rest or os.environ.get(ENV_LLM_URL)
+        if not endpoint:
+            raise InvalidConfig(f"--llm http needs http:URL or {ENV_LLM_URL}")
+        return LlmConfig(backend="http", endpoint_url=endpoint)
     raise InvalidConfig(f"unknown --llm backend {value!r}")
 
 

@@ -1,5 +1,8 @@
 """Exception hierarchy shared by all gtr modules, and the text reader,
-check and JSON-lines reader and writer their loaders and reports share."""
+check and JSON-lines reader and writer their loaders and reports share.
+The JSON-lines reader is the one place that checks an input record: that
+it is an object, and that the string fields its caller names are strings
+UTF-8 can encode."""
 
 from __future__ import annotations
 
@@ -167,18 +170,33 @@ def loads_json(text: str):
         raise ValueError("nested too deeply") from None
 
 
-def read_json_lines(path: str | Path, what: str = "input") -> Iterator[tuple[int, object]]:
-    """(line number, decoded value) for each nonblank line that read_lines
-    yields; a line that is not JSON raises InvalidInput naming it."""
+def read_json_lines(path: str | Path, what: str = "input",
+                    fields: tuple[str, ...] = ()) -> Iterator[tuple[int, dict]]:
+    """(line number, record) for each nonblank line that read_lines yields.
+    Each line must be a JSON object, and each name in ``fields`` must be a
+    JSON string in it that holds no lone surrogate. InvalidInput refuses any
+    other line as "PATH: line N: ..." ("PATH: line N must be a JSON object"
+    for a line that is JSON but not an object)."""
     path = Path(path)
     for lineno, line in enumerate(read_lines(path, what), start=1):
         if not line.strip():
             continue
         try:
-            value = loads_json(line)
+            record = loads_json(line)
         except ValueError as e:  # JSONDecodeError, an over-long integer, or nesting too deep
-            raise InvalidInput(f"{path}: malformed JSON on line {lineno}: {e}")
-        yield lineno, value
+            raise InvalidInput(f"{path}: line {lineno}: malformed JSON: {e}")
+        if type(record) is not dict:
+            raise InvalidInput(f"{path}: line {lineno} must be a JSON object")
+        try:
+            for key in fields:
+                value = record.get(key)
+                if type(value) is not str:
+                    raise InvalidInput(f"{key} must be a JSON string, got {value!r}"
+                                       if key in record else f"missing field {key!r}")
+                check_unicode(value)
+        except InvalidInput as e:
+            raise InvalidInput(f"{path}: line {lineno}: {e}") from None
+        yield lineno, record
 
 
 def write_json_lines(path: str | Path, rows: Iterable, mode: str = "w") -> None:

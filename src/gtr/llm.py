@@ -10,22 +10,18 @@ the OpenAI-compatible completions protocol::
 
 through the retrying POST it shares with the embedding backend
 (:mod:`gtr._http`); its latency covers the whole exchange, retries included.
-``GTR_LLM_URL`` supplies the endpoint when the config leaves it unset; an
-explicitly configured URL wins so that command-line flags keep precedence
-over the environment.
+Its ``endpoint_url`` is required, as the http embedder's is; this module
+reads no environment variable (the CLI resolves ``GTR_LLM_URL``).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
 from ._http import post_json
 from .chunking import token_count
 from .errors import BackendUnavailable, InvalidConfig, InvalidInput, MalformedPrompt
-
-ENV_LLM_URL = "GTR_LLM_URL"
 
 # The prompt templates (pipeline.compose_prompt, tables.compose_sql_prompt)
 # are built from these delimiters, and the mock backends parse them back.
@@ -58,8 +54,8 @@ class LlmConfig:
             raise InvalidConfig("fixed backend requires fixed_text")
         if self.backend != "fixed" and self.fixed_text is not None:
             raise InvalidConfig("fixed_text is only valid with the fixed backend")
-        if self.backend != "http" and self.endpoint_url is not None:
-            raise InvalidConfig("endpoint_url is only valid with the http backend")
+        if (self.endpoint_url is not None) != (self.backend == "http"):
+            raise InvalidConfig("endpoint_url must be set iff backend is 'http'")
 
 
 @dataclass
@@ -102,7 +98,6 @@ def complete(prompt: str, config: LlmConfig | None = None) -> Completion:
     Raises:
         InvalidInput: empty prompt.
         MalformedPrompt: a mock backend cannot find its prompt structure.
-        InvalidConfig: http backend with no endpoint configured.
         BackendUnavailable: http failures after retries, or a malformed body.
     """
     config = config or LlmConfig()
@@ -123,15 +118,10 @@ def complete(prompt: str, config: LlmConfig | None = None) -> Completion:
     elif config.backend == "fixed":
         text, latency_ms = config.fixed_text, 0.0
     else:
-        url = config.endpoint_url or os.environ.get(ENV_LLM_URL)
-        if not url:
-            raise InvalidConfig(
-                f"http backend needs endpoint_url or the {ENV_LLM_URL} environment variable"
-            )
         payload = {"prompt": prompt, "max_tokens": config.max_new_tokens,
                    "temperature": config.temperature}
         started = time.perf_counter()
-        body = post_json(url, payload, config.timeout_s, "llm")
+        body = post_json(config.endpoint_url, payload, config.timeout_s, "llm")
         latency_ms = (time.perf_counter() - started) * 1000.0
         try:
             text = body["choices"][0]["text"]

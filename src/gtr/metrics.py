@@ -274,37 +274,23 @@ def _finite_number(value) -> bool:
 
 
 def load_items_jsonl(path: str | Path) -> list[GtrEvalItem]:
-    """Read evaluation items from a UTF-8 file; malformed lines, and a
-    byte that is not UTF-8, are named by line number.
+    """Read evaluation items from a UTF-8 file; a malformed line, and a byte
+    that is not UTF-8, are named as "PATH: line N: ...".
 
     Each line: {"question", "reference", "candidate", "truthful",
     "response_time_ms"}, where the first three are JSON strings without
-    lone surrogates, truthful is the JSON integer 0 or 1 and
-    response_time_ms a finite JSON number.
+    lone surrogates (checked by errors.read_json_lines), truthful is the
+    JSON integer 0 or 1 and response_time_ms a finite JSON number.
     """
-    path = Path(path)
     items = []
-    for lineno, obj in read_json_lines(path, "items"):
-        try:
-            texts = {key: obj[key] for key in ("question", "reference", "candidate")}
-            for key, value in texts.items():
-                if type(value) is not str:
-                    raise InvalidInput(f"{key} must be a JSON string, got {value!r}")
-            check_unicode(*texts.values())
-            truthful, ms = obj["truthful"], obj["response_time_ms"]
-            if type(truthful) is not int:
-                raise InvalidInput(
-                    f"truthful must be the integer 0 or 1, got {truthful!r}"
-                )
-            if not _finite_number(ms):
-                raise InvalidInput(
-                    f"response_time_ms must be a finite number, got {ms!r}"
-                )
-            items.append(
-                GtrEvalItem(**texts, truthful=truthful, response_time_ms=float(ms))
-            )
-        except KeyError as e:
-            raise InvalidInput(f"{path}: bad item on line {lineno}: missing field {e}") from None
-        except (TypeError, ValueError, InvalidInput) as e:
-            raise InvalidInput(f"{path}: bad item on line {lineno}: {e}")
+    for lineno, record in read_json_lines(path, "items", ("question", "reference", "candidate")):
+        truthful, ms = record.get("truthful"), record.get("response_time_ms")
+        if type(truthful) is not int or truthful not in (0, 1):
+            raise InvalidInput(f"{path}: line {lineno}: truthful must be the integer 0 or 1, "
+                               f"got {truthful!r}")
+        if not _finite_number(ms):
+            raise InvalidInput(f"{path}: line {lineno}: response_time_ms must be a finite "
+                               f"number, got {ms!r}")
+        items.append(GtrEvalItem(record["question"], record["reference"], record["candidate"],
+                                 truthful, float(ms)))
     return items

@@ -56,7 +56,6 @@ class AnswerTrace:
     prompt: str | None = None
     answer: str | None = None
     completion: Completion | None = None
-    truthful: int | None = None
     error: tuple[str, str] | None = None
 
 

@@ -482,32 +482,20 @@ def answer_tabular(
             )
 
     trace = AnswerTrace(query=query.text)
-
-    def fail(stage: str, error: GtrError):
-        trace.error = (stage, str(error))
-        raise StageError(stage, error, trace) from error
-
     try:
+        stage = "select_tables"
         trace.retrieved = select_tables(query, store, k, embedder_config=embedder_config)
-    except GtrError as e:
-        fail("select_tables", e)
-
-    blocks = [stored[table_id]["prompt_block"] for table_id, _ in trace.retrieved]
-    try:
+        stage = "compose_sql_prompt"
+        blocks = [stored[table_id]["prompt_block"] for table_id, _ in trace.retrieved]
         trace.prompt = compose_sql_prompt(blocks, query)
-    except GtrError as e:
-        fail("compose_sql_prompt", e)
-
-    try:
+        stage = "generate_sql"
         trace.completion = complete(trace.prompt, llm_config)
         trace.answer = extract_sql(trace.completion.text)
-    except GtrError as e:
-        fail("generate_sql", e)
-
-    try:
+        stage = "execute_sql"
         result = execute_sql(trace.answer, db_path, timeout_ms=timeout_ms, row_limit=row_limit)
     except GtrError as e:
-        fail("execute_sql", e)
+        trace.error = (stage, str(e))
+        raise StageError(stage, e, trace) from e
 
     if result.truncated:
         log.info("tables ask on %s: result truncated at row_limit %d", db_path, row_limit)

@@ -146,7 +146,7 @@ class TestLoadDocuments:
         assert load_documents(path)[0].text == want
         jsonl = tmp_path / "docs.jsonl"
         jsonl.write_bytes(b'{"id": "a", "text": "x"}\r{"id": "b", "text": "y"}\r\n\r{oops\n')
-        with pytest.raises(InvalidInput, match="malformed JSON on line 4"):
+        with pytest.raises(InvalidInput, match="line 4: malformed JSON"):
             load_documents(jsonl)
 
     def test_missing_file(self, tmp_path):
@@ -157,7 +157,7 @@ class TestLoadDocuments:
         path = tmp_path / "docs.jsonl"
         path.write_text('{"id": "a", "text": "x"}\n{"id": "b", "text": "y", "n": 1'
                         + "0" * 4300 + "}\n", encoding="utf-8")
-        with pytest.raises(InvalidInput, match="malformed JSON on line 2"):
+        with pytest.raises(InvalidInput, match="line 2: malformed JSON"):
             load_documents(path)
 
     def test_deep_nesting_names_line(self, tmp_path):
@@ -165,17 +165,20 @@ class TestLoadDocuments:
         path = tmp_path / "docs.jsonl"
         path.write_text('{"id": "a", "text": "x"}\n' + "[" * 5000 + "\n", encoding="utf-8")
         with pytest.raises(InvalidInput,
-                           match=f"^{path}: malformed JSON on line 2: nested too deeply$"):
+                           match=f"^{path}: line 2: malformed JSON: nested too deeply$"):
             load_documents(path)
 
-    @pytest.mark.parametrize("line", [
-        '{"id": null, "text": "x"}',
-        '{"id": 7, "text": "x"}',
-        '{"id": "a", "text": null}',
-        '{"id": "a", "text": ["x"]}',
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": null, "text": "x"}', "id must be a JSON string, got None"),
+        ('{"id": 7, "text": "x"}', "id must be a JSON string, got 7"),
+        ('{"id": "a", "text": null}', "text must be a JSON string, got None"),
+        ('{"id": "a", "text": ["x"]}', "text must be a JSON string, got ['x']"),
+        ('{"text": "x"}', "missing field 'id'"),
+        ('{"id": "a"}', "missing field 'text'"),
     ])
-    def test_id_and_text_must_be_strings(self, tmp_path, line):
+    def test_id_and_text_must_be_strings(self, tmp_path, line, message):
         path = tmp_path / "docs.jsonl"
         path.write_text('{"id": "ok", "text": "x"}\n' + line + "\n", encoding="utf-8")
-        with pytest.raises(InvalidInput, match="line 2 .*strings"):
+        with pytest.raises(InvalidInput) as info:
             load_documents(path)
+        assert str(info.value) == f"{path}: line 2: {message}"

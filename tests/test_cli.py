@@ -128,6 +128,39 @@ class TestAsk:
                        "ask about tables with `gtr tables ask`\n")
 
 
+@pytest.mark.usefixtures("fast_retries")
+class TestLlmUrl:
+    """--llm http takes its endpoint from http:URL, else from GTR_LLM_URL."""
+
+    @pytest.fixture
+    def store(self, capsys, tmp_path, doc_file):
+        store = tmp_path / "s.gtr"
+        code, _, _ = run(capsys, "ingest", "--input", str(doc_file), "--store", str(store),
+                         "--dim", "32")
+        assert code == 0
+        return store
+
+    @staticmethod
+    def answering(json_server, text):
+        return json_server(lambda path, body: (200, {"choices": [{"text": text}]}))
+
+    def test_env_var_supplies_endpoint(self, capsys, store, json_server, monkeypatch):
+        monkeypatch.setenv("GTR_LLM_URL", self.answering(json_server, "ok").url)
+        assert run(capsys, "ask", "w1", "--store", str(store), "--llm", "http") == (
+            0, "ok\n", "")
+
+    def test_explicit_endpoint_wins_over_env(self, capsys, store, json_server, monkeypatch):
+        good = self.answering(json_server, "good")
+        monkeypatch.setenv("GTR_LLM_URL", self.answering(json_server, "bad").url)
+        assert run(capsys, "ask", "w1", "--store", str(store), "--llm", f"http:{good.url}") == (
+            0, "good\n", "")
+
+    def test_missing_endpoint(self, capsys, store, monkeypatch):
+        monkeypatch.delenv("GTR_LLM_URL", raising=False)
+        assert run(capsys, "ask", "w1", "--store", str(store), "--llm", "http") == (
+            1, "", "error: --llm http needs http:URL or GTR_LLM_URL\n")
+
+
 class TestAskTakesTheStoresEmbedder:
     """ask and tables ask take no embedder flag. They embed with the one the
     store names, and print and trace what an answer given that config does."""

@@ -112,6 +112,9 @@ class TestContract:
             LlmConfig(backend="echo_context", fixed_text="x")
         with pytest.raises(InvalidConfig):
             LlmConfig(backend="echo_context", endpoint_url="http://x/")
+        # The environment is the CLI's to read; the http backend needs its URL.
+        with pytest.raises(InvalidConfig, match="^endpoint_url must be set iff backend is 'http'$"):
+            LlmConfig(backend="http")
         with pytest.raises(InvalidConfig):
             LlmConfig(backend="made_up")
 
@@ -133,23 +136,6 @@ class TestHttp:
         assert server.requests[0][1]["max_tokens"] == 9
         assert completion.latency_ms >= 0.0
         assert isinstance(completion, Completion)
-
-    def test_env_var_supplies_endpoint(self, json_server, monkeypatch):
-        server = json_server(lambda p, b: (200, {"choices": [{"text": "ok"}]}))
-        monkeypatch.setenv("GTR_LLM_URL", server.url)
-        assert complete("x", LlmConfig(backend="http")).text == "ok"
-
-    def test_explicit_endpoint_wins_over_env(self, json_server, monkeypatch):
-        good = json_server(lambda p, b: (200, {"choices": [{"text": "good"}]}))
-        bad = json_server(lambda p, b: (200, {"choices": [{"text": "bad"}]}))
-        monkeypatch.setenv("GTR_LLM_URL", bad.url)
-        config = LlmConfig(backend="http", endpoint_url=good.url)
-        assert complete("x", config).text == "good"
-
-    def test_missing_endpoint(self, monkeypatch):
-        monkeypatch.delenv("GTR_LLM_URL", raising=False)
-        with pytest.raises(InvalidConfig):
-            complete("x", LlmConfig(backend="http"))
 
     def test_non_200_is_backend_unavailable(self, json_server):
         server = json_server(lambda p, b: (503, {}))

@@ -278,7 +278,7 @@ class TestLoadItems:
         good = json.dumps({"question": "q", "reference": "r", "candidate": "c",
                            "truthful": 0, "response_time_ms": 3})
         path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
-        with pytest.raises(InvalidInput, match=f"{path}: bad item on line 2: .*{field}"):
+        with pytest.raises(InvalidInput, match=f"{path}: line 2: {field} must be "):
             load_items_jsonl(path)
 
     def test_integer_too_long_to_parse_names_file_and_line(self, tmp_path):
@@ -287,19 +287,24 @@ class TestLoadItems:
                            "truthful": 0, "response_time_ms": 3})
         bad = good.replace('"response_time_ms": 3', '"response_time_ms": 1' + "0" * 4300)
         path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
-        with pytest.raises(InvalidInput, match=f"{path}: malformed JSON on line 2"):
+        with pytest.raises(InvalidInput, match=f"{path}: line 2: malformed JSON"):
             load_items_jsonl(path)
 
     def test_deep_nesting_names_file_and_line(self, tmp_path):
         path = tmp_path / "items.jsonl"
         path.write_text("\n" + '{"question": ' + "[" * 5000 + "\n", encoding="utf-8")
         with pytest.raises(InvalidInput,
-                           match=f"^{path}: malformed JSON on line 2: nested too deeply$"):
+                           match=f"^{path}: line 2: malformed JSON: nested too deeply$"):
             load_items_jsonl(path)
 
-    @pytest.mark.parametrize("field", ["question", "reference", "candidate", "truthful",
-                                       "response_time_ms"])
-    def test_a_missing_field_is_named(self, tmp_path, field):
+    @pytest.mark.parametrize("field, message", [
+        ("question", "missing field 'question'"),
+        ("reference", "missing field 'reference'"),
+        ("candidate", "missing field 'candidate'"),
+        ("truthful", "truthful must be the integer 0 or 1, got None"),
+        ("response_time_ms", "response_time_ms must be a finite number, got None"),
+    ])
+    def test_a_missing_field_is_named(self, tmp_path, field, message):
         row = {"question": "q", "reference": "r", "candidate": "c",
                "truthful": 0, "response_time_ms": 3}
         del row[field]
@@ -307,7 +312,7 @@ class TestLoadItems:
         path.write_text(json.dumps(row) + "\n", encoding="utf-8")
         with pytest.raises(InvalidInput) as info:
             load_items_jsonl(path)
-        assert str(info.value) == f"{path}: bad item on line 1: missing field {field!r}"
+        assert str(info.value) == f"{path}: line 1: {message}"
 
     @pytest.mark.parametrize("field", ["question", "reference", "candidate"])
     @pytest.mark.parametrize("raw", ["null", "7", "true", '["a"]', '{"t": "a"}'])
@@ -318,7 +323,7 @@ class TestLoadItems:
         bad = good.replace(f'"{field}": "{field[0]}"', f'"{field}": {raw}')
         path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
         with pytest.raises(InvalidInput,
-                           match=f"{path}: bad item on line 2: {field} must be a JSON string"):
+                           match=f"{path}: line 2: {field} must be a JSON string"):
             load_items_jsonl(path)
 
     @pytest.mark.parametrize("field", ["question", "reference", "candidate"])
@@ -329,7 +334,7 @@ class TestLoadItems:
         bad = good.replace(f'"{field}": "{field[0]}"', f'"{field}": "bad \\ud800 x"')
         path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
         with pytest.raises(InvalidInput,
-                           match=f"{path}: bad item on line 2: not valid Unicode"):
+                           match=f"{path}: line 2: not valid Unicode"):
             load_items_jsonl(path)
 
     def test_empty_candidate_scores_zero_and_run_completes(self, tmp_path):

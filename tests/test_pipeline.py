@@ -197,7 +197,7 @@ class TestTraceExport:
         record = json.loads(lines[0])
         assert record["query"] == "q?"
         assert record["answer"] == "C."
-        assert record["truthful"] is None
+        assert "truthful" not in record
         assert record["retrieved"][0][0] == "d:0"
 
     def test_lone_surrogate_in_a_completion_is_written_escaped(self, tmp_path):

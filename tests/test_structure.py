@@ -400,8 +400,29 @@ def test_one_json_lines_writer_and_reader():
     assert text_mode == ["errors.py:write_json_lines"]
     text = "".join(path.read_text(encoding="utf-8") for path in SRC.rglob("*.py"))
     assert "write_text" not in text and "write_bytes" not in text
-    # Documents and eval items share errors.read_json_lines and its message.
-    assert text.count("malformed JSON on line") == 1
+    # Documents and eval items read their records through
+    # errors.read_json_lines, which alone checks that a line is a JSON object
+    # and that its string fields are strings; the loaders only build values.
+    readers = {f"{path.name}:{func.name}": func
+               for path, tree in _trees()
+               for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               and "read_json_lines" in _calls(func)}
+    assert sorted(readers) == ["chunking.py:load_documents", "metrics.py:load_items_jsonl"]
+    for name, func in readers.items():
+        checks = [node.id for node in ast.walk(func) if isinstance(node, ast.Name)
+                  and node.id in ("isinstance", "dict", "check_unicode", "KeyError", "TypeError")]
+        checks += [node.lineno for node in ast.walk(func) if isinstance(node, ast.Compare)
+                   and any(getattr(c, "id", None) == "str" for c in node.comparators)]
+        assert checks == [], name
+        assert not any(isinstance(node, ast.Try) for node in ast.walk(func)), name
+
+
+def test_only_the_cli_reads_the_environment():
+    # GTR_STORE, GTR_EMBED_URL and GTR_LLM_URL become flags' defaults there;
+    # the library takes every setting through its config objects.
+    readers = sorted({path.name for path, tree in _trees() for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")})
+    assert readers == ["cli.py"]
 
 
 def test_sql_eval_runs_and_parses_through_one_helper_each():

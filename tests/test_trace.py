@@ -16,7 +16,7 @@ from gtr.tables import answer_tabular, index_tables, profile_tables
 from trace_oracles import answer_to_dict, tabular_to_dict
 
 CONFIG = EmbedderConfig(dim=64)
-FIELDS = ["query", "retrieved", "prompt", "answer", "completion", "truthful", "error"]
+FIELDS = ["query", "retrieved", "prompt", "answer", "completion", "error"]
 RENAMED = {"selected": "retrieved", "sql": "answer"}
 
 DOCS = [
@@ -29,14 +29,14 @@ DOCS = [
 def ask_line(trace: AnswerTrace) -> str:
     """The seed's ask line with the one field it gains."""
     old = json.dumps(answer_to_dict(trace), ensure_ascii=False)
-    assert old.endswith('"truthful": null}')
+    assert old.endswith('}}')  # the completion closes the line
     return old[:-1] + ', "error": null}\n'
 
 
 def tables_line(trace: AnswerTrace) -> str:
-    """The seed's tables line with its keys renamed and ``truthful`` added."""
+    """The seed's tables line with its keys renamed."""
     old = {RENAMED.get(key, key): value for key, value in tabular_to_dict(trace).items()}
-    assert set(old) | {"truthful"} == set(FIELDS)
+    assert set(old) == set(FIELDS)
     return json.dumps({name: old.get(name) for name in FIELDS}, ensure_ascii=False) + "\n"
 
 

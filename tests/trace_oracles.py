@@ -2,7 +2,9 @@
 
 These are the bodies of the two hand-written ``to_dict`` methods, kept as
 oracles for the JSONL lines that ``append_trace`` now writes with
-``dataclasses.asdict``. ``answer_to_dict`` is the old ``AnswerTrace.to_dict``.
+``dataclasses.asdict``. ``answer_to_dict`` is the old ``AnswerTrace.to_dict``
+less its ``truthful`` key, which no answer ever set and the trace no longer
+has.
 ``tabular_to_dict`` is the old ``TabularTrace.to_dict``: that class named the
 selected tables ``selected`` and the extracted SQL ``sql``, which the shared
 trace holds in ``retrieved`` and ``answer``.
@@ -23,7 +25,6 @@ def answer_to_dict(self) -> dict:
             "completion_tokens": self.completion.completion_tokens,
             "latency_ms": self.completion.latency_ms,
         },
-        "truthful": self.truthful,
     }
 
 
