@@ -172,8 +172,14 @@ class GtrEvalItem:
     response_time_ms: float
 
     def __post_init__(self):
-        if self.truthful not in (0, 1):
-            raise InvalidInput(f"truthful must be 0 or 1, got {self.truthful!r}")
+        if problem := _truthful_problem(self.truthful):
+            raise InvalidInput(problem)
+
+
+def _truthful_problem(value) -> str:
+    """Why ``value`` is not a truthful label, the integer 0 or 1 ("" if it is)."""
+    ok = type(value) is int and value in (0, 1)
+    return "" if ok else f"truthful must be the integer 0 or 1, got {value!r}"
 
 
 @dataclass
@@ -284,10 +290,12 @@ def load_items_jsonl(path: str | Path) -> list[GtrEvalItem]:
     """
     items = []
     for lineno, record in read_json_lines(path, "items", ("question", "reference", "candidate")):
-        truthful, ms = record.get("truthful"), record.get("response_time_ms")
-        if type(truthful) is not int or truthful not in (0, 1):
-            raise InvalidInput(f"{path}: line {lineno}: truthful must be the integer 0 or 1, "
-                               f"got {truthful!r}")
+        for key in ("truthful", "response_time_ms"):
+            if key not in record:
+                raise InvalidInput(f"{path}: line {lineno}: missing field {key!r}")
+        truthful, ms = record["truthful"], record["response_time_ms"]
+        if problem := _truthful_problem(truthful):
+            raise InvalidInput(f"{path}: line {lineno}: {problem}")
         if not _finite_number(ms):
             raise InvalidInput(f"{path}: line {lineno}: response_time_ms must be a finite "
                                f"number, got {ms!r}")
